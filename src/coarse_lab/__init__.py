@@ -26,12 +26,11 @@ from .witness import (DecayProfile, Witness, WitnessFamily, collapse, dirac_witn
 from .construct import (FiberingResult, GlueInput, GlueResult, NetWitnessResult,
                         SeparatedResult, SubspaceWitnessResult, dirac_piece_family,
                         fibering_pipeline, glue, glue_with_report, make_glue_input,
-                        net_construction, net_witness, separated_cover_pipeline,
-                        subspace_construction, subspace_witness,
-                        uniform_ball_piece_family)
+                        net_construction, separated_cover_pipeline,
+                        subspace_construction, uniform_ball_piece_family)
 from .group import (CoarseQuasiAction, GroupModel, GroupPipelineResult,
                     OrbitMapResult, QuasiStabilizer, certify_quasi_action,
-                    cyclic_group, dirac_stabilizer_provider, free_group_ball,
+                    cyclic_group, free_group_ball,
                     group_pipeline, left_translation, orbit_map, product_of_cyclic,
                     quasi_stabilizer, word_metric_space, z_ball)
 from .jsonio import (dumps_deterministic, load_action_maps, load_chain_stages,

@@ -11,7 +11,6 @@ import datetime
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .construct import (_sample_grid, dirac_piece_family, fibering_pipeline,
                         glue_with_report, make_glue_input, separated_cover_pipeline,
@@ -24,7 +23,7 @@ from .group import certify_quasi_action, group_pipeline
 from .jsonio import (dumps_deterministic, load_action_maps, load_chain_stages,
                      load_cover, load_group, load_map_assignment, load_space,
                      load_witness, norm_id, partition_to_json)
-from .partition import (bell_partition, bell_lipschitz_constant,
+from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile)
 from .report import InequalityRecord, all_passed, check_le
 from .space import check_coarse_map
@@ -141,22 +140,9 @@ def _run_bell(scenario, base_dir, params):
     if leb > 0:
         C = bell_lipschitz_constant(cov)
         notes.append("certified Lipschitz constant %.17g" % C)
-        masses = part.masses()
-        ids = space.point_ids
-        worst = None
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                d = float(space.D[a, b])
-                s = 0.0
-                ma, mb = masses[ids[a]], masses[ids[b]]
-                for i, v in ma.items():
-                    s += abs(v - mb.get(i, 0.0))
-                s += sum(v for i, v in mb.items() if i not in ma)
-                if worst is None or s - C * d > worst[0]:
-                    worst = (s - C * d, s, C * d, (ids[a], ids[b]))
-        if worst is not None:
-            checked.append(check_le("bell_lipschitz_bound", worst[1], worst[2],
-                                    tol=1e-9, witness=worst[3]))
+        rec = _bell_lipschitz_check(part, C)
+        if rec is not None:
+            checked.append(rec)
     else:
         notes.append("Lebesgue number 0: no Lipschitz certificate")
     var = partition_variation_profile(part, _grid(space, params, "radii"))
@@ -348,16 +334,19 @@ def execute_scenario(scenario, base_dir):
         w = out.witness
         radii = _grid(w.space, params, "radii")
         tails = _grid(w.space, params, "tail_radii")
-        profiles["variation"] = [[r, v] for r, v in variation_profile(w, radii)]
-        profiles["tail"] = [[s, v] for s, v in tail_profile(w, tails)]
+        # R and S0 ride along in the grid sweeps; the profiles list the grids only
+        var = dict(variation_profile(w, radii + ([float(R)] if R is not None else [])))
+        tail = dict(tail_profile(w, tails + ([float(S0)] if S0 is not None else [])))
+        profiles["variation"] = [[r, var[r]] for r in radii]
+        profiles["tail"] = [[s, tail[s]] for s in tails]
         if R is not None:
-            observed["variation_at_R"] = variation_profile(w, [float(R)])[0][1]
+            observed["variation_at_R"] = var[float(R)]
             if "epsilon" in params and pipeline not in _CONSUME_EPSILON:
                 out.checked.append(check_le("variation_at_R_le_epsilon",
                                             observed["variation_at_R"],
                                             float(params["epsilon"])))
         if S0 is not None:
-            observed["tail_at_S0"] = tail_profile(w, [float(S0)]).samples[0][1]
+            observed["tail_at_S0"] = tail[float(S0)]
             if "delta" in params:
                 out.checked.append(check_le("tail_at_S0_le_delta",
                                             observed["tail_at_S0"],
@@ -431,31 +420,22 @@ def run_suite(directory, out_dir=".", quiet=False):
         files = sorted(f for f in os.listdir(directory) if f.endswith(".json"))
     except OSError as exc:
         raise ValidationError("cannot list %s: %s" % (directory, exc)) from exc
-    results = {}
-
-    def _one(fname):
-        full = os.path.join(directory, fname)
+    codes = {}
+    errors = {}
+    for fname in files:
         try:
-            return run_scenario(full, out_dir=out_dir, quiet=True)
+            codes[fname] = run_scenario(os.path.join(directory, fname),
+                                        out_dir=out_dir, quiet=True)
         except BoundViolationError:
             raise
         except CoarseLabError as exc:
-            results[fname] = ("error", str(exc))
-            return 2
-
-    workers = int(os.environ.get("COARSE_LAB_THREADS", "0")) or min(4, max(1, len(files)))
-    codes = {}
-    if files:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fname, code in zip(files, pool.map(_one, files)):
-                codes[fname] = code
+            errors[fname] = str(exc)
+            codes[fname] = 2
     n_pass = sum(1 for c in codes.values() if c == 0)
     for fname in files:
-        code = codes[fname]
-        label = {0: "pass", 1: "FALSIFIED", 2: "ERROR"}[code]
-        line = "%s: %s" % (fname, label)
-        if fname in results:
-            line += " (%s)" % results[fname][1]
+        line = "%s: %s" % (fname, {0: "pass", 1: "FALSIFIED", 2: "ERROR"}[codes[fname]])
+        if fname in errors:
+            line += " (%s)" % errors[fname]
         print(line)
     print("passed %d/%d" % (n_pass, len(files)))
     return 0 if n_pass == len(files) else 1

@@ -18,11 +18,11 @@ import numpy as np
 
 from .cover import Cover, check_kl_separated, enlarge, lebesgue_number, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
-from .partition import (PartitionOfUnity, bell_partition, partition_variation_profile,
-                        pullback_partition)
+from .partition import (PartitionOfUnity, _l1_distance, bell_partition,
+                        partition_variation_profile, pullback_partition)
 from .report import check_le
 from .space import CoarseMapCert, FiniteMetricSpace, is_c_net
-from .witness import (DecayProfile, Witness, WitnessFamily, collapse, dirac_witness,
+from .witness import (DecayProfile, Witness, collapse, dirac_witness,
                       sparse_diff_norm, sparse_diff_norm_sq, tail_profile,
                       uniform_ball_witness, variation_profile)
 
@@ -113,17 +113,6 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     return SubspaceWitnessResult(sub, tagged, eta, retraction, checks, tuple(tail_checks))
 
 
-def subspace_witness(witnesses, subspaces, tail_radii=None):
-    """Family form: one subspace restriction per member."""
-    members = witnesses.members if isinstance(witnesses, WitnessFamily) else tuple(witnesses)
-    subspaces = tuple(subspaces)
-    if len(members) != len(subspaces):
-        raise ValidationError("need one subspace per family member")
-    results = tuple(subspace_construction(w, ys, tail_radii)
-                    for w, ys in zip(members, subspaces))
-    return WitnessFamily(tuple(r.collapsed for r in results)), results
-
-
 # --------------------------------------------------------------------- net
 
 @dataclass(frozen=True)
@@ -172,18 +161,6 @@ def net_construction(ambient: FiniteMetricSpace, net_members, witness: Witness,
             checks.append(check_le("net_tail_S=%g" % s, lv, bv, tol=1e-12))
     _require(checks)
     return NetWitnessResult(out, c, q, tuple(checks))
-
-
-def net_witness(ambients, nets, witnesses, c, radii=None, tail_radii=None):
-    """Family form of the net extension, one ambient/net/witness triple each."""
-    members = witnesses.members if isinstance(witnesses, WitnessFamily) else tuple(witnesses)
-    ambients = tuple(ambients)
-    nets = tuple(nets)
-    if not (len(ambients) == len(nets) == len(members)):
-        raise ValidationError("family lengths disagree")
-    results = tuple(net_construction(a, n, w, c, radii, tail_radii)
-                    for a, n, w in zip(ambients, nets, members))
-    return WitnessFamily(tuple(r.witness for r in results)), results
 
 
 # -------------------------------------------------------------------- glue
@@ -267,9 +244,7 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
         for b in range(a + 1, len(ids)):
             y = ids[b]
             lhs = sparse_diff_norm_sq(glued.vectors[x], glued.vectors[y])
-            mx, my = masses[x], masses[y]
-            s = sum(abs(v - my.get(i, 0.0)) for i, v in mx.items())
-            s += sum(v for i, v in my.items() if i not in mx)
+            s = _l1_distance(masses[x], masses[y])
             common = 0.0
             for i, piece in enumerate(piece_sets):
                 if x in piece and y in piece:

@@ -17,7 +17,7 @@ from .errors import (BoundViolationError, DisconnectedGraphError, PreconditionEr
                      ValidationError)
 from .partition import PartitionOfUnity, bell_partition, partition_variation_with_pair
 from .report import check_le
-from .space import FiniteMetricSpace, StepModulus, check_coarse_map
+from .space import FiniteMetricSpace, StepModulus, _pair_sweep, check_coarse_map
 from .witness import Witness, dirac_witness, transport, variation_profile
 
 
@@ -249,18 +249,8 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
         np.maximum(image_dist, space.D[np.ix_(gi, gi)], out=image_dist)
     if sampled_radii is None:
         sampled_radii = space.realized_distances()
-    samples = sorted(set(float(r) for r in sampled_radii) | {space.diameter})
-    iu = np.triu_indices(len(space))
-    ds = space.D[iu]
-    di = image_dist[iu]
-    order = np.argsort(ds, kind="stable")
-    prefix = np.maximum.accumulate(di[order])
-    ds_sorted = ds[order]
-    values = []
-    for r in samples:
-        pos = int(np.searchsorted(ds_sorted, r + 1e-12, side="right")) - 1
-        values.append(float(prefix[pos]) if pos >= 0 else 0.0)
-    ell = StepModulus(zip(samples, values))
+    samples = set(float(r) for r in sampled_radii) | {space.diameter}
+    ell = StepModulus((r, v) for r, v, _ in _pair_sweep(space, samples, image_dist))
 
     id_idx = idx[group.identity]
     base = np.arange(len(space))
@@ -376,10 +366,6 @@ def orbit_map(action: CoarseQuasiAction, x0) -> OrbitMapResult:
     if not rec.passed:
         raise BoundViolationError("orbit edge bound failed at %r" % (worst_at,))
     return OrbitMapResult(cert, float(lam), float(edge_bound), (rec,))
-
-
-def dirac_stabilizer_provider(stab_space: FiniteMetricSpace) -> Witness:
-    return dirac_witness(stab_space)
 
 
 @dataclass(frozen=True)
@@ -510,7 +496,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
                          tol=1e-9, witness=incl_worst[1])
 
     if provider is None:
-        provider = dirac_stabilizer_provider
+        provider = dirac_witness
     base_witness = provider(stab.space)
     if not isinstance(base_witness, Witness) or \
             set(base_witness.space.point_ids) != stab_set:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .cover import Cover, lebesgue_report, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
-from .space import CoarseMapCert
+from .report import check_le
+from .space import CoarseMapCert, _pair_sweep
 
 _SUM_TOL = 1e-9
 
@@ -143,49 +142,46 @@ def pullback_partition(cert: CoarseMapCert, partition: PartitionOfUnity):
     return PartitionOfUnity(source, cover, values), tuple(kept)
 
 
-def _pair_variation(masses, x, y) -> float:
-    mx = masses[x]
-    my = masses[y]
+def _l1_distance(mx, my) -> float:
+    """sum_i |phi_i(x) - phi_i(y)| for sparse masses {piece: value}.
+
+    Summed as (over x's pieces) + (over the pieces only y has); certificates
+    depend on this grouping down to the last bit.
+    """
     s = 0.0
     for i, v in mx.items():
         s += abs(v - my.get(i, 0.0))
+    only_y = 0.0
     for i, v in my.items():
         if i not in mx:
-            s += v
-    return s
+            only_y += v
+    return s + only_y
 
 
 def partition_variation_profile(partition: PartitionOfUnity, radii):
-    """For each R, the max of sum_i |phi_i(x) - phi_i(y)| over pairs with d <= R."""
+    """For each R, the max of sum_i |phi_i(x) - phi_i(y)| over pairs with d <= R,
+    with the first pair attaining it (None when the max is 0)."""
+    masses = partition.masses()
+    m = [masses[x] for x in partition.space.point_ids]
+    return _pair_sweep(partition.space, radii, lambda a, b: _l1_distance(m[a], m[b]))
+
+
+def _bell_lipschitz_check(partition: PartitionOfUnity, C):
+    """Record for sum_i |phi_i(x) - phi_i(y)| <= C d(x, y) at the pair with the
+    largest excess (first in row-major order); None on a one-point space."""
     space = partition.space
     masses = partition.masses()
     ids = space.point_ids
-    pairs = []
+    worst = None
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            pairs.append((float(space.D[a, b]), a, b))
-    pairs.sort(key=lambda t: t[0])
-    dists = [p[0] for p in pairs]
-    best = 0.0
-    best_pair = None
-    prefix = []
-    for d, a, b in pairs:
-        v = _pair_variation(masses, ids[a], ids[b])
-        if v > best:
-            best = v
-            best_pair = (ids[a], ids[b])
-        prefix.append((best, best_pair))
-    out = []
-    from bisect import bisect_right
-    for r in sorted(float(r) for r in radii):
-        if r < 0:
-            raise ValidationError("radii must be >= 0")
-        pos = bisect_right(dists, r + 1e-12) - 1
-        if pos < 0:
-            out.append((r, 0.0, None))
-        else:
-            out.append((r, prefix[pos][0], prefix[pos][1]))
-    return out
+            s = _l1_distance(masses[ids[a]], masses[ids[b]])
+            bound = C * float(space.D[a, b])
+            if worst is None or s - bound > worst[0]:
+                worst = (s - bound, s, bound, (ids[a], ids[b]))
+    if worst is None:
+        return None
+    return check_le("bell_lipschitz_bound", worst[1], worst[2], tol=1e-9, witness=worst[3])
 
 
 def partition_variation_with_pair(partition: PartitionOfUnity, R):

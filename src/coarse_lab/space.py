@@ -150,11 +150,6 @@ class FiniteMetricSpace:
         """N_R = max over x of |B(x, R)|."""
         return int((self.D <= float(radius)).sum(axis=1).max())
 
-    def bounded_geometry_profile(self, radii=None):
-        if radii is None:
-            radii = self.realized_distances()
-        return {float(r): self.bounded_geometry(r) for r in radii}
-
     def ball(self, center, radius) -> frozenset:
         """Closed ball: all y with d(center, y) <= radius."""
         if radius < 0:
@@ -195,23 +190,6 @@ class FiniteMetricSpace:
         sub = self.D[np.ix_(idx, idx)]
         return FiniteMetricSpace(keep, sub, structure=("subspace", self.structure),
                                  validate=False)
-
-
-class SubspaceRef:
-    """A nonempty subset of a parent space, viewable as a space of its own."""
-
-    def __init__(self, parent: FiniteMetricSpace, member_ids):
-        members = frozenset(member_ids)
-        if not members:
-            raise ValidationError("a subspace needs at least one point")
-        for p in members:
-            if p not in parent:
-                raise ValidationError("subspace member %r is not a point of the parent" % (p,))
-        self.parent = parent
-        self.member_ids = members
-
-    def as_space(self) -> FiniteMetricSpace:
-        return self.parent.restrict(self.member_ids)
 
 
 class StepModulus:
@@ -389,6 +367,46 @@ def is_c_net(space: FiniteMetricSpace, members, c) -> bool:
     return bool(space.D[:, idx].min(axis=1).max() <= float(c))
 
 
+def _pair_sweep(space: FiniteMetricSpace, radii, value):
+    """For each radius r, ascending: (r, max of value over pairs with d <= r, pair).
+
+    ``value`` is either an (n, n) array or a function of two point indices.
+    Only pairs (a < b) with d <= max radius + 1e-12 are evaluated, in stable
+    distance order (equal distances keep row-major (a, b) order). The running
+    max starts at 0.0 and skips NaN; ``pair`` is the first point-id pair that
+    attains it, or None when no pair value exceeds 0.0.
+    """
+    radii = [float(r) for r in radii]
+    if not all(r >= 0.0 for r in radii):
+        raise ValidationError("radii must be >= 0 and not NaN")
+    if not radii:
+        return []
+    radii.sort()
+    a, b = np.nonzero(np.triu(space.D <= radii[-1] + 1e-12, 1))
+    order = np.argsort(space.D[a, b], kind="stable")
+    a, b = a[order], b[order]
+    dists = space.D[a, b]
+    if callable(value):
+        vals = np.array([value(i, j) for i, j in zip(a.tolist(), b.tolist())],
+                        dtype=np.float64)
+    else:
+        vals = value[a, b]
+    # prefix[k] is the max over the first k pairs; best_at[k] the first of
+    # those k pairs that attains it, or -1
+    prefix = np.fmax.accumulate(np.concatenate(([0.0], vals)))
+    rises = np.flatnonzero(vals > prefix[:-1])
+    best_at = np.full(len(vals) + 1, -1)
+    best_at[rises + 1] = rises
+    best_at = np.maximum.accumulate(best_at)
+    ids = space.point_ids
+    out = []
+    for r in radii:
+        k = int(np.searchsorted(dists, r + 1e-12, side="right"))
+        at = int(best_at[k])
+        out.append((r, float(prefix[k]), (ids[a[at]], ids[b[at]]) if at >= 0 else None))
+    return out
+
+
 def check_coarse_map(source: FiniteMetricSpace, target: FiniteMetricSpace,
                      assignment, sampled_radii=None) -> CoarseMapCert:
     """Certify a total map with its exact expansion modulus on a radius grid.
@@ -404,20 +422,8 @@ def check_coarse_map(source: FiniteMetricSpace, target: FiniteMetricSpace,
     img_idx = np.array([target.index(assignment[p]) for p in source.point_ids])
     if sampled_radii is None:
         sampled_radii = source.realized_distances()
-    samples = sorted(set(float(r) for r in sampled_radii) | {source.diameter})
-    if samples and samples[0] < 0:
-        raise ValidationError("sampled radii must be >= 0")
-    n = len(source)
-    iu = np.triu_indices(n)
-    ds = source.D[iu]
-    di = target.D[np.ix_(img_idx, img_idx)][iu]
-    order = np.argsort(ds, kind="stable")
-    ds_sorted = ds[order]
-    prefix = np.maximum.accumulate(di[order])
-    values = []
-    for r in samples:
-        pos = int(np.searchsorted(ds_sorted, r + 1e-12, side="right")) - 1
-        values.append(float(prefix[pos]) if pos >= 0 else 0.0)
-    modulus = StepModulus(zip(samples, values))
+    samples = set(float(r) for r in sampled_radii) | {source.diameter}
+    image_dist = target.D[np.ix_(img_idx, img_idx)]
+    modulus = StepModulus((r, v) for r, v, _ in _pair_sweep(source, samples, image_dist))
     return CoarseMapCert(source, target, assignment, modulus,
                          properness_note="properness automatic: finite source")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, _pair_sweep
 
 _NORM_TOL = 1e-9
 
@@ -65,6 +65,10 @@ class Witness:
                     )
                 tag_states.add(tag is None)
                 c = float(c)
+                if not math.isfinite(c):
+                    raise ValidationError(
+                        "vector at %r has non-finite coefficient %r at %r" % (x, c, entry)
+                    )
                 if c != 0.0:
                     clean[(tag, p)] = c
             nrm = sparse_norm(clean)
@@ -87,14 +91,6 @@ class Witness:
             return self.vectors[x]
         except KeyError:
             raise ValidationError("no vector at %r" % (x,)) from None
-
-    @property
-    def index(self):
-        """All entries in use, in deterministic order."""
-        entries = set()
-        for vec in self.vectors.values():
-            entries |= set(vec)
-        return sorted(entries, key=lambda e: (self.space.index(e[1]), repr(e[0])))
 
 
 @dataclass(frozen=True)
@@ -146,28 +142,9 @@ def uniform_ball_witness(space: FiniteMetricSpace, radius) -> Witness:
 
 def variation_profile(witness: Witness, radii):
     """For each R, max of ||xi_x - xi_y|| over pairs with d(x, y) <= R."""
-    space = witness.space
-    ids = space.point_ids
-    pairs = []
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            pairs.append((float(space.D[a, b]), a, b))
-    pairs.sort(key=lambda t: t[0])
-    dists = [p[0] for p in pairs]
-    best = 0.0
-    prefix = []
-    for d, a, b in pairs:
-        v = sparse_diff_norm(witness.vectors[ids[a]], witness.vectors[ids[b]])
-        if v > best:
-            best = v
-        prefix.append(best)
-    out = []
-    for r in sorted(float(r) for r in radii):
-        if r < 0:
-            raise ValidationError("radii must be >= 0")
-        pos = bisect_right(dists, r + 1e-12) - 1
-        out.append((r, prefix[pos] if pos >= 0 else 0.0))
-    return out
+    vecs = [witness.vectors[x] for x in witness.space.point_ids]
+    return [(r, v) for r, v, _ in _pair_sweep(
+        witness.space, radii, lambda a, b: sparse_diff_norm(vecs[a], vecs[b]))]
 
 
 def tail_profile(witness: Witness, radii) -> DecayProfile:
@@ -182,8 +159,11 @@ def tail_profile(witness: Witness, radii) -> DecayProfile:
         ds = [d for d, _ in items]
         suffix = np.cumsum([m for _, m in items][::-1])[::-1]
         per_point.append((ds, suffix))
+    radii = sorted(float(s) for s in radii)
+    if any(math.isnan(s) for s in radii):
+        raise ValidationError("tail radii must not be NaN")
     samples = []
-    for s in sorted(float(s) for s in radii):
+    for s in radii:
         worst = 0.0
         for ds, suffix in per_point:
             pos = bisect_right(ds, s + 1e-12)

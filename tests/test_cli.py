@@ -95,6 +95,39 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "piece 0" in err and "3" in err
 
+    def test_nan_witness_coefficient_is_validation_error(self, tmp_path, capsys):
+        vectors = [{"point": p, "entries": [{"at": p, "c": 1.0}]} for p in range(11)]
+        vectors[4]["entries"][0]["c"] = float("nan")
+        scen = write_json(tmp_path / "nan.json", {
+            "name": "nan",
+            "pipeline": "subspace",
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 10}},
+                "witness": {"vectors": vectors},
+            },
+            "parameters": {"subspace": [0, 2, 4, 6, 8, 10]},
+        })
+        assert main(["run", scen, "--out", str(tmp_path)]) == 2
+        assert "non-finite coefficient" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "nan.certificate.json")
+
+    @pytest.mark.parametrize("key", ["R", "S0"])
+    def test_nan_radius_parameter_is_validation_error(self, tmp_path, capsys, key):
+        params = {"subspace": [0, 2, 4, 6, 8, 10], "R": 1.0, "S0": 0.0}
+        params[key] = float("nan")
+        scen = write_json(tmp_path / "nanr.json", {
+            "name": "nanr",
+            "pipeline": "subspace",
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 10}},
+                "witness": {"builtin": "uniform_ball", "radius": 1},
+            },
+            "parameters": params,
+        })
+        assert main(["run", scen, "--out", str(tmp_path)]) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "nanr.certificate.json")
+
     def test_group_epsilon_too_small_is_precondition_error(self, tmp_path, capsys):
         src = os.path.join(SCENARIO_DIR, "group_z60_c12.json")
         with open(src) as fh:

@@ -22,6 +22,7 @@ from coarse_lab import (
     z2_ball,
     z_interval,
 )
+from coarse_lab.space import _pair_sweep
 
 
 def path_graph(n):
@@ -221,3 +222,60 @@ def test_cycle_ball_size(n, r):
     s = cycle(n)
     expected = min(n, 2 * r + 1)
     assert len(s.ball(0, r)) == expected
+
+
+def _brute_sweep(space, radii, V):
+    """Double loop over (a, b): the max of V over pairs within r (floor 0.0)
+    and the attaining pair that comes first by (distance, a, b)."""
+    out = []
+    n = len(space)
+    for r in sorted(radii):
+        inside = [(space.D[a, b], a, b) for a in range(n) for b in range(a + 1, n)
+                  if space.D[a, b] <= r + 1e-12]
+        best = max([0.0] + [V[a][b] for _, a, b in inside])
+        pair = None
+        if best > 0.0:
+            _, a, b = min(t for t in inside if V[t[1]][t[2]] == best)
+            pair = (space.point_ids[a], space.point_ids[b])
+        out.append((float(r), best, pair))
+    return out
+
+
+@st.composite
+def _swept_spaces(draw):
+    # distances in {1, 2} always satisfy the triangle inequality; small
+    # integer values make ties in both distance and value common
+    n = draw(st.integers(min_value=1, max_value=7))
+    D = np.zeros((n, n))
+    V = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            D[a, b] = D[b, a] = draw(st.sampled_from([1.0, 2.0]))
+            V[a, b] = V[b, a] = draw(st.integers(min_value=0, max_value=3))
+    radii = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                          min_size=1, max_size=4))
+    return space_from_matrix(["p%d" % i for i in range(n)], D), V, radii
+
+
+class TestPairSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(_swept_spaces())
+    def test_matches_brute_force(self, case):
+        space, V, radii = case
+        want = _brute_sweep(space, radii, V)
+        assert _pair_sweep(space, radii, V) == want
+        assert _pair_sweep(space, radii, lambda a, b: float(V[a, b])) == want
+
+    def test_one_point_space(self):
+        s = space_from_matrix(["a"], [[0.0]])
+        assert _pair_sweep(s, [0.0, 5.0], lambda a, b: 1.0) == [(0.0, 0.0, None),
+                                                                 (5.0, 0.0, None)]
+
+    def test_radius_below_smallest_distance(self):
+        s = z_interval(0, 4)
+        assert _pair_sweep(s, [0.5], lambda a, b: 1.0) == [(0.5, 0.0, None)]
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_negative_or_nan_radius_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            _pair_sweep(z_interval(0, 4), [1.0, bad], lambda a, b: 1.0)
