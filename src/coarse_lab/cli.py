@@ -389,8 +389,20 @@ def export_profiles(certificate, fmt, out_dir, base_name):
     return paths
 
 
-def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False):
+def _output_name(name):
+    """The scenario name as a file name stem inside the output directory."""
+    name = str(name)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValidationError("scenario name %r is not a plain file name" % (name,))
+    return name
+
+
+def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None):
+    """Run one scenario file; ``written`` holds the names this run already wrote."""
     scenario = _load_json(path)
+    name = _output_name(scenario.get("name", "unnamed"))
+    if written is not None and name in written:
+        raise ValidationError("scenario name %r was already written in this run" % (name,))
     base_dir = os.path.dirname(os.path.abspath(path))
     certificate, out = execute_scenario(scenario, base_dir)
     # Input mtime, not wall clock: re-running a scenario must reproduce the
@@ -398,12 +410,13 @@ def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False):
     mtime = os.stat(path).st_mtime
     certificate["inputs_timestamp"] = datetime.datetime.fromtimestamp(
         mtime, datetime.timezone.utc).isoformat()
+    text = dumps_deterministic(certificate) + "\n"
     os.makedirs(out_dir, exist_ok=True)
-    name = certificate["scenario"]
     cert_path = os.path.join(out_dir, "%s.certificate.json" % name)
     with open(cert_path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_deterministic(certificate))
-        fh.write("\n")
+        fh.write(text)
+    if written is not None:
+        written.add(name)
     if profiles_fmt is not None:
         export_profiles(certificate, profiles_fmt, out_dir, name)
     if not quiet:
@@ -422,10 +435,11 @@ def run_suite(directory, out_dir=".", quiet=False):
         raise ValidationError("cannot list %s: %s" % (directory, exc)) from exc
     codes = {}
     errors = {}
+    written = set()
     for fname in files:
         try:
             codes[fname] = run_scenario(os.path.join(directory, fname),
-                                        out_dir=out_dir, quiet=True)
+                                        out_dir=out_dir, quiet=True, written=written)
         except BoundViolationError:
             raise
         except CoarseLabError as exc:

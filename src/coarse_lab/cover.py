@@ -73,24 +73,27 @@ def r_multiplicity(cover: Cover, radius) -> int:
     return int(counts.max())
 
 
+def _complement_distances(cover: Cover):
+    """(pieces, points) array: d(x, complement of piece i) at row i, column x.
+
+    A piece equal to the whole space has an empty complement and gets +inf.
+    """
+    space = cover.space
+    out = np.full((len(cover.pieces), len(space)), math.inf)
+    for i, idx in enumerate(cover.piece_indices()):
+        outside = np.ones(len(space), dtype=bool)
+        outside[idx] = False
+        if outside.any():
+            out[i] = space.D[:, outside].min(axis=1)
+    return out
+
+
 def _fit_radii(cover: Cover):
     """Per point, the sup of radii whose closed ball fits inside some piece.
 
-    A ball B(x, r) sits inside piece U exactly when r < d(x, complement of U);
-    pieces equal to the whole space contribute +inf.
+    A ball B(x, r) sits inside piece U exactly when r < d(x, complement of U).
     """
-    space = cover.space
-    n = len(space)
-    all_points = set(space.point_ids)
-    m = np.zeros(n)
-    for p in cover.pieces:
-        comp = space.sorted_ids(all_points - p)
-        if not comp:
-            m[:] = math.inf
-            break
-        dcomp = space.D[:, space.indices(comp)].min(axis=1)
-        m = np.maximum(m, dcomp)
-    return m
+    return _complement_distances(cover).max(axis=0)
 
 
 def lebesgue_report(cover: Cover):

@@ -5,59 +5,70 @@ space into a glued witness on the group.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .construct import glue_with_report, make_glue_input, subspace_construction
 from .cover import Cover, enlarge, lebesgue_number, multiplicity
-from .errors import (BoundViolationError, DisconnectedGraphError, PreconditionError,
-                     ValidationError)
+from .errors import BoundViolationError, PreconditionError, ValidationError
 from .partition import PartitionOfUnity, bell_partition, partition_variation_with_pair
 from .report import check_le
-from .space import FiniteMetricSpace, StepModulus, _pair_sweep, check_coarse_map
+from .space import (FiniteMetricSpace, StepModulus, _pair_sweep, check_coarse_map,
+                    space_from_graph)
 from .witness import Witness, dirac_witness, transport, variation_profile
 
 
 class GroupModel:
     """A finite group, or the ball of radius N in a finitely generated group.
 
-    ``mult`` is a partial multiplication table: defined exactly when the
-    product of two stored elements is itself stored. ``inverse`` is total on
-    stored elements for every builder in this module.
+    ``mult`` is the (n, n) int32 product table over element indices in
+    stored order: ``mult[i, j]`` is the index of elements[i] * elements[j],
+    or -1 where a truncated ball does not store the product. Inverses are
+    read off the table, so every stored element needs exactly one.
     """
 
-    def __init__(self, elements, generators, mult, identity, inverse,
+    def __init__(self, elements, generators, mult, identity,
                  truncation_radius=None, name="group"):
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise ValidationError("duplicate group elements")
-        stored = set(elements)
-        if identity not in stored:
+        ix = {g: i for i, g in enumerate(elements)}
+        if identity not in ix:
             raise ValidationError("identity is not a stored element")
-        generators = tuple(g for g in generators)
+        generators = tuple(generators)
         for s in generators:
-            if s not in stored:
+            if s not in ix:
                 raise ValidationError("generator %r is not stored" % (s,))
             if s == identity:
                 raise ValidationError("the identity is not allowed as a generator")
-        inverse = dict(inverse)
+        n = len(elements)
+        mult = np.asarray(mult)
+        if mult.shape != (n, n) or not np.issubdtype(mult.dtype, np.integer) \
+                or ((mult < -1) | (mult >= n)).any():
+            raise ValidationError("product table must be (%d, %d) with entries in -1..%d"
+                                  % (n, n, n - 1))
+        mult = mult.astype(np.int32)
+        is_identity = mult == ix[identity]
+        lonely = np.flatnonzero(is_identity.sum(axis=1) != 1)
+        if lonely.size:
+            raise ValidationError("element %r has no unique stored inverse"
+                                  % (elements[int(lonely[0])],))
+        inverse = is_identity.argmax(axis=1)
         for s in generators:
-            if inverse.get(s) not in set(generators):
+            if elements[inverse[ix[s]]] not in generators:
                 raise ValidationError("generating set is not symmetric at %r" % (s,))
-        mult = dict(mult)
-        for (a, b), c in mult.items():
-            if a not in stored or b not in stored or c not in stored:
-                raise ValidationError("multiplication entry (%r, %r) leaves the model" % (a, b))
+        mult.setflags(write=False)
         self.elements = elements
         self.generators = generators
         self.mult = mult
         self.identity = identity
-        self.inverse = inverse
+        self.inverse = {g: elements[j] for g, j in zip(elements, inverse.tolist())}
         self.truncation_radius = truncation_radius
         self.name = name
+        self._ix = ix
         self._word_space = None
 
     @property
@@ -67,36 +78,40 @@ class GroupModel:
     def __len__(self):
         return len(self.elements)
 
+    def index(self, g) -> int:
+        try:
+            return self._ix[g]
+        except KeyError:
+            raise ValidationError("%r is not a stored group element" % (g,)) from None
+
+    def product(self, g, h):
+        """g * h, or None when a truncated ball does not store it."""
+        k = int(self.mult[self.index(g), self.index(h)])
+        return self.elements[k] if k >= 0 else None
+
 
 def cyclic_group(n) -> GroupModel:
     n = int(n)
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
-    elements = tuple(range(n))
-    mult = {(a, b): (a + b) % n for a in elements for b in elements}
-    inverse = {a: (-a) % n for a in elements}
+    a = np.arange(n)
     gens = tuple(sorted({1 % n, (n - 1) % n} - {0}))
-    return GroupModel(elements, gens, mult, 0, inverse, name="Z_%d" % n)
+    return GroupModel(range(n), gens, (a[:, None] + a) % n, 0, name="Z_%d" % n)
 
 
 def product_of_cyclic(factors) -> GroupModel:
     factors = tuple(int(m) for m in factors)
     if not factors or any(m < 1 for m in factors):
         raise ValidationError("factors must be positive")
-    import itertools
     elements = tuple(itertools.product(*[range(m) for m in factors]))
-    mult = {(a, b): tuple((x + y) % m for x, y, m in zip(a, b, factors))
-            for a in elements for b in elements}
-    inverse = {a: tuple((-x) % m for x, m in zip(a, factors)) for a in elements}
+    # coords[c, i] is coordinate c of element i, in itertools.product order
+    coords = np.indices(factors).reshape(len(factors), -1)
+    sums = (coords[:, :, None] + coords[:, None, :]) % np.array(factors)[:, None, None]
+    mult = np.ravel_multi_index(tuple(sums), factors)
     identity = tuple(0 for _ in factors)
-    gens = set()
-    for i, m in enumerate(factors):
-        if m == 1:
-            continue
-        e = tuple(1 if j == i else 0 for j in range(len(factors)))
-        gens.add(e)
-        gens.add(tuple((m - 1) if j == i else 0 for j in range(len(factors))))
-    return GroupModel(elements, tuple(sorted(gens)), mult, identity, inverse,
+    gens = {tuple(v if j == i else 0 for j in range(len(factors)))
+            for i, m in enumerate(factors) if m > 1 for v in (1, m - 1)}
+    return GroupModel(elements, tuple(sorted(gens)), mult, identity,
                       name="Z_" + "x".join(str(m) for m in factors))
 
 
@@ -104,10 +119,11 @@ def z_ball(radius) -> GroupModel:
     N = int(radius)
     if N < 1:
         raise ValidationError("truncation radius must be >= 1")
-    elements = tuple(range(-N, N + 1))
-    mult = {(a, b): a + b for a in elements for b in elements if abs(a + b) <= N}
-    inverse = {a: -a for a in elements}
-    return GroupModel(elements, (-1, 1), mult, 0, inverse,
+    # element a sits at index a + N, so a + b sits at i + j - N
+    i = np.arange(2 * N + 1)
+    s = i[:, None] + i - N
+    mult = np.where((s >= 0) & (s <= 2 * N), s, -1)
+    return GroupModel(range(-N, N + 1), (-1, 1), mult, 0,
                       truncation_radius=N, name="Z|%d" % N)
 
 
@@ -141,16 +157,18 @@ def free_group_ball(rank, radius) -> GroupModel:
                     nxt.append(r)
         frontier = nxt
         elements.extend(nxt)
-    stored = set(elements)
-    mult = {}
-    for a in elements:
-        for b in elements:
-            r = _reduce_word(a + b)
-            if r in stored:
-                mult[(a, b)] = r
-    inverse = {a: a[::-1].swapcase() for a in elements}
-    return GroupModel(tuple(elements), gens, mult, "", inverse,
-                      truncation_radius=N, name="F_%d|%d" % (rank, N))
+    ix = {w: i for i, w in enumerate(elements)}
+    # right[s][i] is the index of elements[i] * s; the trailing -1 makes an
+    # index of -1 (a product already outside the ball) map to -1 again
+    right = {s: np.array([ix.get(_reduce_word(w + s), -1) for w in elements] + [-1])
+             for s in gens}
+    # column w*s is column w followed by s: if u*w*s is stored, so is u*w
+    mult = np.empty((len(elements), len(elements)), dtype=np.int32)
+    mult[:, 0] = np.arange(len(elements))
+    for j, w in enumerate(elements[1:], 1):
+        mult[:, j] = right[w[-1]][mult[:, ix[w[:-1]]]]
+    return GroupModel(elements, gens, mult, "", truncation_radius=N,
+                      name="F_%d|%d" % (rank, N))
 
 
 _LEFT_INVARIANCE_LIMIT = 200
@@ -166,35 +184,14 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
     """
     if model._word_space is not None:
         return model._word_space
-    n = len(model.elements)
-    ix = {g: i for i, g in enumerate(model.elements)}
-    adj = [[] for _ in range(n)]
-    for g in model.elements:
-        for s in model.generators:
-            h = model.mult.get((g, s))
-            if h is not None:
-                adj[ix[g]].append(ix[h])
-    D = np.full((n, n), -1, dtype=np.int64)
-    for start in range(n):
-        D[start, start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if D[start, v] < 0:
-                    D[start, v] = D[start, u] + 1
-                    queue.append(v)
-    if (D < 0).any():
-        a, b = (int(v) for v in np.argwhere(D < 0)[0])
-        raise DisconnectedGraphError(
-            "generators do not connect %r to %r within the stored elements"
-            % (model.elements[a], model.elements[b]))
-    space = FiniteMetricSpace(model.elements, D.astype(np.float64),
-                              structure=("group", model.name, model.truncation_radius),
-                              validate=False)
-    if model.is_finite_group and n <= _LEFT_INVARIANCE_LIMIT:
-        for g in model.elements:
-            perm = [ix[model.mult[(g, h)]] for h in model.elements]
+    gen_cols = model.mult[:, [model.index(s) for s in model.generators]]
+    rows, cols = np.nonzero(gen_cols >= 0)
+    edges = [(model.elements[a], model.elements[b])
+             for a, b in zip(rows.tolist(), gen_cols[rows, cols].tolist())]
+    space = space_from_graph(model.elements, edges,
+                             structure=("group", model.name, model.truncation_radius))
+    if model.is_finite_group and len(model) <= _LEFT_INVARIANCE_LIMIT:
+        for g, perm in zip(model.elements, model.mult):
             if not np.array_equal(space.D[np.ix_(perm, perm)], space.D):
                 raise ValidationError(
                     "word metric is not left-invariant at %r" % (g,))
@@ -240,46 +237,43 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
                 raise ValidationError("map of %r is not total, missing %r" % (g, x))
             if m[x] not in space:
                 raise ValidationError("map of %r sends %r outside the space" % (g, x))
-    idx = {g: np.array([space.index(maps[g][x]) for x in space.point_ids])
-           for g in group.elements}
+    # img[i, x] is the index of f_g(x) for the i-th element g
+    img = np.array([space.indices([maps[g][x] for x in space.point_ids])
+                    for g in group.elements])
 
     image_dist = np.zeros_like(space.D)
-    for g in group.elements:
-        gi = idx[g]
+    for gi in img:
         np.maximum(image_dist, space.D[np.ix_(gi, gi)], out=image_dist)
     if sampled_radii is None:
         sampled_radii = space.realized_distances()
     samples = set(float(r) for r in sampled_radii) | {space.diameter}
     ell = StepModulus((r, v) for r, v, _ in _pair_sweep(space, samples, image_dist))
 
-    id_idx = idx[group.identity]
-    base = np.arange(len(space))
-    a_vals = space.D[base, id_idx]
+    n = len(space)
+    a_vals = space.D[np.arange(n), img[group.index(group.identity)]]
     A = float(a_vals.max())
     A_witness = space.point_ids[int(a_vals.argmax())]
 
+    # B row by row of the table: d(f_g f_h x, f_gh x) over the stored h
     B = 0.0
     B_witness = None
-    for (g, h), gh in group.mult.items():
-        comp = idx[g][idx[h]]
-        vals = space.D[comp, idx[gh]]
-        m = float(vals.max())
-        if m > B:
-            B = m
-            B_witness = (g, h, space.point_ids[int(vals.argmax())])
+    for i, row in enumerate(group.mult):
+        js = np.flatnonzero(row >= 0)
+        vals = space.D[img[i][img[js]], img[row[js]]]
+        flat = int(vals.argmax())
+        if vals.flat[flat] > B:
+            B = float(vals.flat[flat])
+            B_witness = (group.elements[i], group.elements[js[flat // n]],
+                         space.point_ids[flat % n])
 
-    inv_worst = 0.0
+    inverse = np.array([group.index(group.inverse[g]) for g in group.elements])
+    comp = np.take_along_axis(img, img[inverse], axis=1)
+    vals = space.D[comp, np.arange(n)]
+    inv_worst = float(vals.max())
     inv_at = None
-    for g in group.elements:
-        gi = group.inverse.get(g)
-        if gi is None or (g, gi) not in group.mult:
-            continue
-        comp = idx[g][idx[gi]]
-        vals = space.D[comp, base]
-        m = float(vals.max())
-        if m > inv_worst:
-            inv_worst = m
-            inv_at = (g, space.point_ids[int(vals.argmax())])
+    if inv_worst > 0.0:
+        i, x = divmod(int(vals.argmax()), n)
+        inv_at = (group.elements[i], space.point_ids[x])
     checks = (check_le("quasi_action_inverse_defect", inv_worst, A + B,
                        tol=1e-12, witness=inv_at),)
     if not checks[0].passed:
@@ -323,7 +317,7 @@ def left_translation(group: GroupModel, g, members):
     """h -> g*h on the given elements; fails if a product leaves the model."""
     out = {}
     for h in members:
-        gh = group.mult.get((g, h))
+        gh = group.product(g, h)
         if gh is None:
             raise PreconditionError(
                 "translate %r * %r leaves the stored elements (truncation)" % (g, h))
@@ -352,16 +346,17 @@ def orbit_map(action: CoarseQuasiAction, x0) -> OrbitMapResult:
     lam = max(action.space.d(action.maps[s][x0], x0) for s in action.group.generators) \
         if action.group.generators else 0.0
     edge_bound = action.ell(lam) + action.B
-    worst = 0.0
+    # edges (g, gs) in row-major order of the table's generator columns
+    G = action.group
+    gen_cols = sorted({G.index(s) for s in G.generators})
+    ends = G.mult[:, gen_cols]
+    pts = np.array(action.space.indices([assignment[g] for g in G.elements]))
+    vals = np.where(ends >= 0, action.space.D[pts[:, None], pts[ends]], 0.0)
+    worst = float(vals.max()) if vals.size else 0.0
     worst_at = None
-    gens = set(action.group.generators)
-    for (g, s), gs in action.group.mult.items():
-        if s not in gens:
-            continue
-        v = action.space.d(assignment[g], assignment[gs])
-        if v > worst:
-            worst = v
-            worst_at = (g, s)
+    if worst > 0.0:
+        i, c = divmod(int(vals.argmax()), len(gen_cols))
+        worst_at = (G.elements[i], G.elements[gen_cols[c]])
     rec = check_le("orbit_edge_bound", worst, edge_bound, tol=1e-12, witness=worst_at)
     if not rec.passed:
         raise BoundViolationError("orbit edge bound failed at %r" % (worst_at,))
@@ -454,16 +449,13 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
 
     reps = []
     radii_T = []
-    for pos, i in enumerate(kept):
+    orbit_pts = X.indices([pi[g] for g in G.elements])
+    for i in kept:
         vids = X.indices(X.sorted_ids(enlarged.pieces[i]))
-        best_g, best_r = None, math.inf
-        for g in G.elements:
-            xg = X.index(action.maps[g][x0])
-            r = float(X.D[xg, vids].max())
-            if r < best_r:
-                best_g, best_r = g, r
-        reps.append(best_g)
-        radii_T.append(best_r)
+        r = X.D[np.ix_(orbit_pts, vids)].max(axis=1)
+        best = int(r.argmin())
+        reps.append(G.elements[best])
+        radii_T.append(float(r[best]))
     T = max(radii_T)
     threshold = action.A + 2.0 * action.B + action.ell(T)
     stab = quasi_stabilizer(action, x0, threshold)
@@ -476,15 +468,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
 
     incl_worst = (-math.inf, None)
     for pos, i in enumerate(kept):
-        inv = G.inverse.get(reps[pos])
-        if inv is None:
-            raise PreconditionError("no stored inverse for representative %r" % (reps[pos],))
-        for g in preimages[pos]:
-            h = G.mult.get((inv, g))
-            if h is None:
-                raise PreconditionError(
-                    "translate %r * %r leaves the stored elements (truncation)"
-                    % (inv, g))
+        for g, h in left_translation(G, G.inverse[reps[pos]], preimages[pos]).items():
             disp = X.d(action.maps[h][x0], x0)
             if disp > incl_worst[0]:
                 incl_worst = (disp, (i, g))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cover import Cover, lebesgue_report, multiplicity
+from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .report import check_le
 from .space import CoarseMapCert, _pair_sweep
@@ -80,17 +80,8 @@ def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
         raise PreconditionError(
             "cover has Lebesgue number 0; the variation bound is vacuous"
         )
-    n = len(space)
-    all_points = set(space.point_ids)
-    sentinel = space.diameter + 1.0
-    rows = []
-    for p in cover.pieces:
-        comp = space.sorted_ids(all_points - p)
-        if comp:
-            rows.append(space.D[:, space.indices(comp)].min(axis=1))
-        else:
-            rows.append(np.full(n, sentinel))
-    mat = np.array(rows)
+    mat = _complement_distances(cover)
+    mat[np.isinf(mat)] = space.diameter + 1.0
     denom = mat.sum(axis=0)
     floor = L if require_lebesgue else 0.0
     if denom.min() < max(floor, 0.0) - 1e-12 or denom.min() <= 0.0:

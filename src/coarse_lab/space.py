@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,16 +280,17 @@ def space_from_graph(points, edges, structure=None) -> FiniteMetricSpace:
             continue
         adj[ia].append(ib)
         adj[ib].append(ia)
-    D = np.full((n, n), -1.0)
+    D = np.empty((n, n))
     for s in range(n):
-        D[s, s] = 0.0
-        q = deque([s])
-        while q:
-            u = q.popleft()
+        dist = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        for u in queue:  # the loop also visits what it appends: FIFO order
             for v in adj[u]:
-                if D[s, v] < 0:
-                    D[s, v] = D[s, u] + 1.0
-                    q.append(v)
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        D[s] = dist
     if (D < 0).any():
         s, t = (int(v) for v in np.argwhere(D < 0)[0])
         raise DisconnectedGraphError(

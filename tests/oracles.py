@@ -55,3 +55,83 @@ def dense_unit_norm_defect(witness) -> float:
         n = math.sqrt(sum(c * c for c in witness.vectors[x].values()))
         worst = max(worst, abs(n - 1.0))
     return worst
+
+
+def dense_product_table(elements, op) -> dict:
+    """{(a, b): a * b} over every stored pair whose product is stored.
+
+    ``op`` computes the product from the elements themselves.
+    """
+    stored = set(elements)
+    table = {}
+    for a in elements:
+        for b in elements:
+            c = op(a, b)
+            if c in stored:
+                table[(a, b)] = c
+    return table
+
+
+def free_reduce(word: str) -> str:
+    """Cancel adjacent inverse letters (x next to X) until none are left."""
+    while True:
+        for i in range(len(word) - 1):
+            if word[i] != word[i + 1] and word[i].lower() == word[i + 1].lower():
+                word = word[:i] + word[i + 2:]
+                break
+        else:
+            return word
+
+
+def dense_quasi_action(elements, generators, identity, table, space, maps, x0):
+    """Brute-force constants of a quasi-action, with the library's tie-breaks.
+
+    Returns a dict with A and its point, B and its (g, h, x), the inverse
+    defect and its (g, x), the ell samples on the realized distances plus the
+    diameter, and the orbit edge maximum at x0 with its (g, s). Maxima are
+    strict: the first pair in row-major order (then the first point) wins.
+    """
+    pts = space.point_ids
+    d = space.d
+    A, A_at = 0.0, None
+    for x in pts:
+        v = d(maps[identity][x], x)
+        if A_at is None or v > A:
+            A, A_at = v, x
+    B, B_at = 0.0, None
+    for g in elements:
+        for h in elements:
+            if (g, h) not in table:
+                continue
+            for x in pts:
+                v = d(maps[g][maps[h][x]], maps[table[(g, h)]][x])
+                if v > B:
+                    B, B_at = v, (g, h, x)
+    inv, inv_at = 0.0, None
+    for g in elements:
+        g_inv = next(h for h in elements if table.get((g, h)) == identity)
+        for x in pts:
+            v = d(maps[g][maps[g_inv][x]], x)
+            if v > inv:
+                inv, inv_at = v, (g, x)
+    radii = sorted(set(float(v) for v in space.D.ravel()) | {space.diameter})
+    ell = []
+    for r in radii:
+        worst = 0.0
+        for x in pts:
+            for y in pts:
+                if d(x, y) <= r + 1e-12:
+                    for g in elements:
+                        worst = max(worst, d(maps[g][x], maps[g][y]))
+        ell.append((r, worst))
+    edge, edge_at = 0.0, None
+    for g in elements:
+        for s in elements:
+            if s in generators and (g, s) in table:
+                v = d(maps[g][x0], maps[table[(g, s)]][x0])
+                if v > edge:
+                    edge, edge_at = v, (g, s)
+    lam = max((d(maps[s][x0], x0) for s in generators), default=0.0)
+    return {"A": A, "A_at": A_at, "B": B, "B_at": B_at, "inverse_defect": inv,
+            "inverse_at": inv_at, "ell": tuple(ell), "edge": edge, "edge_at": edge_at,
+            "lam": lam}

@@ -451,7 +451,7 @@ def test_criterion_7_group_action_end_to_end():
             for pos, i in enumerate(run.kept_pieces):
                 inv = G.inverse[run.reps[pos]]
                 for g in run.group_cover.pieces[pos]:
-                    h = G.mult[(inv, g)]
+                    h = G.product(inv, g)
                     assert h in stab_set
                     assert act.space.d(act.maps[h][0], 0) <= run.threshold + 1e-9
             vectors = {pos: sr.collapsed.vectors

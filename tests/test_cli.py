@@ -153,6 +153,37 @@ class TestRunCommand:
         assert "broken.json" in capsys.readouterr().err
 
 
+    def test_serialization_error_writes_no_certificate(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "e.json", {
+            "name": "e",
+            "pipeline": "subspace",
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 4}},
+                "witness": {"builtin": "uniform_ball", "radius": 1},
+            },
+            "parameters": {"subspace": [0, 2, 4], "radii": [1], "epsilon": float("nan")},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not (out / "e.certificate.json").exists()
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_unsafe_name_is_validation_error(self, tmp_path, name):
+        scen = write_json(tmp_path / "s.json", {
+            "name": name,
+            "pipeline": "bell",
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                "cover": {"pieces": [[0, 1, 2, 3]]},
+            },
+            "parameters": {"radii": [1.0]},
+        })
+        out = tmp_path / "out" / "inner"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert os.listdir(tmp_path) == ["s.json"]
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         src = os.path.join(SCENARIO_DIR, "subspace_interval.json")
@@ -213,7 +244,8 @@ class TestProfiles:
         cert = {"profiles": {"variation": [[1.0, 0.5]], "tail": []}}
         paths = export_profiles(cert, "csv", str(tmp_path), "empty")
         tail_path = [p for p in paths if p.endswith("tail.csv")][0]
-        assert open(tail_path).read() == "S,tail\n"
+        with open(tail_path) as fh:
+            assert fh.read() == "S,tail\n"
 
     def test_unsupported_format_rejected(self, tmp_path):
         from coarse_lab import ValidationError
@@ -266,6 +298,30 @@ class TestSuiteCommand:
         assert "b_falsified.json: FALSIFIED" in out
         assert "c_broken.json: ERROR" in out
         assert "passed 1/3" in out
+
+
+    def test_repeated_name_is_error_not_overwrite(self, tmp_path, capsys):
+        d = tmp_path / "dup"
+        d.mkdir()
+        for fname, hi in (("a.json", 3), ("b.json", 5)):
+            write_json(d / fname, {
+                "name": "same",
+                "pipeline": "bell",
+                "inputs": {
+                    "space": {"metric": {"type": "z_interval", "lo": 0, "hi": hi}},
+                    "cover": {"pieces": [list(range(hi + 1))]},
+                },
+                "parameters": {"radii": [1.0]},
+            })
+        out = tmp_path / "out"
+        assert main(["suite", str(d), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out
+        assert "a.json: pass" in lines
+        assert "b.json: ERROR" in lines
+        assert "passed 1/2" in lines
+        assert os.listdir(out) == ["same.certificate.json"]
+        cert = read_certificate(str(out), "same")
+        assert len(cert["partition"]["values"]) == 4
 
 
 class TestCheckSpace:

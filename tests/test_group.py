@@ -4,6 +4,8 @@ pipeline, with exhaustively verifiable constants on small examples."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_lab import (
     BoundViolationError,
@@ -25,6 +27,7 @@ from coarse_lab import (
     z_ball,
     z_interval,
 )
+from oracles import dense_product_table, dense_quasi_action, free_reduce
 
 
 def rotation_maps(n_group, n_cycle):
@@ -51,20 +54,23 @@ class TestGroupModels:
 
     def test_generators_must_be_symmetric(self):
         with pytest.raises(ValidationError):
-            GroupModel([0, 1, 2], (1,), {(a, b): (a + b) % 3
-                                         for a in range(3) for b in range(3)},
-                       0, {0: 0, 1: 2, 2: 1})
+            GroupModel([0, 1, 2], (1,), [[(a + b) % 3 for b in range(3)]
+                                         for a in range(3)], 0)
 
     def test_identity_not_a_generator(self):
         with pytest.raises(ValidationError):
-            GroupModel([0, 1], (0, 1), {}, 0, {0: 0, 1: 1})
+            GroupModel([0, 1], (0, 1), [[0, 1], [1, 0]], 0)
+
+    def test_element_without_stored_inverse_rejected(self):
+        with pytest.raises(ValidationError):
+            GroupModel([0, 1], (1,), [[0, 1], [1, 1]], 0)
 
     def test_z_ball_is_truncated(self):
         g = z_ball(5)
         assert not g.is_finite_group
         assert g.truncation_radius == 5
-        assert (3, 4) not in g.mult
-        assert g.mult[(2, 3)] == 5
+        assert g.product(3, 4) is None
+        assert g.product(2, 3) == 5
 
     def test_free_group_ball_size(self):
         g = free_group_ball(2, 2)
@@ -73,7 +79,7 @@ class TestGroupModels:
     def test_product_of_cyclic(self):
         g = product_of_cyclic([2, 2])
         assert len(g) == 4
-        assert g.mult[((1, 0), (1, 1))] == (0, 1)
+        assert g.product((1, 0), (1, 1)) == (0, 1)
 
 
 class TestWordMetric:
@@ -92,7 +98,7 @@ class TestWordMetric:
         for a in g.elements:
             for x in g.elements:
                 for y in g.elements:
-                    assert sp.d(g.mult[(a, x)], g.mult[(a, y)]) == sp.d(x, y)
+                    assert sp.d(g.product(a, x), g.product(a, y)) == sp.d(x, y)
 
     def test_free_ball_word_lengths(self):
         g = free_group_ball(2, 2)
@@ -127,7 +133,7 @@ class TestCertify:
         assert act.space.d(act.maps[act.group.identity][act.A_witness],
                            act.A_witness) == act.A
         g, h, x = act.B_witness
-        gh = act.group.mult[(g, h)]
+        gh = act.group.product(g, h)
         assert act.space.d(act.maps[g][act.maps[h][x]], act.maps[gh][x]) == act.B
 
     def test_inverse_defect_within_a_plus_b(self):
@@ -290,3 +296,66 @@ class TestGroupPipeline:
         other = cycle(4)
         with pytest.raises(ValidationError):
             group_pipeline(act, 0, Cover(other, (frozenset(other.point_ids),)), R=1.0)
+
+
+def _with_op(case):
+    """(model, product computed from the elements themselves)."""
+    kind, arg = case
+    if kind == "cyclic":
+        return cyclic_group(arg), lambda a, b: (a + b) % arg
+    if kind == "product":
+        return product_of_cyclic(arg), \
+            lambda a, b: tuple((x + y) % m for x, y, m in zip(a, b, arg))
+    if kind == "z_ball":
+        return z_ball(arg), lambda a, b: a + b
+    return free_group_ball(*arg), lambda a, b: free_reduce(a + b)
+
+
+small_models = st.one_of(
+    st.tuples(st.just("cyclic"), st.integers(min_value=1, max_value=9)),
+    st.tuples(st.just("product"),
+              st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)),
+    st.tuples(st.just("z_ball"), st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("free"), st.tuples(st.integers(min_value=1, max_value=2),
+                                         st.integers(min_value=1, max_value=2))),
+).map(_with_op)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(small_models)
+    def test_builder_tables(self, case):
+        model, op = case
+        table = dense_product_table(model.elements, op)
+        for i, a in enumerate(model.elements):
+            for j, b in enumerate(model.elements):
+                k = int(model.mult[i, j])
+                assert (model.elements[k] if k >= 0 else None) == table.get((a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_models, st.booleans(), st.integers(min_value=2, max_value=6), st.data())
+    def test_certified_constants(self, case, flip, m, data):
+        model, op = case
+        if flip:
+            # generators listed against the stored order: the edge sweep
+            # must still visit the table's columns in stored order
+            model = GroupModel(model.elements, model.generators[::-1], model.mult,
+                               model.identity, model.truncation_radius, model.name)
+        space = cycle(m)
+        n = len(model)
+        noise = data.draw(st.lists(st.integers(min_value=-1, max_value=1),
+                                   min_size=n * m, max_size=n * m))
+        maps = {g: {x: (x + i + noise[i * m + x]) % m for x in range(m)}
+                for i, g in enumerate(model.elements)}
+        act = certify_quasi_action(model, space, maps)
+        ref = dense_quasi_action(model.elements, model.generators, model.identity,
+                                 dense_product_table(model.elements, op), space, maps, 0)
+        assert (act.A, act.A_witness) == (ref["A"], ref["A_at"])
+        assert (act.B, act.B_witness) == (ref["B"], ref["B_at"])
+        rec, = act.checks
+        assert (rec.lhs, rec.rhs, rec.witness) == \
+            (ref["inverse_defect"], ref["A"] + ref["B"], ref["inverse_at"])
+        assert act.ell.samples() == ref["ell"]
+        edge, = orbit_map(act, 0).checks
+        assert (edge.lhs, edge.witness) == (ref["edge"], ref["edge_at"])
+        assert edge.rhs == dict(ref["ell"])[ref["lam"]] + ref["B"]
