@@ -473,7 +473,7 @@ def test_criterion_8_separated_pipeline_interval():
 def test_criterion_9_certificates_are_deterministic(tmp_path):
     with criterion(9, "byte-identical certificates on scenario re-runs"):
         names = sorted(f for f in os.listdir(SCENARIO_DIR) if f.endswith(".json"))
-        assert len(names) == 10
+        assert len(names) == 11
         for name in names:
             src = os.path.join(SCENARIO_DIR, name)
             base = name[:-len(".json")]

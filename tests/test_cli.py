@@ -259,7 +259,7 @@ class TestSuiteCommand:
         code = main(["suite", SCENARIO_DIR, "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "passed 10/10" in out
+        assert "passed 11/11" in out
 
     def test_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "none"
