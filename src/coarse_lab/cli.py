@@ -43,6 +43,13 @@ def _load_json(path):
                               % (path, exc.lineno, exc.msg)) from exc
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValidationError("%s must be a JSON object, not %s"
+                              % (what, type(value).__name__))
+    return value
+
+
 def _resolve(scenario, base_dir, key, required=True):
     inputs = scenario.get("inputs", {})
     if key not in inputs:
@@ -319,11 +326,13 @@ _PIPELINES = {
 
 def execute_scenario(scenario, base_dir):
     """Run a parsed scenario document; returns (certificate dict, output)."""
+    _object(scenario, "a scenario")
+    _object(scenario.get("inputs", {}), "scenario 'inputs'")
     pipeline = scenario.get("pipeline")
     if pipeline not in _PIPELINES:
         raise ValidationError("unknown pipeline %r; expected one of %s"
                               % (pipeline, ", ".join(sorted(_PIPELINES))))
-    params = dict(scenario.get("parameters", {}))
+    params = dict(_object(scenario.get("parameters", {}), "scenario 'parameters'"))
     out = _PIPELINES[pipeline](scenario, base_dir, params)
 
     profiles = {"variation": [], "tail": []}
@@ -399,7 +408,7 @@ def _output_name(name):
 
 def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None):
     """Run one scenario file; ``written`` holds the names this run already wrote."""
-    scenario = _load_json(path)
+    scenario = _object(_load_json(path), "scenario %s" % (path,))
     name = _output_name(scenario.get("name", "unnamed"))
     if written is not None and name in written:
         raise ValidationError("scenario name %r was already written in this run" % (name,))

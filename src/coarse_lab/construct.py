@@ -18,12 +18,12 @@ import numpy as np
 
 from .cover import Cover, check_kl_separated, enlarge, lebesgue_number, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
-from .partition import (PartitionOfUnity, _l1_distance, bell_partition,
+from .partition import (PartitionOfUnity, _mass_rows, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .report import check_le
-from .space import CoarseMapCert, FiniteMetricSpace, is_c_net
-from .witness import (DecayProfile, Witness, collapse, dirac_witness,
-                      sparse_diff_norm, sparse_diff_norm_sq, tail_profile,
+from .space import (CoarseMapCert, FiniteMetricSpace, _pair_chunks, _SparseRows,
+                    _worst_pair, is_c_net)
+from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profile,
                       uniform_ball_witness, variation_profile)
 
 _ID_TOL = 1e-9
@@ -70,7 +70,9 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     if not members:
         raise ValidationError("subspace must be nonempty")
     sub = ambient.restrict(members)
-    retraction = {s: ambient.nearest_point(s, members) for s in ambient.point_ids}
+    # first minimum over the members in stored order: earliest-stored tie-break
+    nearest = np.argmin(ambient.D[:, ambient.indices(members)], axis=1)
+    retraction = {s: members[i] for s, i in zip(ambient.point_ids, nearest.tolist())}
     vectors = {}
     for y in members:
         vectors[y] = {(s, retraction[s]): c
@@ -79,19 +81,19 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     eta = collapse(tagged)
 
     norm_dev = 0.0
-    match_dev = 0.0
-    contraction = 0.0
-    for a in range(len(members)):
-        y = members[a]
+    for y in members:
         norm_dev = max(norm_dev, abs(math.sqrt(
             sum(c * c for c in tagged.vectors[y].values())) - 1.0))
-        for b in range(a + 1, len(members)):
-            yp = members[b]
-            dxi = sparse_diff_norm(tagged.vectors[y], tagged.vectors[yp])
-            dbeta = sparse_diff_norm(witness.vectors[y], witness.vectors[yp])
-            deta = sparse_diff_norm(eta.vectors[y], eta.vectors[yp])
-            match_dev = max(match_dev, abs(dxi - dbeta))
-            contraction = max(contraction, deta - dxi)
+    xi_rows, beta_rows, eta_rows = (_SparseRows(w.vectors[y] for y in members)
+                                    for w in (tagged, witness, eta))
+    match_dev = 0.0
+    contraction = 0.0
+    for a, b in _pair_chunks(len(members)):
+        dxi = np.sqrt(xi_rows.sq_dist(a, b))
+        dbeta = np.sqrt(beta_rows.sq_dist(a, b))
+        deta = np.sqrt(eta_rows.sq_dist(a, b))
+        match_dev = max(match_dev, float(np.abs(dxi - dbeta).max()))
+        contraction = max(contraction, float((deta - dxi).max()))
     checks = (
         check_le("subspace_xi_unit_norm_dev", norm_dev, 0.0, tol=_ID_TOL),
         check_le("subspace_xi_matches_beta_dev", match_dev, 0.0, tol=_ID_TOL),
@@ -139,7 +141,8 @@ def net_construction(ambient: FiniteMetricSpace, net_members, witness: Witness,
     if not is_c_net(ambient, net_members, c):
         raise PreconditionError(
             "net condition fails: covering radius %r exceeds c=%r" % (covering, c))
-    q = {x: ambient.nearest_point(x, net_members) for x in ambient.point_ids}
+    nearest = np.argmin(ambient.D[:, idx], axis=1)
+    q = {x: net_members[i] for x, i in zip(ambient.point_ids, nearest.tolist())}
     vectors = {x: dict(witness.vectors[q[x]]) for x in ambient.point_ids}
     out = Witness(ambient, vectors)
 
@@ -236,29 +239,39 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
         vectors[x] = vec
     glued = Witness(space, vectors)
 
-    ids = space.point_ids
-    piece_sets = cover.pieces
-    worst = None
-    for a in range(len(ids)):
-        x = ids[a]
-        for b in range(a + 1, len(ids)):
-            y = ids[b]
-            lhs = sparse_diff_norm_sq(glued.vectors[x], glued.vectors[y])
-            s = _l1_distance(masses[x], masses[y])
-            common = 0.0
-            for i, piece in enumerate(piece_sets):
-                if x in piece and y in piece:
-                    common = max(common, sparse_diff_norm_sq(
-                        glue_input.pieces[i].vectors[x], glue_input.pieces[i].vectors[y]))
-            rhs = 2.0 * s + 2.0 * common
-            if worst is None or lhs - rhs > worst[0]:
-                worst = (lhs - rhs, lhs, rhs, (x, y))
+    n = len(space)
+    glued_rows = _SparseRows(glued.vectors[x] for x in space.point_ids)
+    mass_rows = _mass_rows(partition)
+    # piece_row[i, a]: the row of piece i's vector at point a, or -1 off the piece
+    piece_row = np.full((len(cover.pieces), n), -1, dtype=np.int64)
+    piece_vecs = []
+    for i, w in enumerate(glue_input.pieces):
+        piece_row[i, space.indices(w.space.point_ids)] = np.arange(
+            len(piece_vecs), len(piece_vecs) + len(w.space))
+        piece_vecs.extend(w.vectors[x] for x in w.space.point_ids)
+    piece_rows = _SparseRows(piece_vecs)
+
+    def bound_chunks():
+        for a, b in _pair_chunks(n):
+            common = np.zeros(len(a))
+            # a chunk's first points are consecutive: skip the pieces missing them all
+            for row in piece_row[(piece_row[:, a[0]:a[-1] + 1] >= 0).any(axis=1)]:
+                ra, rb = row[a], row[b]
+                both = np.flatnonzero((ra >= 0) & (rb >= 0))
+                if both.size:
+                    common[both] = np.maximum(common[both],
+                                              piece_rows.sq_dist(ra[both], rb[both]))
+            yield (a, b, glued_rows.sq_dist(a, b),
+                   2.0 * mass_rows.l1_dist(a, b) + 2.0 * common)
+
+    worst = _worst_pair(bound_chunks())
     if worst is None:
         variation_rec = check_le("glue_variation_bound", 0.0, 0.0, tol=_ID_TOL,
                                  note="single-point space, no pairs")
     else:
-        variation_rec = check_le("glue_variation_bound", worst[1], worst[2], tol=_ID_TOL,
-                                 witness=worst[3])
+        lhs, rhs, a, b = worst
+        variation_rec = check_le("glue_variation_bound", lhs, rhs, tol=_ID_TOL,
+                                 witness=(space.point_ids[a], space.point_ids[b]))
 
     if tail_radii is None:
         tail_radii = _sample_grid(space)

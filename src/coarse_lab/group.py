@@ -247,7 +247,8 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
     if sampled_radii is None:
         sampled_radii = space.realized_distances()
     samples = set(float(r) for r in sampled_radii) | {space.diameter}
-    ell = StepModulus((r, v) for r, v, _ in _pair_sweep(space, samples, image_dist))
+    ell = StepModulus((r, v) for r, v, _ in _pair_sweep(
+        space, samples, lambda a, b: image_dist[a, b]))
 
     n = len(space)
     a_vals = space.D[np.arange(n), img[group.index(group.identity)]]

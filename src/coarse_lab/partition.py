@@ -7,7 +7,8 @@ import numpy as np
 from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .report import check_le
-from .space import CoarseMapCert, _pair_sweep
+from .space import (CoarseMapCert, _pair_chunks, _pair_sweep, _SparseRows,
+                    _worst_pair)
 
 _SUM_TOL = 1e-9
 
@@ -133,46 +134,30 @@ def pullback_partition(cert: CoarseMapCert, partition: PartitionOfUnity):
     return PartitionOfUnity(source, cover, values), tuple(kept)
 
 
-def _l1_distance(mx, my) -> float:
-    """sum_i |phi_i(x) - phi_i(y)| for sparse masses {piece: value}.
-
-    Summed as (over x's pieces) + (over the pieces only y has); certificates
-    depend on this grouping down to the last bit.
-    """
-    s = 0.0
-    for i, v in mx.items():
-        s += abs(v - my.get(i, 0.0))
-    only_y = 0.0
-    for i, v in my.items():
-        if i not in mx:
-            only_y += v
-    return s + only_y
-
-
 def partition_variation_profile(partition: PartitionOfUnity, radii):
     """For each R, the max of sum_i |phi_i(x) - phi_i(y)| over pairs with d <= R,
     with the first pair attaining it (None when the max is 0)."""
+    return _pair_sweep(partition.space, radii, _mass_rows(partition).l1_dist)
+
+
+def _mass_rows(partition: PartitionOfUnity):
+    """The masses {piece: phi_piece(x)} per point, in stored point order."""
     masses = partition.masses()
-    m = [masses[x] for x in partition.space.point_ids]
-    return _pair_sweep(partition.space, radii, lambda a, b: _l1_distance(m[a], m[b]))
+    return _SparseRows(masses[x] for x in partition.space.point_ids)
 
 
 def _bell_lipschitz_check(partition: PartitionOfUnity, C):
     """Record for sum_i |phi_i(x) - phi_i(y)| <= C d(x, y) at the pair with the
     largest excess (first in row-major order); None on a one-point space."""
     space = partition.space
-    masses = partition.masses()
-    ids = space.point_ids
-    worst = None
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            s = _l1_distance(masses[ids[a]], masses[ids[b]])
-            bound = C * float(space.D[a, b])
-            if worst is None or s - bound > worst[0]:
-                worst = (s - bound, s, bound, (ids[a], ids[b]))
+    rows = _mass_rows(partition)
+    worst = _worst_pair((a, b, rows.l1_dist(a, b), C * space.D[a, b])
+                        for a, b in _pair_chunks(len(space)))
     if worst is None:
         return None
-    return check_le("bell_lipschitz_bound", worst[1], worst[2], tol=1e-9, witness=worst[3])
+    s, bound, a, b = worst
+    return check_le("bell_lipschitz_bound", s, bound, tol=1e-9,
+                    witness=(space.point_ids[a], space.point_ids[b]))
 
 
 def partition_variation_with_pair(partition: PartitionOfUnity, R):

@@ -367,10 +367,174 @@ def is_c_net(space: FiniteMetricSpace, members, c) -> bool:
     return bool(space.D[:, idx].min(axis=1).max() <= float(c))
 
 
+_PAIR_CHUNK = 1 << 15        # pairs per block of a row-major pair enumeration
+_SLOT_BUDGET = 1 << 16       # pair slots (pairs x row width) per kernel step
+
+
+def _pair_chunks(n):
+    """All pairs (a < b) of range(n) in row-major order, as (a, b) index arrays
+    of at most max(_PAIR_CHUNK, n) pairs each."""
+    step = max(1, _PAIR_CHUNK // max(n, 1))
+    cols = np.arange(n)
+    for a0 in range(0, n - 1, step):
+        a, b = np.nonzero(cols[None, :] > np.arange(a0, min(a0 + step, n - 1))[:, None])
+        yield a + a0, b
+
+
+def _worst_pair(chunks):
+    """(lhs, rhs, a, b) at the first pair with the largest lhs - rhs, or None.
+
+    ``chunks`` yields (a, b, lhs, rhs) arrays in row-major pair order, as
+    from ``_pair_chunks``; ties keep the earliest pair.
+    """
+    worst = None
+    for a, b, lhs, rhs in chunks:
+        excess = lhs - rhs
+        k = int(np.argmax(excess))
+        if worst is None or excess[k] > worst[0]:
+            worst = (excess[k], float(lhs[k]), float(rhs[k]), int(a[k]), int(b[k]))
+    return None if worst is None else worst[1:]
+
+
+def _fold(terms, start):
+    """start + terms[:, 0] + terms[:, 1] + ..., added left to right per row."""
+    s = np.array(start, dtype=np.float64)
+    for j in range(terms.shape[1]):
+        s += terms[:, j]
+    return s
+
+
+class _SparseRows:
+    """Sparse rows {entry: coefficient} as padded (entry id, coefficient) arrays.
+
+    Slots keep dict insertion order, so the pair distances replay the scalar
+    left-to-right sums bit for bit: one numpy add per slot across all pairs
+    (``np.sum`` would reorder them), and squares by ``np.float_power``, which
+    calls the same libm ``pow`` as CPython's ``**`` (``d * d`` and
+    ``np.power`` differ from it in the last bit on some inputs). Pairs whose
+    supports are disjoint need no entry lookup once the row pairs that share
+    an entry are listed, which happens on the first call that queries at
+    least as many pairs.
+    """
+
+    def __init__(self, rows):
+        rows = list(rows)
+        n = len(rows)
+        lens = np.array([len(r) for r in rows], dtype=np.int64)
+        intern = {}
+        keys = np.array([intern.setdefault(k, len(intern)) for r in rows for k in r],
+                        dtype=np.int64)
+        coefs = np.array([c for r in rows for c in r.values()], dtype=np.float64)
+        row = np.repeat(np.arange(n, dtype=np.int64), lens)
+        slot = np.arange(len(keys)) - np.repeat(np.cumsum(lens) - lens, lens)
+        self.width = int(lens.max(initial=0))
+        self.ids = np.full((n, self.width), -1, dtype=np.int64)
+        self.coef = np.zeros((n, self.width))
+        self.ids[row, slot] = keys
+        self.coef[row, slot] = coefs
+        # entry lookup: sorted codes row * K + entry id with their coefficients,
+        # closed by a sentinel code above every query
+        self._n_keys = max(len(intern), 1)
+        codes = row * self._n_keys + keys
+        order = np.argsort(codes)
+        self._codes = np.append(codes[order], n * self._n_keys)
+        self._code_coef = np.append(coefs[order], 0.0)
+        # row pairs holding a common entry: counted now, listed on first use
+        self._row, self._keys = row, keys
+        per_entry = np.bincount(keys)
+        self._n_shared = int((per_entry * (per_entry - 1) // 2).sum())
+        self._shared = None
+        # the scalar sums of a row against a row it shares no entry with
+        zeros = np.zeros(n)
+        self._own_sq = _fold(np.float_power(self.coef, 2.0), zeros)
+        self._own_abs = _fold(np.abs(self.coef), zeros)
+        self._own_sum = _fold(self.coef, zeros)
+
+    def _shared_pairs(self):
+        """Sorted codes a * n + b (a < b) of the row pairs holding a common
+        entry, closed by the sentinel n * n."""
+        n = len(self.ids)
+        order = np.lexsort((self._row, self._keys))
+        k, r = self._keys[order], self._row[order]
+        new = np.ones(len(k), dtype=bool)
+        new[1:] = k[1:] != k[:-1]
+        first = np.flatnonzero(new)[np.cumsum(new) - 1]
+        before = np.arange(len(k)) - first     # earlier rows holding the same entry
+        offset = np.arange(self._n_shared) - np.repeat(np.cumsum(before) - before, before)
+        earlier = r[np.repeat(first, before) + offset]
+        return np.unique(np.append(earlier * n + np.repeat(r, before), n * n))
+
+    def _shares(self, a, b):
+        """Whether rows a and b may hold a common entry: exact once the sharing
+        pairs are listed, True for every pair before."""
+        if self._shared is None:
+            return np.ones(len(a), dtype=bool)
+        q = np.minimum(a, b) * len(self.ids) + np.maximum(a, b)
+        return (self._shared[np.searchsorted(self._shared, q)] == q) | (a == b)
+
+    def _locate(self, rows, ids):
+        """Per slot: whether rows[p] holds entry ids[p, j], and where in the codes."""
+        q = rows[:, None] * self._n_keys + ids
+        pos = np.searchsorted(self._codes, q)
+        return (self._codes[pos] == q) & (ids >= 0), pos
+
+    def _match(self, a, b):
+        """Row b's coefficient at each entry of row a (0.0 where absent), and
+        for each slot of row b whether row a holds its entry."""
+        at_b, pos = self._locate(b, self.ids[a])
+        in_a, _ = self._locate(a, self.ids[b])
+        return np.where(at_b, self._code_coef[pos], 0.0), in_a
+
+    def _pairs(self, a, b, shared, disjoint):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        # listing the sharing pairs pays off once a call queries as many pairs
+        if self._shared is None and self._n_shared <= len(a):
+            self._shared = self._shared_pairs()
+        out = np.empty(len(a))
+        step = max(1, _SLOT_BUDGET // max(self.width, 1))
+        for lo in range(0, len(a), step):
+            ca, cb, part = a[lo:lo + step], b[lo:lo + step], out[lo:lo + step]
+            sh = self._shares(ca, cb)
+            dj = ~sh
+            part[dj] = disjoint(ca[dj], cb[dj])
+            part[sh] = shared(ca[sh], cb[sh])
+        return out
+
+    def sq_dist(self, a, b):
+        """||u_a - u_b||^2 per pair, summed as sum over u_a's entries of
+        (c - u_b.get(k, 0.0)) ** 2, then c * c over the entries only u_b has."""
+        def shared(a, b):
+            m, in_a = self._match(a, b)
+            cb = self.coef[b]
+            s = _fold(np.float_power(self.coef[a] - m, 2.0), np.zeros(len(a)))
+            return _fold(np.where(in_a, 0.0, cb * cb), s)
+
+        def disjoint(a, b):
+            cb = self.coef[b]
+            return _fold(cb * cb, self._own_sq[a])
+
+        return self._pairs(a, b, shared, disjoint)
+
+    def l1_dist(self, a, b):
+        """sum_k |u_a(k) - u_b(k)| per pair, summed as (over u_a's entries) +
+        (over the entries only u_b has)."""
+        def shared(a, b):
+            m, in_a = self._match(a, b)
+            zeros = np.zeros(len(a))
+            return (_fold(np.abs(self.coef[a] - m), zeros)
+                    + _fold(np.where(in_a, 0.0, self.coef[b]), zeros))
+
+        def disjoint(a, b):
+            return self._own_abs[a] + self._own_sum[b]
+
+        return self._pairs(a, b, shared, disjoint)
+
+
 def _pair_sweep(space: FiniteMetricSpace, radii, value):
     """For each radius r, ascending: (r, max of value over pairs with d <= r, pair).
 
-    ``value`` is either an (n, n) array or a function of two point indices.
+    ``value(a, b)`` maps index arrays of pairs to the array of their values.
     Only pairs (a < b) with d <= max radius + 1e-12 are evaluated, in stable
     distance order (equal distances keep row-major (a, b) order). The running
     max starts at 0.0 and skips NaN; ``pair`` is the first point-id pair that
@@ -386,11 +550,7 @@ def _pair_sweep(space: FiniteMetricSpace, radii, value):
     order = np.argsort(space.D[a, b], kind="stable")
     a, b = a[order], b[order]
     dists = space.D[a, b]
-    if callable(value):
-        vals = np.array([value(i, j) for i, j in zip(a.tolist(), b.tolist())],
-                        dtype=np.float64)
-    else:
-        vals = value[a, b]
+    vals = np.asarray(value(a, b), dtype=np.float64)
     # prefix[k] is the max over the first k pairs; best_at[k] the first of
     # those k pairs that attains it, or -1
     prefix = np.fmax.accumulate(np.concatenate(([0.0], vals)))
@@ -423,7 +583,7 @@ def check_coarse_map(source: FiniteMetricSpace, target: FiniteMetricSpace,
     if sampled_radii is None:
         sampled_radii = source.realized_distances()
     samples = set(float(r) for r in sampled_radii) | {source.diameter}
-    image_dist = target.D[np.ix_(img_idx, img_idx)]
-    modulus = StepModulus((r, v) for r, v, _ in _pair_sweep(source, samples, image_dist))
+    modulus = StepModulus((r, v) for r, v, _ in _pair_sweep(
+        source, samples, lambda a, b: target.D[img_idx[a], img_idx[b]]))
     return CoarseMapCert(source, target, assignment, modulus,
                          properness_note="properness automatic: finite source")

@@ -17,27 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .space import FiniteMetricSpace, _pair_sweep
+from .space import FiniteMetricSpace, _pair_sweep, _SparseRows
 
 _NORM_TOL = 1e-9
 
 
 def sparse_norm(vec) -> float:
     return math.sqrt(sum(c * c for c in vec.values()))
-
-
-def sparse_diff_norm_sq(u, v) -> float:
-    s = 0.0
-    for k, c in u.items():
-        s += (c - v.get(k, 0.0)) ** 2
-    for k, c in v.items():
-        if k not in u:
-            s += c * c
-    return s
-
-
-def sparse_diff_norm(u, v) -> float:
-    return math.sqrt(sparse_diff_norm_sq(u, v))
 
 
 class Witness:
@@ -142,9 +128,9 @@ def uniform_ball_witness(space: FiniteMetricSpace, radius) -> Witness:
 
 def variation_profile(witness: Witness, radii):
     """For each R, max of ||xi_x - xi_y|| over pairs with d(x, y) <= R."""
-    vecs = [witness.vectors[x] for x in witness.space.point_ids]
+    rows = _SparseRows(witness.vectors[x] for x in witness.space.point_ids)
     return [(r, v) for r, v, _ in _pair_sweep(
-        witness.space, radii, lambda a, b: sparse_diff_norm(vecs[a], vecs[b]))]
+        witness.space, radii, lambda a, b: np.sqrt(rows.sq_dist(a, b)))]
 
 
 def tail_profile(witness: Witness, radii) -> DecayProfile:

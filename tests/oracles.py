@@ -4,6 +4,9 @@ Everything here is deliberately naive: full double loops over points and
 index entries, no sorting, no prefix maxima, no suffix sums. Tolerances
 mirror the library (pairs count when d <= R + 1e-12, tail entries when
 d > S + 1e-12) so the two routes must agree to float accumulation error.
+The pair sums ``sparse_diff_norm_sq`` and ``l1_distance`` fix the summation
+order of the library's pair kernel, and the double loops built on them must
+match the library bit for bit.
 """
 
 import math
@@ -12,6 +15,93 @@ import math
 def dense_vector_distance(u, v) -> float:
     keys = set(u) | set(v)
     return math.sqrt(sum((u.get(k, 0.0) - v.get(k, 0.0)) ** 2 for k in keys))
+
+
+def sparse_diff_norm_sq(u, v) -> float:
+    """||u - v||^2 summed in the order the library reproduces bit for bit:
+    u's entries in insertion order, then the entries only v has."""
+    s = 0.0
+    for k, c in u.items():
+        s += (c - v.get(k, 0.0)) ** 2
+    for k, c in v.items():
+        if k not in u:
+            s += c * c
+    return s
+
+
+def l1_distance(mx, my) -> float:
+    """sum_i |mx(i) - my(i)|, summed as (over mx's entries) + (over the
+    entries only my has), the grouping the library reproduces bit for bit."""
+    s = 0.0
+    for i, v in mx.items():
+        s += abs(v - my.get(i, 0.0))
+    only_y = 0.0
+    for i, v in my.items():
+        if i not in mx:
+            only_y += v
+    return s + only_y
+
+
+def dense_glue_bound(glue_input, glued):
+    """(lhs, rhs, pair) of the glue combination bound at the first pair, in
+    row-major order, with the largest lhs - rhs; None on a one-point space.
+
+    lhs = ||xi_x - xi_y||^2 for the glued witness, rhs = 2 sum_i |phi_i(x) -
+    phi_i(y)| + 2 max ||beta^i_x - beta^i_y||^2 over the pieces holding both.
+    """
+    partition = glue_input.partition
+    masses = partition.masses()
+    ids = partition.space.point_ids
+    worst = None
+    for a in range(len(ids)):
+        x = ids[a]
+        for b in range(a + 1, len(ids)):
+            y = ids[b]
+            lhs = sparse_diff_norm_sq(glued.vectors[x], glued.vectors[y])
+            s = l1_distance(masses[x], masses[y])
+            common = 0.0
+            for i, piece in enumerate(partition.cover.pieces):
+                if x in piece and y in piece:
+                    common = max(common, sparse_diff_norm_sq(
+                        glue_input.pieces[i].vectors[x], glue_input.pieces[i].vectors[y]))
+            rhs = 2.0 * s + 2.0 * common
+            if worst is None or lhs - rhs > worst[0]:
+                worst = (lhs - rhs, lhs, rhs, (x, y))
+    return None if worst is None else worst[1:]
+
+
+def dense_bell_lipschitz(partition, C):
+    """(sum_i |phi_i(x) - phi_i(y)|, C d(x, y), pair) at the first pair, in
+    row-major order, with the largest excess; None on a one-point space."""
+    masses = partition.masses()
+    ids = partition.space.point_ids
+    worst = None
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            s = l1_distance(masses[ids[a]], masses[ids[b]])
+            bound = C * partition.space.d(ids[a], ids[b])
+            if worst is None or s - bound > worst[0]:
+                worst = (s - bound, s, bound, (ids[a], ids[b]))
+    return None if worst is None else worst[1:]
+
+
+def dense_subspace_records(witness, tagged, collapsed):
+    """(unit-norm defect of xi, max |d_xi - d_beta|, max d_eta - d_xi) over
+    the subspace's points and pairs, each starting from 0.0."""
+    members = tagged.space.point_ids
+    norm_dev = match_dev = contraction = 0.0
+    for a in range(len(members)):
+        y = members[a]
+        norm_dev = max(norm_dev, abs(math.sqrt(
+            sum(c * c for c in tagged.vectors[y].values())) - 1.0))
+        for b in range(a + 1, len(members)):
+            yp = members[b]
+            dxi = math.sqrt(sparse_diff_norm_sq(tagged.vectors[y], tagged.vectors[yp]))
+            dbeta = math.sqrt(sparse_diff_norm_sq(witness.vectors[y], witness.vectors[yp]))
+            deta = math.sqrt(sparse_diff_norm_sq(collapsed.vectors[y], collapsed.vectors[yp]))
+            match_dev = max(match_dev, abs(dxi - dbeta))
+            contraction = max(contraction, deta - dxi)
+    return norm_dev, match_dev, contraction
 
 
 def dense_variation(witness, R) -> float:

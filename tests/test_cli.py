@@ -183,6 +183,20 @@ class TestRunCommand:
         assert main(["run", scen, "--out", str(out)]) == 2
         assert os.listdir(tmp_path) == ["s.json"]
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        "scenario",
+        {"name": "p", "pipeline": "bell", "parameters": [1]},
+        {"name": "p", "pipeline": "bell", "parameters": None},
+        {"name": "p", "pipeline": "bell", "inputs": ["space", "cover"]},
+    ])
+    def test_non_object_document_is_validation_error(self, tmp_path, capsys, doc):
+        scen = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["s.json"]
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -299,6 +313,18 @@ class TestSuiteCommand:
         assert "c_broken.json: ERROR" in out
         assert "passed 1/3" in out
 
+    def test_non_object_document_is_error(self, tmp_path, capsys):
+        d = tmp_path / "docs"
+        d.mkdir()
+        write_json(d / "list.json", [1, 2])
+        write_json(d / "params.json", {"name": "params", "pipeline": "bell",
+                                       "parameters": [1]})
+        out = tmp_path / "out"
+        assert main(["suite", str(d), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out
+        assert "list.json: ERROR" in lines and "params.json: ERROR" in lines
+        assert "passed 0/2" in lines
+        assert not out.exists() or os.listdir(out) == []
 
     def test_repeated_name_is_error_not_overwrite(self, tmp_path, capsys):
         d = tmp_path / "dup"

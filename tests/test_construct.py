@@ -3,7 +3,10 @@ partition of unity, fibered pullback, and the separated-cover route."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_lab import (
     Cover,
@@ -13,11 +16,13 @@ from coarse_lab import (
     Witness,
     bell_partition,
     check_coarse_map,
+    cycle,
     dirac_piece_family,
     dirac_witness,
     fibering_pipeline,
     glue,
     glue_with_report,
+    grid,
     make_glue_input,
     net_construction,
     partition_variation_profile,
@@ -32,7 +37,10 @@ from coarse_lab import (
     z2_ball,
     z_interval,
 )
-from oracles import dense_variation, dense_vector_distance
+from coarse_lab import space as space_module
+from coarse_lab.partition import _bell_lipschitz_check
+from oracles import (dense_bell_lipschitz, dense_glue_bound, dense_subspace_records,
+                     dense_variation, dense_vector_distance)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -290,3 +298,103 @@ class TestSeparated:
                       coloring=(0, 0))
         with pytest.raises(PreconditionError):
             separated_cover_pipeline(s, cover, L=1, sigma=2.0, R=1.0, epsilon=0.5)
+
+
+# ------------------------------------------- pair records against double loops
+
+_SPACES = {"interval": lambda n: z_interval(0, n - 1), "cycle": cycle,
+           "grid": lambda n: grid([2, (n + 1) // 2])}
+
+
+@st.composite
+def _covers(draw, max_points=10):
+    """A small space with a random cover: overlapping pieces, every point covered."""
+    space = _SPACES[draw(st.sampled_from(sorted(_SPACES)))](
+        draw(st.integers(1, max_points)))
+    ids = space.point_ids
+    pieces = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), min_size=1,
+                           max_size=4))
+    rest = set(ids) - set().union(*pieces)
+    if rest:
+        pieces.append(rest)
+    return Cover(space, pieces)
+
+
+def _signed_witness(space, seed):
+    """Seeded unit vectors with 1-4 entries and coefficients of both signs."""
+    rng = np.random.default_rng(seed)
+    ids = space.point_ids
+    vectors = {}
+    for x in ids:
+        support = rng.choice(len(ids), size=min(len(ids), int(rng.integers(1, 5))),
+                             replace=False)
+        vec = {(None, ids[int(s)]): float(rng.uniform(-1.0, 1.0)) for s in support}
+        norm = math.sqrt(sum(c * c for c in vec.values()))
+        vectors[x] = {k: c / norm for k, c in vec.items()}
+    return Witness(space, vectors)
+
+
+def _small_steps(mp):
+    """Make every pair enumeration and kernel step a few pairs long."""
+    mp.setattr(space_module, "_PAIR_CHUNK", 1)
+    mp.setattr(space_module, "_SLOT_BUDGET", 3)
+
+
+class TestPairRecordsAgainstDoubleLoops:
+    """The kernel-backed records equal the scalar double loops exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_covers(), st.sampled_from([None, 1, 2]), st.booleans())
+    def test_glue_variation_record(self, cover, radius, small_steps):
+        part = bell_partition(cover, require_lebesgue=False)
+        family = (dirac_piece_family(cover) if radius is None
+                  else uniform_ball_piece_family(cover, radius))
+        gi = make_glue_input(part, family)
+        with pytest.MonkeyPatch.context() as mp:
+            if small_steps:
+                _small_steps(mp)
+            res = glue_with_report(gi)
+        rec = res.checks[0]
+        want = dense_glue_bound(gi, res.witness)
+        if want is None:
+            assert (rec.lhs, rec.rhs, rec.witness) == (0.0, 0.0, None)
+        else:
+            assert (rec.lhs, rec.rhs, rec.witness) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(_covers(), st.floats(0.0, 4.0), st.booleans())
+    def test_bell_lipschitz_record(self, cover, C, small_steps):
+        part = bell_partition(cover, require_lebesgue=False)
+        with pytest.MonkeyPatch.context() as mp:
+            if small_steps:
+                _small_steps(mp)
+            rec = _bell_lipschitz_check(part, C)
+        want = dense_bell_lipschitz(part, C)
+        if want is None:
+            assert rec is None
+        else:
+            assert (rec.lhs, rec.rhs, rec.witness) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(_covers(max_points=12), st.integers(0, 2**32 - 1), st.booleans())
+    def test_subspace_records_and_retraction(self, cover, seed, small_steps):
+        ambient = cover.space
+        witness = _signed_witness(ambient, seed)
+        members = cover.pieces[0]
+        with pytest.MonkeyPatch.context() as mp:
+            if small_steps:
+                _small_steps(mp)
+            res = subspace_construction(witness, members)
+        assert tuple(r.lhs for r in res.checks) == dense_subspace_records(
+            witness, res.tagged, res.collapsed)
+        assert res.retraction == {s: ambient.nearest_point(s, members)
+                                  for s in ambient.point_ids}
+
+    @settings(max_examples=20, deadline=None)
+    @given(_covers(max_points=12))
+    def test_net_assignment_is_nearest_point(self, cover):
+        ambient = cover.space
+        net = cover.pieces[0]
+        res = net_construction(ambient, net, dirac_witness(ambient.restrict(net)))
+        assert res.assignment == {x: ambient.nearest_point(x, net)
+                                  for x in ambient.point_ids}

@@ -22,7 +22,9 @@ from coarse_lab import (
     z2_ball,
     z_interval,
 )
-from coarse_lab.space import _pair_sweep
+from coarse_lab import space as space_module
+from coarse_lab.space import _pair_chunks, _pair_sweep, _SparseRows
+from oracles import l1_distance, sparse_diff_norm_sq
 
 
 def path_graph(n):
@@ -263,19 +265,93 @@ class TestPairSweep:
     def test_matches_brute_force(self, case):
         space, V, radii = case
         want = _brute_sweep(space, radii, V)
-        assert _pair_sweep(space, radii, V) == want
-        assert _pair_sweep(space, radii, lambda a, b: float(V[a, b])) == want
+        assert _pair_sweep(space, radii, lambda a, b: V[a, b]) == want
 
     def test_one_point_space(self):
         s = space_from_matrix(["a"], [[0.0]])
-        assert _pair_sweep(s, [0.0, 5.0], lambda a, b: 1.0) == [(0.0, 0.0, None),
-                                                                 (5.0, 0.0, None)]
+        assert _pair_sweep(s, [0.0, 5.0], lambda a, b: np.ones(len(a))) == [
+            (0.0, 0.0, None), (5.0, 0.0, None)]
 
     def test_radius_below_smallest_distance(self):
         s = z_interval(0, 4)
-        assert _pair_sweep(s, [0.5], lambda a, b: 1.0) == [(0.5, 0.0, None)]
+        assert _pair_sweep(s, [0.5], lambda a, b: np.ones(len(a))) == [(0.5, 0.0, None)]
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan")])
     def test_negative_or_nan_radius_rejected(self, bad):
         with pytest.raises(ValidationError):
-            _pair_sweep(z_interval(0, 4), [1.0, bad], lambda a, b: 1.0)
+            _pair_sweep(z_interval(0, 4), [1.0, bad], lambda a, b: np.ones(len(a)))
+
+
+# entry keys: bare ints and (tag, point) tuples, from a pool whose size sets
+# how often two rows share entries
+_KEYS = st.one_of(st.integers(0, 9),
+                  st.tuples(st.sampled_from([None, 0, "t", (1, 2)]), st.integers(0, 4)))
+# coefficients: simple floats, and seeded uniform draws whose last bits are
+# arbitrary (where CPython's c ** 2 and c * c can differ)
+_COEFS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                   st.integers(0, 2**32 - 1).map(
+                       lambda seed: float(np.random.default_rng(seed).uniform(-2.0, 2.0))))
+
+
+@st.composite
+def _sparse_rows(draw):
+    pool = draw(st.lists(_KEYS, min_size=1, max_size=30, unique=True))
+    keys = st.sampled_from(pool)
+    rows = draw(st.lists(st.dictionaries(keys, _COEFS, max_size=7), min_size=1, max_size=9))
+    # one row sharing part of another row's entries, and one sharing none
+    base = draw(st.sampled_from(rows))
+    partial = {k: c if draw(st.booleans()) else draw(_COEFS)
+               for k, c in base.items() if draw(st.booleans())}
+    partial[("only", 0)] = 1.0
+    fresh = {("fresh", i): draw(_COEFS) for i in range(draw(st.integers(0, 5)))}
+    return rows + [partial, fresh]
+
+
+class TestSparseRows:
+    """The pair kernel reproduces the scalar sums bit for bit, on every pair
+    and with every chunking."""
+
+    @pytest.mark.parametrize("one_pair_per_call, slot_budget",
+                             [(False, 1 << 16), (False, 3), (True, 1 << 16)])
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_sparse_rows())
+    def test_matches_scalar_sums(self, rows, one_pair_per_call, slot_budget):
+        n = len(rows)
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        # one pair per call looks every pair up; all pairs at once list the
+        # sharing pairs first and skip the lookup for the others
+        calls = ([(a[i:i + 1], b[i:i + 1]) for i in range(len(a))] if one_pair_per_call
+                 else [(a, b)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space_module, "_SLOT_BUDGET", slot_budget)
+            kernel = _SparseRows(rows)
+            sq = [v for ca, cb in calls for v in kernel.sq_dist(ca, cb).tolist()]
+            kernel = _SparseRows(rows)
+            l1 = [v for ca, cb in calls for v in kernel.l1_dist(ca, cb).tolist()]
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert sq == [sparse_diff_norm_sq(rows[i], rows[j]) for i, j in pairs]
+        assert l1 == [l1_distance(rows[i], rows[j]) for i, j in pairs]
+
+    def test_squares_round_like_cpython(self):
+        # differences whose CPython square d ** 2 (libm pow) is not d * d
+        rng = np.random.default_rng(7)
+        odd = [d for d in rng.uniform(-2.0, 2.0, 20000).tolist() if d ** 2 != d * d][:8]
+        assert odd
+        # one nonzero term per sum, so no rounding of a longer sum hides the
+        # last bit; row len(odd) shares each entry, row len(odd) + 1 none
+        rows = [{i: d} for i, d in enumerate(odd)]
+        rows += [dict.fromkeys(range(len(odd)), 0.0), {"other": 0.0}]
+        kernel = _SparseRows(rows)
+        a = np.arange(len(odd))
+        for b in (len(odd), len(odd) + 1):
+            assert kernel.sq_dist(a, np.full_like(a, b)).tolist() == [
+                sparse_diff_norm_sq(rows[i], rows[b]) for i in a]
+            assert kernel.sq_dist(np.full_like(a, b), a).tolist() == [
+                sparse_diff_norm_sq(rows[b], rows[i]) for i in a]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 37])
+    @pytest.mark.parametrize("size", [1, 4, 1 << 15])
+    def test_pair_chunks_are_row_major(self, n, size, monkeypatch):
+        monkeypatch.setattr(space_module, "_PAIR_CHUNK", size)
+        got = [(int(a), int(b)) for ca, cb in _pair_chunks(n) for a, b in zip(ca, cb)]
+        assert got == [(a, b) for a in range(n) for b in range(a + 1, n)]
