@@ -14,22 +14,23 @@ import sys
 
 from .construct import (_sample_grid, dirac_piece_family, fibering_pipeline,
                         glue_with_report, make_glue_input, separated_cover_pipeline,
-                        subspace_construction, net_construction,
-                        uniform_ball_piece_family)
-from .cover import (ChainOfSubspaces, check_kl_separated, direct_limit_cover, enlarge,
+                        subspace_construction, net_construction)
+from .cover import (ChainOfSubspaces, direct_limit_cover, enlarge, family_separation,
                     lebesgue_report, multiplicity, r_multiplicity, set_distance)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
 from .group import certify_quasi_action, group_pipeline
-from .jsonio import (dumps_deterministic, load_action_maps, load_chain_stages,
+from .jsonio import (_object, dumps_deterministic, load_action_maps, load_chain_stages,
                      load_cover, load_group, load_map_assignment, load_space,
                      load_witness, norm_id, partition_to_json)
 from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile)
 from .report import InequalityRecord, all_passed, check_le
 from .space import check_coarse_map
-from .witness import tail_profile, uniform_ball_witness, variation_profile
+from .witness import dirac_witness, tail_profile, variation_profile
 
 _CONSUME_EPSILON = {"separated", "group-pipeline"}
+_NUMBERS = ("R", "S0", "epsilon", "delta", "L", "sigma", "c", "A_ceiling", "B_ceiling")
+_GRIDS = ("radii", "tail_radii")
 
 
 def _load_json(path):
@@ -41,13 +42,6 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise ValidationError("cannot parse %s: line %d: %s"
                               % (path, exc.lineno, exc.msg)) from exc
-
-
-def _object(value, what):
-    if not isinstance(value, dict):
-        raise ValidationError("%s must be a JSON object, not %s"
-                              % (what, type(value).__name__))
-    return value
 
 
 def _resolve(scenario, base_dir, key, required=True):
@@ -64,20 +58,37 @@ def _resolve(scenario, base_dir, key, required=True):
     raise ValidationError("input %r must be a path or an inline object" % (key,))
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_parameters(params):
+    for key in _NUMBERS:
+        if key in params and not _is_number(params[key]):
+            raise ValidationError("parameter %r must be a number" % (key,))
+    for key in _GRIDS:
+        if key in params and not (isinstance(params[key], list)
+                                  and all(_is_number(v) for v in params[key])):
+            raise ValidationError("parameter %r must be a list of numbers" % (key,))
+
+
 def _grid(space, params, key, cap=12):
     if key in params:
         return sorted(float(v) for v in params[key])
     return _sample_grid(space, cap=cap)
 
 
-def _piece_family(spec, cover):
-    if spec is None or spec.get("builtin") == "dirac":
-        return dirac_piece_family(cover)
-    if spec.get("builtin") == "uniform_ball":
-        if "radius" not in spec:
-            raise ValidationError("uniform_ball pieces need a radius")
-        return uniform_ball_piece_family(cover, spec["radius"])
-    if "list" in spec:
+def _piece_family(scenario, base_dir):
+    """The scenario's piece witnesses as a function of the cover they are glued
+    over: one witness spec for every piece, or a "list" of one document each."""
+    spec = _resolve(scenario, base_dir, "pieces", required=False)
+    if spec is None:
+        return dirac_piece_family
+    if "list" not in _object(spec, "input 'pieces'"):
+        return lambda cover: {i: load_witness(spec, cover.space.restrict(p))
+                              for i, p in enumerate(cover.pieces)}
+
+    def listed(cover):
         docs = spec["list"]
         if not isinstance(docs, list) or len(docs) != len(cover.pieces):
             raise ValidationError("need one piece witness document per cover piece")
@@ -90,7 +101,7 @@ def _piece_family(spec, cover):
             pts = [norm_id(row.get("point")) for row in doc["vectors"]]
             family[i] = load_witness(doc, cover.space.restrict(pts))
         return family
-    raise ValidationError("unknown piece witness spec %r" % (spec,))
+    return listed
 
 
 class _RunOutput:
@@ -119,15 +130,9 @@ def _run_verify_cover(scenario, base_dir, params):
         kp1 = r_multiplicity(cov, L)
         if cov.coloring is not None:
             k = len(set(cov.coloring)) - 1
-            sep = check_kl_separated(cov, k, 2.0 * L)
-            min_sep = float("inf")
-            for c in sorted(set(cov.coloring)):
-                fam = [p for p, col in zip(cov.pieces, cov.coloring) if col == c]
-                for i in range(len(fam)):
-                    for j in range(i + 1, len(fam)):
-                        min_sep = min(min_sep, set_distance(space, fam[i], fam[j]))
+            min_sep = family_separation(cov, k)
             checked.append(InequalityRecord(
-                "family_separation_exceeds_2L", 2.0 * L, min_sep, sep,
+                "family_separation_exceeds_2L", 2.0 * L, min_sep, min_sep > 2.0 * L,
                 note="strict inequality, vacuous when families are singletons"))
             checked.append(check_le("L_multiplicity_le_k_plus_1", kp1, k + 1))
         enl = enlarge(cov, L)
@@ -163,7 +168,7 @@ def _run_glue(scenario, base_dir, params):
     space = load_space(_resolve(scenario, base_dir, "space"))
     cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
-    pieces = _piece_family(_resolve(scenario, base_dir, "pieces", required=False), cov)
+    pieces = _piece_family(scenario, base_dir)(cov)
     res = glue_with_report(make_glue_input(part, pieces),
                            tail_radii=params.get("tail_radii"))
     return _RunOutput(checked=res.checks, witness=res.witness,
@@ -236,13 +241,7 @@ def _run_fibering(scenario, base_dir, params):
     cov = load_cover(_resolve(scenario, base_dir, "cover"), target)
     cert = check_coarse_map(source, target, assignment)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
-    pieces_spec = _resolve(scenario, base_dir, "pieces", required=False)
-    piece_witnesses = None
-    if pieces_spec is not None and pieces_spec.get("builtin") != "dirac":
-        from .partition import pullback_partition
-        pulled, _ = pullback_partition(cert, part)
-        piece_witnesses = _piece_family(pieces_spec, pulled.cover)
-    res = fibering_pipeline(cert, part, piece_witnesses,
+    res = fibering_pipeline(cert, part, _piece_family(scenario, base_dir),
                             radii=params.get("radii"),
                             tail_radii=params.get("tail_radii"))
     details = {"kept_pieces": list(res.kept_pieces),
@@ -256,13 +255,8 @@ def _run_separated(scenario, base_dir, params):
     for key in ("L", "sigma", "R", "epsilon"):
         if key not in params:
             raise ValidationError("separated pipeline needs parameter %r" % (key,))
-    L = float(params["L"])
-    pieces_spec = _resolve(scenario, base_dir, "pieces", required=False)
-    piece_witnesses = None
-    if pieces_spec is not None and pieces_spec.get("builtin") != "dirac":
-        piece_witnesses = _piece_family(pieces_spec, enlarge(cov, L))
-    res = separated_cover_pipeline(space, cov, L, params["sigma"], params["R"],
-                                   params["epsilon"], piece_witnesses,
+    res = separated_cover_pipeline(space, cov, params["L"], params["sigma"], params["R"],
+                                   params["epsilon"], _piece_family(scenario, base_dir),
                                    tail_radii=params.get("tail_radii"))
     details = {"k": res.k, "L": res.L}
     return _RunOutput(checked=res.checks, info=res.info, witness=res.witness,
@@ -279,15 +273,8 @@ def _run_group(scenario, base_dir, params):
     action = certify_quasi_action(grp, space, maps,
                                   A_ceiling=params.get("A_ceiling"),
                                   B_ceiling=params.get("B_ceiling"))
-    provider_spec = _resolve(scenario, base_dir, "provider", required=False)
-    provider = None
-    if provider_spec is not None and provider_spec.get("builtin") == "uniform_ball":
-        radius = provider_spec.get("radius")
-        if radius is None:
-            raise ValidationError("uniform_ball provider needs a radius")
-        provider = lambda sp: uniform_ball_witness(sp, radius)  # noqa: E731
-    elif provider_spec is not None and provider_spec.get("builtin") not in (None, "dirac"):
-        raise ValidationError("unknown provider spec %r" % (provider_spec,))
+    spec = _resolve(scenario, base_dir, "provider", required=False)
+    provider = dirac_witness if spec is None else (lambda sp: load_witness(spec, sp))
     res = group_pipeline(action, norm_id(params["x0"]), cov, params["R"],
                          epsilon=params.get("epsilon"), provider=provider,
                          tail_radii=params.get("tail_radii"))
@@ -333,6 +320,7 @@ def execute_scenario(scenario, base_dir):
         raise ValidationError("unknown pipeline %r; expected one of %s"
                               % (pipeline, ", ".join(sorted(_PIPELINES))))
     params = dict(_object(scenario.get("parameters", {}), "scenario 'parameters'"))
+    _check_parameters(params)
     out = _PIPELINES[pipeline](scenario, base_dir, params)
 
     profiles = {"variation": [], "tail": []}

@@ -318,16 +318,15 @@ class FiberingResult:
 
 
 def fibering_pipeline(cert: CoarseMapCert, partition: PartitionOfUnity,
-                      piece_witnesses=None, radii=None, tail_radii=None) -> FiberingResult:
-    """Pull a target partition back along a certified map, then glue.
+                      pieces=dirac_piece_family, radii=None, tail_radii=None) -> FiberingResult:
+    """Pull a target partition back along a certified map, then glue the
+    witnesses ``pieces(cover)`` over the preimage cover.
 
     The pullback's variation at R is bounded by the target partition's
     variation at modulus(R); asserted on the sampled radii.
     """
     pulled, kept = pullback_partition(cert, partition)
-    if piece_witnesses is None:
-        piece_witnesses = dirac_piece_family(pulled.cover)
-    gi = make_glue_input(pulled, piece_witnesses)
+    gi = make_glue_input(pulled, pieces(pulled.cover))
     glued = glue_with_report(gi, tail_radii=tail_radii)
 
     if radii is None:
@@ -357,8 +356,10 @@ class SeparatedResult:
 
 
 def separated_cover_pipeline(space: FiniteMetricSpace, cover: Cover, L, sigma, R,
-                             epsilon, piece_witnesses=None, tail_radii=None) -> SeparatedResult:
-    """Separated-cover route: enlarge a (k,2L)-separated cover, Bell, glue.
+                             epsilon, pieces=dirac_piece_family,
+                             tail_radii=None) -> SeparatedResult:
+    """Separated-cover route: enlarge a (k,2L)-separated cover, Bell, glue the
+    witnesses ``pieces(enlarged)``.
 
     k is the coloring's family count minus one. Preconditions (separation and
     k^2+1 <= L*sigma) raise; the end inequality (partition variation at R is
@@ -384,9 +385,7 @@ def separated_cover_pipeline(space: FiniteMetricSpace, cover: Cover, L, sigma, R
     if multiplicity(enlarged) > k + 1:
         raise BoundViolationError("enlarged cover multiplicity exceeded k+1")
     partition = bell_partition(enlarged)
-    if piece_witnesses is None:
-        piece_witnesses = dirac_piece_family(enlarged)
-    glued = glue_with_report(make_glue_input(partition, piece_witnesses),
+    glued = glue_with_report(make_glue_input(partition, pieces(enlarged)),
                              tail_radii=tail_radii)
 
     var, pair = partition_variation_profile(partition, [R])[0][1:]

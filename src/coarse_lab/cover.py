@@ -66,25 +66,38 @@ def r_multiplicity(cover: Cover, radius) -> int:
     """Max number of pieces meeting a closed ball of the given radius."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    D = cover.space.D
     counts = np.zeros(len(cover.space), dtype=int)
     for idx in cover.piece_indices():
-        counts += D[:, idx].min(axis=1) <= float(radius)
+        counts += _near(cover.space, idx, radius)
     return int(counts.max())
+
+
+def _near(space: FiniteMetricSpace, idx, radius):
+    """Mask of the points within closed distance ``radius`` of the points ``idx``."""
+    return space.D[:, idx].min(axis=1) <= float(radius)
+
+
+def _neighborhood(space: FiniteMetricSpace, members, radius) -> frozenset:
+    near = _near(space, space.indices(members), radius)
+    return frozenset(space.point_ids[i] for i in np.flatnonzero(near))
 
 
 def _complement_distances(cover: Cover):
     """(pieces, points) array: d(x, complement of piece i) at row i, column x.
 
-    A piece equal to the whole space has an empty complement and gets +inf.
+    A point outside piece i is its own nearest outside point and gets 0.0, so
+    only the piece's own rows are searched. A piece equal to the whole space
+    has an empty complement and gets +inf.
     """
     space = cover.space
-    out = np.full((len(cover.pieces), len(space)), math.inf)
+    out = np.zeros((len(cover.pieces), len(space)))
     for i, idx in enumerate(cover.piece_indices()):
         outside = np.ones(len(space), dtype=bool)
         outside[idx] = False
         if outside.any():
-            out[i] = space.D[:, outside].min(axis=1)
+            out[i, idx] = space.D[np.ix_(idx, outside)].min(axis=1)
+        else:
+            out[i] = math.inf
     return out
 
 
@@ -98,8 +111,13 @@ def _fit_radii(cover: Cover):
 
 def lebesgue_report(cover: Cover):
     """(Lebesgue number on the realized grid, smallest failing radius or None)."""
-    t = float(_fit_radii(cover).min())
-    realized = cover.space.realized_distances()
+    return _lebesgue_from_fit(cover.space, _fit_radii(cover))
+
+
+def _lebesgue_from_fit(space: FiniteMetricSpace, fit):
+    """lebesgue_report from the per-point fit radii of ``_fit_radii``."""
+    t = float(fit.min())
+    realized = space.realized_distances()
     i = bisect_left(realized, t)
     L = realized[i - 1] if i > 0 else 0.0
     failing = realized[i] if i < len(realized) else None
@@ -126,16 +144,24 @@ def set_distance(space: FiniteMetricSpace, U, V) -> float:
 
 def is_l_separated(space: FiniteMetricSpace, piece_family, L) -> bool:
     """Pairwise set distance strictly greater than L within the family."""
-    fam = [frozenset(p) for p in piece_family]
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            if set_distance(space, fam[i], fam[j]) <= float(L):
-                return False
-    return True
+    return _separation(space, [frozenset(p) for p in piece_family]) > float(L)
+
+
+def _separation(space: FiniteMetricSpace, fam) -> float:
+    """Smallest set distance between two members of the family (+inf if < 2)."""
+    return min((set_distance(space, fam[i], fam[j])
+                for i in range(len(fam)) for j in range(i + 1, len(fam))),
+               default=math.inf)
 
 
 def check_kl_separated(cover: Cover, k, L) -> bool:
     """The coloring splits the pieces into <= k+1 families, each L-separated."""
+    return family_separation(cover, k) > float(L)
+
+
+def family_separation(cover: Cover, k) -> float:
+    """Smallest set distance between two pieces of one color (+inf if no color
+    has two pieces); the coloring must use at most k+1 families."""
     if cover.coloring is None:
         raise ValidationError("cover carries no coloring")
     if max(cover.coloring) > int(k):
@@ -143,23 +169,17 @@ def check_kl_separated(cover: Cover, k, L) -> bool:
             "coloring uses %d families, more than k+1=%d"
             % (max(cover.coloring) + 1, int(k) + 1)
         )
-    for c in sorted(set(cover.coloring)):
-        fam = [p for p, col in zip(cover.pieces, cover.coloring) if col == c]
-        if not is_l_separated(cover.space, fam, L):
-            return False
-    return True
+    return min(_separation(cover.space, [p for p, col in zip(cover.pieces, cover.coloring)
+                                         if col == c])
+               for c in sorted(set(cover.coloring)))
 
 
 def enlarge(cover: Cover, L) -> Cover:
     """Replace each piece U by its closed L-neighborhood. Coloring carries over."""
     if L < 0:
         raise ValidationError("enlargement radius must be >= 0")
-    space = cover.space
-    out = []
-    for idx in cover.piece_indices():
-        near = space.D[:, idx].min(axis=1) <= float(L)
-        out.append(frozenset(space.point_ids[i] for i in np.flatnonzero(near)))
-    return Cover(space, out, coloring=cover.coloring)
+    return Cover(cover.space, [_neighborhood(cover.space, p, L) for p in cover.pieces],
+                 coloring=cover.coloring)
 
 
 def piece_diameter(space: FiniteMetricSpace, piece) -> float:
@@ -265,12 +285,6 @@ class DirectLimitResult:
     indices: tuple      # chosen stage numbers, 1-based
     cover: Cover
     truncation_flags: tuple
-
-
-def _neighborhood(space: FiniteMetricSpace, members, radius) -> frozenset:
-    idx = space.indices(members)
-    near = space.D[:, idx].min(axis=1) <= float(radius)
-    return frozenset(space.point_ids[i] for i in np.flatnonzero(near))
 
 
 def direct_limit_cover(chain: ChainOfSubspaces, L) -> DirectLimitResult:

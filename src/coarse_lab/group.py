@@ -14,7 +14,8 @@ import numpy as np
 from .construct import glue_with_report, make_glue_input, subspace_construction
 from .cover import Cover, enlarge, lebesgue_number, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
-from .partition import PartitionOfUnity, bell_partition, partition_variation_with_pair
+from .partition import (PartitionOfUnity, bell_partition, partition_variation_with_pair,
+                        pullback_partition)
 from .report import check_le
 from .space import (FiniteMetricSpace, StepModulus, _pair_sweep, check_coarse_map,
                     space_from_graph)
@@ -387,7 +388,8 @@ class GroupPipelineResult:
 
 
 def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
-                   epsilon=None, provider=None, tail_radii=None) -> GroupPipelineResult:
+                   epsilon=None, provider=dirac_witness,
+                   tail_radii=None) -> GroupPipelineResult:
     """Orbit route: Bell on the cover, pull to the group, glue translated
     stabilizer witnesses over the enlarged-piece preimages.
 
@@ -428,25 +430,10 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
         raise PreconditionError(
             "enlarged cover multiplicity %d exceeds k+1=%d"
             % (multiplicity(enlarged), k + 1))
+    # Bell values are subordinate to the cover, hence to its enlargement
     bell = bell_partition(cover)
-
-    kept = []
-    preimages = []
-    for i, piece in enumerate(enlarged.pieces):
-        pre = tuple(g for g in gsp.point_ids if pi[g] in piece)
-        if pre:
-            kept.append(i)
-            preimages.append(frozenset(pre))
-    group_cover = Cover(gsp, preimages)
-    values = []
-    for i in kept:
-        vals = {}
-        for g in gsp.point_ids:
-            v = bell.value(i, pi[g])
-            if v > 0.0:
-                vals[g] = v
-        values.append(vals)
-    psi = PartitionOfUnity(gsp, group_cover, values)
+    psi, kept = pullback_partition(orbit.cert, PartitionOfUnity(X, enlarged, bell.values))
+    preimages = psi.cover.pieces
 
     reps = []
     radii_T = []
@@ -480,8 +467,6 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     inclusion = check_le("stabilizer_inclusion", max(incl_worst[0], 0.0), threshold,
                          tol=1e-9, witness=incl_worst[1])
 
-    if provider is None:
-        provider = dirac_witness
     base_witness = provider(stab.space)
     if not isinstance(base_witness, Witness) or \
             set(base_witness.space.point_ids) != stab_set:
@@ -511,6 +496,6 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     for res in sub_results:
         checks = checks + res.checks
     return GroupPipelineResult(
-        glue_res.witness, psi, group_cover, tuple(kept), tuple(reps), float(T),
+        glue_res.witness, psi, psi.cover, kept, tuple(reps), float(T),
         float(threshold), stab, epsilon, orbit.lam, k, L, checks, info,
         tuple(flags), tuple(sub_results), glue_res, orbit)

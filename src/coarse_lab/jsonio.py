@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from .errors import ValidationError
 from .group import GroupModel, cyclic_group, free_group_ball, product_of_cyclic, z_ball
 from .cover import Cover
@@ -31,8 +33,15 @@ def _as_jsonable(v):
     return v
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValidationError("%s must be a JSON object, not %s"
+                              % (what, type(value).__name__))
+    return value
+
+
 def _need(obj, key, where):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise ValidationError("%s is missing field %r" % (where, key))
     return obj[key]
 
@@ -66,7 +75,9 @@ def load_cover(obj, space: FiniteMetricSpace) -> Cover:
 
 
 def load_witness(obj, space: FiniteMetricSpace) -> Witness:
-    if "builtin" in obj:
+    """A builtin spec ({"builtin": "dirac" | "uniform_ball", "radius": r})
+    or explicit vectors, on ``space``."""
+    if "builtin" in _object(obj, "witness document"):
         name = obj["builtin"]
         if name == "dirac":
             return dirac_witness(space)
@@ -264,15 +275,9 @@ def _emit(obj, out):
             out.append(": ")
             _emit(obj[k], out)
         out.append("}")
+    elif isinstance(obj, np.integer):
+        out.append(str(int(obj)))
+    elif isinstance(obj, np.floating):
+        out.append(_fmt_float(float(obj)))
     else:
-        try:
-            import numpy as np
-            if isinstance(obj, np.integer):
-                out.append(str(int(obj)))
-                return
-            if isinstance(obj, np.floating):
-                out.append(_fmt_float(float(obj)))
-                return
-        except ImportError:
-            pass
         raise ValidationError("cannot serialize %r" % (type(obj),))

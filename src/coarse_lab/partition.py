@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
+from .cover import (Cover, _complement_distances, _lebesgue_from_fit, lebesgue_report,
+                    multiplicity)
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .report import check_le
 from .space import (CoarseMapCert, _pair_chunks, _pair_sweep, _SparseRows,
@@ -76,12 +77,12 @@ def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
     require_lebesgue=False.
     """
     space = cover.space
-    L, _ = lebesgue_report(cover)
+    mat = _complement_distances(cover)
+    L, _ = _lebesgue_from_fit(space, mat.max(axis=0))
     if require_lebesgue and L <= 0.0:
         raise PreconditionError(
             "cover has Lebesgue number 0; the variation bound is vacuous"
         )
-    mat = _complement_distances(cover)
     mat[np.isinf(mat)] = space.diameter + 1.0
     denom = mat.sum(axis=0)
     floor = L if require_lebesgue else 0.0

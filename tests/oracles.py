@@ -126,6 +126,16 @@ def dense_tail(witness, S) -> float:
     return worst
 
 
+def dense_complement_distances(cover):
+    """Per piece, per stored point: the distance to the nearest point outside
+    the piece, +inf when the piece is the whole space."""
+    space = cover.space
+    return [[min((space.d(x, y) for y in space.point_ids if y not in piece),
+                 default=math.inf)
+             for x in space.point_ids]
+            for piece in cover.pieces]
+
+
 def dense_partition_variation(partition, R) -> float:
     space = partition.space
     n_pieces = len(partition.cover.pieces)

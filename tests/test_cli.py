@@ -8,14 +8,26 @@ import pytest
 
 from coarse_lab import (
     Cover,
+    all_passed,
+    bell_partition,
+    certify_quasi_action,
+    check_coarse_map,
     cycle,
     dumps_deterministic,
+    fibering_pipeline,
+    group_pipeline,
+    load_action_maps,
+    load_cover,
+    load_group,
+    load_map_assignment,
     load_space,
     load_witness,
     partition_to_json,
+    separated_cover_pipeline,
+    uniform_ball_piece_family,
     uniform_ball_witness,
+    variation_profile,
     witness_to_json,
-    bell_partition,
 )
 from coarse_lab.cli import export_profiles, main
 from conftest import SCENARIO_DIR
@@ -196,6 +208,103 @@ class TestRunCommand:
         assert main(["run", scen, "--out", str(out)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["s.json"]
+
+    @pytest.mark.parametrize("inputs, params, message", [
+        ({"pieces": "pieces.json"}, {}, "input 'pieces' must be a JSON object"),
+        ({"space": {"metric": 5}}, {}, "space metric must be a JSON object"),
+        ({}, {"radii": 3}, "parameter 'radii' must be a list of numbers"),
+        ({}, {"R": "x"}, "parameter 'R' must be a number"),
+    ])
+    def test_malformed_field_is_validation_error(self, tmp_path, capsys, inputs, params,
+                                                 message):
+        write_json(tmp_path / "pieces.json", [1, 2])
+        scen = write_json(tmp_path / "s.json", {
+            "name": "m",
+            "pipeline": "glue",
+            "inputs": dict({"space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                            "cover": {"pieces": [[0, 1, 2, 3]]}}, **inputs),
+            "parameters": dict({"R": 1.0, "radii": [1.0]}, **params),
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def as_json(obj):
+    return json.loads(dumps_deterministic(obj))
+
+
+def run_inline(tmp_path, scen):
+    """Run a scenario document through the CLI; (exit code, certificate)."""
+    code = main(["run", write_json(tmp_path / "s.json", scen), "--out", str(tmp_path)])
+    return code, read_certificate(str(tmp_path), scen["name"])
+
+
+def assert_matches_api(code, cert, checks, witness, radii):
+    assert code == (0 if all_passed(checks) else 1)
+    assert cert["checked_inequalities"] == as_json([r.as_dict() for r in checks])
+    assert cert["profiles"]["variation"] == as_json(
+        [[r, v] for r, v in variation_profile(witness, radii)])
+
+
+class TestPipelinesMatchApi:
+    """The CLI's uniform-ball piece and provider specs give the certificate of
+    the matching Python API call."""
+
+    def test_fibering_uniform_ball_pieces(self, tmp_path):
+        with open(os.path.join(SCENARIO_DIR, "fibering_z2ball.json")) as fh:
+            scen = json.load(fh)
+        scen["inputs"]["pieces"] = {"builtin": "uniform_ball", "radius": 1}
+        code, cert = run_inline(tmp_path, scen)
+
+        inputs = scen["inputs"]
+        source = load_space(inputs["space"])
+        target = load_space(inputs["target_space"])
+        cert_map = check_coarse_map(source, target,
+                                    load_map_assignment(inputs["map"], source, target))
+        part = bell_partition(load_cover(inputs["cover"], target))
+        res = fibering_pipeline(cert_map, part, lambda c: uniform_ball_piece_family(c, 1),
+                                radii=[1, 2], tail_radii=[0, 1])
+        assert_matches_api(code, cert, res.checks, res.witness, [1.0, 2.0])
+        assert cert["details"]["kept_pieces"] == list(res.kept_pieces)
+
+    def test_separated_uniform_ball_pieces(self, tmp_path):
+        with open(os.path.join(SCENARIO_DIR, "separated_interval_100.json")) as fh:
+            scen = json.load(fh)
+        scen["inputs"]["pieces"] = {"builtin": "uniform_ball", "radius": 1}
+        scen["parameters"]["radii"] = [1, 3]
+        code, cert = run_inline(tmp_path, scen)
+
+        space = load_space(scen["inputs"]["space"])
+        cover = load_cover(scen["inputs"]["cover"], space)
+        res = separated_cover_pipeline(space, cover, 20, 0.1, 1, 0.6,
+                                       lambda c: uniform_ball_piece_family(c, 1),
+                                       tail_radii=[0, 1])
+        assert_matches_api(code, cert, res.checks, res.witness, [1.0, 3.0])
+        assert cert["info_inequalities"] == as_json([r.as_dict() for r in res.info])
+        assert cert["partition"] == as_json(partition_to_json(res.partition))
+
+    def test_group_uniform_ball_provider(self, tmp_path):
+        with open(os.path.join(SCENARIO_DIR, "group_z60_c12.json")) as fh:
+            scen = json.load(fh)
+        scen["inputs"]["space"] = {"metric": {"type": "cycle", "n": 12}}
+        scen["inputs"]["provider"] = {"builtin": "uniform_ball", "radius": 1}
+        scen["parameters"]["radii"] = [1, 2]
+        code, cert = run_inline(tmp_path, scen)
+
+        inputs = scen["inputs"]
+        grp = load_group(inputs["group"])
+        space = load_space(inputs["space"])
+        action = certify_quasi_action(grp, space,
+                                      load_action_maps(inputs["action"], grp, space))
+        res = group_pipeline(action, 0, load_cover(inputs["cover"], space), 1,
+                             provider=lambda sp: uniform_ball_witness(sp, 1))
+        assert_matches_api(code, cert, list(res.checks) + list(action.checks),
+                           res.witness, [1.0, 2.0])
+        assert cert["partition"] == as_json(partition_to_json(res.partition))
+        assert cert["details"]["kept_pieces"] == list(res.kept_pieces)
+        assert cert["details"]["representatives"] == list(res.reps)
 
 
 class TestDeterminism:

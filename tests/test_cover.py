@@ -1,7 +1,11 @@
 """Cover calculus: multiplicities, Lebesgue numbers, separation, enlargement,
 the block-cover search, and the chain-limit cover."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_lab import (
     ChainOfSubspaces,
@@ -21,8 +25,11 @@ from coarse_lab import (
     r_multiplicity,
     set_distance,
     space_from_graph,
+    space_from_matrix,
     z_interval,
 )
+from coarse_lab.cover import _complement_distances
+from oracles import dense_complement_distances
 
 
 def path_graph(n):
@@ -91,6 +98,37 @@ class TestLebesgue:
         leb, failing = lebesgue_report(cov)
         assert leb == 0.0
         assert failing == 1.0
+
+
+@st.composite
+def _covers(draw):
+    # distances in [1, 2] always satisfy the triangle inequality
+    n = draw(st.integers(min_value=1, max_value=7))
+    D = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            D[a][b] = D[b][a] = draw(st.sampled_from([1.0, 1.25, 1.5, 2.0]))
+    space = space_from_matrix(["p%d" % i for i in range(n)], D)
+    m = draw(st.integers(min_value=1, max_value=4))
+    pieces = [set(draw(st.sets(st.sampled_from(space.point_ids)))) for _ in range(m)]
+    for x in space.point_ids:
+        pieces[draw(st.integers(min_value=0, max_value=m - 1))].add(x)
+    if draw(st.booleans()):
+        pieces.append(set(space.point_ids))
+    return Cover(space, [p for p in pieces if p])
+
+
+class TestComplementDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(_covers())
+    def test_matches_double_loop(self, cover):
+        assert _complement_distances(cover).tolist() == dense_complement_distances(cover)
+
+    def test_whole_space_piece_is_infinite(self):
+        s = path_graph(4)
+        cov = Cover(s, [[0, 1], list(s.point_ids)])
+        assert _complement_distances(cov).tolist() == [
+            [2.0, 1.0, 0.0, 0.0], [math.inf] * 4]
 
 
 class TestSeparation:
