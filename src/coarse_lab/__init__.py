@@ -9,9 +9,9 @@ from .errors import (BoundViolationError, CoarseLabError, DisconnectedGraphError
                      MetricAxiomError, PreconditionError, SearchInconclusiveError,
                      ValidationError)
 from .report import InequalityRecord, all_passed, check_le
-from .space import (CoarseMapCert, FiniteMetricSpace, StepModulus, build_space,
-                    check_coarse_map, cycle, grid, is_c_net, space_from_graph,
-                    space_from_matrix, z2_ball, z_interval)
+from .space import (CoarseMapCert, FiniteMetricSpace, StepModulus, check_coarse_map,
+                    cycle, grid, is_c_net, space_from_graph, space_from_matrix, z2_ball,
+                    z_interval)
 from .cover import (AsdimSearchResult, ChainOfSubspaces, Cover, DirectLimitResult,
                     asdim_cover_search, check_kl_separated, direct_limit_cover,
                     enlarge, has_lebesgue_at_least, is_l_separated, lebesgue_number,
@@ -20,12 +20,11 @@ from .cover import (AsdimSearchResult, ChainOfSubspaces, Cover, DirectLimitResul
 from .partition import (PartitionOfUnity, bell_lipschitz_constant, bell_partition,
                         partition_variation, partition_variation_profile,
                         partition_variation_with_pair, pullback_partition)
-from .witness import (DecayProfile, Witness, WitnessFamily, collapse, dirac_witness,
-                      equi_profiles, tail_profile, transport, uniform_ball_witness,
-                      variation_profile)
+from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profile,
+                      transport, uniform_ball_witness, variation_profile)
 from .construct import (FiberingResult, GlueInput, GlueResult, NetWitnessResult,
                         SeparatedResult, SubspaceWitnessResult, dirac_piece_family,
-                        fibering_pipeline, glue, glue_with_report, make_glue_input,
+                        fibering_pipeline, glue_with_report, make_glue_input,
                         net_construction, separated_cover_pipeline,
                         subspace_construction, uniform_ball_piece_family)
 from .group import (CoarseQuasiAction, GroupModel, GroupPipelineResult,

@@ -19,9 +19,10 @@ from .cover import (ChainOfSubspaces, direct_limit_cover, enlarge, family_separa
                     lebesgue_report, multiplicity, r_multiplicity, set_distance)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
 from .group import certify_quasi_action, group_pipeline
-from .jsonio import (_object, dumps_deterministic, load_action_maps, load_chain_stages,
-                     load_cover, load_group, load_map_assignment, load_space,
-                     load_witness, norm_id, partition_to_json)
+from .jsonio import (_as_jsonable, _is_number, _object, dumps_deterministic,
+                     load_action_maps, load_chain_stages, load_cover, load_group,
+                     load_map_assignment, load_space, load_witness, norm_id,
+                     partition_to_json)
 from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile)
 from .report import InequalityRecord, all_passed, check_le
@@ -56,10 +57,6 @@ def _resolve(scenario, base_dir, key, required=True):
     if isinstance(value, dict):
         return value
     raise ValidationError("input %r must be a path or an inline object" % (key,))
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _check_parameters(params):
@@ -182,7 +179,7 @@ def _run_subspace(scenario, base_dir, params):
     if not members:
         raise ValidationError("subspace pipeline needs a nonempty 'subspace' parameter")
     res = subspace_construction(wit, members, tail_radii=params.get("tail_radii"))
-    details = {"retraction": [[_json_id(s), _json_id(p)]
+    details = {"retraction": [[_as_jsonable(s), _as_jsonable(p)]
                               for s, p in sorted(res.retraction.items(),
                                                  key=lambda kv: space.index(kv[0]))]}
     return _RunOutput(checked=res.checks, info=res.tail_checks,
@@ -282,7 +279,7 @@ def _run_group(scenario, base_dir, params):
         "A": action.A, "B": action.B, "lambda": res.lam,
         "T": res.T, "threshold": res.threshold, "epsilon": res.epsilon,
         "k": res.k, "L": res.L,
-        "representatives": [_json_id(g) for g in res.reps],
+        "representatives": [_as_jsonable(g) for g in res.reps],
         "stabilizer_size": len(res.stabilizer.members),
         "kept_pieces": list(res.kept_pieces),
     }
@@ -290,12 +287,6 @@ def _run_group(scenario, base_dir, params):
                       witness=res.witness, details=details,
                       truncation_flags=res.truncation_flags,
                       partition_json=partition_to_json(res.partition))
-
-
-def _json_id(v):
-    if isinstance(v, tuple):
-        return [_json_id(x) for x in v]
-    return v
 
 
 _PIPELINES = {

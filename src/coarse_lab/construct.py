@@ -18,13 +18,13 @@ import numpy as np
 
 from .cover import Cover, check_kl_separated, enlarge, lebesgue_number, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
-from .partition import (PartitionOfUnity, _mass_rows, bell_partition,
+from .partition import (PartitionOfUnity, _mass_entries, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .report import check_le
 from .space import (CoarseMapCert, FiniteMetricSpace, _pair_chunks, _SparseRows,
                     _worst_pair, is_c_net)
-from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profile,
-                      uniform_ball_witness, variation_profile)
+from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, dirac_witness,
+                      tail_profile, uniform_ball_witness, variation_profile)
 
 _ID_TOL = 1e-9
 
@@ -70,22 +70,18 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     if not members:
         raise ValidationError("subspace must be nonempty")
     sub = ambient.restrict(members)
+    idx = ambient.indices(members)
     # first minimum over the members in stored order: earliest-stored tie-break
-    nearest = np.argmin(ambient.D[:, ambient.indices(members)], axis=1)
+    nearest = np.argmin(ambient.D[:, idx], axis=1)
     retraction = {s: members[i] for s, i in zip(ambient.point_ids, nearest.tolist())}
-    vectors = {}
-    for y in members:
-        vectors[y] = {(s, retraction[s]): c
-                      for (_, s), c in witness.vectors[y].items()}
-    tagged = Witness(sub, vectors)
+    # beta's entry at ambient index s becomes the entry (tag s, point p(s))
+    k, row = _gather(witness._ptr, idx)
+    src = witness.at[k]
+    tagged = Witness._of(sub, row, nearest[src], src, ambient.point_ids, witness.coef[k])
     eta = collapse(tagged)
 
-    norm_dev = 0.0
-    for y in members:
-        norm_dev = max(norm_dev, abs(math.sqrt(
-            sum(c * c for c in tagged.vectors[y].values())) - 1.0))
-    xi_rows, beta_rows, eta_rows = (_SparseRows(w.vectors[y] for y in members)
-                                    for w in (tagged, witness, eta))
+    norm_dev = float(np.abs(_row_norms(len(sub), tagged.row, tagged.coef) - 1.0).max())
+    xi_rows, beta_rows, eta_rows = tagged._kernel(), witness._kernel(idx), eta._kernel()
     match_dev = 0.0
     contraction = 0.0
     for a, b in _pair_chunks(len(members)):
@@ -143,8 +139,11 @@ def net_construction(ambient: FiniteMetricSpace, net_members, witness: Witness,
             "net condition fails: covering radius %r exceeds c=%r" % (covering, c))
     nearest = np.argmin(ambient.D[:, idx], axis=1)
     q = {x: net_members[i] for x, i in zip(ambient.point_ids, nearest.tolist())}
-    vectors = {x: dict(witness.vectors[q[x]]) for x in ambient.point_ids}
-    out = Witness(ambient, vectors)
+    # xi_x is beta's vector at q(x), its entries moved to ambient indices
+    on = np.array(ambient.indices(witness.space.point_ids))
+    k, row = _gather(witness._ptr, np.array(witness.space.indices(net_members))[nearest])
+    out = Witness._of(ambient, row, on[witness.at[k]], witness.tag[k], witness.tags,
+                      witness.coef[k])
 
     if radii is None:
         radii = _sample_grid(ambient)
@@ -227,29 +226,28 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     """
     partition = glue_input.partition
     space = partition.space
-    cover = partition.cover
-    masses = partition.masses()
-    vectors = {}
-    for x in space.point_ids:
-        vec = {}
-        for i, phi in masses[x].items():
-            root = math.sqrt(phi)
-            for (tag, u), cc in glue_input.pieces[i].vectors[x].items():
-                vec[((i, tag), u)] = root * cc
-        vectors[x] = vec
-    glued = Witness(space, vectors)
-
     n = len(space)
-    glued_rows = _SparseRows(glued.vectors[x] for x in space.point_ids)
-    mass_rows = _mass_rows(partition)
-    # piece_row[i, a]: the row of piece i's vector at point a, or -1 off the piece
-    piece_row = np.full((len(cover.pieces), n), -1, dtype=np.int64)
-    piece_vecs = []
+    # the piece witnesses stacked into one set of entry arrays, with tags
+    # (i, tag); piece_row[i, a] is the stacked row of piece i's vector at
+    # point a, or -1 off the piece
+    piece_row = np.full((len(glue_input.pieces), n), -1, dtype=np.int64)
+    parts, tags, n_rows = [], [], 0
     for i, w in enumerate(glue_input.pieces):
-        piece_row[i, space.indices(w.space.point_ids)] = np.arange(
-            len(piece_vecs), len(piece_vecs) + len(w.space))
-        piece_vecs.extend(w.vectors[x] for x in w.space.point_ids)
-    piece_rows = _SparseRows(piece_vecs)
+        on = np.array(space.indices(w.space.point_ids))
+        piece_row[i, on] = np.arange(n_rows, n_rows + len(on))
+        parts.append((w.row + n_rows, on[w.at], w.tag + len(tags), w.coef))
+        tags.extend((i, t) for t in w.tags)
+        n_rows += len(on)
+    s_row, s_at, s_tag, s_coef = (np.concatenate(v) for v in zip(*parts))
+    piece_rows = _SparseRows(n_rows, s_row, s_tag * n + s_at, s_coef)
+    # xi_x: sqrt(phi_i(x)) times piece i's vector at x, over x's pieces in order
+    m_row, m_piece, m_phi = _mass_entries(partition)
+    k, pos = _gather(np.searchsorted(s_row, np.arange(n_rows + 1)),
+                     piece_row[m_piece, m_row])
+    glued = Witness._of(space, m_row[pos], s_at[k], s_tag[k], tuple(tags),
+                        np.sqrt(m_phi)[pos] * s_coef[k])
+    glued_rows = glued._kernel()
+    mass_rows = _SparseRows(n, m_row, m_piece, m_phi)
 
     def bound_chunks():
         for a, b in _pair_chunks(n):
@@ -291,10 +289,6 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     checks = (variation_rec, tail_rec)
     _require(checks)
     return GlueResult(glued, partition, checks, glued_tail, equi_tail)
-
-
-def glue(glue_input: GlueInput) -> Witness:
-    return glue_with_report(glue_input).witness
 
 
 def dirac_piece_family(cover: Cover):

@@ -49,6 +49,7 @@ class Cover:
         self.space = space
         self.pieces = pieces
         self.coloring = coloring
+        self._complement = None
 
     def piece_indices(self):
         """Stored-order index arrays, one per piece."""
@@ -87,8 +88,10 @@ def _complement_distances(cover: Cover):
 
     A point outside piece i is its own nearest outside point and gets 0.0, so
     only the piece's own rows are searched. A piece equal to the whole space
-    has an empty complement and gets +inf.
+    has an empty complement and gets +inf. Computed once per cover, read-only.
     """
+    if cover._complement is not None:
+        return cover._complement
     space = cover.space
     out = np.zeros((len(cover.pieces), len(space)))
     for i, idx in enumerate(cover.piece_indices()):
@@ -98,6 +101,8 @@ def _complement_distances(cover: Cover):
             out[i, idx] = space.D[np.ix_(idx, outside)].min(axis=1)
         else:
             out[i] = math.inf
+    out.setflags(write=False)
+    cover._complement = out
     return out
 
 
@@ -111,13 +116,8 @@ def _fit_radii(cover: Cover):
 
 def lebesgue_report(cover: Cover):
     """(Lebesgue number on the realized grid, smallest failing radius or None)."""
-    return _lebesgue_from_fit(cover.space, _fit_radii(cover))
-
-
-def _lebesgue_from_fit(space: FiniteMetricSpace, fit):
-    """lebesgue_report from the per-point fit radii of ``_fit_radii``."""
-    t = float(fit.min())
-    realized = space.realized_distances()
+    t = float(_fit_radii(cover).min())
+    realized = cover.space.realized_distances()
     i = bisect_left(realized, t)
     L = realized[i - 1] if i > 0 else 0.0
     failing = realized[i] if i < len(realized) else None

@@ -33,6 +33,10 @@ def _as_jsonable(v):
     return v
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _object(value, what):
     if not isinstance(value, dict):
         raise ValidationError("%s must be a JSON object, not %s"
@@ -89,9 +93,12 @@ def load_witness(obj, space: FiniteMetricSpace) -> Witness:
         x = norm_id(_need(row, "point", "witness vector"))
         vec = {}
         for e in _need(row, "entries", "witness vector"):
+            c = _need(e, "c", "witness entry")
+            if not _is_number(c):
+                raise ValidationError("witness entry coefficient must be a number, not %r"
+                                      % (c,))
             tag = norm_id(e["tag"]) if "tag" in e else None
-            vec[(tag, norm_id(_need(e, "at", "witness entry")))] = float(
-                _need(e, "c", "witness entry"))
+            vec[(tag, norm_id(_need(e, "at", "witness entry")))] = float(c)
         vectors[x] = vec
     return Witness(space, vectors)
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cover import (Cover, _complement_distances, _lebesgue_from_fit, lebesgue_report,
-                    multiplicity)
+from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .report import check_le
 from .space import (CoarseMapCert, _pair_chunks, _pair_sweep, _SparseRows,
@@ -78,12 +77,12 @@ def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
     """
     space = cover.space
     mat = _complement_distances(cover)
-    L, _ = _lebesgue_from_fit(space, mat.max(axis=0))
+    L = lebesgue_report(cover)[0]
     if require_lebesgue and L <= 0.0:
         raise PreconditionError(
             "cover has Lebesgue number 0; the variation bound is vacuous"
         )
-    mat[np.isinf(mat)] = space.diameter + 1.0
+    mat = np.where(np.isinf(mat), space.diameter + 1.0, mat)
     denom = mat.sum(axis=0)
     floor = L if require_lebesgue else 0.0
     if denom.min() < max(floor, 0.0) - 1e-12 or denom.min() <= 0.0:
@@ -141,10 +140,20 @@ def partition_variation_profile(partition: PartitionOfUnity, radii):
     return _pair_sweep(partition.space, radii, _mass_rows(partition).l1_dist)
 
 
+def _mass_entries(partition: PartitionOfUnity):
+    """(point index, piece, value) arrays of the positive values, by point and
+    then by piece, as in ``masses``."""
+    values = partition.values
+    row = np.array([partition.space.index(x) for vals in values for x in vals], dtype=np.int64)
+    order = np.argsort(row, kind="stable")
+    piece = np.repeat(np.arange(len(values)), [len(v) for v in values])
+    phi = np.array([v for vals in values for v in vals.values()])
+    return row[order], piece[order], phi[order]
+
+
 def _mass_rows(partition: PartitionOfUnity):
-    """The masses {piece: phi_piece(x)} per point, in stored point order."""
-    masses = partition.masses()
-    return _SparseRows(masses[x] for x in partition.space.point_ids)
+    """The masses {piece: phi_piece(x)} per point, as pair-kernel rows."""
+    return _SparseRows(len(partition.space), *_mass_entries(partition))
 
 
 def _bell_lipschitz_check(partition: PartitionOfUnity, C):

@@ -160,12 +160,6 @@ class FiniteMetricSpace:
         """The given points listed in stored order."""
         return sorted(points, key=self.index)
 
-    def dist_to_set(self, x, members) -> float:
-        idx = self.indices(members)
-        if not idx:
-            raise ValidationError("dist_to_set needs a nonempty point set")
-        return float(self.D[self.index(x), idx].min())
-
     def nearest_point(self, x, members):
         """Closest member to x; ties break to the earliest stored point."""
         members = self.sorted_ids(members)
@@ -240,25 +234,6 @@ class CoarseMapCert:
 
     def __call__(self, x):
         return self.assignment[x]
-
-
-def build_space(points, table_or_edges, structure=None) -> FiniteMetricSpace:
-    """Build from either a full distance table or a graph edge list."""
-    points = list(points)
-    rows = list(table_or_edges)
-    n = len(points)
-    looks_like_matrix = (
-        len(rows) == n
-        and all(isinstance(r, (list, tuple, np.ndarray)) and len(r) == n for r in rows)
-        and all(_is_number(rows[i][i]) and float(rows[i][i]) == 0.0 for i in range(n))
-    )
-    if looks_like_matrix:
-        return space_from_matrix(points, rows, structure=structure)
-    return space_from_graph(points, rows, structure=structure)
-
-
-def _is_number(v):
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 def space_from_matrix(points, matrix, structure=None) -> FiniteMetricSpace:
@@ -405,9 +380,11 @@ def _fold(terms, start):
 
 
 class _SparseRows:
-    """Sparse rows {entry: coefficient} as padded (entry id, coefficient) arrays.
+    """Sparse rows as padded (entry id, coefficient) arrays.
 
-    Slots keep dict insertion order, so the pair distances replay the scalar
+    Built from flat entry arrays: entry k is in row ``row[k]`` (ascending)
+    with integer key ``key[k]`` and coefficient ``coef[k]``. Slots keep the
+    entry order within each row, so the pair distances replay the scalar
     left-to-right sums bit for bit: one numpy add per slot across all pairs
     (``np.sum`` would reorder them), and squares by ``np.float_power``, which
     calls the same libm ``pow`` as CPython's ``**`` (``d * d`` and
@@ -417,15 +394,11 @@ class _SparseRows:
     least as many pairs.
     """
 
-    def __init__(self, rows):
-        rows = list(rows)
-        n = len(rows)
-        lens = np.array([len(r) for r in rows], dtype=np.int64)
-        intern = {}
-        keys = np.array([intern.setdefault(k, len(intern)) for r in rows for k in r],
-                        dtype=np.int64)
-        coefs = np.array([c for r in rows for c in r.values()], dtype=np.float64)
-        row = np.repeat(np.arange(n, dtype=np.int64), lens)
+    def __init__(self, n, row, key, coef):
+        row = np.asarray(row, dtype=np.int64)
+        coefs = np.asarray(coef, dtype=np.float64)
+        uniq, keys = np.unique(np.asarray(key, dtype=np.int64), return_inverse=True)
+        lens = np.bincount(row, minlength=n)
         slot = np.arange(len(keys)) - np.repeat(np.cumsum(lens) - lens, lens)
         self.width = int(lens.max(initial=0))
         self.ids = np.full((n, self.width), -1, dtype=np.int64)
@@ -434,7 +407,7 @@ class _SparseRows:
         self.coef[row, slot] = coefs
         # entry lookup: sorted codes row * K + entry id with their coefficients,
         # closed by a sentinel code above every query
-        self._n_keys = max(len(intern), 1)
+        self._n_keys = max(len(uniq), 1)
         codes = row * self._n_keys + keys
         order = np.argsort(codes)
         self._codes = np.append(codes[order], n * self._n_keys)

@@ -140,6 +140,46 @@ class TestRunCommand:
         assert "NaN" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "nanr.certificate.json")
 
+    @pytest.mark.parametrize("entry, message", [
+        (5, "witness entry must be a JSON object"),
+        ({"at": 4, "c": "x"}, "witness entry coefficient must be a number"),
+    ])
+    def test_malformed_witness_entry_is_validation_error(self, tmp_path, capsys, entry,
+                                                         message):
+        vectors = [{"point": p, "entries": [{"at": p, "c": 1.0}]} for p in range(11)]
+        vectors[4]["entries"] = [entry]
+        scen = write_json(tmp_path / "w.json", {
+            "name": "w",
+            "pipeline": "subspace",
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 10}},
+                "witness": {"vectors": vectors},
+            },
+            "parameters": {"subspace": [0, 2, 4, 6, 8, 10]},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", [{"S0": -1.0}, {"tail_radii": [0.0, -1.0]}])
+    def test_negative_tail_radius_is_validation_error(self, tmp_path, capsys, params):
+        scen = write_json(tmp_path / "t.json", {
+            "name": "t",
+            "pipeline": "glue",
+            "inputs": {
+                "space": {"metric": {"type": "cycle", "n": 12}},
+                "cover": {"pieces": [[0, 1, 2, 3, 4, 5], [4, 5, 6, 7, 8, 9],
+                                     [8, 9, 10, 11, 0, 1]]},
+                "pieces": {"builtin": "uniform_ball", "radius": 1},
+            },
+            "parameters": dict({"radii": [1.0]}, **params),
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert "tail radii must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_group_epsilon_too_small_is_precondition_error(self, tmp_path, capsys):
         src = os.path.join(SCENARIO_DIR, "group_z60_c12.json")
         with open(src) as fh:

@@ -20,7 +20,6 @@ from coarse_lab import (
     dirac_piece_family,
     dirac_witness,
     fibering_pipeline,
-    glue,
     glue_with_report,
     grid,
     make_glue_input,
@@ -208,13 +207,6 @@ class TestGlue:
         shrunk = space_from_graph([0, 2], [(0, 2)])  # d(0,2)=1, restriction has 2
         with pytest.raises(ValidationError):
             GlueInput(part, (dirac_witness(shrunk), dirac_witness(s)))
-
-    def test_glue_shorthand_returns_witness(self):
-        s = z_interval(0, 3)
-        cover = Cover(s, (frozenset(s.point_ids),))
-        part = bell_partition(cover, require_lebesgue=False)
-        w = glue(make_glue_input(part, dirac_piece_family(cover)))
-        assert isinstance(w, Witness) and w.tagged
 
 
 def cycle_space(n):

@@ -12,7 +12,6 @@ from coarse_lab import (
     DisconnectedGraphError,
     MetricAxiomError,
     ValidationError,
-    build_space,
     check_coarse_map,
     cycle,
     grid,
@@ -67,12 +66,6 @@ class TestBuildSpace:
         with pytest.raises(DisconnectedGraphError):
             space_from_graph([0, 1, 2, 3], [(0, 1), (2, 3)])
 
-    def test_build_space_dispatches_on_payload(self):
-        from_table = build_space([0, 1], [[0.0, 2.0], [2.0, 0.0]])
-        from_edges = build_space([0, 1], [(0, 1)])
-        assert from_table.d(0, 1) == 2.0
-        assert from_edges.d(0, 1) == 1.0
-
 
 class TestBalls:
     def test_interior_ball(self):
@@ -98,7 +91,6 @@ class TestNearestPoint:
     def test_plain_nearest(self):
         p5 = path_graph(5)
         assert p5.nearest_point(1, [0, 4]) == 0
-        assert p5.dist_to_set(1, [0, 4]) == 1.0
 
     def test_tie_breaks_to_earliest_stored(self):
         assert path_graph(5).nearest_point(2, [0, 4]) == 0
@@ -106,7 +98,6 @@ class TestNearestPoint:
     def test_member_maps_to_itself(self):
         p5 = path_graph(5)
         assert p5.nearest_point(4, [0, 4]) == 4
-        assert p5.dist_to_set(4, [0, 4]) == 0.0
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
@@ -293,6 +284,16 @@ _COEFS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
                        lambda seed: float(np.random.default_rng(seed).uniform(-2.0, 2.0))))
 
 
+def _flat(rows):
+    """Dict rows as the kernel's (n, row, key, coef) entry arrays, keys interned."""
+    intern = {}
+    row = [r for r, vec in enumerate(rows) for _ in vec]
+    key = [intern.setdefault(k, len(intern)) for vec in rows for k in vec]
+    coef = [c for vec in rows for c in vec.values()]
+    return (len(rows), np.array(row, dtype=np.int64), np.array(key, dtype=np.int64),
+            np.array(coef, dtype=np.float64))
+
+
 @st.composite
 def _sparse_rows(draw):
     pool = draw(st.lists(_KEYS, min_size=1, max_size=30, unique=True))
@@ -324,9 +325,9 @@ class TestSparseRows:
                  else [(a, b)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(space_module, "_SLOT_BUDGET", slot_budget)
-            kernel = _SparseRows(rows)
+            kernel = _SparseRows(*_flat(rows))
             sq = [v for ca, cb in calls for v in kernel.sq_dist(ca, cb).tolist()]
-            kernel = _SparseRows(rows)
+            kernel = _SparseRows(*_flat(rows))
             l1 = [v for ca, cb in calls for v in kernel.l1_dist(ca, cb).tolist()]
         pairs = list(zip(a.tolist(), b.tolist()))
         assert sq == [sparse_diff_norm_sq(rows[i], rows[j]) for i, j in pairs]
@@ -341,7 +342,7 @@ class TestSparseRows:
         # last bit; row len(odd) shares each entry, row len(odd) + 1 none
         rows = [{i: d} for i, d in enumerate(odd)]
         rows += [dict.fromkeys(range(len(odd)), 0.0), {"other": 0.0}]
-        kernel = _SparseRows(rows)
+        kernel = _SparseRows(*_flat(rows))
         a = np.arange(len(odd))
         for b in (len(odd), len(odd) + 1):
             assert kernel.sq_dist(a, np.full_like(a, b)).tolist() == [

@@ -2,6 +2,7 @@
 and isometric transport, cross-checked against the dense oracles."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from coarse_lab import (
     DecayProfile,
     ValidationError,
     Witness,
-    WitnessFamily,
     collapse,
     cycle,
     cyclic_group,
     dirac_witness,
-    equi_profiles,
     space_from_graph,
     tail_profile,
     transport,
@@ -141,38 +140,19 @@ class TestTailProfile:
         w = random_witness(s, rng)
         assert tail_profile(w, [s.diameter]).value_at(s.diameter) == 0.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([cycle(9), z_interval(0, 7)]), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 7))
+    def test_matches_scalar_loop_bit_for_bit(self, s, seed, entries):
+        w = random_witness(s, np.random.default_rng(seed), entries=entries)
+        radii = [0.0, 0.5, 1.0, 2.0, 3.0, 9.0]
+        assert tail_profile(w, radii).samples == scalar_tail(w, radii)
+
     def test_decay_profile_validation(self):
         with pytest.raises(ValidationError):
             DecayProfile(((0.0, 0.2), (1.0, 0.5)))
         with pytest.raises(ValidationError):
             DecayProfile(((0.0, 1.5),))
-
-
-class TestEquiProfiles:
-    def test_single_member_family(self):
-        s = z_interval(0, 6)
-        w = uniform_ball_witness(s, 1)
-        fam = WitnessFamily((w,))
-        var, tail = equi_profiles(fam, [1.0], [0.0, 1.0])
-        assert var == variation_profile(w, [1.0])
-        assert tail.samples == tail_profile(w, [0.0, 1.0]).samples
-
-    def test_dirac_family_tail_zero(self):
-        fam = WitnessFamily(tuple(dirac_witness(cycle(n)) for n in (4, 5, 6)))
-        _, tail = equi_profiles(fam, [1.0], [0.0, 1.0, 2.0])
-        assert all(v == 0.0 for _, v in tail.samples)
-
-    def test_wider_ball_dominates(self):
-        s = z_interval(0, 10)
-        w1 = uniform_ball_witness(s, 1)
-        w2 = uniform_ball_witness(s, 2)
-        _, tail = equi_profiles(WitnessFamily((w1, w2)), [1.0], [0.0, 1.0])
-        t2 = tail_profile(w2, [0.0, 1.0])
-        assert tail.samples == t2.samples
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValidationError):
-            equi_profiles(WitnessFamily(()), [1.0], [0.0])
 
 
 class TestCollapse:
@@ -216,6 +196,26 @@ class TestCollapse:
         for S in (0.0, 1.0, 2.0, 4.0):
             assert tail_profile(c, [S]).value_at(S) == pytest.approx(
                 tail_profile(w, [S]).value_at(S), abs=1e-12)
+
+
+def scalar_tail(witness, radii):
+    """The per-point tail loop: each vector's (distance, mass) items sorted,
+    suffix sums of the masses from the far end, one bisect per radius."""
+    space = witness.space
+    per_point = []
+    for x in space.point_ids:
+        items = sorted((space.d(x, p), c * c) for (_, p), c in witness.vectors[x].items())
+        suffix = np.cumsum([m for _, m in items][::-1])[::-1]
+        per_point.append(([d for d, _ in items], suffix))
+    out = []
+    for s in sorted(radii):
+        worst = 0.0
+        for ds, suffix in per_point:
+            pos = bisect_right(ds, s + 1e-12)
+            if pos < len(ds):
+                worst = max(worst, float(suffix[pos]))
+        out.append((s, worst))
+    return tuple(out)
 
 
 def dense_variation_pair(witness, x, y):
