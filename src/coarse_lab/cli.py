@@ -19,7 +19,7 @@ from .cover import (ChainOfSubspaces, direct_limit_cover, enlarge, family_separa
                     lebesgue_report, multiplicity, r_multiplicity, set_distance)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
 from .group import certify_quasi_action, group_pipeline
-from .jsonio import (_as_jsonable, _is_number, _object, dumps_deterministic,
+from .jsonio import (_as_jsonable, _is_number, _need, _object, dumps_deterministic,
                      load_action_maps, load_chain_stages, load_cover, load_group,
                      load_map_assignment, load_space, load_witness, norm_id,
                      partition_to_json)
@@ -95,7 +95,8 @@ def _piece_family(scenario, base_dir):
                 raise ValidationError("piece %d: explicit piece witnesses need vectors" % i)
             # restrict to the points the document mentions; the glue input
             # validation then reports any mismatch against the actual piece
-            pts = [norm_id(row.get("point")) for row in doc["vectors"]]
+            pts = [norm_id(_need(row, "point", "witness vector"))
+                   for row in _need(doc, "vectors", "witness document", list)]
             family[i] = load_witness(doc, cover.space.restrict(pts))
         return family
     return listed

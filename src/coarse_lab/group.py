@@ -13,12 +13,13 @@ import numpy as np
 
 from .construct import glue_with_report, make_glue_input, subspace_construction
 from .cover import Cover, enlarge, lebesgue_number, multiplicity
-from .errors import BoundViolationError, PreconditionError, ValidationError
+from .errors import (BoundViolationError, DisconnectedGraphError, PreconditionError,
+                     ValidationError)
 from .partition import (PartitionOfUnity, bell_partition, partition_variation_with_pair,
                         pullback_partition)
 from .report import check_le
-from .space import (FiniteMetricSpace, StepModulus, _pair_sweep, check_coarse_map,
-                    space_from_graph)
+from .space import (_SLOT_BUDGET, FiniteMetricSpace, StepModulus, _bfs, _pair_sweep,
+                    check_coarse_map, space_from_graph)
 from .witness import Witness, dirac_witness, transport, variation_profile
 
 
@@ -27,8 +28,10 @@ class GroupModel:
 
     ``mult`` is the (n, n) int32 product table over element indices in
     stored order: ``mult[i, j]`` is the index of elements[i] * elements[j],
-    or -1 where a truncated ball does not store the product. Inverses are
-    read off the table, so every stored element needs exactly one.
+    or -1 where a truncated ball does not store the product; a finite group
+    stores every product. The identity's row and column are the identity
+    permutation. Inverses are read off the table, so every stored element
+    needs exactly one.
     """
 
     def __init__(self, elements, generators, mult, identity,
@@ -52,7 +55,12 @@ class GroupModel:
             raise ValidationError("product table must be (%d, %d) with entries in -1..%d"
                                   % (n, n, n - 1))
         mult = mult.astype(np.int32)
-        is_identity = mult == ix[identity]
+        e = ix[identity]
+        if (mult[e] != np.arange(n)).any() or (mult[:, e] != np.arange(n)).any():
+            raise ValidationError("%r is not a two-sided identity of the table" % (identity,))
+        if truncation_radius is None and (mult < 0).any():
+            raise ValidationError("a finite group needs every product stored")
+        is_identity = mult == e
         lonely = np.flatnonzero(is_identity.sum(axis=1) != 1)
         if lonely.size:
             raise ValidationError("element %r has no unique stored inverse"
@@ -67,6 +75,7 @@ class GroupModel:
         self.mult = mult
         self.identity = identity
         self.inverse = {g: elements[j] for g, j in zip(elements, inverse.tolist())}
+        self._inverse_ix = inverse
         self.truncation_radius = truncation_radius
         self.name = name
         self._ix = ix
@@ -172,32 +181,42 @@ def free_group_ball(rank, radius) -> GroupModel:
                       name="F_%d|%d" % (rank, N))
 
 
-_LEFT_INVARIANCE_LIMIT = 200
-
-
 def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
-    """BFS metric of the Cayley graph on the stored elements.
+    """Metric of the Cayley graph on the stored elements.
 
-    On a truncated ball, paths are forced to stay inside the ball, so the
-    values are upper bounds for the true word metric; the structure tag
-    records the truncation radius. Finite groups get an exhaustive
-    left-invariance assertion (up to 200 elements).
+    A finite group gets one BFS from the identity over the generator columns
+    and the gather d(g, h) = |g^-1 h|. Light's test, (x s) y = x (s y) for
+    every generator s, makes the table associative, since the generators
+    generate it; a table that fails it is rejected. On a truncated ball,
+    paths are forced to stay inside the ball, so the values are upper bounds
+    for the true word metric; the structure tag records the truncation radius.
     """
     if model._word_space is not None:
         return model._word_space
     gen_cols = model.mult[:, [model.index(s) for s in model.generators]]
-    rows, cols = np.nonzero(gen_cols >= 0)
-    edges = [(model.elements[a], model.elements[b])
-             for a, b in zip(rows.tolist(), gen_cols[rows, cols].tolist())]
-    space = space_from_graph(model.elements, edges,
-                             structure=("group", model.name, model.truncation_radius))
-    if model.is_finite_group and len(model) <= _LEFT_INVARIANCE_LIMIT:
-        for g, perm in zip(model.elements, model.mult):
-            if not np.array_equal(space.D[np.ix_(perm, perm)], space.D):
-                raise ValidationError(
-                    "word metric is not left-invariant at %r" % (g,))
-    model._word_space = space
-    return space
+    structure = ("group", model.name, model.truncation_radius)
+    if not model.is_finite_group:
+        rows, cols = np.nonzero(gen_cols >= 0)
+        edges = [(model.elements[a], model.elements[b])
+                 for a, b in zip(rows.tolist(), gen_cols[rows, cols].tolist())]
+        model._word_space = space_from_graph(model.elements, edges, structure=structure)
+        return model._word_space
+    dist = _bfs(gen_cols.tolist(), model.index(model.identity))
+    if -1 in dist:
+        raise DisconnectedGraphError("word metric undefined: the generators do not reach %r"
+                                     % (model.elements[dist.index(-1)],))
+    mult = model.mult
+    for s in model.generators:
+        j = model.index(s)
+        bad = mult[mult[:, j]] != mult.take(mult[j], axis=1)
+        if bad.any():
+            x, y = (model.elements[int(v)] for v in np.argwhere(bad)[0])
+            raise ValidationError("product table is not associative: (x*s)*y != x*(s*y) "
+                                  "at (x, s, y) = %r" % ((x, s, y),))
+    d0 = np.array(dist, dtype=np.float64)
+    model._word_space = FiniteMetricSpace(model.elements, d0[mult[model._inverse_ix]],
+                                          structure=structure, validate=False)
+    return model._word_space
 
 
 @dataclass(frozen=True)
@@ -242,8 +261,12 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
     img = np.array([space.indices([maps[g][x] for x in space.point_ids])
                     for g in group.elements])
 
+    # cls[i] is the class of the i-th element's map among the distinct rows,
+    # flattened since numpy versions differ in the shape of the inverse
+    distinct, cls = np.unique(img, axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
     image_dist = np.zeros_like(space.D)
-    for gi in img:
+    for gi in distinct:
         np.maximum(image_dist, space.D[np.ix_(gi, gi)], out=image_dist)
     if sampled_radii is None:
         sampled_radii = space.realized_distances()
@@ -256,20 +279,27 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
     A = float(a_vals.max())
     A_witness = space.point_ids[int(a_vals.argmax())]
 
-    # B row by row of the table: d(f_g f_h x, f_gh x) over the stored h
+    # d(f_g f_h x, f_gh x) depends on the maps of g, h and gh only: each
+    # distinct (class g, class h, class gh) is evaluated at its first stored
+    # (g, h) in row-major order, so the first maximal (g, h, x) wins
+    K = len(distinct)
+    mult = group.mult
+    code = np.where(mult >= 0, (cls[:, None] * K + cls[None, :]) * K + cls[mult], -1)
+    codes, first = np.unique(code, return_index=True)
+    pos = np.sort(first[codes >= 0])
     B = 0.0
     B_witness = None
-    for i, row in enumerate(group.mult):
-        js = np.flatnonzero(row >= 0)
-        vals = space.D[img[i][img[js]], img[row[js]]]
+    step = max(1, _SLOT_BUDGET // n)
+    for lo in range(0, len(pos), step):
+        g, h = np.divmod(pos[lo:lo + step], len(group))
+        vals = space.D[np.take_along_axis(img[g], img[h], axis=1), img[mult[g, h]]]
         flat = int(vals.argmax())
         if vals.flat[flat] > B:
             B = float(vals.flat[flat])
-            B_witness = (group.elements[i], group.elements[js[flat // n]],
-                         space.point_ids[flat % n])
+            t, x = divmod(flat, n)
+            B_witness = (group.elements[g[t]], group.elements[h[t]], space.point_ids[x])
 
-    inverse = np.array([group.index(group.inverse[g]) for g in group.elements])
-    comp = np.take_along_axis(img, img[inverse], axis=1)
+    comp = np.take_along_axis(img, img[group._inverse_ix], axis=1)
     vals = space.D[comp, np.arange(n)]
     inv_worst = float(vals.max())
     inv_at = None

@@ -44,10 +44,25 @@ def _object(value, what):
     return value
 
 
-def _need(obj, key, where):
+_KINDS = {int: "an integer", float: "a number", list: "a JSON list"}
+
+
+def _check(value, kind, what):
+    """value, if it is of the kind (int, float for any number, or list);
+    booleans are not numbers."""
+    ok = {int: isinstance(value, int) and not isinstance(value, bool),
+          float: _is_number(value), list: isinstance(value, list)}[kind]
+    if not ok:
+        raise ValidationError("%s must be %s, not %r" % (what, _KINDS[kind], value))
+    return value
+
+
+def _need(obj, key, where, kind=None):
     if key not in _object(obj, where):
         raise ValidationError("%s is missing field %r" % (where, key))
-    return obj[key]
+    if kind is None:
+        return obj[key]
+    return _check(obj[key], kind, "%s field %r" % (where, key))
 
 
 def load_space(obj) -> FiniteMetricSpace:
@@ -86,13 +101,14 @@ def load_witness(obj, space: FiniteMetricSpace) -> Witness:
         if name == "dirac":
             return dirac_witness(space)
         if name == "uniform_ball":
-            return uniform_ball_witness(space, _need(obj, "radius", "uniform_ball witness"))
+            return uniform_ball_witness(space, _need(obj, "radius", "uniform_ball witness",
+                                                     float))
         raise ValidationError("unknown builtin witness %r" % (name,))
     vectors = {}
-    for row in _need(obj, "vectors", "witness document"):
+    for row in _need(obj, "vectors", "witness document", list):
         x = norm_id(_need(row, "point", "witness vector"))
         vec = {}
-        for e in _need(row, "entries", "witness vector"):
+        for e in _need(row, "entries", "witness vector", list):
             c = _need(e, "c", "witness entry")
             if not _is_number(c):
                 raise ValidationError("witness entry coefficient must be a number, not %r"
@@ -129,16 +145,17 @@ def partition_to_json(partition) -> dict:
 def load_group(obj) -> GroupModel:
     kind = _need(obj, "type", "group document")
     if kind == "cyclic":
-        return cyclic_group(_need(obj, "n", "cyclic group"))
+        return cyclic_group(_need(obj, "n", "cyclic group", int))
     if kind == "product":
-        return product_of_cyclic(_need(obj, "factors", "product group"))
+        return product_of_cyclic([_check(m, int, "product group factor")
+                                  for m in _need(obj, "factors", "product group", list)])
     if kind == "ball":
         family = obj.get("group", "z")
         if family == "z":
-            return z_ball(_need(obj, "radius", "group ball"))
+            return z_ball(_need(obj, "radius", "group ball", int))
         if family == "free":
-            return free_group_ball(_need(obj, "rank", "free group ball"),
-                                   _need(obj, "radius", "group ball"))
+            return free_group_ball(_need(obj, "rank", "free group ball", int),
+                                   _need(obj, "radius", "group ball", int))
         raise ValidationError("unknown ball family %r" % (family,))
     raise ValidationError("unknown group type %r" % (kind,))
 
@@ -186,10 +203,8 @@ def load_action_maps(obj, group: GroupModel, space: FiniteMetricSpace):
     if kind == "isometric_hom":
         return _rule_maps(_need(obj, "rule", "action document"), group, space)
     if kind == "perturbed":
-        ga = int(_need(obj, "ga", "perturbed action"))
-        xa = int(_need(obj, "xa", "perturbed action"))
-        mod = int(_need(obj, "mod", "perturbed action"))
-        shift = int(_need(obj, "shift", "perturbed action"))
+        ga, xa, mod, shift = (_need(obj, key, "perturbed action", int)
+                              for key in ("ga", "xa", "mod", "shift"))
         if mod < 1:
             raise ValidationError("perturbation modulus must be >= 1")
 
@@ -199,10 +214,14 @@ def load_action_maps(obj, group: GroupModel, space: FiniteMetricSpace):
         return _rule_maps(_need(obj, "base", "perturbed action"), group, space, perturb)
     if kind == "table":
         maps = {}
-        for row in _need(obj, "maps", "table action"):
+        for row in _need(obj, "maps", "table action", list):
             g = norm_id(_need(row, "g", "table action row"))
-            maps[g] = {norm_id(a): norm_id(b)
-                       for a, b in _need(row, "map", "table action row")}
+            pairs = _need(row, "map", "table action row", list)
+            for pair in pairs:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ValidationError("table action map entries must be [point, image] "
+                                          "pairs, not %r" % (pair,))
+            maps[g] = {norm_id(a): norm_id(b) for a, b in pairs}
         return maps
     raise ValidationError("unknown action type %r" % (kind,))
 

@@ -176,8 +176,9 @@ class FiniteMetricSpace:
 
     def restrict(self, members) -> "FiniteMetricSpace":
         """Subspace with the restricted metric, in stored point order."""
-        keep = [p for p in self.point_ids if p in frozenset(members)]
-        if len(keep) != len(frozenset(members)):
+        members = frozenset(members)
+        keep = [p for p in self.point_ids if p in members]
+        if len(keep) != len(members):
             raise ValidationError("restrict: some members are not points of the space")
         idx = self.indices(keep)
         sub = self.D[np.ix_(idx, idx)]
@@ -240,6 +241,19 @@ def space_from_matrix(points, matrix, structure=None) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, matrix, structure=structure)
 
 
+def _bfs(adj, source):
+    """Hop counts from ``source`` over adjacency lists, -1 where unreached."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the loop also visits what it appends: FIFO order
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def space_from_graph(points, edges, structure=None) -> FiniteMetricSpace:
     """Shortest-path metric of an undirected unit-length graph. Exact integers."""
     ids = list(points)
@@ -257,15 +271,7 @@ def space_from_graph(points, edges, structure=None) -> FiniteMetricSpace:
         adj[ib].append(ia)
     D = np.empty((n, n))
     for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:  # the loop also visits what it appends: FIFO order
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        D[s] = dist
+        D[s] = _bfs(adj, s)
     if (D < 0).any():
         s, t = (int(v) for v in np.argwhere(D < 0)[0])
         raise DisconnectedGraphError(

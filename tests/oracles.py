@@ -172,6 +172,31 @@ def dense_product_table(elements, op) -> dict:
     return table
 
 
+def dense_word_metric(elements, generators, op) -> list:
+    """Rows of Cayley-graph distances over the stored elements, one BFS per
+    source: g and g * s are adjacent for every generator s whose product is
+    stored. ``op`` computes products from the elements themselves."""
+    stored = set(elements)
+    adj = {g: set() for g in elements}
+    for g in elements:
+        for s in generators:
+            h = op(g, s)
+            if h in stored and h != g:
+                adj[g].add(h)
+                adj[h].add(g)
+    rows = []
+    for source in elements:
+        dist = {source: 0}
+        queue = [source]
+        for u in queue:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append([float(dist[g]) for g in elements])
+    return rows
+
+
 def free_reduce(word: str) -> str:
     """Cancel adjacent inverse letters (x next to X) until none are left."""
     while True:

@@ -162,6 +162,60 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("witness, message", [
+        ({"vectors": 5}, "witness document field 'vectors' must be a JSON list"),
+        ({"vectors": [{"point": 0, "entries": 5}]},
+         "witness vector field 'entries' must be a JSON list"),
+        ({"builtin": "uniform_ball", "radius": "x"},
+         "uniform_ball witness field 'radius' must be a number"),
+        ({"builtin": "uniform_ball", "radius": True},
+         "uniform_ball witness field 'radius' must be a number"),
+    ])
+    def test_malformed_witness_document_is_validation_error(self, tmp_path, capsys, witness,
+                                                            message):
+        scen = write_json(tmp_path / "w.json", {
+            "name": "w",
+            "pipeline": "subspace",
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 10}},
+                "witness": witness,
+            },
+            "parameters": {"subspace": [0, 2, 4, 6, 8, 10]},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, doc, message", [
+        ("group", {"type": "cyclic", "n": "x"}, "cyclic group field 'n' must be an integer"),
+        ("group", {"type": "cyclic", "n": 2.5}, "cyclic group field 'n' must be an integer"),
+        ("group", {"type": "product", "factors": 5},
+         "product group field 'factors' must be a JSON list"),
+        ("group", {"type": "ball", "radius": "x"},
+         "group ball field 'radius' must be an integer"),
+        ("action", {"type": "perturbed", "base": "cyclic_mod", "ga": "x", "xa": 0, "mod": 3,
+                    "shift": 1}, "perturbed action field 'ga' must be an integer"),
+        ("action", {"type": "table", "maps": 5}, "table action field 'maps' must be a JSON list"),
+        ("action", {"type": "table", "maps": [{"g": 0, "map": 5}]},
+         "table action row field 'map' must be a JSON list"),
+        ("provider", {"builtin": "uniform_ball", "radius": "x"},
+         "uniform_ball witness field 'radius' must be a number"),
+        ("provider", {"builtin": "uniform_ball", "radius": True},
+         "uniform_ball witness field 'radius' must be a number"),
+    ])
+    def test_malformed_group_input_is_validation_error(self, tmp_path, capsys, key, doc,
+                                                       message):
+        with open(os.path.join(SCENARIO_DIR, "group_z60_c12.json")) as fh:
+            scen = json.load(fh)
+        scen["inputs"]["space"] = {"metric": {"type": "cycle", "n": 12}}
+        scen["inputs"][key] = doc
+        path = write_json(tmp_path / "g.json", scen)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("params", [{"S0": -1.0}, {"tail_radii": [0.0, -1.0]}])
     def test_negative_tail_radius_is_validation_error(self, tmp_path, capsys, params):
         scen = write_json(tmp_path / "t.json", {
@@ -254,6 +308,9 @@ class TestRunCommand:
         ({"space": {"metric": 5}}, {}, "space metric must be a JSON object"),
         ({}, {"radii": 3}, "parameter 'radii' must be a list of numbers"),
         ({}, {"R": "x"}, "parameter 'R' must be a number"),
+        ({"pieces": {"list": [{"vectors": 5}]}}, {},
+         "witness document field 'vectors' must be a JSON list"),
+        ({"pieces": {"list": [{"vectors": [5]}]}}, {}, "witness vector must be a JSON object"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, inputs, params,
                                                  message):

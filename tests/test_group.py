@@ -1,8 +1,10 @@
 """Group models, word metrics, quasi-action certification, and the orbit
 pipeline, with exhaustively verifiable constants on small examples."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from coarse_lab import (
     BoundViolationError,
     Cover,
+    DisconnectedGraphError,
     PreconditionError,
     ValidationError,
     certify_quasi_action,
@@ -27,7 +30,8 @@ from coarse_lab import (
     z_ball,
     z_interval,
 )
-from oracles import dense_product_table, dense_quasi_action, free_reduce
+from coarse_lab import group as group_module
+from oracles import dense_product_table, dense_quasi_action, dense_word_metric, free_reduce
 
 
 def rotation_maps(n_group, n_cycle):
@@ -64,6 +68,14 @@ class TestGroupModels:
     def test_element_without_stored_inverse_rejected(self):
         with pytest.raises(ValidationError):
             GroupModel([0, 1], (1,), [[0, 1], [1, 1]], 0)
+
+    def test_identity_must_be_two_sided(self):
+        with pytest.raises(ValidationError, match="two-sided identity"):
+            GroupModel([0, 1, 2], (1, 2), [[0, 2, 1], [1, 0, 2], [2, 1, 0]], 0)
+
+    def test_finite_group_table_must_be_total(self):
+        with pytest.raises(ValidationError, match="every product"):
+            GroupModel([0, 1, 2], (1, 2), [[0, 1, 2], [1, 2, 0], [2, 0, -1]], 0)
 
     def test_z_ball_is_truncated(self):
         g = z_ball(5)
@@ -106,6 +118,69 @@ class TestWordMetric:
         assert sp.d("", "a") == 1.0
         assert sp.d("", "ab") == 2.0
         assert sp.d("a", "b") == 2.0
+
+    @pytest.mark.parametrize("case", [
+        ("cyclic", 1), ("cyclic", 2), ("cyclic", 7), ("cyclic", 201), ("cyclic", 360),
+        ("product", [2, 2]), ("product", [3, 4, 5]), ("product", [12, 30]),
+        ("z_ball", 1), ("z_ball", 6), ("free", (1, 3)), ("free", (2, 2)), ("free", (3, 2)),
+    ], ids=lambda case: "%s-%s" % case)
+    def test_matches_dense_bfs(self, case):
+        model, op = _with_op(case)
+        sp = word_metric_space(model)
+        assert sp.point_ids == model.elements
+        assert sp.structure == ("group", model.name, model.truncation_radius)
+        assert sp.D.tolist() == dense_word_metric(model.elements, model.generators, op)
+
+    def test_finite_group_needs_no_graph_bfs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("space_from_graph called on a finite group")
+
+        monkeypatch.setattr(group_module, "space_from_graph", refuse)
+        model, op = _with_op(("cyclic", 360))
+        assert word_metric_space(model).D.tolist() == \
+            dense_word_metric(model.elements, model.generators, op)
+
+    def test_loops_of_order_five(self):
+        # every loop on 0..4 with identity 0, all four other elements generating:
+        # the Cayley graph is complete, so only the associativity test can
+        # tell the six labellings of Z_5 from the other loops
+        counts = {True: 0, False: 0}
+        for table in reduced_latin_squares(5):
+            assoc = all(table[table[x][y]][z] == table[x][table[y][z]]
+                        for x, y, z in itertools.product(range(5), repeat=3))
+            model = GroupModel(range(5), (1, 2, 3, 4), table, 0)
+            if assoc:
+                assert word_metric_space(model).D.tolist() == dense_word_metric(
+                    range(5), (1, 2, 3, 4), lambda a, b: table[a][b])
+            else:
+                with pytest.raises(ValidationError, match="not associative"):
+                    word_metric_space(model)
+            counts[assoc] += 1
+        assert counts == {True: 6, False: 50}
+
+    def test_non_generating_set_is_disconnected(self):
+        a = np.arange(6)
+        model = GroupModel(range(6), (2, 4), (a[:, None] + a) % 6, 0)
+        with pytest.raises(DisconnectedGraphError):
+            word_metric_space(model)
+
+
+def reduced_latin_squares(n):
+    """All n x n Latin squares on 0..n-1 whose first row and column are 0..n-1."""
+    out = []
+
+    def extend(rows):
+        if len(rows) == n:
+            out.append([list(r) for r in rows])
+            return
+        i = len(rows)
+        for rest in itertools.permutations([v for v in range(n) if v != i]):
+            row = (i,) + rest
+            if all(row[c] != r[c] for r in rows for c in range(1, n)):
+                extend(rows + [row])
+
+    extend([tuple(range(n))])
+    return out
 
 
 class TestCertify:
@@ -332,30 +407,55 @@ class TestAgainstOracle:
                 k = int(model.mult[i, j])
                 assert (model.elements[k] if k >= 0 else None) == table.get((a, b))
 
-    @settings(max_examples=60, deadline=None)
-    @given(small_models, st.booleans(), st.integers(min_value=2, max_value=6), st.data())
-    def test_certified_constants(self, case, flip, m, data):
+    @settings(max_examples=90, deadline=None)
+    @given(small_models, st.booleans(), st.integers(min_value=2, max_value=6),
+           st.sampled_from(["noise", "shift", "perturbed"]), st.data())
+    def test_certified_constants(self, case, flip, m, family, data):
         model, op = case
         if flip:
             # generators listed against the stored order: the edge sweep
             # must still visit the table's columns in stored order
             model = GroupModel(model.elements, model.generators[::-1], model.mult,
                                model.identity, model.truncation_radius, model.name)
-        space = cycle(m)
         n = len(model)
-        noise = data.draw(st.lists(st.integers(min_value=-1, max_value=1),
-                                   min_size=n * m, max_size=n * m))
-        maps = {g: {x: (x + i + noise[i * m + x]) % m for x in range(m)}
-                for i, g in enumerate(model.elements)}
-        act = certify_quasi_action(model, space, maps)
-        ref = dense_quasi_action(model.elements, model.generators, model.identity,
-                                 dense_product_table(model.elements, op), space, maps, 0)
-        assert (act.A, act.A_witness) == (ref["A"], ref["A_at"])
-        assert (act.B, act.B_witness) == (ref["B"], ref["B_at"])
-        rec, = act.checks
-        assert (rec.lhs, rec.rhs, rec.witness) == \
-            (ref["inverse_defect"], ref["A"] + ref["B"], ref["inverse_at"])
-        assert act.ell.samples() == ref["ell"]
-        edge, = orbit_map(act, 0).checks
-        assert (edge.lhs, edge.witness) == (ref["edge"], ref["edge_at"])
-        assert edge.rhs == dict(ref["ell"])[ref["lam"]] + ref["B"]
+        if family == "noise":
+            noise = data.draw(st.lists(st.integers(min_value=-1, max_value=1),
+                                       min_size=n * m, max_size=n * m))
+            maps = {g: {x: (x + i + noise[i * m + x]) % m for x in range(m)}
+                    for i, g in enumerate(model.elements)}
+        else:
+            k = data.draw(st.integers(min_value=1, max_value=4))
+            maps = shift_maps(model, m, k, family)
+        assert_constants_match_oracle(model, op, cycle(m), maps)
+
+    @pytest.mark.parametrize("case", [("cyclic", 12), ("product", [2, 3]), ("z_ball", 4),
+                                      ("free", (2, 2))], ids=lambda case: "%s-%s" % case)
+    @pytest.mark.parametrize("family", ["shift", "perturbed"])
+    def test_repeated_rows(self, case, family):
+        model, op = _with_op(case)
+        maps = shift_maps(model, 5, 3, family)
+        assert len({tuple(m.values()) for m in maps.values()}) < len(model)
+        assert_constants_match_oracle(model, op, cycle(5), maps)
+
+
+def shift_maps(model, m, k, family):
+    """Maps on cycle(m) that repeat: the i-th element shifts by i mod k
+    ("shift"), or by i plus (i mod k) - 1 ("perturbed")."""
+    step = (lambda i: i % k) if family == "shift" else (lambda i: i + i % k - 1)
+    return {g: {x: (x + step(i)) % m for x in range(m)}
+            for i, g in enumerate(model.elements)}
+
+
+def assert_constants_match_oracle(model, op, space, maps):
+    act = certify_quasi_action(model, space, maps)
+    ref = dense_quasi_action(model.elements, model.generators, model.identity,
+                             dense_product_table(model.elements, op), space, maps, 0)
+    assert (act.A, act.A_witness) == (ref["A"], ref["A_at"])
+    assert (act.B, act.B_witness) == (ref["B"], ref["B_at"])
+    rec, = act.checks
+    assert (rec.lhs, rec.rhs, rec.witness) == \
+        (ref["inverse_defect"], ref["A"] + ref["B"], ref["inverse_at"])
+    assert act.ell.samples() == ref["ell"]
+    edge, = orbit_map(act, 0).checks
+    assert (edge.lhs, edge.witness) == (ref["edge"], ref["edge_at"])
+    assert edge.rhs == dict(ref["ell"])[ref["lam"]] + ref["B"]
