@@ -50,10 +50,16 @@ class Cover:
         self.pieces = pieces
         self.coloring = coloring
         self._complement = None
+        self._indices = None
 
     def piece_indices(self):
-        """Stored-order index arrays, one per piece."""
-        return [np.array(self.space.indices(self.space.sorted_ids(p))) for p in self.pieces]
+        """Stored-order index arrays, one per piece. Computed once per cover,
+        read-only."""
+        if self._indices is None:
+            self._indices = [np.sort(self.space.indices(p)) for p in self.pieces]
+            for idx in self._indices:
+                idx.setflags(write=False)
+        return self._indices
 
 
 def multiplicity(cover: Cover) -> int:
@@ -87,20 +93,18 @@ def _complement_distances(cover: Cover):
     """(pieces, points) array: d(x, complement of piece i) at row i, column x.
 
     A point outside piece i is its own nearest outside point and gets 0.0, so
-    only the piece's own rows are searched. A piece equal to the whole space
-    has an empty complement and gets +inf. Computed once per cover, read-only.
+    only the piece's own rows are searched, with the piece's own columns set
+    to +inf: a piece equal to the whole space has an empty complement and
+    gets +inf. Computed once per cover, read-only.
     """
     if cover._complement is not None:
         return cover._complement
     space = cover.space
     out = np.zeros((len(cover.pieces), len(space)))
     for i, idx in enumerate(cover.piece_indices()):
-        outside = np.ones(len(space), dtype=bool)
-        outside[idx] = False
-        if outside.any():
-            out[i, idx] = space.D[np.ix_(idx, outside)].min(axis=1)
-        else:
-            out[i] = math.inf
+        rows = space.D[idx]
+        rows[:, idx] = math.inf
+        out[i, idx] = rows.min(axis=1)
     out.setflags(write=False)
     cover._complement = out
     return out

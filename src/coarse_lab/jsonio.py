@@ -65,25 +65,35 @@ def _need(obj, key, where, kind=None):
     return _check(obj[key], kind, "%s field %r" % (where, key))
 
 
+def _pair(value, rule):
+    """The two ids of a two-element JSON list; ``rule`` says what it must be."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError("%s, not %r" % (rule, value))
+    return norm_id(value[0]), norm_id(value[1])
+
+
 def load_space(obj) -> FiniteMetricSpace:
     metric = _need(obj, "metric", "space document")
     kind = _need(metric, "type", "space metric")
     if kind == "matrix":
-        points = [norm_id(p) for p in _need(obj, "points", "space document")]
+        points = [norm_id(p) for p in _need(obj, "points", "space document", list)]
         return space_from_matrix(points, _need(metric, "d", "matrix metric"))
     if kind == "graph":
-        points = [norm_id(p) for p in _need(obj, "points", "space document")]
-        edges = [(norm_id(a), norm_id(b))
-                 for a, b in _need(metric, "edges", "graph metric")]
+        points = [norm_id(p) for p in _need(obj, "points", "space document", list)]
+        edges = [_pair(e, "graph edges must be [point, point] pairs")
+                 for e in _need(metric, "edges", "graph metric", list)]
         return space_from_graph(points, edges)
     if kind == "z_interval":
-        return z_interval(_need(metric, "lo", "z_interval"), _need(metric, "hi", "z_interval"))
+        return z_interval(_need(metric, "lo", "z_interval", int),
+                          _need(metric, "hi", "z_interval", int))
     if kind == "cycle":
-        return cycle(_need(metric, "n", "cycle"))
+        return cycle(_need(metric, "n", "cycle", int))
     if kind == "grid":
-        return grid(_need(metric, "dims", "grid"), norm=metric.get("norm", "l1"))
+        return grid([_check(d, int, "grid dimension")
+                     for d in _need(metric, "dims", "grid", list)],
+                    norm=metric.get("norm", "l1"))
     if kind == "z2_ball":
-        return z2_ball(_need(metric, "radius", "z2_ball"), norm=metric.get("norm", "l1"))
+        return z2_ball(_need(metric, "radius", "z2_ball", int), norm=metric.get("norm", "l1"))
     raise ValidationError("unknown space metric type %r" % (kind,))
 
 
@@ -216,12 +226,8 @@ def load_action_maps(obj, group: GroupModel, space: FiniteMetricSpace):
         maps = {}
         for row in _need(obj, "maps", "table action", list):
             g = norm_id(_need(row, "g", "table action row"))
-            pairs = _need(row, "map", "table action row", list)
-            for pair in pairs:
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ValidationError("table action map entries must be [point, image] "
-                                          "pairs, not %r" % (pair,))
-            maps[g] = {norm_id(a): norm_id(b) for a, b in pairs}
+            maps[g] = dict(_pair(pair, "table action map entries must be [point, image] pairs")
+                           for pair in _need(row, "map", "table action row", list))
         return maps
     raise ValidationError("unknown action type %r" % (kind,))
 

@@ -29,6 +29,8 @@ _SAMPLED_TRIPLES = 200_000
 
 def _validate_metric_axioms(ids, D):
     n = len(ids)
+    if not np.all(np.isfinite(D)):
+        raise MetricAxiomError("distances must be finite")
     diag = np.diagonal(D)
     bad = np.flatnonzero(diag != 0.0)
     if bad.size:
@@ -53,11 +55,18 @@ def _validate_metric_axioms(ids, D):
             % (ids[i], ids[j], D[i, j]),
             (ids[i], ids[j]),
         )
-    if not np.all(np.isfinite(D)):
-        raise MetricAxiomError("distances must be finite")
+    # Integer distances below 2^31 compare exactly in the narrowest unsigned
+    # type holding d(i,k) + d(k,j): for integer sums s < 2^52 the float test
+    # d > s + 1e-12 holds exactly when d > s, so the verdicts do not change.
+    M, tol = D, _TRI_TOL
+    top = D.max()
+    if top < 2**31:
+        narrow = D.astype(np.min_scalar_type(2 * int(top)))
+        if np.array_equal(narrow, D):
+            M, tol = narrow, 0
     if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
         for k in range(n):
-            viol = D > D[:, [k]] + D[[k], :] + _TRI_TOL
+            viol = M > M[:, [k]] + M[[k], :] + tol
             if viol.any():
                 i, j = (int(v) for v in np.argwhere(viol)[0])
                 raise MetricAxiomError(
@@ -71,7 +80,7 @@ def _validate_metric_axioms(ids, D):
         rng = np.random.default_rng(0)
         tri = rng.integers(0, n, size=(_SAMPLED_TRIPLES, 3))
         i, k, j = tri[:, 0], tri[:, 1], tri[:, 2]
-        viol = np.flatnonzero(D[i, j] > D[i, k] + D[k, j] + _TRI_TOL)
+        viol = np.flatnonzero(M[i, j] > M[i, k] + M[k, j] + tol)
         if viol.size:
             a, b, c = (int(v) for v in tri[viol[0]])
             raise MetricAxiomError(
@@ -95,7 +104,13 @@ class FiniteMetricSpace:
             raise ValidationError("a metric space needs at least one point")
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate point ids")
-        D = np.array(dist_matrix, dtype=np.float64)
+        try:
+            D = np.asarray(dist_matrix)
+        except ValueError:  # ragged rows
+            D = None
+        if D is None or D.dtype.kind not in "iuf":
+            raise ValidationError("a distance matrix must be a rectangular array of numbers")
+        D = np.array(D, dtype=np.float64)
         if D.shape != (len(ids), len(ids)):
             raise ValidationError(
                 "distance matrix shape %r does not match %d points" % (D.shape, len(ids))

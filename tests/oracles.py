@@ -136,6 +136,23 @@ def dense_complement_distances(cover):
             for piece in cover.pieces]
 
 
+def dense_triangle_violation(D, triples=None):
+    """(i, k, j) of the first triple with D[i][j] > D[i][k] + D[k][j] + 1e-12 in
+    float arithmetic, or None. Triples run k outer, then (i, j) row-major, the
+    library's exhaustive order; ``triples`` replaces them with the given
+    (i, k, j) list, as the library's sampled check draws it."""
+    n = len(D)
+    bad = {(i, k, j) for k in range(n) for i in range(n) for j in range(n)
+           if float(D[i][j]) > float(D[i][k]) + float(D[k][j]) + 1e-12}
+    if triples is None:
+        triples = [(i, k, j) for k in range(n) for i in range(n) for j in range(n)]
+    if bad:
+        for t in triples:
+            if tuple(t) in bad:
+                return tuple(t)
+    return None
+
+
 def dense_partition_variation(partition, R) -> float:
     space = partition.space
     n_pieces = len(partition.cover.pieces)

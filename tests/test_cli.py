@@ -216,6 +216,44 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("space, message", [
+        ({"metric": {"type": "cycle", "n": "x"}}, "cycle field 'n' must be an integer"),
+        ({"metric": {"type": "cycle", "n": 2.5}}, "cycle field 'n' must be an integer"),
+        ({"metric": {"type": "z_interval", "lo": 0, "hi": "x"}},
+         "z_interval field 'hi' must be an integer"),
+        ({"metric": {"type": "z2_ball", "radius": "x"}},
+         "z2_ball field 'radius' must be an integer"),
+        ({"metric": {"type": "grid", "dims": 5}}, "grid field 'dims' must be a JSON list"),
+        ({"metric": {"type": "matrix", "d": [[0]]}, "points": 5},
+         "space document field 'points' must be a JSON list"),
+        ({"metric": {"type": "graph", "edges": 5}, "points": [0, 1]},
+         "graph metric field 'edges' must be a JSON list"),
+        ({"metric": {"type": "graph", "edges": [[0, 1, 2]]}, "points": [0, 1, 2]},
+         "graph edges must be [point, point] pairs"),
+        ({"metric": {"type": "matrix", "d": "x"}, "points": [0, 1]},
+         "a distance matrix must be a rectangular array of numbers"),
+        ({"metric": {"type": "matrix", "d": [[0, 1], [1]]}, "points": [0, 1]},
+         "a distance matrix must be a rectangular array of numbers"),
+        ({"metric": {"type": "matrix", "d": [[0, "1"], ["1", 0]]}, "points": [0, 1]},
+         "a distance matrix must be a rectangular array of numbers"),
+        ({"metric": {"type": "matrix", "d": [[0, None], [None, 0]]}, "points": [0, 1]},
+         "a distance matrix must be a rectangular array of numbers"),
+        ({"metric": {"type": "matrix", "d": [[0, float("nan")], [float("nan"), 0]]},
+          "points": [0, 1]}, "distances must be finite"),
+    ])
+    def test_malformed_space_document_is_validation_error(self, tmp_path, capsys, space,
+                                                          message):
+        scen = write_json(tmp_path / "v.json", {
+            "name": "v",
+            "pipeline": "verify-cover",
+            "inputs": {"space": space, "cover": {"pieces": [[0, 1]]}},
+            "parameters": {"L": 1},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("params", [{"S0": -1.0}, {"tail_radii": [0.0, -1.0]}])
     def test_negative_tail_radius_is_validation_error(self, tmp_path, capsys, params):
         scen = write_json(tmp_path / "t.json", {

@@ -1,5 +1,6 @@
 """Space layer: metric validation, balls, nets, retraction, coarse-map moduli."""
 
+import functools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from coarse_lab import (
 )
 from coarse_lab import space as space_module
 from coarse_lab.space import _pair_chunks, _pair_sweep, _SparseRows
-from oracles import l1_distance, sparse_diff_norm_sq
+from oracles import dense_triangle_violation, l1_distance, sparse_diff_norm_sq
 
 
 def path_graph(n):
@@ -215,6 +216,66 @@ def test_cycle_ball_size(n, r):
     s = cycle(n)
     expected = min(n, 2 * r + 1)
     assert len(s.ball(0, r)) == expected
+
+
+# largest entries at the edges of uint8, uint16 and uint32 sums, and past them
+_TOP_DISTANCES = [63, 64, 127, 128, 32767, 32768, 2**31 - 1, 2**31]
+
+
+@st.composite
+def _perturbed_metrics(draw, min_n=3):
+    """(ids, D): entries in [ceil(top / 2), top] form a metric whatever they
+    are; one symmetric entry is then reset to a near-boundary value, and a
+    variant shifts every distance by 0.5 off the integers."""
+    n = draw(st.integers(min_value=min_n, max_value=10))
+    top = draw(st.sampled_from(_TOP_DISTANCES))
+    entry = st.one_of(st.just(top), st.integers(min_value=(top + 1) // 2, max_value=top))
+    D = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            D[a][b] = D[b][a] = draw(entry)
+    i, j, k = draw(st.permutations(range(n)))[:3]
+    D[i][j] = D[j][i] = draw(st.one_of(
+        st.integers(min_value=1, max_value=2 * top + 1),
+        st.sampled_from([-1, 0, 1]).map(lambda e: D[i][k] + D[k][j] + e)))
+    shift = draw(st.sampled_from([0, 0.5]))
+    D = [[v + shift if a != b else 0 for b, v in enumerate(row)] for a, row in enumerate(D)]
+    return ["p%d" % a for a in range(n)], D
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_zero_triples(n):
+    """The (i, k, j) triples the sampled check draws on n points."""
+    rng = np.random.default_rng(0)
+    return tuple(map(tuple, rng.integers(0, n, size=(space_module._SAMPLED_TRIPLES, 3))
+                     .tolist()))
+
+
+def _assert_matches_oracle(ids, D, want):
+    if want is None:
+        assert len(space_from_matrix(ids, D)) == len(ids)
+        return
+    with pytest.raises(MetricAxiomError) as err:
+        space_from_matrix(ids, D)
+    assert "triangle inequality fails" in str(err.value)
+    assert err.value.points == tuple(ids[v] for v in want)
+
+
+class TestTriangleCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(_perturbed_metrics())
+    def test_exhaustive_matches_triple_loop(self, case):
+        ids, D = case
+        _assert_matches_oracle(ids, D, dense_triangle_violation(D))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_perturbed_metrics(min_n=5))
+    def test_sampled_matches_seed_zero_triples(self, case):
+        ids, D = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space_module, "_EXHAUSTIVE_TRIANGLE_LIMIT", 4)
+            _assert_matches_oracle(ids, D, dense_triangle_violation(
+                D, _seed_zero_triples(len(ids))))
 
 
 def _brute_sweep(space, radii, V):
