@@ -19,7 +19,7 @@ from .cover import (ChainOfSubspaces, direct_limit_cover, enlarge, family_separa
                     lebesgue_report, multiplicity, r_multiplicity, set_distance)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
 from .group import certify_quasi_action, group_pipeline
-from .jsonio import (_as_jsonable, _is_number, _need, _object, dumps_deterministic,
+from .jsonio import (_as_jsonable, _check, _is_number, _need, _object, dumps_deterministic,
                      load_action_maps, load_chain_stages, load_cover, load_group,
                      load_map_assignment, load_space, load_witness, norm_id,
                      partition_to_json)
@@ -60,13 +60,15 @@ def _resolve(scenario, base_dir, key, required=True):
 
 
 def _check_parameters(params):
-    for key in _NUMBERS:
-        if key in params and not _is_number(params[key]):
-            raise ValidationError("parameter %r must be a number" % (key,))
-    for key in _GRIDS:
-        if key in params and not (isinstance(params[key], list)
-                                  and all(_is_number(v) for v in params[key])):
-            raise ValidationError("parameter %r must be a list of numbers" % (key,))
+    for key in _NUMBERS + _GRIDS:
+        if key in params:
+            values = params[key] if key in _GRIDS else [params[key]]
+            if not (isinstance(values, list) and all(_is_number(v) for v in values)):
+                raise ValidationError("parameter %r must be %s" % (
+                    key, "a list of numbers" if key in _GRIDS else "a number"))
+            # false for NaN, the infinities and integers past the float range
+            if not all(abs(v) <= sys.float_info.max for v in values):
+                raise ValidationError("parameter %r must be finite, not NaN or infinite" % key)
 
 
 def _grid(space, params, key, cap=12):
@@ -176,7 +178,8 @@ def _run_glue(scenario, base_dir, params):
 def _run_subspace(scenario, base_dir, params):
     space = load_space(_resolve(scenario, base_dir, "space"))
     wit = load_witness(_resolve(scenario, base_dir, "witness"), space)
-    members = [norm_id(p) for p in params.get("subspace", [])]
+    members = [norm_id(p) for p in _check(params.get("subspace", []), list,
+                                          "parameter 'subspace'")]
     if not members:
         raise ValidationError("subspace pipeline needs a nonempty 'subspace' parameter")
     res = subspace_construction(wit, members, tail_radii=params.get("tail_radii"))
@@ -189,7 +192,7 @@ def _run_subspace(scenario, base_dir, params):
 
 def _run_net(scenario, base_dir, params):
     space = load_space(_resolve(scenario, base_dir, "space"))
-    members = [norm_id(p) for p in params.get("net", [])]
+    members = [norm_id(p) for p in _check(params.get("net", []), list, "parameter 'net'")]
     if not members:
         raise ValidationError("net pipeline needs a nonempty 'net' parameter")
     net_space = space.restrict(members)

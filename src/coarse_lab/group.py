@@ -279,14 +279,14 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
     A = float(a_vals.max())
     A_witness = space.point_ids[int(a_vals.argmax())]
 
-    # d(f_g f_h x, f_gh x) depends on the maps of g, h and gh only: each
-    # distinct (class g, class h, class gh) is evaluated at its first stored
-    # (g, h) in row-major order, so the first maximal (g, h, x) wins
+    # d(f_g f_h x, f_gh x) depends on the maps of g, h and gh only: each distinct
+    # (class g, class h, class gh) code, K^3 for an unstored product, is evaluated
+    # at its first row-major stored (g, h), so the first maximal (g, h, x) wins
     K = len(distinct)
     mult = group.mult
-    code = np.where(mult >= 0, (cls[:, None] * K + cls[None, :]) * K + cls[mult], -1)
-    codes, first = np.unique(code, return_index=True)
-    pos = np.sort(first[codes >= 0])
+    code = np.where(mult >= 0, (cls[:, None] * K + cls[None, :]) * K + cls[mult], K**3)
+    codes, first = np.unique(code.astype(np.min_scalar_type(K**3)), return_index=True)
+    pos = np.sort(first[codes < K**3])
     B = 0.0
     B_witness = None
     step = max(1, _SLOT_BUDGET // n)

@@ -21,10 +21,13 @@ from .space import (FiniteMetricSpace, cycle, grid, space_from_graph,
 from .witness import Witness, dirac_witness, uniform_ball_witness
 
 
-def norm_id(v):
+def norm_id(v, null=False):
+    """A JSON id of numbers and strings (and nulls if ``null``), lists as tuples."""
+    if type(v) in (str, int, float) or (null and v is None):  # not bool
+        return v
     if isinstance(v, list):
-        return tuple(norm_id(x) for x in v)
-    return v
+        return tuple([norm_id(x, null) for x in v])
+    raise ValidationError("ids must be numbers, strings or lists of them, not %r" % (v,))
 
 
 def _as_jsonable(v):
@@ -98,9 +101,13 @@ def load_space(obj) -> FiniteMetricSpace:
 
 
 def load_cover(obj, space: FiniteMetricSpace) -> Cover:
-    pieces = [[norm_id(p) for p in piece]
-              for piece in _need(obj, "pieces", "cover document")]
-    return Cover(space, pieces, coloring=obj.get("coloring"))
+    pieces = [[norm_id(p) for p in _check(piece, list, "cover piece")]
+              for piece in _need(obj, "pieces", "cover document", list)]
+    coloring = obj.get("coloring")
+    if coloring is not None:
+        coloring = [_check(c, int, "cover color")
+                    for c in _need(obj, "coloring", "cover document", list)]
+    return Cover(space, pieces, coloring=coloring)
 
 
 def load_witness(obj, space: FiniteMetricSpace) -> Witness:
@@ -123,7 +130,7 @@ def load_witness(obj, space: FiniteMetricSpace) -> Witness:
             if not _is_number(c):
                 raise ValidationError("witness entry coefficient must be a number, not %r"
                                       % (c,))
-            tag = norm_id(e["tag"]) if "tag" in e else None
+            tag = norm_id(e["tag"], null=True) if "tag" in e else None
             vec[(tag, norm_id(_need(e, "at", "witness entry")))] = float(c)
         vectors[x] = vec
     return Witness(space, vectors)

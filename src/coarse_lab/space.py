@@ -27,6 +27,17 @@ _EXHAUSTIVE_TRIANGLE_LIMIT = 300
 _SAMPLED_TRIPLES = 200_000
 
 
+def _integer_view(D):
+    """D in the narrowest unsigned type holding 2 * max(D) when every entry is an
+    integer below 2^31, else None: sums of two stay exact, and sorts run faster."""
+    top = D.max()
+    if top < 2**31:
+        narrow = D.astype(np.min_scalar_type(2 * int(top)))
+        if np.array_equal(narrow, D):
+            return narrow
+    return None
+
+
 def _validate_metric_axioms(ids, D):
     n = len(ids)
     if not np.all(np.isfinite(D)):
@@ -55,15 +66,9 @@ def _validate_metric_axioms(ids, D):
             % (ids[i], ids[j], D[i, j]),
             (ids[i], ids[j]),
         )
-    # Integer distances below 2^31 compare exactly in the narrowest unsigned
-    # type holding d(i,k) + d(k,j): for integer sums s < 2^52 the float test
-    # d > s + 1e-12 holds exactly when d > s, so the verdicts do not change.
-    M, tol = D, _TRI_TOL
-    top = D.max()
-    if top < 2**31:
-        narrow = D.astype(np.min_scalar_type(2 * int(top)))
-        if np.array_equal(narrow, D):
-            M, tol = narrow, 0
+    # the verdicts hold: for integer sums s < 2^52, d > s + 1e-12 exactly when d > s
+    M = _integer_view(D)
+    M, tol = (D, _TRI_TOL) if M is None else (M, 0)
     if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
         for k in range(n):
             viol = M > M[:, [k]] + M[[k], :] + tol
@@ -123,6 +128,7 @@ class FiniteMetricSpace:
         self.structure = structure
         self._ix = {p: i for i, p in enumerate(ids)}
         self._realized = None
+        self._pairs = None
 
     def __len__(self):
         return len(self.point_ids)
@@ -170,6 +176,20 @@ class FiniteMetricSpace:
             raise ValidationError("ball radius must be >= 0")
         row = self.D[self.index(center)]
         return frozenset(self.point_ids[i] for i in np.flatnonzero(row <= float(radius)))
+
+    def _sorted_pairs(self, r):
+        """(a, b, d) of the pairs a < b with d <= r + 1e-12 in stable distance
+        order, ties row-major: a prefix of the pairs kept for the largest r yet."""
+        if self._pairs is None or r > self._pairs[0]:
+            a, b = np.nonzero(np.triu(self.D <= r + 1e-12, 1))
+            d = self.D[a, b]
+            key = _integer_view(d) if len(d) else None
+            order = np.argsort(d if key is None else key, kind="stable")
+            kind = np.min_scalar_type(len(self) - 1)
+            self._pairs = (r, a.astype(kind)[order], b.astype(kind)[order], d[order])
+        _, a, b, d = self._pairs
+        k = int(np.searchsorted(d, r + 1e-12, side="right"))
+        return a[:k], b[:k], d[:k]
 
     def sorted_ids(self, points):
         """The given points listed in stored order."""
@@ -409,31 +429,28 @@ class _SparseRows:
     left-to-right sums bit for bit: one numpy add per slot across all pairs
     (``np.sum`` would reorder them), and squares by ``np.float_power``, which
     calls the same libm ``pow`` as CPython's ``**`` (``d * d`` and
-    ``np.power`` differ from it in the last bit on some inputs). Pairs whose
-    supports are disjoint need no entry lookup once the row pairs that share
-    an entry are listed, which happens on the first call that queries at
-    least as many pairs.
+    ``np.power`` differ from it in the last bit on some inputs). Lookups
+    gather from a (row, entry id) slot table; pairs whose supports are
+    disjoint need none once the row pairs sharing an entry are marked, which
+    happens on the first call that queries at least as many pairs.
     """
 
     def __init__(self, n, row, key, coef):
         row = np.asarray(row, dtype=np.int64)
-        coefs = np.asarray(coef, dtype=np.float64)
         uniq, keys = np.unique(np.asarray(key, dtype=np.int64), return_inverse=True)
         lens = np.bincount(row, minlength=n)
         slot = np.arange(len(keys)) - np.repeat(np.cumsum(lens) - lens, lens)
         self.width = int(lens.max(initial=0))
         self.ids = np.full((n, self.width), -1, dtype=np.int64)
-        self.coef = np.zeros((n, self.width))
         self.ids[row, slot] = keys
-        self.coef[row, slot] = coefs
-        # entry lookup: sorted codes row * K + entry id with their coefficients,
-        # closed by a sentinel code above every query
-        self._n_keys = max(len(uniq), 1)
-        codes = row * self._n_keys + keys
-        order = np.argsort(codes)
-        self._codes = np.append(codes[order], n * self._n_keys)
-        self._code_coef = np.append(coefs[order], 0.0)
-        # row pairs holding a common entry: counted now, listed on first use
+        # flat index -1 within a row reads the last column of the row before (or
+        # of the last row): coefficient 0.0 for slot -1, slot -1 for padding id -1
+        self._coef = np.zeros((n, self.width + 1))
+        self._coef[row, slot] = coef
+        self.coef = self._coef[:, :-1]
+        self._slot = np.full((n, len(uniq) + 1), -1, dtype=np.min_scalar_type(-self.width - 1))
+        self._slot[row, keys] = slot      # the slot of entry id k in row r, else -1
+        # row pairs holding a common entry: counted now, marked on first use
         self._row, self._keys = row, keys
         per_entry = np.bincount(keys)
         self._n_shared = int((per_entry * (per_entry - 1) // 2).sum())
@@ -445,8 +462,7 @@ class _SparseRows:
         self._own_sum = _fold(self.coef, zeros)
 
     def _shared_pairs(self):
-        """Sorted codes a * n + b (a < b) of the row pairs holding a common
-        entry, closed by the sentinel n * n."""
+        """(n, n) mask of the row pairs holding a common entry, diagonal set."""
         n = len(self.ids)
         order = np.lexsort((self._row, self._keys))
         k, r = self._keys[order], self._row[order]
@@ -455,34 +471,30 @@ class _SparseRows:
         first = np.flatnonzero(new)[np.cumsum(new) - 1]
         before = np.arange(len(k)) - first     # earlier rows holding the same entry
         offset = np.arange(self._n_shared) - np.repeat(np.cumsum(before) - before, before)
-        earlier = r[np.repeat(first, before) + offset]
-        return np.unique(np.append(earlier * n + np.repeat(r, before), n * n))
+        earlier, later = r[np.repeat(first, before) + offset], np.repeat(r, before)
+        mask = np.eye(n, dtype=bool)
+        mask[earlier, later] = mask[later, earlier] = True
+        return mask
 
     def _shares(self, a, b):
         """Whether rows a and b may hold a common entry: exact once the sharing
-        pairs are listed, True for every pair before."""
+        pairs are marked, True for every pair before."""
         if self._shared is None:
             return np.ones(len(a), dtype=bool)
-        q = np.minimum(a, b) * len(self.ids) + np.maximum(a, b)
-        return (self._shared[np.searchsorted(self._shared, q)] == q) | (a == b)
-
-    def _locate(self, rows, ids):
-        """Per slot: whether rows[p] holds entry ids[p, j], and where in the codes."""
-        q = rows[:, None] * self._n_keys + ids
-        pos = np.searchsorted(self._codes, q)
-        return (self._codes[pos] == q) & (ids >= 0), pos
+        return self._shared.take(a * len(self.ids) + b)
 
     def _match(self, a, b):
         """Row b's coefficient at each entry of row a (0.0 where absent), and
         for each slot of row b whether row a holds its entry."""
-        at_b, pos = self._locate(b, self.ids[a])
-        in_a, _ = self._locate(a, self.ids[b])
-        return np.where(at_b, self._code_coef[pos], 0.0), in_a
+        keys = self._slot.shape[1]
+        at_b = self._slot.take(b[:, None] * keys + self.ids.take(a, axis=0))
+        in_a = self._slot.take(a[:, None] * keys + self.ids.take(b, axis=0)) >= 0
+        return self._coef.take(b[:, None] * (self.width + 1) + at_b), in_a
 
     def _pairs(self, a, b, shared, disjoint):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        # listing the sharing pairs pays off once a call queries as many pairs
+        # marking the sharing pairs pays off once a call queries as many pairs
         if self._shared is None and self._n_shared <= len(a):
             self._shared = self._shared_pairs()
         out = np.empty(len(a))
@@ -500,12 +512,12 @@ class _SparseRows:
         (c - u_b.get(k, 0.0)) ** 2, then c * c over the entries only u_b has."""
         def shared(a, b):
             m, in_a = self._match(a, b)
-            cb = self.coef[b]
-            s = _fold(np.float_power(self.coef[a] - m, 2.0), np.zeros(len(a)))
+            cb = self.coef.take(b, axis=0)
+            s = _fold(np.float_power(self.coef.take(a, axis=0) - m, 2.0), np.zeros(len(a)))
             return _fold(np.where(in_a, 0.0, cb * cb), s)
 
         def disjoint(a, b):
-            cb = self.coef[b]
+            cb = self.coef.take(b, axis=0)
             return _fold(cb * cb, self._own_sq[a])
 
         return self._pairs(a, b, shared, disjoint)
@@ -516,8 +528,8 @@ class _SparseRows:
         def shared(a, b):
             m, in_a = self._match(a, b)
             zeros = np.zeros(len(a))
-            return (_fold(np.abs(self.coef[a] - m), zeros)
-                    + _fold(np.where(in_a, 0.0, self.coef[b]), zeros))
+            return (_fold(np.abs(self.coef.take(a, axis=0) - m), zeros)
+                    + _fold(np.where(in_a, 0.0, self.coef.take(b, axis=0)), zeros))
 
         def disjoint(a, b):
             return self._own_abs[a] + self._own_sum[b]
@@ -540,10 +552,7 @@ def _pair_sweep(space: FiniteMetricSpace, radii, value):
     if not radii:
         return []
     radii.sort()
-    a, b = np.nonzero(np.triu(space.D <= radii[-1] + 1e-12, 1))
-    order = np.argsort(space.D[a, b], kind="stable")
-    a, b = a[order], b[order]
-    dists = space.D[a, b]
+    a, b, dists = space._sorted_pairs(radii[-1])
     vals = np.asarray(value(a, b), dtype=np.float64)
     # prefix[k] is the max over the first k pairs; best_at[k] the first of
     # those k pairs that attains it, or -1

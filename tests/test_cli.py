@@ -240,6 +240,8 @@ class TestRunCommand:
          "a distance matrix must be a rectangular array of numbers"),
         ({"metric": {"type": "matrix", "d": [[0, float("nan")], [float("nan"), 0]]},
           "points": [0, 1]}, "distances must be finite"),
+        ({"metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "points": [{}, 1]},
+         "ids must be numbers, strings or lists of them"),
     ])
     def test_malformed_space_document_is_validation_error(self, tmp_path, capsys, space,
                                                           message):
@@ -252,6 +254,43 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", scen, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cover, message", [
+        ({"pieces": 5}, "cover document field 'pieces' must be a JSON list"),
+        ({"pieces": [5]}, "cover piece must be a JSON list"),
+        ({"pieces": [[0, 1]], "coloring": "ab"},
+         "cover document field 'coloring' must be a JSON list"),
+        ({"pieces": [[0, 1]], "coloring": ["a"]}, "cover color must be an integer"),
+    ])
+    def test_malformed_cover_document_is_validation_error(self, tmp_path, capsys, cover,
+                                                          message):
+        scen = write_json(tmp_path / "v.json", {
+            "name": "v",
+            "pipeline": "verify-cover",
+            "inputs": {"space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                       "cover": cover},
+            "parameters": {"L": 1},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["subspace", "net"])
+    def test_member_list_must_be_a_list(self, tmp_path, capsys, pipeline):
+        scen = write_json(tmp_path / "s.json", {
+            "name": "s",
+            "pipeline": pipeline,
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 10}},
+                "witness": {"builtin": "dirac"},
+            },
+            "parameters": {pipeline: 5},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert "parameter '%s' must be a JSON list" % pipeline in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("params", [{"S0": -1.0}, {"tail_radii": [0.0, -1.0]}])
@@ -349,6 +388,9 @@ class TestRunCommand:
         ({"pieces": {"list": [{"vectors": 5}]}}, {},
          "witness document field 'vectors' must be a JSON list"),
         ({"pieces": {"list": [{"vectors": [5]}]}}, {}, "witness vector must be a JSON object"),
+        ({}, {"epsilon": float("inf")}, "parameter 'epsilon' must be finite"),
+        ({}, {"R": float("inf")}, "parameter 'R' must be finite"),
+        ({}, {"radii": [1.0, float("inf")]}, "parameter 'radii' must be finite"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, inputs, params,
                                                  message):

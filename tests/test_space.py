@@ -311,6 +311,28 @@ def _swept_spaces(draw):
     return space_from_matrix(["p%d" % i for i in range(n)], D), V, radii
 
 
+# distance sets within [t, 2t], so every matrix over one is a metric: integers
+# (radix-sorted keys), half-integers and integers from 2^31 (float keys)
+_DISTANCE_SETS = [(1.0, 2.0), (1.0, 1.5, 2.0), (2.0**31, 2.0**31 + 1, 2.0**31 + 2)]
+
+
+@st.composite
+def _sweep_sequences(draw):
+    """A space, pair values and several radius lists to sweep it with, in
+    turn: later lists may reach past or stop short of earlier ones."""
+    dists = draw(st.sampled_from(_DISTANCE_SETS))
+    n = draw(st.integers(min_value=1, max_value=7))
+    D = np.zeros((n, n))
+    V = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            D[a, b] = D[b, a] = draw(st.sampled_from(dists))
+            V[a, b] = V[b, a] = draw(st.integers(min_value=0, max_value=3))
+    radius = st.sampled_from([0.0, dists[-1] + 1] + [d - e for d in dists for e in (0, 0.25)])
+    sweeps = draw(st.lists(st.lists(radius, min_size=1, max_size=4), min_size=2, max_size=5))
+    return space_from_matrix(["p%d" % i for i in range(n)], D), V, sweeps
+
+
 class TestPairSweep:
     @settings(max_examples=150, deadline=None)
     @given(_swept_spaces())
@@ -318,6 +340,16 @@ class TestPairSweep:
         space, V, radii = case
         want = _brute_sweep(space, radii, V)
         assert _pair_sweep(space, radii, lambda a, b: V[a, b]) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sweep_sequences())
+    def test_sweep_sequence_on_one_space(self, case):
+        # the space keeps its sorted pairs between sweeps, extending and
+        # slicing them as the largest radius moves
+        space, V, sweeps = case
+        for radii in sweeps:
+            assert _pair_sweep(space, radii, lambda a, b: V[a, b]) == _brute_sweep(
+                space, radii, V)
 
     def test_one_point_space(self):
         s = space_from_matrix(["a"], [[0.0]])
@@ -369,6 +401,24 @@ def _sparse_rows(draw):
     return rows + [partial, fresh]
 
 
+def _assert_scalar_sums(rows, one_pair_per_call):
+    """Both kernel distances equal the scalar sums (==) on every ordered pair.
+
+    One pair per call looks every pair up; all pairs at once mark the
+    sharing pairs first and skip the lookup for the others."""
+    n = len(rows)
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    calls = ([(a[i:i + 1], b[i:i + 1]) for i in range(len(a))] if one_pair_per_call
+             else [(a, b)])
+    kernel = _SparseRows(*_flat(rows))
+    sq = [v for ca, cb in calls for v in kernel.sq_dist(ca, cb).tolist()]
+    kernel = _SparseRows(*_flat(rows))
+    l1 = [v for ca, cb in calls for v in kernel.l1_dist(ca, cb).tolist()]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert sq == [sparse_diff_norm_sq(rows[i], rows[j]) for i, j in pairs]
+    assert l1 == [l1_distance(rows[i], rows[j]) for i, j in pairs]
+
+
 class TestSparseRows:
     """The pair kernel reproduces the scalar sums bit for bit, on every pair
     and with every chunking."""
@@ -378,21 +428,21 @@ class TestSparseRows:
     @settings(max_examples=40, deadline=None)
     @given(rows=_sparse_rows())
     def test_matches_scalar_sums(self, rows, one_pair_per_call, slot_budget):
-        n = len(rows)
-        a, b = (v.ravel() for v in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
-        # one pair per call looks every pair up; all pairs at once list the
-        # sharing pairs first and skip the lookup for the others
-        calls = ([(a[i:i + 1], b[i:i + 1]) for i in range(len(a))] if one_pair_per_call
-                 else [(a, b)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(space_module, "_SLOT_BUDGET", slot_budget)
-            kernel = _SparseRows(*_flat(rows))
-            sq = [v for ca, cb in calls for v in kernel.sq_dist(ca, cb).tolist()]
-            kernel = _SparseRows(*_flat(rows))
-            l1 = [v for ca, cb in calls for v in kernel.l1_dist(ca, cb).tolist()]
-        pairs = list(zip(a.tolist(), b.tolist()))
-        assert sq == [sparse_diff_norm_sq(rows[i], rows[j]) for i, j in pairs]
-        assert l1 == [l1_distance(rows[i], rows[j]) for i, j in pairs]
+            _assert_scalar_sums(rows, one_pair_per_call)
+
+    @pytest.mark.parametrize("one_pair_per_call", [False, True])
+    @pytest.mark.parametrize("width", [127, 128, 255, 256])
+    def test_widths_at_slot_type_boundaries(self, width, one_pair_per_call):
+        # slots of rows this wide are stored at the edges of int8 and int16
+        coefs = np.random.default_rng(width).uniform(-2.0, 2.0, 2 * width).tolist()
+        coefs[::5] = [0.0] * len(coefs[::5])
+        rows = [dict(zip(range(width), coefs[:width])),
+                dict(zip(range(width // 2, width + width // 2), coefs[width:])),
+                dict.fromkeys(range(0, width, 3), 0.0),
+                {("own", k): c for k, c in enumerate(coefs[:7])}]
+        _assert_scalar_sums(rows, one_pair_per_call)
 
     def test_squares_round_like_cpython(self):
         # differences whose CPython square d ** 2 (libm pow) is not d * d
