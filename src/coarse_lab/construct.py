@@ -228,22 +228,25 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     space = partition.space
     n = len(space)
     # the piece witnesses stacked into one set of entry arrays, with tags
-    # (i, tag); piece_row[i, a] is the stacked row of piece i's vector at
-    # point a, or -1 off the piece
+    # (i, tag); piece_row[i, a] is the row of piece i's vector at point a
+    # within the piece, or -1 off the piece, and start[i] its first stacked row
     piece_row = np.full((len(glue_input.pieces), n), -1, dtype=np.int64)
+    start = np.zeros(len(glue_input.pieces), dtype=np.int64)
     parts, tags, n_rows = [], [], 0
     for i, w in enumerate(glue_input.pieces):
         on = np.array(space.indices(w.space.point_ids))
-        piece_row[i, on] = np.arange(n_rows, n_rows + len(on))
+        piece_row[i, on] = np.arange(len(on))
+        start[i] = n_rows
         parts.append((w.row + n_rows, on[w.at], w.tag + len(tags), w.coef))
         tags.extend((i, t) for t in w.tags)
         n_rows += len(on)
     s_row, s_at, s_tag, s_coef = (np.concatenate(v) for v in zip(*parts))
-    piece_rows = _SparseRows(n_rows, s_row, s_tag * n + s_at, s_coef)
+    # one kernel per piece: lookup tables grow with the piece, not the stack
+    piece_rows = [w._kernel() for w in glue_input.pieces]
     # xi_x: sqrt(phi_i(x)) times piece i's vector at x, over x's pieces in order
     m_row, m_piece, m_phi = _mass_entries(partition)
     k, pos = _gather(np.searchsorted(s_row, np.arange(n_rows + 1)),
-                     piece_row[m_piece, m_row])
+                     piece_row[m_piece, m_row] + start[m_piece])
     glued = Witness._of(space, m_row[pos], s_at[k], s_tag[k], tuple(tags),
                         np.sqrt(m_phi)[pos] * s_coef[k])
     glued_rows = glued._kernel()
@@ -253,12 +256,12 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
         for a, b in _pair_chunks(n):
             common = np.zeros(len(a))
             # a chunk's first points are consecutive: skip the pieces missing them all
-            for row in piece_row[(piece_row[:, a[0]:a[-1] + 1] >= 0).any(axis=1)]:
-                ra, rb = row[a], row[b]
+            for i in np.flatnonzero((piece_row[:, a[0]:a[-1] + 1] >= 0).any(axis=1)):
+                ra, rb = piece_row[i, a], piece_row[i, b]
                 both = np.flatnonzero((ra >= 0) & (rb >= 0))
                 if both.size:
                     common[both] = np.maximum(common[both],
-                                              piece_rows.sq_dist(ra[both], rb[both]))
+                                              piece_rows[i].sq_dist(ra[both], rb[both]))
             yield (a, b, glued_rows.sq_dist(a, b),
                    2.0 * mass_rows.l1_dist(a, b) + 2.0 * common)
 

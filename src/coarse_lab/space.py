@@ -27,17 +27,6 @@ _EXHAUSTIVE_TRIANGLE_LIMIT = 300
 _SAMPLED_TRIPLES = 200_000
 
 
-def _integer_view(D):
-    """D in the narrowest unsigned type holding 2 * max(D) when every entry is an
-    integer below 2^31, else None: sums of two stay exact, and sorts run faster."""
-    top = D.max()
-    if top < 2**31:
-        narrow = D.astype(np.min_scalar_type(2 * int(top)))
-        if np.array_equal(narrow, D):
-            return narrow
-    return None
-
-
 def _validate_metric_axioms(ids, D):
     n = len(ids)
     if not np.all(np.isfinite(D)):
@@ -66,9 +55,15 @@ def _validate_metric_axioms(ids, D):
             % (ids[i], ids[j], D[i, j]),
             (ids[i], ids[j]),
         )
-    # the verdicts hold: for integer sums s < 2^52, d > s + 1e-12 exactly when d > s
-    M = _integer_view(D)
-    M, tol = (D, _TRI_TOL) if M is None else (M, 0)
+    # Integer distances below 2^31 compare exactly in the narrowest unsigned
+    # type holding d(i,k) + d(k,j): for integer sums s < 2^52 the float test
+    # d > s + 1e-12 holds exactly when d > s, so the verdicts do not change.
+    M, tol = D, _TRI_TOL
+    top = D.max()
+    if top < 2**31:
+        narrow = D.astype(np.min_scalar_type(2 * int(top)))
+        if np.array_equal(narrow, D):
+            M, tol = narrow, 0
     if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
         for k in range(n):
             viol = M > M[:, [k]] + M[[k], :] + tol
@@ -179,12 +174,12 @@ class FiniteMetricSpace:
 
     def _sorted_pairs(self, r):
         """(a, b, d) of the pairs a < b with d <= r + 1e-12 in stable distance
-        order, ties row-major: a prefix of the pairs kept for the largest r yet."""
+        order, ties row-major: a prefix of the pairs kept for the largest r yet.
+        a and b are narrow unsigned index arrays (a third of the memory of intp)."""
         if self._pairs is None or r > self._pairs[0]:
             a, b = np.nonzero(np.triu(self.D <= r + 1e-12, 1))
             d = self.D[a, b]
-            key = _integer_view(d) if len(d) else None
-            order = np.argsort(d if key is None else key, kind="stable")
+            order = np.argsort(d, kind="stable")
             kind = np.min_scalar_type(len(self) - 1)
             self._pairs = (r, a.astype(kind)[order], b.astype(kind)[order], d[order])
         _, a, b, d = self._pairs
@@ -540,7 +535,9 @@ class _SparseRows:
 def _pair_sweep(space: FiniteMetricSpace, radii, value):
     """For each radius r, ascending: (r, max of value over pairs with d <= r, pair).
 
-    ``value(a, b)`` maps index arrays of pairs to the array of their values.
+    ``value(a, b)`` maps index arrays of pairs to the array of their values;
+    a and b come in the narrowest unsigned type holding a point index, so
+    arithmetic on them can wrap: convert before computing anything but indices.
     Only pairs (a < b) with d <= max radius + 1e-12 are evaluated, in stable
     distance order (equal distances keep row-major (a, b) order). The running
     max starts at 0.0 and skips NaN; ``pair`` is the first point-id pair that

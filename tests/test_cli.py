@@ -29,6 +29,7 @@ from coarse_lab import (
     variation_profile,
     witness_to_json,
 )
+from coarse_lab import cli
 from coarse_lab.cli import export_profiles, main
 from conftest import SCENARIO_DIR
 
@@ -336,7 +337,15 @@ class TestRunCommand:
         assert "broken.json" in capsys.readouterr().err
 
 
-    def test_serialization_error_writes_no_certificate(self, tmp_path, capsys):
+    def test_serialization_error_writes_no_certificate(self, tmp_path, capsys, monkeypatch):
+        run = cli._PIPELINES["subspace"]
+
+        def with_nan_detail(scenario, base_dir, params):
+            out = run(scenario, base_dir, params)
+            out.details["probe"] = float("nan")
+            return out
+
+        monkeypatch.setitem(cli._PIPELINES, "subspace", with_nan_detail)
         scen = write_json(tmp_path / "e.json", {
             "name": "e",
             "pipeline": "subspace",
@@ -344,12 +353,12 @@ class TestRunCommand:
                 "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 4}},
                 "witness": {"builtin": "uniform_ball", "radius": 1},
             },
-            "parameters": {"subspace": [0, 2, 4], "radii": [1], "epsilon": float("nan")},
+            "parameters": {"subspace": [0, 2, 4], "radii": [1]},
         })
         out = tmp_path / "out"
         assert main(["run", scen, "--out", str(out)]) == 2
-        assert "NaN" in capsys.readouterr().err
-        assert not (out / "e.certificate.json").exists()
+        assert "refusing to serialize NaN" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
     def test_unsafe_name_is_validation_error(self, tmp_path, name):
@@ -388,6 +397,7 @@ class TestRunCommand:
         ({"pieces": {"list": [{"vectors": 5}]}}, {},
          "witness document field 'vectors' must be a JSON list"),
         ({"pieces": {"list": [{"vectors": [5]}]}}, {}, "witness vector must be a JSON object"),
+        ({}, {"epsilon": float("nan")}, "parameter 'epsilon' must be finite"),
         ({}, {"epsilon": float("inf")}, "parameter 'epsilon' must be finite"),
         ({}, {"R": float("inf")}, "parameter 'R' must be finite"),
         ({}, {"radii": [1.0, float("inf")]}, "parameter 'radii' must be finite"),
