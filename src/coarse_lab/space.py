@@ -175,7 +175,7 @@ class FiniteMetricSpace:
     def _sorted_pairs(self, r):
         """(a, b, d) of the pairs a < b with d <= r + 1e-12 in stable distance
         order, ties row-major: a prefix of the pairs kept for the largest r yet.
-        a and b are narrow unsigned index arrays (a third of the memory of intp)."""
+        a and b are the narrowest unsigned index arrays, to keep the list small."""
         if self._pairs is None or r > self._pairs[0]:
             a, b = np.nonzero(np.triu(self.D <= r + 1e-12, 1))
             d = self.D[a, b]

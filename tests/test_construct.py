@@ -167,6 +167,23 @@ class TestGlue:
         for (r, gv), (_, bv) in zip(glued_var, base_var):
             assert gv == pytest.approx(bv, abs=1e-12)
 
+    def test_kernels_are_no_larger_than_the_space(self, monkeypatch):
+        # the combination bound looks pieces up one at a time: no kernel may
+        # span the stacked rows of all pieces
+        sizes = []
+        init = space_module._SparseRows.__init__
+
+        def record(self, n, *rest):
+            sizes.append(n)
+            init(self, n, *rest)
+
+        monkeypatch.setattr(space_module._SparseRows, "__init__", record)
+        s = z_interval(0, 11)
+        cover = Cover(s, [frozenset(range(i, i + 6)) for i in (0, 3, 6)])
+        part = bell_partition(cover, require_lebesgue=False)
+        glue_with_report(make_glue_input(part, dirac_piece_family(cover)))
+        assert sizes and max(sizes) <= len(s)
+
     def test_path_overlap_bound(self):
         s = path_graph(5)
         cover = Cover(s, (frozenset({0, 1, 2}), frozenset({2, 3, 4})))
