@@ -18,7 +18,7 @@ import numpy as np
 
 from .cover import Cover, check_kl_separated, enlarge, lebesgue_number, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
-from .partition import (PartitionOfUnity, _mass_entries, bell_partition,
+from .partition import (PartitionOfUnity, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .report import check_le
 from .space import (CoarseMapCert, FiniteMetricSpace, _pair_chunks, _SparseRows,
@@ -193,8 +193,8 @@ class GlueInput:
                 raise ValidationError(
                     "piece %d witness does not cover point %r of the piece"
                     % (i, missing[0]))
-            want = space.restrict(piece)
-            if not np.allclose(w.space.D, want.D, atol=1e-12, rtol=0.0):
+            idx = space.indices(w.space.point_ids)
+            if not np.allclose(w.space.D, space.D[np.ix_(idx, idx)], atol=1e-12, rtol=0.0):
                 raise ValidationError(
                     "piece %d witness metric is not the restricted metric" % i)
 
@@ -244,7 +244,7 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     # one kernel per piece: lookup tables grow with the piece, not the stack
     piece_rows = [w._kernel() for w in glue_input.pieces]
     # xi_x: sqrt(phi_i(x)) times piece i's vector at x, over x's pieces in order
-    m_row, m_piece, m_phi = _mass_entries(partition)
+    m_row, m_piece, m_phi = partition.entries()
     k, pos = _gather(np.searchsorted(s_row, np.arange(n_rows + 1)),
                      piece_row[m_piece, m_row] + start[m_piece])
     glued = Witness._of(space, m_row[pos], s_at[k], s_tag[k], tuple(tags),

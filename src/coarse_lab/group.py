@@ -462,7 +462,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
             % (multiplicity(enlarged), k + 1))
     # Bell values are subordinate to the cover, hence to its enlargement
     bell = bell_partition(cover)
-    psi, kept = pullback_partition(orbit.cert, PartitionOfUnity(X, enlarged, bell.values))
+    psi, kept = pullback_partition(orbit.cert, PartitionOfUnity(X, enlarged, bell.phi))
     preimages = psi.cover.pieces
 
     reps = []

@@ -152,11 +152,11 @@ def witness_to_json(witness: Witness) -> dict:
 
 
 def partition_to_json(partition) -> dict:
-    rows = []
-    for i, vals in enumerate(partition.values):
-        for x in partition.space.sorted_ids(vals):
-            rows.append({"piece": i, "point": _as_jsonable(x), "value": vals[x]})
-    return {"values": rows}
+    ids = partition.space.point_ids
+    piece, point = np.nonzero(partition.phi)
+    return {"values": [{"piece": i, "point": _as_jsonable(ids[a]), "value": v}
+                       for i, a, v in zip(piece.tolist(), point.tolist(),
+                                          partition.phi[piece, point].tolist())]}
 
 
 def load_group(obj) -> GroupModel:
@@ -243,11 +243,12 @@ def load_chain_stages(obj, ambient: FiniteMetricSpace):
     kind = _need(obj, "type", "chain document")
     if kind == "z_intervals":
         _int_points(ambient, "z_intervals chain")
-        radii = sorted(int(r) for r in _need(obj, "radii", "chain document"))
+        radii = sorted(_check(r, int, "chain radius")
+                       for r in _need(obj, "radii", "chain document", list))
         return [frozenset(p for p in ambient.point_ids if abs(p) <= r) for r in radii]
     if kind == "explicit":
-        return [frozenset(norm_id(p) for p in stage)
-                for stage in _need(obj, "stages", "chain document")]
+        return [frozenset(norm_id(p) for p in _check(stage, list, "chain stage"))
+                for stage in _need(obj, "stages", "chain document", list)]
     raise ValidationError("unknown chain type %r" % (kind,))
 
 
@@ -261,7 +262,8 @@ def load_map_assignment(obj, source: FiniteMetricSpace, target: FiniteMetricSpac
             out[p] = p[0]
         return out
     if kind == "pairs":
-        return {norm_id(a): norm_id(b) for a, b in _need(obj, "pairs", "map document")}
+        return dict(_pair(pair, "map pairs must be [point, image] pairs")
+                    for pair in _need(obj, "pairs", "map document", list))
     raise ValidationError("unknown map type %r" % (kind,))
 
 

@@ -7,61 +7,73 @@ import numpy as np
 from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .report import check_le
-from .space import (CoarseMapCert, _pair_chunks, _pair_sweep, _SparseRows,
+from .space import (CoarseMapCert, _fold, _pair_chunks, _pair_sweep, _SparseRows,
                     _worst_pair)
 
 _SUM_TOL = 1e-9
 
 
+def _piece_mask(cover: Cover):
+    """(pieces, points) mask of the stored points inside each piece."""
+    inside = np.zeros((len(cover.pieces), len(cover.space)), dtype=bool)
+    for i, idx in enumerate(cover.piece_indices()):
+        inside[i, idx] = True
+    return inside
+
+
 class PartitionOfUnity:
     """Nonnegative functions, one per cover piece, summing to 1 at every point.
 
-    Values are stored sparsely: piece i keeps a dict of the points where it
-    is strictly positive, and positivity is only allowed inside piece i
-    (subordination).
+    ``phi`` is a read-only (pieces, points) float64 array: ``phi[i, a]`` is
+    piece i's value at the stored point a. Every entry is 0 or in (0, 1], and
+    positivity is only allowed inside piece i (subordination).
     """
 
-    def __init__(self, space, cover: Cover, values):
-        values = tuple(dict(v) for v in values)
+    def __init__(self, space, cover: Cover, phi):
+        phi = np.array(phi, dtype=np.float64)
         if cover.space is not space:
             raise ValidationError("partition space must be the cover's space")
-        if len(values) != len(cover.pieces):
-            raise ValidationError("need one value map per cover piece")
-        sums = {p: 0.0 for p in space.point_ids}
-        for i, (piece, vals) in enumerate(zip(cover.pieces, values)):
-            for x, v in vals.items():
-                if x not in space:
-                    raise ValidationError("piece %d carries unknown point %r" % (i, x))
-                if x not in piece:
-                    raise ValidationError(
-                        "subordination fails: piece %d positive at %r outside the piece"
-                        % (i, x)
-                    )
-                if not (0.0 < v <= 1.0 + _SUM_TOL):
-                    raise ValidationError(
-                        "value %r for piece %d at %r is outside (0, 1]" % (v, i, x)
-                    )
-                sums[x] += v
-        for x, s in sums.items():
-            if abs(s - 1.0) > _SUM_TOL:
-                raise ValidationError("values at %r sum to %r, not 1" % (x, s))
+        shape = (len(cover.pieces), len(space))
+        if phi.shape != shape:
+            raise ValidationError("partition values must have shape %r, not %r"
+                                  % (shape, phi.shape))
+        inside = _piece_mask(cover)
+        bad = np.argwhere((phi != 0.0) & ~(inside & (phi > 0.0) & (phi <= 1.0 + _SUM_TOL)))
+        if bad.size:
+            i, a = (int(v) for v in bad[0])
+            if not inside[i, a]:
+                raise ValidationError(
+                    "subordination fails: piece %d positive at %r outside the piece"
+                    % (i, space.point_ids[a]))
+            raise ValidationError("value %r for piece %d at %r is outside (0, 1]"
+                                  % (float(phi[i, a]), i, space.point_ids[a]))
+        # per point, added piece by piece in piece order: the sums of a scalar loop
+        sums = _fold(phi.T, np.zeros(len(space)))
+        off = np.flatnonzero(np.abs(sums - 1.0) > _SUM_TOL)
+        if off.size:
+            raise ValidationError("values at %r sum to %r, not 1"
+                                  % (space.point_ids[off[0]], float(sums[off[0]])))
+        phi.setflags(write=False)
         self.space = space
         self.cover = cover
-        self.values = values
-        self._masses = None
+        self.phi = phi
 
     def value(self, i, x) -> float:
-        return self.values[i].get(x, 0.0)
+        return float(self.phi[i, self.space.index(x)])
+
+    def entries(self):
+        """(point index, piece, value) arrays of the positive values, by point
+        and then by piece, as in ``masses``."""
+        point, piece = np.nonzero(self.phi.T)
+        return point, piece, self.phi[piece, point]
 
     def masses(self):
-        """Per point, the dict piece index -> positive value."""
-        if self._masses is None:
-            masses = {p: {} for p in self.space.point_ids}
-            for i, vals in enumerate(self.values):
-                for x, v in vals.items():
-                    masses[x][i] = v
-            self._masses = masses
-        return self._masses
+        """Per point, the dict piece index -> positive value, pieces ascending."""
+        ids = self.space.point_ids
+        masses = {p: {} for p in ids}
+        for a, i, v in zip(*(e.tolist() for e in self.entries())):
+            masses[ids[a]][i] = v
+        return masses
 
 
 def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
@@ -87,13 +99,7 @@ def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
     floor = L if require_lebesgue else 0.0
     if denom.min() < max(floor, 0.0) - 1e-12 or denom.min() <= 0.0:
         raise BoundViolationError("normalizer fell below the Lebesgue number")
-    mat = mat / denom
-    values = []
-    for i in range(len(cover.pieces)):
-        row = mat[i]
-        values.append({space.point_ids[j]: float(row[j])
-                       for j in np.flatnonzero(row > 0.0)})
-    return PartitionOfUnity(space, cover, values)
+    return PartitionOfUnity(space, cover, mat / denom)
 
 
 def bell_lipschitz_constant(cover: Cover) -> float:
@@ -115,52 +121,26 @@ def pullback_partition(cert: CoarseMapCert, partition: PartitionOfUnity):
     if partition.space is not cert.target:
         raise ValidationError("partition must live on the map's target")
     source = cert.source
-    kept = []
-    pieces = []
-    values = []
-    for i, piece in enumerate(partition.cover.pieces):
-        pre = frozenset(x for x in source.point_ids if cert.assignment[x] in piece)
-        if not pre:
-            continue
-        kept.append(i)
-        pieces.append(pre)
-        vals = {}
-        for x in source.point_ids:
-            v = partition.value(i, cert.assignment[x])
-            if v > 0.0:
-                vals[x] = v
-        values.append(vals)
-    cover = Cover(source, pieces)
-    return PartitionOfUnity(source, cover, values), tuple(kept)
+    img = cert.target.indices([cert.assignment[x] for x in source.point_ids])
+    pre = _piece_mask(partition.cover)[:, img]
+    kept = np.flatnonzero(pre.any(axis=1))
+    pieces = [[source.point_ids[a] for a in np.flatnonzero(row)] for row in pre[kept]]
+    phi = partition.phi[kept][:, img]
+    return PartitionOfUnity(source, Cover(source, pieces), phi), tuple(kept.tolist())
 
 
 def partition_variation_profile(partition: PartitionOfUnity, radii):
     """For each R, the max of sum_i |phi_i(x) - phi_i(y)| over pairs with d <= R,
     with the first pair attaining it (None when the max is 0)."""
-    return _pair_sweep(partition.space, radii, _mass_rows(partition).l1_dist)
-
-
-def _mass_entries(partition: PartitionOfUnity):
-    """(point index, piece, value) arrays of the positive values, by point and
-    then by piece, as in ``masses``."""
-    values = partition.values
-    row = np.array([partition.space.index(x) for vals in values for x in vals], dtype=np.int64)
-    order = np.argsort(row, kind="stable")
-    piece = np.repeat(np.arange(len(values)), [len(v) for v in values])
-    phi = np.array([v for vals in values for v in vals.values()])
-    return row[order], piece[order], phi[order]
-
-
-def _mass_rows(partition: PartitionOfUnity):
-    """The masses {piece: phi_piece(x)} per point, as pair-kernel rows."""
-    return _SparseRows(len(partition.space), *_mass_entries(partition))
+    rows = _SparseRows(len(partition.space), *partition.entries())
+    return _pair_sweep(partition.space, radii, rows.l1_dist)
 
 
 def _bell_lipschitz_check(partition: PartitionOfUnity, C):
     """Record for sum_i |phi_i(x) - phi_i(y)| <= C d(x, y) at the pair with the
     largest excess (first in row-major order); None on a one-point space."""
     space = partition.space
-    rows = _mass_rows(partition)
+    rows = _SparseRows(len(space), *partition.entries())
     worst = _worst_pair((a, b, rows.l1_dist(a, b), C * space.D[a, b])
                         for a, b in _pair_chunks(len(space)))
     if worst is None:

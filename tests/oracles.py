@@ -277,3 +277,49 @@ def dense_quasi_action(elements, generators, identity, table, space, maps, x0):
     return {"A": A, "A_at": A_at, "B": B, "B_at": B_at, "inverse_defect": inv,
             "inverse_at": inv_at, "ell": tuple(ell), "edge": edge, "edge_at": edge_at,
             "lam": lam}
+
+
+def partition_value_maps(partition):
+    """Per piece, the dict point -> positive value, in stored point order."""
+    ids = partition.space.point_ids
+    return [{x: partition.value(i, x) for x in ids if partition.value(i, x) > 0.0}
+            for i in range(len(partition.cover.pieces))]
+
+
+def dict_pullback(cert, partition):
+    """(kept, pieces, value maps) of the partition pulled back along the map,
+    by the loop over pieces x source points: pieces with an empty preimage
+    are dropped, and a kept piece's value at x is its value at f(x)."""
+    source = cert.source
+    kept, pieces, values = [], [], []
+    for i, piece in enumerate(partition.cover.pieces):
+        pre = frozenset(x for x in source.point_ids if cert.assignment[x] in piece)
+        if not pre:
+            continue
+        kept.append(i)
+        pieces.append(pre)
+        vals = {}
+        for x in source.point_ids:
+            v = partition.value(i, cert.assignment[x])
+            if v > 0.0:
+                vals[x] = v
+        values.append(vals)
+    return tuple(kept), tuple(pieces), values
+
+
+def dict_masses(space, values):
+    """Per stored point, the dict piece -> positive value, pieces ascending."""
+    masses = {p: {} for p in space.point_ids}
+    for i, vals in enumerate(values):
+        for x, v in vals.items():
+            masses[x][i] = v
+    return masses
+
+
+def dict_partition_rows(space, values):
+    """The partition document's rows: by piece, then by stored point."""
+    rows = []
+    for i, vals in enumerate(values):
+        for x in space.sorted_ids(vals):
+            rows.append({"piece": i, "point": x, "value": vals[x]})
+    return rows

@@ -278,6 +278,51 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("chain, message", [
+        ({"type": "z_intervals", "radii": ["x"]}, "chain radius must be an integer, not 'x'"),
+        ({"type": "z_intervals", "radii": 5},
+         "chain document field 'radii' must be a JSON list, not 5"),
+        ({"type": "z_intervals", "radii": [1.5, 100]},
+         "chain radius must be an integer, not 1.5"),
+        ({"type": "explicit", "stages": 5},
+         "chain document field 'stages' must be a JSON list, not 5"),
+        ({"type": "explicit", "stages": [5]}, "chain stage must be a JSON list, not 5"),
+    ])
+    def test_malformed_chain_document_is_validation_error(self, tmp_path, capsys, chain,
+                                                          message):
+        scen = write_json(tmp_path / "c.json", {
+            "name": "c",
+            "pipeline": "direct-limit",
+            "inputs": {"space": {"metric": {"type": "z_interval", "lo": -5, "hi": 5}},
+                       "chain": chain},
+            "parameters": {"L": 1},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([5], "map pairs must be [point, image] pairs, not 5"),
+        (5, "map document field 'pairs' must be a JSON list, not 5"),
+        ([[1, 2, 3]], "map pairs must be [point, image] pairs, not [1, 2, 3]"),
+    ])
+    def test_malformed_map_document_is_validation_error(self, tmp_path, capsys, pairs,
+                                                        message):
+        scen = write_json(tmp_path / "m.json", {
+            "name": "m",
+            "pipeline": "fibering",
+            "inputs": {"space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                       "target_space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                       "map": {"type": "pairs", "pairs": pairs},
+                       "cover": {"pieces": [[0, 1, 2, 3]]}},
+            "parameters": {},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("pipeline", ["subspace", "net"])
     def test_member_list_must_be_a_list(self, tmp_path, capsys, pipeline):
         scen = write_json(tmp_path / "s.json", {

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coarse_lab import (
     Cover,
+    FiniteMetricSpace,
     GlueInput,
     PreconditionError,
     ValidationError,
@@ -224,6 +225,26 @@ class TestGlue:
         shrunk = space_from_graph([0, 2], [(0, 2)])  # d(0,2)=1, restriction has 2
         with pytest.raises(ValidationError):
             GlueInput(part, (dirac_witness(shrunk), dirac_witness(s)))
+
+    def test_piece_listed_out_of_stored_order_is_accepted(self):
+        s = path_graph(4)
+        part = bell_partition(Cover(s, [s.point_ids]))
+        order = [3, 0, 2, 1]
+        idx = s.indices(order)
+        shuffled = FiniteMetricSpace(order, s.D[np.ix_(idx, idx)])
+        res = glue_with_report(GlueInput(part, (dirac_witness(shuffled),)))
+        want = glue_with_report(GlueInput(part, (dirac_witness(s),)))
+        assert res.witness.vectors == want.witness.vectors
+        assert res.checks == want.checks
+
+    def test_wrong_piece_metric_is_named(self):
+        s = path_graph(4)
+        part = bell_partition(Cover(s, [s.point_ids]))
+        order = [3, 0, 2, 1]
+        stretched = 2.0 * s.D[np.ix_(s.indices(order), s.indices(order))]
+        with pytest.raises(ValidationError) as exc:
+            GlueInput(part, (dirac_witness(FiniteMetricSpace(order, stretched)),))
+        assert str(exc.value) == "piece 0 witness metric is not the restricted metric"
 
 
 def cycle_space(n):

@@ -1,7 +1,12 @@
 """Partitions of unity: the distance-ratio construction and its Lipschitz
 bound, pullbacks along certified maps, and the variation functional."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_lab import (
     Cover,
@@ -13,6 +18,7 @@ from coarse_lab import (
     check_coarse_map,
     cycle,
     multiplicity,
+    partition_to_json,
     partition_variation,
     partition_variation_with_pair,
     pullback_partition,
@@ -20,7 +26,8 @@ from coarse_lab import (
     z2_ball,
     z_interval,
 )
-from oracles import dense_partition_variation
+from oracles import (dense_partition_variation, dict_masses, dict_partition_rows,
+                     dict_pullback, partition_value_maps)
 
 
 def path_graph(n):
@@ -37,13 +44,13 @@ class TestPartitionValidation:
         s = path_graph(3)
         cov = Cover(s, [[0, 1, 2]])
         with pytest.raises(ValidationError):
-            PartitionOfUnity(s, cov, [{0: 0.5, 1: 1.0, 2: 1.0}])
+            PartitionOfUnity(s, cov, [[0.5, 1.0, 1.0]])
 
     def test_subordination_enforced(self):
         s = path_graph(3)
         cov = Cover(s, [[0, 1], [1, 2]])
         with pytest.raises(ValidationError) as err:
-            PartitionOfUnity(s, cov, [{0: 1.0, 2: 1.0}, {1: 1.0}])
+            PartitionOfUnity(s, cov, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         assert "subordination" in str(err.value)
 
     def test_space_identity_required(self):
@@ -51,7 +58,44 @@ class TestPartitionValidation:
         other = path_graph(3)
         cov = Cover(s, [[0, 1, 2]])
         with pytest.raises(ValidationError):
-            PartitionOfUnity(other, cov, [{0: 1.0, 1: 1.0, 2: 1.0}])
+            PartitionOfUnity(other, cov, [[1.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("pieces, phi, message", [
+        ([[0, 1, 2]], [[1.5, 1.0, 1.0]], "value 1.5 for piece 0 at 0 is outside (0, 1]"),
+        ([[0, 1, 2], [0, 1, 2]], [[1.0, -0.5, 1.0], [0.0, 1.5, 0.0]],
+         "value -0.5 for piece 0 at 1 is outside (0, 1]"),
+        ([[0, 1, 2]], [[1.0, math.nan, 1.0]], "value nan for piece 0 at 1 is outside (0, 1]"),
+        ([[0, 1], [1, 2]], [[1.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+         "subordination fails: piece 0 positive at 2 outside the piece"),
+        ([[0, 1], [1, 2]], [[1.0, 0.5, 0.0], [0.0, 0.25, 1.0]], "values at 1 sum to 0.75, not 1"),
+        ([[0, 1, 2]], [[1.0, 1.0]], "partition values must have shape (1, 3), not (1, 2)"),
+        ([[0, 1, 2]], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+         "partition values must have shape (1, 3), not (2, 3)"),
+        # several bad entries: the first in row-major order is named
+        ([[0, 1, 2], [1, 2]], [[1.0, 0.5, 2.0], [0.7, 0.5, -1.0]],
+         "value 2.0 for piece 0 at 2 is outside (0, 1]"),
+    ])
+    def test_array_input_errors(self, pieces, phi, message):
+        s = path_graph(3)
+        with pytest.raises(ValidationError) as err:
+            PartitionOfUnity(s, Cover(s, pieces), np.array(phi))
+        assert str(err.value) == message
+
+    def test_cover_on_another_space(self):
+        s = path_graph(3)
+        cov = Cover(path_graph(3), [[0, 1, 2]])
+        with pytest.raises(ValidationError) as err:
+            PartitionOfUnity(s, cov, np.ones((1, 3)))
+        assert str(err.value) == "partition space must be the cover's space"
+
+    def test_array_is_stored_read_only(self):
+        s = path_graph(3)
+        phi = np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
+        part = PartitionOfUnity(s, Cover(s, [[0, 1], [1, 2]]), phi)
+        phi[0, 0] = 0.0
+        assert part.value(0, 0) == 1.0
+        assert not part.phi.flags.writeable
+        assert part.masses() == {0: {0: 1.0}, 1: {0: 0.5, 1: 0.5}, 2: {1: 1.0}}
 
 
 class TestBellPartition:
@@ -175,6 +219,66 @@ class TestPullback:
         cert = check_coarse_map(other, other, {p: p for p in other.point_ids})
         with pytest.raises(ValidationError):
             pullback_partition(cert, part)
+
+
+# ------------------------------------------ pullbacks against the dict loops
+
+def _path(n, order):
+    """Path graph 0 - 1 - ... - n-1 with its points stored in ``order``."""
+    return space_from_graph(order, [(i, i + 1) for i in range(n - 1)])
+
+
+@st.composite
+def _small_spaces(draw):
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["interval", "cycle", "path"]))
+    if kind == "interval":
+        lo = draw(st.integers(-3, 3))
+        return z_interval(lo, lo + n - 1)
+    if kind == "cycle":
+        return cycle(n)
+    return _path(n, draw(st.permutations(range(n))))
+
+
+@st.composite
+def _pullback_cases(draw):
+    """A map between two small spaces and a random cover of the target."""
+    source, target = draw(_small_spaces()), draw(_small_spaces())
+    ids = target.point_ids
+    pieces = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), min_size=1,
+                           max_size=4))
+    rest = set(ids) - set().union(*pieces)
+    if rest:
+        pieces.append(rest)
+    images = draw(st.lists(st.sampled_from(ids), min_size=len(source),
+                           max_size=len(source)))
+    cert = check_coarse_map(source, target, dict(zip(source.point_ids, images)))
+    return cert, Cover(target, pieces)
+
+
+def _assert_matches_dicts(part, pieces, values):
+    space = part.space
+    assert part.cover.pieces == pieces
+    for i in range(len(pieces)):
+        for x in space.point_ids:
+            assert part.value(i, x) == values[i].get(x, 0.0)
+    want = dict_masses(space, values)
+    assert [(x, list(m.items())) for x, m in part.masses().items()] == \
+        [(x, list(m.items())) for x, m in want.items()]
+    assert partition_to_json(part)["values"] == dict_partition_rows(space, values)
+
+
+class TestPullbackAgainstDictLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(_pullback_cases())
+    def test_pullback_values_masses_and_rows(self, case):
+        cert, cover = case
+        part = bell_partition(cover, require_lebesgue=False)
+        _assert_matches_dicts(part, cover.pieces, partition_value_maps(part))
+        pulled, kept = pullback_partition(cert, part)
+        want_kept, want_pieces, want_values = dict_pullback(cert, part)
+        assert kept == want_kept
+        _assert_matches_dicts(pulled, want_pieces, want_values)
 
 
 def test_multiplicity_of_generated_bell_cover_matches_constant():
