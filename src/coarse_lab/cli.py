@@ -1,7 +1,8 @@
 """Command line entry points: run a scenario, run a suite, check a space.
 
-Exit codes: 0 all checked inequalities pass, 1 a checked inequality failed
-(the instance is falsified), 2 invalid input or violated precondition.
+Exit codes: 0 all checked inequalities pass, 1 a certificate with a failed
+inequality was written (the instance is falsified), 2 invalid input or violated
+precondition, 3 a bug (a bound violation or any other exception, traced).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import datetime
 import json
 import os
 import sys
+import traceback
 
 from .construct import (_sample_grid, dirac_piece_family, fibering_pipeline,
                         glue_with_report, make_glue_input, separated_cover_pipeline,
@@ -22,7 +24,7 @@ from .group import certify_quasi_action, group_pipeline
 from .jsonio import (_as_jsonable, _check, _is_number, _need, _object, dumps_deterministic,
                      load_action_maps, load_chain_stages, load_cover, load_group,
                      load_map_assignment, load_space, load_witness, norm_id,
-                     partition_to_json)
+                     parse_json, partition_to_json)
 from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile)
 from .report import InequalityRecord, all_passed, check_le
@@ -37,7 +39,7 @@ _GRIDS = ("radii", "tail_radii")
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse_json(fh.read(), path)
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
@@ -481,11 +483,12 @@ def main(argv=None) -> int:
         if args.command == "suite":
             return run_suite(args.directory, out_dir=args.out)
         return check_space(args.space)
-    except BoundViolationError:
-        raise
-    except CoarseLabError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except Exception as exc:
+        if isinstance(exc, CoarseLabError) and not isinstance(exc, BoundViolationError):
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        traceback.print_exc()  # a bug: neither bad input nor a falsified instance
+        return 3
 
 
 if __name__ == "__main__":

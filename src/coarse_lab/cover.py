@@ -26,17 +26,17 @@ class Cover:
     """
 
     def __init__(self, space: FiniteMetricSpace, pieces, coloring=None):
-        pieces = tuple(frozenset(p) for p in pieces)
-        if not pieces:
+        given = tuple(tuple(p) for p in pieces)
+        if not given:
             raise ValidationError("a cover needs at least one piece")
-        seen = set()
-        for i, p in enumerate(pieces):
+        for i, p in enumerate(given):
             if not p:
                 raise ValidationError("piece %d is empty" % i)
             for x in p:
                 if x not in space:
                     raise ValidationError("piece %d contains unknown point %r" % (i, x))
-            seen |= p
+        pieces = tuple(frozenset(p) for p in given)
+        seen = set().union(*pieces)
         if seen != set(space.point_ids):
             missing = space.sorted_ids(set(space.point_ids) - seen)[0]
             raise ValidationError("pieces do not cover the space: %r uncovered" % (missing,))

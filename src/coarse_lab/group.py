@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ class GroupModel:
     or -1 where a truncated ball does not store the product; a finite group
     stores every product. The identity's row and column are the identity
     permutation. Inverses are read off the table, so every stored element
-    needs exactly one.
+    needs exactly one; ``inverse[i]`` is the index of elements[i]^-1.
     """
 
     def __init__(self, elements, generators, mult, identity,
@@ -70,12 +71,12 @@ class GroupModel:
             if elements[inverse[ix[s]]] not in generators:
                 raise ValidationError("generating set is not symmetric at %r" % (s,))
         mult.setflags(write=False)
+        inverse.setflags(write=False)
         self.elements = elements
         self.generators = generators
         self.mult = mult
         self.identity = identity
-        self.inverse = {g: elements[j] for g, j in zip(elements, inverse.tolist())}
-        self._inverse_ix = inverse
+        self.inverse = inverse
         self.truncation_radius = truncation_radius
         self.name = name
         self._ix = ix
@@ -93,11 +94,6 @@ class GroupModel:
             return self._ix[g]
         except KeyError:
             raise ValidationError("%r is not a stored group element" % (g,)) from None
-
-    def product(self, g, h):
-        """g * h, or None when a truncated ball does not store it."""
-        k = int(self.mult[self.index(g), self.index(h)])
-        return self.elements[k] if k >= 0 else None
 
 
 def cyclic_group(n) -> GroupModel:
@@ -214,7 +210,7 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
             raise ValidationError("product table is not associative: (x*s)*y != x*(s*y) "
                                   "at (x, s, y) = %r" % ((x, s, y),))
     d0 = np.array(dist, dtype=np.float64)
-    model._word_space = FiniteMetricSpace(model.elements, d0[mult[model._inverse_ix]],
+    model._word_space = FiniteMetricSpace(model.elements, d0[mult[model.inverse]],
                                           structure=structure, validate=False)
     return model._word_space
 
@@ -223,13 +219,14 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
 class CoarseQuasiAction:
     """Per-element self-maps with exhaustively certified constants.
 
-    ell is exact on the space's realized distance grid; A and B are tight
-    maxima with recorded attaining witnesses.
+    ``img[i, a]`` is the index of f_g(x) for the i-th stored element g and the
+    a-th stored point x (read-only). ell is exact on the space's realized
+    distance grid; A and B are tight maxima with recorded attaining witnesses.
     """
 
     group: GroupModel
     space: FiniteMetricSpace
-    maps: dict
+    img: np.ndarray
     ell: StepModulus
     A: float
     B: float
@@ -244,22 +241,30 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
                          A_ceiling=None, B_ceiling=None) -> CoarseQuasiAction:
     """Compute tight ell/A/B for a total family of self-maps.
 
-    Finite data always certifies with some constants; optional ceilings turn
-    a too-large constant into a PreconditionError with its witness.
+    ``maps`` is the action's index array (CoarseQuasiAction.img) or a mapping
+    g -> {x: f_g(x)}. Finite data always certifies with some constants;
+    optional ceilings turn a too-large constant into a PreconditionError
+    with its witness.
     """
-    maps = {g: dict(m) for g, m in dict(maps).items()}
-    for g in group.elements:
-        if g not in maps:
-            raise ValidationError("no map for group element %r" % (g,))
-        m = maps[g]
-        for x in space.point_ids:
-            if x not in m:
-                raise ValidationError("map of %r is not total, missing %r" % (g, x))
-            if m[x] not in space:
-                raise ValidationError("map of %r sends %r outside the space" % (g, x))
-    # img[i, x] is the index of f_g(x) for the i-th element g
-    img = np.array([space.indices([maps[g][x] for x in space.point_ids])
-                    for g in group.elements])
+    n = len(space)
+    if isinstance(maps, Mapping):
+        for g in group.elements:
+            if g not in maps:
+                raise ValidationError("no map for group element %r" % (g,))
+            m = maps[g]
+            for x in space.point_ids:
+                if x not in m:
+                    raise ValidationError("map of %r is not total, missing %r" % (g, x))
+                if m[x] not in space:
+                    raise ValidationError("map of %r sends %r outside the space" % (g, x))
+        maps = [space.indices([maps[g][x] for x in space.point_ids]) for g in group.elements]
+    img = np.asarray(maps)
+    if img.shape != (len(group), n) or not np.issubdtype(img.dtype, np.integer) \
+            or ((img < 0) | (img >= n)).any():
+        raise ValidationError("action array must be (%d, %d) with point indices in 0..%d"
+                              % (len(group), n, n - 1))
+    img = img.astype(np.int64)
+    img.setflags(write=False)
 
     # cls[i] is the class of the i-th element's map among the distinct rows,
     # flattened since numpy versions differ in the shape of the inverse
@@ -274,7 +279,6 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
     ell = StepModulus((r, v) for r, v, _ in _pair_sweep(
         space, samples, lambda a, b: image_dist[a, b]))
 
-    n = len(space)
     a_vals = space.D[np.arange(n), img[group.index(group.identity)]]
     A = float(a_vals.max())
     A_witness = space.point_ids[int(a_vals.argmax())]
@@ -299,7 +303,7 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
             t, x = divmod(flat, n)
             B_witness = (group.elements[g[t]], group.elements[h[t]], space.point_ids[x])
 
-    comp = np.take_along_axis(img, img[group._inverse_ix], axis=1)
+    comp = np.take_along_axis(img, img[group.inverse], axis=1)
     vals = space.D[comp, np.arange(n)]
     inv_worst = float(vals.max())
     inv_at = None
@@ -320,7 +324,7 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
             if v > float(ell_ceiling(r)) + 1e-12:
                 raise PreconditionError(
                     "ell(%g)=%g exceeds ceiling %g" % (r, v, float(ell_ceiling(r))))
-    return CoarseQuasiAction(group, space, maps, ell, A, B, A_witness, B_witness,
+    return CoarseQuasiAction(group, space, img, ell, A, B, A_witness, B_witness,
                              checks, word_metric_space(group))
 
 
@@ -329,31 +333,39 @@ class QuasiStabilizer:
     base_point: object
     threshold: float
     members: tuple        # in word-space stored order
+    index: np.ndarray     # the members' element indices, ascending
     space: FiniteMetricSpace
 
 
-def quasi_stabilizer(action: CoarseQuasiAction, x0, T) -> QuasiStabilizer:
+def _displacement(action: CoarseQuasiAction, x0):
+    """d(f_g(x0), x0) for every stored element g, in stored order."""
     if x0 not in action.space:
         raise ValidationError("base point %r not in the space" % (x0,))
+    a = action.space.index(x0)
+    return action.space.D[action.img[:, a], a]
+
+
+def quasi_stabilizer(action: CoarseQuasiAction, x0, T) -> QuasiStabilizer:
+    disp = _displacement(action, x0)
     if T < 0:
         raise ValidationError("threshold must be >= 0")
-    members = tuple(g for g in action.group.elements
-                    if action.space.d(action.maps[g][x0], x0) <= float(T) + 1e-9)
-    if not members:
+    index = np.flatnonzero(disp <= float(T) + 1e-9)
+    if not index.size:
         raise PreconditionError("quasi-stabilizer at T=%g is empty" % float(T))
-    return QuasiStabilizer(x0, float(T), members,
+    members = tuple(action.group.elements[i] for i in index.tolist())
+    return QuasiStabilizer(x0, float(T), members, index,
                            action.word_space.restrict(members))
 
 
 def left_translation(group: GroupModel, g, members):
-    """h -> g*h on the given elements; fails if a product leaves the model."""
-    out = {}
-    for h in members:
-        gh = group.product(g, h)
-        if gh is None:
-            raise PreconditionError(
-                "translate %r * %r leaves the stored elements (truncation)" % (g, h))
-        out[h] = gh
+    """Element indices of g*h for the element indices h in ``members``, with g
+    an element index; fails at the first h whose product leaves the model."""
+    out = group.mult[g, members]
+    bad = np.flatnonzero(out < 0)
+    if bad.size:
+        raise PreconditionError(
+            "translate %r * %r leaves the stored elements (truncation)"
+            % (group.elements[g], group.elements[members[bad[0]]]))
     return out
 
 
@@ -371,19 +383,17 @@ def orbit_map(action: CoarseQuasiAction, x0) -> OrbitMapResult:
     Adjacent group elements (g, gs) land within ell(lam) + B of each other;
     lam is the largest generator displacement of the base point.
     """
-    if x0 not in action.space:
-        raise ValidationError("base point %r not in the space" % (x0,))
-    assignment = {g: action.maps[g][x0] for g in action.group.elements}
-    cert = check_coarse_map(action.word_space, action.space, assignment)
-    lam = max(action.space.d(action.maps[s][x0], x0) for s in action.group.generators) \
-        if action.group.generators else 0.0
-    edge_bound = action.ell(lam) + action.B
+    G, X = action.group, action.space
+    disp = _displacement(action, x0)
+    pts = action.img[:, X.index(x0)]
+    cert = check_coarse_map(action.word_space, X, zip(G.elements,
+                                                      [X.point_ids[k] for k in pts.tolist()]))
     # edges (g, gs) in row-major order of the table's generator columns
-    G = action.group
     gen_cols = sorted({G.index(s) for s in G.generators})
+    lam = float(disp[gen_cols].max()) if gen_cols else 0.0
+    edge_bound = action.ell(lam) + action.B
     ends = G.mult[:, gen_cols]
-    pts = np.array(action.space.indices([assignment[g] for g in G.elements]))
-    vals = np.where(ends >= 0, action.space.D[pts[:, None], pts[ends]], 0.0)
+    vals = np.where(ends >= 0, X.D[pts[:, None], pts[ends]], 0.0)
     worst = float(vals.max()) if vals.size else 0.0
     worst_at = None
     if worst > 0.0:
@@ -437,7 +447,6 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     if R < 0:
         raise ValidationError("R must be >= 0")
     orbit = orbit_map(action, x0)
-    pi = orbit.cert.assignment
 
     k = multiplicity(cover) - 1
     L = lebesgue_number(cover)
@@ -465,50 +474,49 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     psi, kept = pullback_partition(orbit.cert, PartitionOfUnity(X, enlarged, bell.phi))
     preimages = psi.cover.pieces
 
-    reps = []
-    radii_T = []
-    orbit_pts = X.indices([pi[g] for g in G.elements])
-    for i in kept:
-        vids = X.indices(X.sorted_ids(enlarged.pieces[i]))
-        r = X.D[np.ix_(orbit_pts, vids)].max(axis=1)
-        best = int(r.argmin())
-        reps.append(G.elements[best])
-        radii_T.append(float(r[best]))
-    T = max(radii_T)
+    disp = _displacement(action, x0)
+    orbit_pts = action.img[:, X.index(x0)]
+    # per piece, the first element whose orbit point minimises the farthest distance
+    far = [X.D[np.ix_(orbit_pts, enlarged.piece_indices()[i])].max(axis=1) for i in kept]
+    rep_ix = [int(r.argmin()) for r in far]
+    T = max(float(r.min()) for r in far)
     threshold = action.A + 2.0 * action.B + action.ell(T)
     stab = quasi_stabilizer(action, x0, threshold)
-    stab_set = set(stab.members)
 
     flags = []
     if G.truncation_radius is not None:
         flags.append("group model truncated at radius %d; word distances are "
                      "upper bounds" % G.truncation_radius)
 
+    # each preimage piece in stored order, so the first worst member wins
     incl_worst = (-math.inf, None)
     for pos, i in enumerate(kept):
-        for g, h in left_translation(G, G.inverse[reps[pos]], preimages[pos]).items():
-            disp = X.d(action.maps[h][x0], x0)
-            if disp > incl_worst[0]:
-                incl_worst = (disp, (i, g))
-            if h not in stab_set:
-                raise PreconditionError(
-                    "piece %d: %r translates to %r outside the %g-quasi-stabilizer"
-                    % (i, g, h, threshold))
+        members = psi.cover.piece_indices()[pos]
+        moved = left_translation(G, G.inverse[rep_ix[pos]], members)
+        top = int(disp[moved].argmax())
+        if disp[moved[top]] > incl_worst[0]:
+            incl_worst = (float(disp[moved[top]]), (i, G.elements[members[top]]))
+        out = np.flatnonzero(~np.isin(moved, stab.index))
+        if out.size:
+            raise PreconditionError(
+                "piece %d: %r translates to %r outside the %g-quasi-stabilizer"
+                % (i, G.elements[members[out[0]]], G.elements[moved[out[0]]], threshold))
     inclusion = check_le("stabilizer_inclusion", max(incl_worst[0], 0.0), threshold,
                          tol=1e-9, witness=incl_worst[1])
 
     base_witness = provider(stab.space)
     if not isinstance(base_witness, Witness) or \
-            set(base_witness.space.point_ids) != stab_set:
+            set(base_witness.space.point_ids) != set(stab.members):
         raise ValidationError("provider witness is not on the quasi-stabilizer")
 
     piece_witnesses = {}
     sub_results = []
     for pos, i in enumerate(kept):
-        mapping = left_translation(G, reps[pos], stab.members)
-        translated = gsp.restrict(tuple(mapping.values()))
-        moved = transport(base_witness, mapping, translated)
-        res = subspace_construction(moved, preimages[pos])
+        moved = left_translation(G, rep_ix[pos], stab.index)
+        translated = gsp.restrict([G.elements[g] for g in moved.tolist()])
+        # a stabilizer member's image sits at its rank among the images
+        res = subspace_construction(transport(base_witness, np.argsort(np.argsort(moved)),
+                                              translated), preimages[pos])
         sub_results.append(res)
         piece_witnesses[pos] = res.collapsed
     glue_res = glue_with_report(make_glue_input(psi, piece_witnesses),
@@ -526,6 +534,6 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     for res in sub_results:
         checks = checks + res.checks
     return GroupPipelineResult(
-        glue_res.witness, psi, psi.cover, kept, tuple(reps), float(T),
+        glue_res.witness, psi, psi.cover, kept, tuple(G.elements[g] for g in rep_ix), float(T),
         float(threshold), stab, epsilon, orbit.lam, k, L, checks, info,
         tuple(flags), tuple(sub_results), glue_res, orbit)

@@ -30,6 +30,27 @@ def norm_id(v, null=False):
     raise ValidationError("ids must be numbers, strings or lists of them, not %r" % (v,))
 
 
+def parse_json(text, source="JSON text"):
+    """The JSON document in ``text``, read from ``source``. Lists in this format
+    hold no booleans, but numpy reads one in a matrix as 0 or 1, so a text
+    with a ``true`` or ``false`` token has its lists checked entry by entry."""
+    doc = json.loads(text)
+    # one-letter scans run at memchr speed, and a matrix file's keys hold no u or l
+    todo = [("", doc)] if ("u" in text and "true" in text) or \
+        ("l" in text and "false" in text) else []
+    for where, value in todo:  # breadth first: the list grows as it is walked
+        if isinstance(value, dict):
+            todo += [("%s.%s" % (where, k) if where else k, v) for k, v in value.items()]
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                if isinstance(v, bool):
+                    raise ValidationError("%s: %s[%d] is %s; lists hold no booleans"
+                                          % (source, where, i, json.dumps(v)))
+                if isinstance(v, (dict, list)):
+                    todo.append(("%s[%d]" % (where, i), v))
+    return doc
+
+
 def _as_jsonable(v):
     if isinstance(v, tuple):
         return [_as_jsonable(x) for x in v]
@@ -182,52 +203,47 @@ def _int_points(space, what):
         raise ValidationError("%s needs integer point ids" % (what,))
 
 
-def _rule_maps(rule, group: GroupModel, space: FiniteMetricSpace, perturb=None):
-    """Translation-style action rules on integer-pointed spaces.
-
-    cyclic_mod: x -> (x + g + p) mod |X|; translation_clamp: x -> x + g + p
-    clamped to the stored interval. p is the optional perturbation value.
+def _rule_maps(rule, group: GroupModel, space: FiniteMetricSpace, perturb=(0, 0, 1, 0)):
+    """Translation-style action rules on integer-pointed spaces, as the (|G|, n)
+    array of image point indices: cyclic_mod x -> (x + g + p) mod |X|,
+    translation_clamp x -> x + g + p clamped to the stored interval, where
+    p = (ga g + xa x) mod m - shift for perturb = (ga, xa, m, shift). With ga
+    and xa reduced mod m, int64 is exact below the bound, else Python ints are.
     """
     _int_points(space, "action rule %r" % (rule,))
     if not all(isinstance(g, int) for g in group.elements):
         raise ValidationError("action rule %r needs an integer group" % (rule,))
     pts = sorted(space.point_ids)
-    lo, hi = pts[0], pts[-1]
-    n = len(pts)
+    lo, hi, n = pts[0], pts[-1], len(pts)
     if pts != list(range(lo, hi + 1)):
         raise ValidationError("action rule %r needs contiguous integer points" % (rule,))
     if rule == "cyclic_mod" and lo != 0:
         raise ValidationError("cyclic_mod needs points 0..n-1")
-    maps = {}
-    for g in group.elements:
-        m = {}
-        for x in space.point_ids:
-            p = perturb(g, x) if perturb is not None else 0
-            if rule == "cyclic_mod":
-                y = (x + g + p) % n
-            elif rule == "translation_clamp":
-                y = min(max(x + g + p, lo), hi)
-            else:
-                raise ValidationError("unknown action rule %r" % (rule,))
-            m[x] = y
-        maps[g] = m
-    return maps
+    if rule not in ("cyclic_mod", "translation_clamp"):
+        raise ValidationError("unknown action rule %r" % (rule,))
+    ga, xa, mod, shift = perturb
+    top = max(abs(lo), abs(hi)) + max(abs(g) for g in group.elements)
+    dtype = np.int64 if (mod + 1) * top + mod + abs(shift) < 2**62 else object
+    g = np.array(group.elements, dtype=dtype)[:, None]
+    x = np.array(space.point_ids, dtype=dtype)
+    y = x + g + ((ga % mod) * g + (xa % mod) * x) % mod - shift
+    y = y % n if rule == "cyclic_mod" else np.minimum(np.maximum(y, lo), hi)
+    at = np.empty(n, dtype=np.int64)
+    at[(x - lo).astype(np.int64)] = np.arange(n)
+    return at[(y - lo).astype(np.int64)]
 
 
 def load_action_maps(obj, group: GroupModel, space: FiniteMetricSpace):
-    """Build the per-element self-maps; certification happens separately."""
+    """The action as a (|G|, n) point-index array, or maps g -> {x: f_g(x)} for
+    a table; certification happens separately."""
     kind = _need(obj, "type", "action document")
     if kind == "isometric_hom":
         return _rule_maps(_need(obj, "rule", "action document"), group, space)
     if kind == "perturbed":
-        ga, xa, mod, shift = (_need(obj, key, "perturbed action", int)
-                              for key in ("ga", "xa", "mod", "shift"))
-        if mod < 1:
+        perturb = tuple(_need(obj, key, "perturbed action", int)
+                        for key in ("ga", "xa", "mod", "shift"))
+        if perturb[2] < 1:
             raise ValidationError("perturbation modulus must be >= 1")
-
-        def perturb(g, x):
-            return (ga * g + xa * x) % mod - shift
-
         return _rule_maps(_need(obj, "base", "perturbed action"), group, space, perturb)
     if kind == "table":
         maps = {}

@@ -182,27 +182,29 @@ def variation_profile(witness: Witness, radii):
 def tail_profile(witness: Witness, radii) -> DecayProfile:
     """For each S, max over x of the squared mass projecting outside B(x, S).
 
-    Each vector's entries are sorted by (distance, mass), behind (-inf, 0.0)
-    padding, and carry the suffix sums of their masses, added from the far
-    end. Suffix sums shrink towards the far end, so a vector's tail past S,
-    its suffix at the first entry farther than S, is its largest suffix past S.
+    One sort orders the entries by (row, distance, mass), and each carries
+    the suffix sum of its row's masses, added from the far end. Suffix sums
+    shrink towards the far end, so the tail past S is the largest suffix sum
+    at an entry farther than S.
     """
     radii = sorted(float(s) for s in radii)
     if not all(s >= 0.0 for s in radii):
         raise ValidationError("tail radii must be >= 0 and not NaN")
     w = witness
-    shape = (len(w.space), int(np.diff(w._ptr).max()))
-    slot = np.arange(len(w.row)) - w._ptr[w.row]
-    dist = np.full(shape, -np.inf)
-    mass = np.zeros(shape)
-    dist[w.row, slot] = w.space.D[w.row, w.at]
-    mass[w.row, slot] = w.coef * w.coef
-    order = np.lexsort((mass, dist), axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-    suffix = np.cumsum(np.take_along_axis(mass, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
-    return DecayProfile(tuple(
-        (s, float(np.where(dist > s + 1e-12, suffix, 0.0).max(initial=0.0)))
-        for s in radii))
+    dist = w.space.D[w.row, w.at]
+    mass = w.coef * w.coef
+    order = np.lexsort((mass, dist, w.row))
+    # rows keep their sizes, so entry k of the order sits at slot k - ptr[row];
+    # the zeros right of each row add nothing to its sums
+    slot = np.arange(len(order)) - w._ptr[w.row]
+    grid = np.zeros((len(w.space), int(np.diff(w._ptr).max())))
+    grid[w.row, slot] = mass[order]
+    suffix = np.cumsum(grid[:, ::-1], axis=1)[:, ::-1][w.row, slot]
+    # beyond[j]: the largest suffix at an entry farther than exactly j radii
+    beyond = np.zeros(len(radii) + 1)
+    np.maximum.at(beyond, np.searchsorted(np.array(radii) + 1e-12, dist[order]), suffix)
+    tails = np.maximum.accumulate(beyond[::-1])[::-1]
+    return DecayProfile(tuple(zip(radii, tails[1:].tolist())))
 
 
 def collapse(witness: Witness) -> Witness:
@@ -225,16 +227,14 @@ def collapse(witness: Witness) -> Witness:
                        np.zeros_like(first), (None,), np.sqrt(mass))
 
 
-def transport(witness: Witness, mapping, target: FiniteMetricSpace) -> Witness:
-    """Push a witness forward along a bijective isometry onto the target."""
-    mapping = dict(mapping)
+def transport(witness: Witness, img, target: FiniteMetricSpace) -> Witness:
+    """Push a witness forward along a bijective isometry onto the target;
+    ``img[a]`` is the target index of the a-th source point's image."""
     src = witness.space
-    if set(mapping) != set(src.point_ids):
-        raise ValidationError("transport map must be defined on every source point")
-    images = list(mapping.values())
-    if len(set(images)) != len(images) or set(images) != set(target.point_ids):
+    img = np.asarray(img)
+    if img.shape != (len(src),) or not np.issubdtype(img.dtype, np.integer) \
+            or not np.array_equal(np.sort(img), np.arange(len(target))):
         raise ValidationError("transport map must be a bijection onto the target")
-    img = np.array([target.index(mapping[p]) for p in src.point_ids])
     off = np.argwhere(np.abs(src.D - target.D[np.ix_(img, img)]) > _NORM_TOL)
     if off.size:
         a, b = (int(v) for v in off[0])

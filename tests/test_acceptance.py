@@ -449,11 +449,12 @@ def test_criterion_7_group_action_end_to_end():
             G = act.group
             stab_set = set(run.stabilizer.members)
             for pos, i in enumerate(run.kept_pieces):
-                inv = G.inverse[run.reps[pos]]
+                inv = G.inverse[G.index(run.reps[pos])]
                 for g in run.group_cover.pieces[pos]:
-                    h = G.product(inv, g)
+                    h = G.elements[G.mult[inv, G.index(g)]]
                     assert h in stab_set
-                    assert act.space.d(act.maps[h][0], 0) <= run.threshold + 1e-9
+                    fh0 = act.img[G.index(h), act.space.index(0)]
+                    assert act.space.d(act.space.point_ids[fh0], 0) <= run.threshold + 1e-9
             vectors = {pos: sr.collapsed.vectors
                        for pos, sr in enumerate(run.subspace_results)}
             oracle_check_glue(run.partition, vectors, run.glue)

@@ -3,18 +3,23 @@ profile export, suite aggregation, and JSON round-trips."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from coarse_lab import (
+    BoundViolationError,
     Cover,
     all_passed,
     bell_partition,
     certify_quasi_action,
     check_coarse_map,
     cycle,
+    cyclic_group,
     dumps_deterministic,
     fibering_pipeline,
+    free_group_ball,
     group_pipeline,
     load_action_maps,
     load_cover,
@@ -539,6 +544,103 @@ class TestPipelinesMatchApi:
         assert cert["details"]["representatives"] == list(res.reps)
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "space-file"])
+    def test_boolean_matrix_entry_is_input_error(self, tmp_path, capsys, inline):
+        # numpy would read the boolean as 1 or 0 and certify the matrix
+        space = {"metric": {"type": "matrix", "d": [[0, inline, 2], [1, 0, 1], [2, 1, 0]]},
+                 "points": [0, 1, 2]}
+        scen = write_json(tmp_path / "b.json", {
+            "name": "b",
+            "pipeline": "verify-cover",
+            "inputs": {
+                "space": space if inline else write_json(tmp_path / "m.json", space),
+                "cover": {"pieces": [[0, 1, 2]]},
+            },
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        where = "b.json: inputs.space.metric.d[0][1] is true" if inline else \
+            "m.json: metric.d[0][1] is false"
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), BoundViolationError("boom")],
+                             ids=["unexpected", "bound-violation"])
+    def test_bug_exits_three_with_traceback(self, tmp_path, capsys, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "bell_partition", broken)
+        src = os.path.join(SCENARIO_DIR, "bell_interval_blocks.json")
+        assert main(["run", src, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "%s: boom" % type(exc).__name__ in err
+        assert not os.listdir(tmp_path)
+
+
+def rule_certificate(tmp_path, name, action):
+    """The certificate of scenarios/<name>.json with its action replaced, with
+    the input-file timestamp dropped."""
+    with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+        scen = json.load(fh)
+    scen["inputs"]["space"] = {"metric": {"type": "cycle", "n": 12}}
+    scen["inputs"]["action"] = action
+    out = tmp_path / str(len(os.listdir(tmp_path)))
+    assert main(["run", write_json(tmp_path / "s.json", scen), "--out", str(out)]) == 0
+    cert = read_certificate(str(out), name)
+    del cert["inputs_timestamp"]
+    return cert
+
+
+def table_action(rule):
+    return {"type": "table", "maps": [{"g": g, "map": [[x, rule(g, x)] for x in range(12)]}
+                                      for g in range(60)]}
+
+
+class TestActionArrays:
+    def test_table_of_rotations_matches_rule(self, tmp_path):
+        rule = rule_certificate(tmp_path, "group_z60_c12",
+                                {"type": "isometric_hom", "rule": "cyclic_mod"})
+        table = rule_certificate(tmp_path, "group_z60_c12",
+                                 table_action(lambda g, x: (x + g) % 12))
+        assert table == rule
+
+    def test_table_of_perturbed_maps_matches_rule(self, tmp_path):
+        with open(os.path.join(SCENARIO_DIR, "group_z60_c12_perturbed.json")) as fh:
+            action = json.load(fh)["inputs"]["action"]
+        ga, xa, mod, shift = (action[k] for k in ("ga", "xa", "mod", "shift"))
+        rule = rule_certificate(tmp_path, "group_z60_c12_perturbed", action)
+        table = rule_certificate(tmp_path, "group_z60_c12_perturbed", table_action(
+            lambda g, x: (x + g + (ga * g + xa * x) % mod - shift) % 12))
+        assert table == rule
+
+    @pytest.mark.parametrize("xa", [1, 2 ** 65 + 1])
+    def test_huge_multiplier_reduces_exactly(self, tmp_path, xa):
+        doc = {"type": "perturbed", "base": "cyclic_mod", "ga": 2 ** 70, "xa": xa,
+               "mod": 3, "shift": 1}
+        huge = rule_certificate(tmp_path, "group_z60_c12_perturbed", doc)
+        doc["ga"] %= doc["mod"]
+        assert huge == rule_certificate(tmp_path, "group_z60_c12_perturbed", doc)
+
+    @pytest.mark.parametrize("rule", ["cyclic_mod", "translation_clamp"])
+    @pytest.mark.parametrize("ga, xa, mod, shift", [
+        (2 ** 70 + 1, -7, 3, 1),      # reduced to int64
+        (5, -7, 2 ** 64 + 7, 1),      # a modulus past int64: Python ints
+        (5, 1, 3, -2 ** 63),          # a shift past int64: Python ints
+    ])
+    def test_rule_arrays_match_python_ints(self, rule, ga, xa, mod, shift):
+        grp, space = cyclic_group(15), cycle(6)
+        img = load_action_maps({"type": "perturbed", "base": rule, "ga": ga, "xa": xa,
+                                "mod": mod, "shift": shift}, grp, space)
+
+        def image(g, x):
+            y = x + g + (ga * g + xa * x) % mod - shift
+            return y % 6 if rule == "cyclic_mod" else min(max(y, 0), 5)
+
+        assert img.tolist() == [[image(g, x) for x in range(6)] for g in range(15)]
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         src = os.path.join(SCENARIO_DIR, "subspace_interval.json")
@@ -551,6 +653,34 @@ class TestDeterminism:
         b1 = (out1 / "subspace_interval.certificate.json").read_bytes()
         b2 = (out2 / "subspace_interval.certificate.json").read_bytes()
         assert b1 == b2
+
+    def test_group_certificate_ignores_hash_seed(self, tmp_path):
+        # string elements of F_2 kept in sets iterate in an order that
+        # PYTHONHASHSEED decides; the stabilizer-inclusion witness must not
+        words = free_group_ball(2, 2).elements
+        scen = write_json(tmp_path / "f2.json", {
+            "name": "f2",
+            "pipeline": "group-pipeline",
+            "inputs": {
+                "group": {"type": "ball", "group": "free", "rank": 2, "radius": 2},
+                "space": {"metric": {"type": "cycle", "n": 12}},
+                "action": {"type": "table", "maps": [
+                    {"g": w, "map": [[x, (x + w.count("a") - w.count("A")) % 12]
+                                     for x in range(12)]} for w in words]},
+                "cover": {"pieces": [list(range(12))]},
+            },
+            "parameters": {"x0": 0, "R": 1, "epsilon": 100},
+        })
+        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+        certs = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+            subprocess.run([sys.executable, "-m", "coarse_lab.cli", "run", scen,
+                            "--out", str(out)], env=env, check=True, timeout=120,
+                           capture_output=True)
+            certs.append((out / "f2.certificate.json").read_bytes())
+        assert certs[0] == certs[1]
 
 
 class TestProfiles:

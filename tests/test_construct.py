@@ -110,7 +110,7 @@ class TestNet:
     def test_whole_space_net_is_identity(self):
         s = z_interval(0, 5)
         w = uniform_ball_witness(s, 1)
-        res = net_construction(s, s.point_ids, transport(w, {p: p for p in s.point_ids}, s), c=0)
+        res = net_construction(s, s.point_ids, transport(w, np.arange(len(s)), s), c=0)
         assert res.witness.vectors == w.vectors
         assert res.assignment == {p: p for p in s.point_ids}
 

@@ -45,6 +45,10 @@ class TestCoverValidation:
         with pytest.raises(ValidationError):
             Cover(path_graph(3), [[0, 1, 2], []])
 
+    def test_unknown_point_named_in_given_order(self):
+        with pytest.raises(ValidationError, match="piece 1 contains unknown point 'zz'"):
+            Cover(path_graph(3), [[0, 1, 2], [2, "zz", 7, "aa"]])
+
     def test_coloring_length_must_match(self):
         with pytest.raises(ValidationError):
             Cover(path_graph(3), [[0, 1], [1, 2]], coloring=[0])

@@ -171,14 +171,16 @@ def test_transport_reversal(name, seed, tagged):
     target = space_from_matrix([relabel[p] for p in reversed(ids)],
                                space.D[::-1, ::-1])
     w = Witness(space, random_vectors(space, seed, tagged))
-    assert_same_entries(transport(w, relabel, target), ref_transport(w, relabel))
+    img = target.indices([relabel[p] for p in ids])
+    assert_same_entries(transport(w, img, target), ref_transport(w, relabel))
 
 
 def test_transport_rotation():
     space = cycle(9)
     w = uniform_ball_witness(space, 2)
     rot = {p: (p + 4) % 9 for p in space.point_ids}
-    assert_same_entries(transport(w, rot, space), ref_transport(w, rot))
+    img = space.indices([rot[p] for p in space.point_ids])
+    assert_same_entries(transport(w, img, space), ref_transport(w, rot))
 
 
 @pytest.mark.parametrize("name, net", [

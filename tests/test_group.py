@@ -34,6 +34,12 @@ from coarse_lab import group as group_module
 from oracles import dense_product_table, dense_quasi_action, dense_word_metric, free_reduce
 
 
+def product(model, g, h):
+    """g * h read off the table, or None where a truncated ball does not store it."""
+    k = int(model.mult[model.index(g), model.index(h)])
+    return model.elements[k] if k >= 0 else None
+
+
 def rotation_maps(n_group, n_cycle):
     """g acts on the n_cycle-cycle by rotation through g mod n_cycle."""
     return {g: {x: (x + g) % n_cycle for x in range(n_cycle)}
@@ -81,8 +87,8 @@ class TestGroupModels:
         g = z_ball(5)
         assert not g.is_finite_group
         assert g.truncation_radius == 5
-        assert g.product(3, 4) is None
-        assert g.product(2, 3) == 5
+        assert product(g, 3, 4) is None
+        assert product(g, 2, 3) == 5
 
     def test_free_group_ball_size(self):
         g = free_group_ball(2, 2)
@@ -91,7 +97,7 @@ class TestGroupModels:
     def test_product_of_cyclic(self):
         g = product_of_cyclic([2, 2])
         assert len(g) == 4
-        assert g.product((1, 0), (1, 1)) == (0, 1)
+        assert product(g, (1, 0), (1, 1)) == (0, 1)
 
 
 class TestWordMetric:
@@ -110,7 +116,7 @@ class TestWordMetric:
         for a in g.elements:
             for x in g.elements:
                 for y in g.elements:
-                    assert sp.d(g.product(a, x), g.product(a, y)) == sp.d(x, y)
+                    assert sp.d(product(g, a, x), product(g, a, y)) == sp.d(x, y)
 
     def test_free_ball_word_lengths(self):
         g = free_group_ball(2, 2)
@@ -205,11 +211,13 @@ class TestCertify:
         assert act.B <= 3.0
         assert act.ell(1.0) <= 3.0
         # witnesses attain the constants
-        assert act.space.d(act.maps[act.group.identity][act.A_witness],
-                           act.A_witness) == act.A
+        G, X = act.group, act.space
+        a = X.index(act.A_witness)
+        assert X.D[act.img[G.index(G.identity), a], a] == act.A
         g, h, x = act.B_witness
-        gh = act.group.product(g, h)
-        assert act.space.d(act.maps[g][act.maps[h][x]], act.maps[gh][x]) == act.B
+        gh = product(G, g, h)
+        fhx = act.img[G.index(h), X.index(x)]
+        assert X.D[act.img[G.index(g), fhx], act.img[G.index(gh), X.index(x)]] == act.B
 
     def test_inverse_defect_within_a_plus_b(self):
         act = certify_quasi_action(cyclic_group(60), cycle(12),
@@ -234,6 +242,24 @@ class TestCertify:
         del maps[2][0]
         with pytest.raises(ValidationError):
             certify_quasi_action(g, sp, maps)
+
+    def test_array_and_mapping_certify_alike(self):
+        maps = perturbed_maps(60, 12, 5, 1, 3, 1)
+        img = np.array([[maps[g][x] for x in range(12)] for g in range(60)])
+        by_map = certify_quasi_action(cyclic_group(60), cycle(12), maps)
+        by_array = certify_quasi_action(cyclic_group(60), cycle(12), img)
+        assert np.array_equal(by_array.img, by_map.img)
+        assert not by_array.img.flags.writeable
+        assert (by_array.A, by_array.B, by_array.B_witness, by_array.ell.samples()) == \
+            (by_map.A, by_map.B, by_map.B_witness, by_map.ell.samples())
+
+    @pytest.mark.parametrize("img", [np.zeros((3, 2), dtype=int), np.full((3, 3), 3),
+                                     np.full((3, 3), -1), np.zeros((3, 3), dtype=bool),
+                                     np.zeros((3, 3))], ids=["shape", "high", "negative",
+                                                             "bool", "float"])
+    def test_bad_arrays_rejected(self, img):
+        with pytest.raises(ValidationError, match="action array must be"):
+            certify_quasi_action(cyclic_group(3), cycle(3), img)
 
 
 class TestQuasiStabilizer:
@@ -296,12 +322,12 @@ class TestOrbitMap:
 class TestLeftTranslation:
     def test_within_model(self):
         g = cyclic_group(5)
-        assert left_translation(g, 2, [0, 1, 4]) == {0: 2, 1: 3, 4: 1}
+        assert left_translation(g, 2, [0, 1, 4]).tolist() == [2, 3, 1]
 
     def test_truncation_escape(self):
         g = z_ball(5)
-        with pytest.raises(PreconditionError):
-            left_translation(g, 3, [4])
+        with pytest.raises(PreconditionError, match=r"translate 3 \* 4 leaves"):
+            left_translation(g, g.index(3), [g.index(1), g.index(4)])
 
 
 def three_arc_cover(space, n, width, step):

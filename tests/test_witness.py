@@ -148,6 +148,24 @@ class TestTailProfile:
         radii = [0.0, 0.5, 1.0, 2.0, 3.0, 9.0]
         assert tail_profile(w, radii).samples == scalar_tail(w, radii)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([cycle(9), z_interval(0, 7), path_graph(5)]),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.booleans(), st.booleans(),
+           st.data())
+    def test_one_sort_matches_dense_oracle(self, s, seed, entries, ball, tagged, data):
+        # ball witnesses tie whole shells: equal distances and equal masses
+        w = uniform_ball_witness(s, entries % 4) if ball else \
+            random_witness(s, np.random.default_rng(seed), tagged, entries)
+        dists = s.realized_distances()
+        grid = sorted({0.0, 0.5, float(s.diameter) + 1.0}
+                      | {float(d) + e for d in dists for e in (-1e-13, 0.0, 0.5)
+                         if d + e >= 0.0})
+        radii = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=12))
+        prof = tail_profile(w, radii)
+        assert [r for r, _ in prof] == sorted(radii)
+        for r, v in prof:
+            assert v == pytest.approx(dense_tail(w, r), abs=1e-12)
+
     def test_decay_profile_validation(self):
         with pytest.raises(ValidationError):
             DecayProfile(((0.0, 0.2), (1.0, 0.5)))
@@ -228,33 +246,32 @@ class TestTransport:
     def test_identity_mapping(self):
         s = cycle(6)
         w = uniform_ball_witness(s, 1)
-        t = transport(w, {p: p for p in s.point_ids}, s)
+        t = transport(w, np.arange(len(s)), s)
         assert t.vectors == w.vectors
 
     def test_rotation_fixes_dirac(self):
         s = cycle(6)
         w = dirac_witness(s)
-        t = transport(w, {p: (p + 2) % 6 for p in s.point_ids}, s)
+        t = transport(w, s.indices([(p + 2) % 6 for p in s.point_ids]), s)
         assert t.vectors == w.vectors
 
     def test_word_metric_translation_preserves_profiles(self):
         g = word_metric_space(cyclic_group(6))
         w = uniform_ball_witness(g, 1)
-        t = transport(w, {h: (2 + h) % 6 for h in g.point_ids}, g)
+        t = transport(w, g.indices([(2 + h) % 6 for h in g.point_ids]), g)
         radii = [0.0, 1.0, 2.0, 3.0]
         assert variation_profile(t, radii) == variation_profile(w, radii)
         assert tail_profile(t, radii).samples == tail_profile(w, radii).samples
 
     def test_non_isometry_rejected(self):
         s = z_interval(0, 3)
-        mapping = {0: 0, 1: 1, 2: 3, 3: 2}
-        with pytest.raises(ValidationError):
-            transport(dirac_witness(s), mapping, s)
+        with pytest.raises(ValidationError, match="not isometric at pair"):
+            transport(dirac_witness(s), s.indices([0, 1, 3, 2]), s)
 
     def test_non_bijection_rejected(self):
         s = cycle(4)
         with pytest.raises(ValidationError):
-            transport(dirac_witness(s), {p: 0 for p in s.point_ids}, s)
+            transport(dirac_witness(s), [0] * len(s), s)
 
 
 @settings(max_examples=30, deadline=None)
