@@ -375,6 +375,8 @@ class OrbitMapResult:
     lam: float
     edge_bound: float
     checks: tuple
+    disp: np.ndarray      # d(f_g(x0), x0) per stored element
+    pts: np.ndarray       # point index of f_g(x0) per stored element
 
 
 def orbit_map(action: CoarseQuasiAction, x0) -> OrbitMapResult:
@@ -402,7 +404,7 @@ def orbit_map(action: CoarseQuasiAction, x0) -> OrbitMapResult:
     rec = check_le("orbit_edge_bound", worst, edge_bound, tol=1e-12, witness=worst_at)
     if not rec.passed:
         raise BoundViolationError("orbit edge bound failed at %r" % (worst_at,))
-    return OrbitMapResult(cert, float(lam), float(edge_bound), (rec,))
+    return OrbitMapResult(cert, float(lam), float(edge_bound), (rec,), disp, pts)
 
 
 @dataclass(frozen=True)
@@ -474,10 +476,8 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     psi, kept = pullback_partition(orbit.cert, PartitionOfUnity(X, enlarged, bell.phi))
     preimages = psi.cover.pieces
 
-    disp = _displacement(action, x0)
-    orbit_pts = action.img[:, X.index(x0)]
     # per piece, the first element whose orbit point minimises the farthest distance
-    far = [X.D[np.ix_(orbit_pts, enlarged.piece_indices()[i])].max(axis=1) for i in kept]
+    far = [X.D[np.ix_(orbit.pts, enlarged.piece_indices()[i])].max(axis=1) for i in kept]
     rep_ix = [int(r.argmin()) for r in far]
     T = max(float(r.min()) for r in far)
     threshold = action.A + 2.0 * action.B + action.ell(T)
@@ -493,9 +493,9 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     for pos, i in enumerate(kept):
         members = psi.cover.piece_indices()[pos]
         moved = left_translation(G, G.inverse[rep_ix[pos]], members)
-        top = int(disp[moved].argmax())
-        if disp[moved[top]] > incl_worst[0]:
-            incl_worst = (float(disp[moved[top]]), (i, G.elements[members[top]]))
+        top = int(orbit.disp[moved].argmax())
+        if orbit.disp[moved[top]] > incl_worst[0]:
+            incl_worst = (float(orbit.disp[moved[top]]), (i, G.elements[members[top]]))
         out = np.flatnonzero(~np.isin(moved, stab.index))
         if out.size:
             raise PreconditionError(
@@ -508,6 +508,8 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     if not isinstance(base_witness, Witness) or \
             set(base_witness.space.point_ids) != set(stab.members):
         raise ValidationError("provider witness is not on the quasi-stabilizer")
+    # position in stab.index of each point of the provider's space, in its order
+    at = np.searchsorted(stab.index, [G.index(p) for p in base_witness.space.point_ids])
 
     piece_witnesses = {}
     sub_results = []
@@ -515,7 +517,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
         moved = left_translation(G, rep_ix[pos], stab.index)
         translated = gsp.restrict([G.elements[g] for g in moved.tolist()])
         # a stabilizer member's image sits at its rank among the images
-        res = subspace_construction(transport(base_witness, np.argsort(np.argsort(moved)),
+        res = subspace_construction(transport(base_witness, np.argsort(np.argsort(moved))[at],
                                               translated), preimages[pos])
         sub_results.append(res)
         piece_witnesses[pos] = res.collapsed

@@ -207,8 +207,8 @@ def _rule_maps(rule, group: GroupModel, space: FiniteMetricSpace, perturb=(0, 0,
     """Translation-style action rules on integer-pointed spaces, as the (|G|, n)
     array of image point indices: cyclic_mod x -> (x + g + p) mod |X|,
     translation_clamp x -> x + g + p clamped to the stored interval, where
-    p = (ga g + xa x) mod m - shift for perturb = (ga, xa, m, shift). With ga
-    and xa reduced mod m, int64 is exact below the bound, else Python ints are.
+    p = (ga g + xa x) mod m - shift for perturb = (ga, xa, m, shift), computed
+    on Python ints so that any JSON integer gives the exact image.
     """
     _int_points(space, "action rule %r" % (rule,))
     if not all(isinstance(g, int) for g in group.elements):
@@ -222,11 +222,9 @@ def _rule_maps(rule, group: GroupModel, space: FiniteMetricSpace, perturb=(0, 0,
     if rule not in ("cyclic_mod", "translation_clamp"):
         raise ValidationError("unknown action rule %r" % (rule,))
     ga, xa, mod, shift = perturb
-    top = max(abs(lo), abs(hi)) + max(abs(g) for g in group.elements)
-    dtype = np.int64 if (mod + 1) * top + mod + abs(shift) < 2**62 else object
-    g = np.array(group.elements, dtype=dtype)[:, None]
-    x = np.array(space.point_ids, dtype=dtype)
-    y = x + g + ((ga % mod) * g + (xa % mod) * x) % mod - shift
+    g = np.array(group.elements, dtype=object)[:, None]
+    x = np.array(space.point_ids, dtype=object)
+    y = x + g + (ga * g + xa * x) % mod - shift
     y = y % n if rule == "cyclic_mod" else np.minimum(np.maximum(y, lo), hi)
     at = np.empty(n, dtype=np.int64)
     at[(x - lo).astype(np.int64)] = np.arange(n)

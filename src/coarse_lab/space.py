@@ -192,10 +192,17 @@ class FiniteMetricSpace:
 
     def nearest_point(self, x, members):
         """Closest member to x; ties break to the earliest stored point."""
-        idx = np.sort(np.array(self.indices(members), dtype=np.int64))
-        if not idx.size:
+        members = self.sorted_ids(members)
+        if not members:
             raise ValidationError("nearest_point needs a nonempty point set")
-        return self.point_ids[idx[int(np.argmin(self.D[self.index(x), idx]))]]
+        row = self.D[self.index(x)]
+        best = members[0]
+        best_d = row[self.index(best)]
+        for p in members[1:]:
+            dp = row[self.index(p)]
+            if dp < best_d:
+                best, best_d = p, dp
+        return best
 
     def restrict(self, members) -> "FiniteMetricSpace":
         """Subspace with the restricted metric, in stored point order."""

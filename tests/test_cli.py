@@ -625,9 +625,9 @@ class TestActionArrays:
 
     @pytest.mark.parametrize("rule", ["cyclic_mod", "translation_clamp"])
     @pytest.mark.parametrize("ga, xa, mod, shift", [
-        (2 ** 70 + 1, -7, 3, 1),      # reduced to int64
-        (5, -7, 2 ** 64 + 7, 1),      # a modulus past int64: Python ints
-        (5, 1, 3, -2 ** 63),          # a shift past int64: Python ints
+        (2 ** 70 + 1, -7, 3, 1),      # a multiplier past int64
+        (5, -7, 2 ** 64 + 7, 1),      # a modulus past int64
+        (5, 1, 3, -2 ** 63),          # a shift past int64
     ])
     def test_rule_arrays_match_python_ints(self, rule, ga, xa, mod, shift):
         grp, space = cyclic_group(15), cycle(6)

@@ -13,6 +13,7 @@ from coarse_lab import (
     BoundViolationError,
     Cover,
     DisconnectedGraphError,
+    FiniteMetricSpace,
     PreconditionError,
     ValidationError,
     certify_quasi_action,
@@ -391,6 +392,23 @@ class TestGroupPipeline:
         res = group_pipeline(act, 0, cover, R=1.0,
                              provider=lambda sp: uniform_ball_witness(sp, 1))
         assert all(c.passed for c in res.checks)
+
+    @pytest.mark.parametrize("maps", [rotation_maps(60, 12),
+                                      perturbed_maps(60, 12, 5, 1, 3, 1)])
+    def test_provider_space_out_of_stored_order(self, maps):
+        act = certify_quasi_action(cyclic_group(60), cycle(12), maps)
+        cover = three_arc_cover(act.space, 12, 6, 4)
+
+        def shuffled(sp):
+            order = sp.point_ids[1::2] + sp.point_ids[0::2][::-1]
+            idx = sp.indices(order)
+            return uniform_ball_witness(FiniteMetricSpace(order, sp.D[np.ix_(idx, idx)]), 1)
+
+        res = group_pipeline(act, 0, cover, R=1.0, provider=shuffled)
+        want = group_pipeline(act, 0, cover, R=1.0,
+                              provider=lambda sp: uniform_ball_witness(sp, 1))
+        assert res.witness.vectors == want.witness.vectors
+        assert res.checks == want.checks
 
     def test_cover_must_live_on_space(self):
         act = certify_quasi_action(cyclic_group(12), cycle(4), rotation_maps(12, 4))
