@@ -5,21 +5,19 @@ distances; every claimed inequality is evaluated and recorded, never
 assumed.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (BoundViolationError, CoarseLabError, DisconnectedGraphError,
-                     MetricAxiomError, PreconditionError, SearchInconclusiveError,
-                     ValidationError)
+                     MetricAxiomError, PreconditionError, ValidationError)
 from .report import InequalityRecord, all_passed, check_le
 from .space import (CoarseMapCert, FiniteMetricSpace, StepModulus, check_coarse_map,
                     cycle, grid, is_c_net, space_from_graph, space_from_matrix, z2_ball,
                     z_interval)
-from .cover import (AsdimSearchResult, ChainOfSubspaces, Cover, DirectLimitResult,
-                    asdim_cover_search, check_kl_separated, direct_limit_cover,
-                    enlarge, has_lebesgue_at_least, is_l_separated, lebesgue_number,
-                    lebesgue_report, multiplicity, piece_diameter, r_multiplicity,
-                    set_distance)
+from .cover import (ChainOfSubspaces, Cover, DirectLimitResult, check_kl_separated,
+                    direct_limit_cover, enlarge, has_lebesgue_at_least, lebesgue_number,
+                    lebesgue_report, multiplicity, r_multiplicity, set_distance)
 from .partition import (PartitionOfUnity, bell_lipschitz_constant, bell_partition,
-                        partition_variation, partition_variation_profile,
-                        partition_variation_with_pair, pullback_partition)
+                        partition_variation_profile, pullback_partition)
 from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profile,
                       transport, uniform_ball_witness, variation_profile)
 from .construct import (FiberingResult, GlueInput, GlueResult, NetWitnessResult,
@@ -34,8 +32,10 @@ from .group import (CoarseQuasiAction, GroupModel, GroupPipelineResult,
                     quasi_stabilizer, word_metric_space, z_ball)
 from .jsonio import (dumps_deterministic, load_action_maps, load_chain_stages,
                      load_cover, load_group, load_map_assignment, load_space,
-                     load_witness, partition_to_json, witness_to_json)
+                     load_witness, partition_to_json)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules bound by those imports are not API
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

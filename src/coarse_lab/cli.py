@@ -368,9 +368,13 @@ def execute_scenario(scenario, base_dir):
     return certificate, out
 
 
-def export_profiles(certificate, fmt, out_dir, base_name):
+def _check_profile_format(fmt):
     if fmt != "csv":
         raise ValidationError("unsupported profile format %r" % (fmt,))
+
+
+def export_profiles(certificate, fmt, out_dir, base_name):
+    _check_profile_format(fmt)
     paths = []
     for kind, header in (("variation", "R,variation"), ("tail", "S,tail")):
         path = os.path.join(out_dir, "%s.%s.csv" % (base_name, kind))
@@ -393,6 +397,8 @@ def _output_name(name):
 
 def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None):
     """Run one scenario file; ``written`` holds the names this run already wrote."""
+    if profiles_fmt is not None:
+        _check_profile_format(profiles_fmt)
     scenario = _object(_load_json(path), "scenario %s" % (path,))
     name = _output_name(scenario.get("name", "unnamed"))
     if written is not None and name in written:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import Cover, check_kl_separated, enlarge, lebesgue_number, multiplicity
+from .cover import Cover, check_kl_separated, enlarge, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .partition import (PartitionOfUnity, bell_partition,
                         partition_variation_profile, pullback_partition)

@@ -1,5 +1,5 @@
 """Cover calculus: multiplicity, Lebesgue number, separation, enlargement,
-finite-scale dimension cover search, and the chain-limit cover construction."""
+and the chain-limit cover construction."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundViolationError,
-    PreconditionError,
-    SearchInconclusiveError,
-    ValidationError,
-)
+from .errors import BoundViolationError, PreconditionError, ValidationError
 from .space import FiniteMetricSpace
 
 
@@ -146,11 +141,6 @@ def set_distance(space: FiniteMetricSpace, U, V) -> float:
     return float(space.D[np.ix_(iu, iv)].min())
 
 
-def is_l_separated(space: FiniteMetricSpace, piece_family, L) -> bool:
-    """Pairwise set distance strictly greater than L within the family."""
-    return _separation(space, [frozenset(p) for p in piece_family]) > float(L)
-
-
 def _separation(space: FiniteMetricSpace, fam) -> float:
     """Smallest set distance between two members of the family (+inf if < 2)."""
     return min((set_distance(space, fam[i], fam[j])
@@ -186,95 +176,20 @@ def enlarge(cover: Cover, L) -> Cover:
                  coloring=cover.coloring)
 
 
-def piece_diameter(space: FiniteMetricSpace, piece) -> float:
-    idx = space.indices(piece)
-    return float(space.D[np.ix_(idx, idx)].max())
-
-
-@dataclass(frozen=True)
-class AsdimSearchResult:
-    cover: Cover
-    max_piece_diameter: float
-    strategy: str
-
-
-def _partition_by_key(space, key):
-    groups = {}
-    for p in space.point_ids:
-        groups.setdefault(key(p), []).append(p)
-    return [frozenset(g) for _, g in sorted(groups.items())]
-
-
-def _candidate_partitions(space: FiniteMetricSpace, L, k_max):
-    """Partitions whose L-multiplicity should stay small; enlargement does the rest."""
-    kind = space.structure[0] if space.structure else None
-    W = 4.0 * float(L)
-    if kind == "z_interval" and k_max >= 1:
-        lo = space.structure[1]
-        yield "blocks-1d", _partition_by_key(space, lambda p: math.floor((p - lo) / W))
-    if kind == "cycle" and k_max >= 1:
-        n = space.structure[1]
-        m = int(n // W)
-        if m >= 2:
-            yield "arcs", _partition_by_key(space, lambda p: min(int(p * m // n), m - 1))
-    if kind in ("grid", "z2_ball") and k_max >= 2:
-        def brick(p):
-            a, b = p[0], p[1]
-            row = math.floor(a / W)
-            off = (W / 2.0) if row % 2 else 0.0
-            return (row, math.floor((b + off) / W))
-        yield "bricks-2d", _partition_by_key(space, brick)
-    if kind in ("grid", "z2_ball") and k_max >= 3:
-        yield "cells-2d", _partition_by_key(
-            space, lambda p: (math.floor(p[0] / W), math.floor(p[1] / W)))
-    # general fallback: greedy 2L-separated net, then its nearest-point cells
-    centers = []
-    for p in space.point_ids:
-        if all(space.d(p, c) > 2.0 * float(L) for c in centers):
-            centers.append(p)
-    yield "greedy-net", _partition_by_key(space, lambda p: space.nearest_point(p, centers))
-
-
-def asdim_cover_search(space: FiniteMetricSpace, L, k_max) -> AsdimSearchResult:
-    """Search for a cover with Lebesgue number >= L and multiplicity <= k_max+1.
-
-    Strategies are tried in a fixed order: structured block partitions where
-    the space advertises one, then a greedy net partition; each candidate
-    partition is enlarged by L and the postconditions are verified directly.
-    Failure is a search limit, never a certificate that no cover exists.
-    """
-    if L < 0 or k_max < 0:
-        raise ValidationError("need L >= 0 and k_max >= 0")
-    if float(L) == 0.0:
-        cov = Cover(space, [frozenset([p]) for p in space.point_ids])
-        return AsdimSearchResult(cov, 0.0, "singletons")
-    if float(L) >= space.diameter:
-        cov = Cover(space, [frozenset(space.point_ids)])
-        return AsdimSearchResult(cov, space.diameter, "whole-space")
-    for strategy, parts in _candidate_partitions(space, L, k_max):
-        cand = enlarge(Cover(space, parts), L)
-        if multiplicity(cand) <= int(k_max) + 1 and has_lebesgue_at_least(cand, L):
-            diam = max(piece_diameter(space, p) for p in cand.pieces)
-            return AsdimSearchResult(cand, diam, strategy)
-    raise SearchInconclusiveError(
-        "no strategy produced a cover with Lebesgue >= %s and multiplicity <= %d; "
-        "inconclusive" % (L, int(k_max) + 1)
-    )
-
-
 class ChainOfSubspaces:
     """Increasing subsets X_1 <= ... <= X_N of one ambient space, X_N = ambient."""
 
     def __init__(self, ambient: FiniteMetricSpace, stages):
-        stages = tuple(frozenset(s) for s in stages)
-        if not stages:
+        given = tuple(tuple(s) for s in stages)
+        if not given:
             raise ValidationError("a chain needs at least one stage")
-        for i, s in enumerate(stages):
+        for i, s in enumerate(given):
             if not s:
                 raise ValidationError("stage %d is empty" % (i + 1,))
             for x in s:
                 if x not in ambient:
                     raise ValidationError("stage %d contains unknown point %r" % (i + 1, x))
+        stages = tuple(frozenset(s) for s in given)
         for i in range(len(stages) - 1):
             if not stages[i] <= stages[i + 1]:
                 raise ValidationError("stage %d is not contained in stage %d" % (i + 1, i + 2))

@@ -28,14 +28,6 @@ class PreconditionError(CoarseLabError):
     """A stated hypothesis of an operation fails on the given instance."""
 
 
-class SearchInconclusiveError(CoarseLabError):
-    """A cover search ran out of strategies.
-
-    This is a search limit, never a certificate that no suitable cover
-    exists; it is reported distinctly from invalid input.
-    """
-
-
 class BoundViolationError(CoarseLabError):
     """An internally certified bound failed numerically.
 

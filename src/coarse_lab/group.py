@@ -16,7 +16,7 @@ from .construct import glue_with_report, make_glue_input, subspace_construction
 from .cover import Cover, enlarge, lebesgue_number, multiplicity
 from .errors import (BoundViolationError, DisconnectedGraphError, PreconditionError,
                      ValidationError)
-from .partition import (PartitionOfUnity, bell_partition, partition_variation_with_pair,
+from .partition import (PartitionOfUnity, bell_partition, partition_variation_profile,
                         pullback_partition)
 from .report import check_le
 from .space import (_SLOT_BUDGET, FiniteMetricSpace, StepModulus, _bfs, _pair_sweep,
@@ -185,17 +185,16 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
     every generator s, makes the table associative, since the generators
     generate it; a table that fails it is rejected. On a truncated ball,
     paths are forced to stay inside the ball, so the values are upper bounds
-    for the true word metric; the structure tag records the truncation radius.
+    for the true word metric.
     """
     if model._word_space is not None:
         return model._word_space
     gen_cols = model.mult[:, [model.index(s) for s in model.generators]]
-    structure = ("group", model.name, model.truncation_radius)
     if not model.is_finite_group:
         rows, cols = np.nonzero(gen_cols >= 0)
         edges = [(model.elements[a], model.elements[b])
                  for a, b in zip(rows.tolist(), gen_cols[rows, cols].tolist())]
-        model._word_space = space_from_graph(model.elements, edges, structure=structure)
+        model._word_space = space_from_graph(model.elements, edges)
         return model._word_space
     dist = _bfs(gen_cols.tolist(), model.index(model.identity))
     if -1 in dist:
@@ -211,7 +210,7 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
                                   "at (x, s, y) = %r" % ((x, s, y),))
     d0 = np.array(dist, dtype=np.float64)
     model._word_space = FiniteMetricSpace(model.elements, d0[mult[model.inverse]],
-                                          structure=structure, validate=False)
+                                          validate=False)
     return model._word_space
 
 
@@ -524,7 +523,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     glue_res = glue_with_report(make_glue_input(psi, piece_witnesses),
                                 tail_radii=tail_radii)
 
-    var, pair = partition_variation_with_pair(psi, R)
+    var, pair = partition_variation_profile(psi, [R])[0][1:]
     chain = check_le("group_epsilon_chain", var, epsilon, witness=pair)
     piece_var = 0.0
     for res in sub_results:

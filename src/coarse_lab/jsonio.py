@@ -157,21 +157,6 @@ def load_witness(obj, space: FiniteMetricSpace) -> Witness:
     return Witness(space, vectors)
 
 
-def witness_to_json(witness: Witness) -> dict:
-    rows = []
-    for x in witness.space.point_ids:
-        entries = []
-        for (tag, p), c in sorted(witness.vectors[x].items(),
-                                  key=lambda kv: (witness.space.index(kv[0][1]),
-                                                  repr(kv[0][0]))):
-            e = {"at": _as_jsonable(p), "c": c}
-            if tag is not None:
-                e["tag"] = _as_jsonable(tag)
-            entries.append(e)
-        rows.append({"point": _as_jsonable(x), "entries": entries})
-    return {"vectors": rows}
-
-
 def partition_to_json(partition) -> dict:
     ids = partition.space.point_ids
     piece, point = np.nonzero(partition.phi)
@@ -261,7 +246,7 @@ def load_chain_stages(obj, ambient: FiniteMetricSpace):
                        for r in _need(obj, "radii", "chain document", list))
         return [frozenset(p for p in ambient.point_ids if abs(p) <= r) for r in radii]
     if kind == "explicit":
-        return [frozenset(norm_id(p) for p in _check(stage, list, "chain stage"))
+        return [[norm_id(p) for p in _check(stage, list, "chain stage")]
                 for stage in _need(obj, "stages", "chain document", list)]
     raise ValidationError("unknown chain type %r" % (kind,))
 

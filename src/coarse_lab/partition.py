@@ -83,7 +83,7 @@ def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
     over all pieces; a piece equal to the whole space contributes the
     sentinel diameter+1. For a cover with multiplicity k and Lebesgue number
     L > 0 the total variation is Lipschitz with constant (2k+2)(2k+3)/L,
-    which callers verify via partition_variation. Covers with Lebesgue
+    which callers verify via partition_variation_profile. Covers with Lebesgue
     number 0 make that bound vacuous and are rejected unless
     require_lebesgue=False.
     """
@@ -149,11 +149,3 @@ def _bell_lipschitz_check(partition: PartitionOfUnity, C):
     return check_le("bell_lipschitz_bound", s, bound, tol=1e-9,
                     witness=(space.point_ids[a], space.point_ids[b]))
 
-
-def partition_variation_with_pair(partition: PartitionOfUnity, R):
-    entry = partition_variation_profile(partition, [R])[0]
-    return entry[1], entry[2]
-
-
-def partition_variation(partition: PartitionOfUnity, R) -> float:
-    return partition_variation_with_pair(partition, R)[0]

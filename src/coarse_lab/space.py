@@ -91,14 +91,9 @@ def _validate_metric_axioms(ids, D):
 
 
 class FiniteMetricSpace:
-    """Finite point set with a validated metric.
+    """Finite point set with a validated metric."""
 
-    ``structure`` is an optional hint tuple set by the convenience builders
-    (for example ``("cycle", 12)``); it never affects metric semantics, only
-    search heuristics and report notes.
-    """
-
-    def __init__(self, point_ids, dist_matrix, structure=None, validate=True):
+    def __init__(self, point_ids, dist_matrix, validate=True):
         ids = tuple(point_ids)
         if not ids:
             raise ValidationError("a metric space needs at least one point")
@@ -120,7 +115,6 @@ class FiniteMetricSpace:
         D.setflags(write=False)
         self.point_ids = ids
         self.D = D
-        self.structure = structure
         self._ix = {p: i for i, p in enumerate(ids)}
         self._realized = None
         self._pairs = None
@@ -190,20 +184,6 @@ class FiniteMetricSpace:
         """The given points listed in stored order."""
         return sorted(points, key=self.index)
 
-    def nearest_point(self, x, members):
-        """Closest member to x; ties break to the earliest stored point."""
-        members = self.sorted_ids(members)
-        if not members:
-            raise ValidationError("nearest_point needs a nonempty point set")
-        row = self.D[self.index(x)]
-        best = members[0]
-        best_d = row[self.index(best)]
-        for p in members[1:]:
-            dp = row[self.index(p)]
-            if dp < best_d:
-                best, best_d = p, dp
-        return best
-
     def restrict(self, members) -> "FiniteMetricSpace":
         """Subspace with the restricted metric, in stored point order."""
         members = frozenset(members)
@@ -212,8 +192,7 @@ class FiniteMetricSpace:
             raise ValidationError("restrict: some members are not points of the space")
         idx = self.indices(keep)
         sub = self.D[np.ix_(idx, idx)]
-        return FiniteMetricSpace(keep, sub, structure=("subspace", self.structure),
-                                 validate=False)
+        return FiniteMetricSpace(keep, sub, validate=False)
 
 
 class StepModulus:
@@ -267,8 +246,8 @@ class CoarseMapCert:
         return self.assignment[x]
 
 
-def space_from_matrix(points, matrix, structure=None) -> FiniteMetricSpace:
-    return FiniteMetricSpace(points, matrix, structure=structure)
+def space_from_matrix(points, matrix) -> FiniteMetricSpace:
+    return FiniteMetricSpace(points, matrix)
 
 
 def _bfs(adj, source):
@@ -284,7 +263,7 @@ def _bfs(adj, source):
     return dist
 
 
-def space_from_graph(points, edges, structure=None) -> FiniteMetricSpace:
+def space_from_graph(points, edges) -> FiniteMetricSpace:
     """Shortest-path metric of an undirected unit-length graph. Exact integers."""
     ids = list(points)
     ix = {p: i for i, p in enumerate(ids)}
@@ -307,7 +286,7 @@ def space_from_graph(points, edges, structure=None) -> FiniteMetricSpace:
         raise DisconnectedGraphError(
             "graph metric undefined: no path between %r and %r" % (ids[s], ids[t])
         )
-    return FiniteMetricSpace(ids, D, structure=structure, validate=False)
+    return FiniteMetricSpace(ids, D, validate=False)
 
 
 def z_interval(lo, hi) -> FiniteMetricSpace:
@@ -317,8 +296,7 @@ def z_interval(lo, hi) -> FiniteMetricSpace:
     ids = list(range(int(lo), int(hi) + 1))
     vals = np.array(ids, dtype=float)
     D = np.abs(vals[:, None] - vals[None, :])
-    return FiniteMetricSpace(ids, D, structure=("z_interval", int(lo), int(hi)),
-                             validate=False)
+    return FiniteMetricSpace(ids, D, validate=False)
 
 
 def cycle(n) -> FiniteMetricSpace:
@@ -330,7 +308,7 @@ def cycle(n) -> FiniteMetricSpace:
     vals = np.arange(n, dtype=float)
     diff = np.abs(vals[:, None] - vals[None, :])
     D = np.minimum(diff, n - diff)
-    return FiniteMetricSpace(ids, D, structure=("cycle", n), validate=False)
+    return FiniteMetricSpace(ids, D, validate=False)
 
 
 def _coord_metric(coords, norm):
@@ -350,8 +328,7 @@ def grid(dims, norm="l1") -> FiniteMetricSpace:
         raise ValidationError("grid dims must be positive")
     ids = [tuple(c) for c in itertools.product(*(range(d) for d in dims))]
     D = _coord_metric(ids, norm)
-    return FiniteMetricSpace(ids, D, structure=("grid", tuple(dims), norm),
-                             validate=False)
+    return FiniteMetricSpace(ids, D, validate=False)
 
 
 def z2_ball(radius, norm="l1") -> FiniteMetricSpace:
@@ -367,7 +344,7 @@ def z2_ball(radius, norm="l1") -> FiniteMetricSpace:
     else:
         raise ValidationError("unsupported norm %r" % (norm,))
     D = _coord_metric(ids, norm)
-    return FiniteMetricSpace(ids, D, structure=("z2_ball", r, norm), validate=False)
+    return FiniteMetricSpace(ids, D, validate=False)
 
 
 def is_c_net(space: FiniteMetricSpace, members, c) -> bool:

@@ -11,6 +11,8 @@ match the library bit for bit.
 
 import math
 
+from coarse_lab import ValidationError
+
 
 def dense_vector_distance(u, v) -> float:
     keys = set(u) | set(v)
@@ -124,6 +126,21 @@ def dense_tail(witness, S) -> float:
                 out += c * c
         worst = max(worst, out)
     return worst
+
+
+def nearest_point(space, x, members):
+    """Closest member to x; ties break to the earliest stored point."""
+    members = space.sorted_ids(members)
+    if not members:
+        raise ValidationError("nearest_point needs a nonempty point set")
+    row = space.D[space.index(x)]
+    best = members[0]
+    best_d = row[space.index(best)]
+    for p in members[1:]:
+        dp = row[space.index(p)]
+        if dp < best_d:
+            best, best_d = p, dp
+    return best
 
 
 def dense_complement_distances(cover):

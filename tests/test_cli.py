@@ -32,10 +32,10 @@ from coarse_lab import (
     uniform_ball_piece_family,
     uniform_ball_witness,
     variation_profile,
-    witness_to_json,
 )
 from coarse_lab import cli
 from coarse_lab.cli import export_profiles, main
+from coarse_lab.jsonio import _as_jsonable
 from conftest import SCENARIO_DIR
 
 
@@ -48,6 +48,36 @@ def write_json(path, obj):
 def read_certificate(out_dir, name):
     with open(os.path.join(out_dir, name + ".certificate.json")) as fh:
         return json.load(fh)
+
+
+def witness_to_json(witness):
+    """The explicit ``vectors`` document that ``load_witness`` reads back."""
+    rows = []
+    for x in witness.space.point_ids:
+        entries = []
+        for (tag, p), c in sorted(witness.vectors[x].items(),
+                                  key=lambda kv: (witness.space.index(kv[0][1]),
+                                                  repr(kv[0][0]))):
+            e = {"at": _as_jsonable(p), "c": c}
+            if tag is not None:
+                e["tag"] = _as_jsonable(tag)
+            entries.append(e)
+        rows.append({"point": _as_jsonable(x), "entries": entries})
+    return {"vectors": rows}
+
+
+def run_with_hash_seeds(scen, out_dir, seeds=("1", "2")):
+    """(exit code, stdout, stderr) of ``coarse-lab run`` in a fresh interpreter
+    per PYTHONHASHSEED, writing into ``out_dir/<seed>``."""
+    src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), os.pardir))
+    runs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "coarse_lab.cli", "run", scen,
+                               "--out", str(out_dir / seed)], env=env, timeout=120,
+                              capture_output=True, text=True)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    return runs
 
 
 class TestRunCommand:
@@ -671,16 +701,29 @@ class TestDeterminism:
             },
             "parameters": {"x0": 0, "R": 1, "epsilon": 100},
         })
-        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
-        certs = []
-        for seed in ("1", "2"):
-            out = tmp_path / seed
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
-            subprocess.run([sys.executable, "-m", "coarse_lab.cli", "run", scen,
-                            "--out", str(out)], env=env, check=True, timeout=120,
-                           capture_output=True)
-            certs.append((out / "f2.certificate.json").read_bytes())
+        runs = run_with_hash_seeds(scen, tmp_path)
+        assert [code for code, _, _ in runs] == [0, 0]
+        certs = [(tmp_path / seed / "f2.certificate.json").read_bytes() for seed in "12"]
         assert certs[0] == certs[1]
+
+    def test_unknown_chain_point_named_in_given_order(self, tmp_path):
+        # the stage is read as a list; as a set its first unknown point
+        # would be whichever PYTHONHASHSEED puts first
+        scen = write_json(tmp_path / "ch.json", {
+            "name": "ch",
+            "pipeline": "direct-limit",
+            "inputs": {
+                "space": {"metric": {"type": "graph", "edges": [["a", "b"], ["b", "c"]]},
+                          "points": ["a", "b", "c"]},
+                "chain": {"type": "explicit",
+                          "stages": [["zz", "yy", "xx", "ww"], ["a", "b", "c"]]},
+            },
+            "parameters": {"L": 1},
+        })
+        for code, _, err in run_with_hash_seeds(scen, tmp_path):
+            assert code == 2
+            assert err == "error: stage 1 contains unknown point 'zz'\n"
+        assert not any((tmp_path / seed).exists() for seed in "12")
 
 
 class TestProfiles:
@@ -737,6 +780,14 @@ class TestProfiles:
         with pytest.raises(ValidationError):
             export_profiles({"profiles": {"variation": [], "tail": []}},
                             "xml", str(tmp_path), "x")
+
+    def test_unsupported_format_writes_no_certificate(self, tmp_path, capsys):
+        src = os.path.join(SCENARIO_DIR, "bell_interval_blocks.json")
+        out = tmp_path / "op"
+        out.mkdir()
+        assert main(["run", src, "--out", str(out), "--profiles", "tsv"]) == 2
+        assert "unsupported profile format 'tsv'" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestSuiteCommand:

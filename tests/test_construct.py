@@ -40,7 +40,7 @@ from coarse_lab import (
 from coarse_lab import space as space_module
 from coarse_lab.partition import _bell_lipschitz_check
 from oracles import (dense_bell_lipschitz, dense_glue_bound, dense_subspace_records,
-                     dense_variation, dense_vector_distance)
+                     dense_variation, dense_vector_distance, nearest_point)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -417,7 +417,7 @@ class TestPairRecordsAgainstDoubleLoops:
             res = subspace_construction(witness, members)
         assert tuple(r.lhs for r in res.checks) == dense_subspace_records(
             witness, res.tagged, res.collapsed)
-        assert res.retraction == {s: ambient.nearest_point(s, members)
+        assert res.retraction == {s: nearest_point(ambient, s, members)
                                   for s in ambient.point_ids}
 
     @settings(max_examples=20, deadline=None)
@@ -426,5 +426,5 @@ class TestPairRecordsAgainstDoubleLoops:
         ambient = cover.space
         net = cover.pieces[0]
         res = net_construction(ambient, net, dirac_witness(ambient.restrict(net)))
-        assert res.assignment == {x: ambient.nearest_point(x, net)
+        assert res.assignment == {x: nearest_point(ambient, x, net)
                                   for x in ambient.point_ids}

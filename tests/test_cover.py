@@ -1,5 +1,5 @@
 """Cover calculus: multiplicities, Lebesgue numbers, separation, enlargement,
-the block-cover search, and the chain-limit cover."""
+and the chain-limit cover."""
 
 import math
 
@@ -10,25 +10,21 @@ from hypothesis import strategies as st
 from coarse_lab import (
     ChainOfSubspaces,
     Cover,
-    SearchInconclusiveError,
     ValidationError,
-    asdim_cover_search,
     check_kl_separated,
     cycle,
     direct_limit_cover,
     enlarge,
-    is_l_separated,
     lebesgue_number,
     lebesgue_report,
     multiplicity,
-    piece_diameter,
     r_multiplicity,
     set_distance,
     space_from_graph,
     space_from_matrix,
     z_interval,
 )
-from coarse_lab.cover import _complement_distances
+from coarse_lab.cover import _complement_distances, family_separation
 from oracles import dense_complement_distances
 
 
@@ -138,13 +134,13 @@ class TestComplementDistances:
 class TestSeparation:
     def test_single_piece_vacuous(self):
         s = path_graph(5)
-        assert is_l_separated(s, [frozenset(s.point_ids)], 3)
+        cov = Cover(s, [list(s.point_ids)], coloring=[0])
+        assert family_separation(cov, 0) == math.inf
 
     def test_separated_blocks(self):
-        s = path_graph(5)
-        fam = [frozenset({0, 1}), frozenset({3, 4})]
-        assert is_l_separated(s, fam, 1)
-        assert not is_l_separated(s, fam, 2)  # d = 2, strict comparison
+        cov = Cover(path_graph(5), [[0, 1], [2], [3, 4]], coloring=[0, 1, 0])
+        assert check_kl_separated(cov, 1, 1)
+        assert not check_kl_separated(cov, 1, 2)  # d = 2, strict comparison
 
     def test_kl_separated_whole_space(self):
         s = path_graph(5)
@@ -231,31 +227,6 @@ class TestCoverFacts:
             assert lebesgue_number(enl) >= L
 
 
-class TestAsdimSearch:
-    def test_interval_blocks(self):
-        res = asdim_cover_search(z_interval(0, 29), 3, 1)
-        assert multiplicity(res.cover) <= 2
-        assert lebesgue_number(res.cover) >= 3.0
-        assert res.max_piece_diameter <= 18.0
-
-    def test_scale_zero_singletons(self):
-        res = asdim_cover_search(cycle(5), 0, 0)
-        assert multiplicity(res.cover) == 1
-        assert all(len(p) == 1 for p in res.cover.pieces)
-
-    def test_scale_past_diameter_whole_space(self):
-        res = asdim_cover_search(cycle(5), 10, 0)
-        assert res.cover.pieces == (frozenset(cycle(5).point_ids),)
-        assert multiplicity(res.cover) == 1
-
-    def test_impossible_budget_is_inconclusive(self):
-        # multiplicity 1 with positive Lebesgue needs disjoint pieces whose
-        # balls never straddle a boundary; the strategies cannot deliver that
-        # on a path, and failure must not masquerade as a proof
-        with pytest.raises(SearchInconclusiveError):
-            asdim_cover_search(path_graph(30), 2, 0)
-
-
 def interval_chain(radius):
     amb = z_interval(-radius, radius)
     stages = [frozenset(p for p in amb.point_ids if abs(p) <= r)
@@ -314,8 +285,3 @@ class TestDirectLimit:
         with pytest.raises(ValidationError):
             ChainOfSubspaces(amb, [frozenset({0, 1})])
 
-
-def test_piece_diameter():
-    s = z_interval(0, 9)
-    assert piece_diameter(s, frozenset({2, 5, 7})) == 5.0
-    assert piece_diameter(s, frozenset({3})) == 0.0

@@ -33,6 +33,7 @@ from coarse_lab import (
     z2_ball,
     z_interval,
 )
+from oracles import nearest_point
 
 
 # ------------------------------------------------------ scalar references
@@ -66,13 +67,13 @@ def ref_transport(witness, mapping):
 
 
 def ref_net(ambient, net, witness):
-    return {x: dict(witness.vectors[ambient.nearest_point(x, net)])
+    return {x: dict(witness.vectors[nearest_point(ambient, x, net)])
             for x in ambient.point_ids}
 
 
 def ref_subspace(witness, members):
     ambient = witness.space
-    retraction = {s: ambient.nearest_point(s, members) for s in ambient.point_ids}
+    retraction = {s: nearest_point(ambient, s, members) for s in ambient.point_ids}
     xi = {y: {(s, retraction[s]): c for (_, s), c in witness.vectors[y].items()}
           for y in ambient.sorted_ids(members)}
     return xi, ref_collapse(xi)

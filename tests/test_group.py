@@ -135,7 +135,6 @@ class TestWordMetric:
         model, op = _with_op(case)
         sp = word_metric_space(model)
         assert sp.point_ids == model.elements
-        assert sp.structure == ("group", model.name, model.truncation_radius)
         assert sp.D.tolist() == dense_word_metric(model.elements, model.generators, op)
 
     def test_finite_group_needs_no_graph_bfs(self, monkeypatch):

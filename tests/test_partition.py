@@ -19,8 +19,7 @@ from coarse_lab import (
     cycle,
     multiplicity,
     partition_to_json,
-    partition_variation,
-    partition_variation_with_pair,
+    partition_variation_profile,
     pullback_partition,
     space_from_graph,
     z2_ball,
@@ -103,7 +102,7 @@ class TestBellPartition:
         s = path_graph(4)
         part = bell_partition(Cover(s, [list(s.point_ids)]))
         assert all(part.value(0, x) == 1.0 for x in s.point_ids)
-        assert partition_variation(part, 10.0) == 0.0
+        assert partition_variation_profile(part, [10.0])[0][1] == 0.0
 
     def test_zero_lebesgue_rejected_by_default(self):
         s, cov = p5_cover()
@@ -151,21 +150,21 @@ class TestVariation:
     def test_adjacent_pair_value(self):
         s, cov = p5_cover()
         part = bell_partition(cov, require_lebesgue=False)
-        value, pair = partition_variation_with_pair(part, 1)
+        value, pair = partition_variation_profile(part, [1])[0][1:]
         assert value == pytest.approx(1.0)
         assert set(pair) in ({1, 2}, {2, 3})
 
     def test_below_discreteness_scale_is_zero(self):
         s, cov = p5_cover()
         part = bell_partition(cov, require_lebesgue=False)
-        assert partition_variation(part, 0.5) == 0.0
+        assert partition_variation_profile(part, [0.5])[0][1] == 0.0
 
     def test_matches_dense_oracle(self):
         s = z_interval(0, 20)
         cov = Cover(s, [list(range(0, 12)), list(range(6, 21))])
         part = bell_partition(cov)
         for R in (0.0, 1.0, 3.0, 7.0, 20.0):
-            assert partition_variation(part, R) == pytest.approx(
+            assert partition_variation_profile(part, [R])[0][1] == pytest.approx(
                 dense_partition_variation(part, R), abs=1e-12)
 
 
@@ -198,8 +197,8 @@ class TestPullback:
         cert = check_coarse_map(src, tgt, {p: p[0] for p in src.point_ids})
         pulled, _ = pullback_partition(cert, part)
         for R in (1.0, 2.0, 3.0):
-            assert partition_variation(pulled, R) <= \
-                partition_variation(part, cert.modulus(R)) + 1e-12
+            assert partition_variation_profile(pulled, [R])[0][1] <= \
+                partition_variation_profile(part, [cert.modulus(R)])[0][1] + 1e-12
 
     def test_pullback_sums_to_one(self):
         src = z2_ball(3)

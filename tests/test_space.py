@@ -24,7 +24,7 @@ from coarse_lab import (
 )
 from coarse_lab import space as space_module
 from coarse_lab.space import _pair_chunks, _pair_sweep, _SparseRows
-from oracles import dense_triangle_violation, l1_distance, sparse_diff_norm_sq
+from oracles import dense_triangle_violation, l1_distance, nearest_point, sparse_diff_norm_sq
 
 
 def path_graph(n):
@@ -89,20 +89,22 @@ class TestBalls:
 
 
 class TestNearestPoint:
+    """The scalar reference for the argmins in construct."""
+
     def test_plain_nearest(self):
         p5 = path_graph(5)
-        assert p5.nearest_point(1, [0, 4]) == 0
+        assert nearest_point(p5, 1, [0, 4]) == 0
 
     def test_tie_breaks_to_earliest_stored(self):
-        assert path_graph(5).nearest_point(2, [0, 4]) == 0
+        assert nearest_point(path_graph(5), 2, [0, 4]) == 0
 
     def test_member_maps_to_itself(self):
         p5 = path_graph(5)
-        assert p5.nearest_point(4, [0, 4]) == 4
+        assert nearest_point(p5, 4, [0, 4]) == 4
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
-            path_graph(5).nearest_point(0, [])
+            nearest_point(path_graph(5), 0, [])
 
 
 class TestNets:
