@@ -22,9 +22,9 @@ from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profi
                       transport, uniform_ball_witness, variation_profile)
 from .construct import (FiberingResult, GlueInput, GlueResult, NetWitnessResult,
                         SeparatedResult, SubspaceWitnessResult, dirac_piece_family,
-                        fibering_pipeline, glue_with_report, make_glue_input,
-                        net_construction, separated_cover_pipeline,
-                        subspace_construction, uniform_ball_piece_family)
+                        fibering_pipeline, glue_with_report, net_construction,
+                        separated_cover_pipeline, subspace_construction,
+                        uniform_ball_piece_family)
 from .group import (CoarseQuasiAction, GroupModel, GroupPipelineResult,
                     OrbitMapResult, QuasiStabilizer, certify_quasi_action,
                     cyclic_group, free_group_ball,

@@ -14,8 +14,8 @@ import os
 import sys
 import traceback
 
-from .construct import (_sample_grid, dirac_piece_family, fibering_pipeline,
-                        glue_with_report, make_glue_input, separated_cover_pipeline,
+from .construct import (GlueInput, _sample_grid, dirac_piece_family, fibering_pipeline,
+                        glue_with_report, separated_cover_pipeline,
                         subspace_construction, net_construction)
 from .cover import (ChainOfSubspaces, direct_limit_cover, enlarge, family_separation,
                     lebesgue_report, multiplicity, r_multiplicity, set_distance)
@@ -86,14 +86,14 @@ def _piece_family(scenario, base_dir):
     if spec is None:
         return dirac_piece_family
     if "list" not in _object(spec, "input 'pieces'"):
-        return lambda cover: {i: load_witness(spec, cover.space.restrict(p))
-                              for i, p in enumerate(cover.pieces)}
+        return lambda cover: tuple(load_witness(spec, cover.space.restrict(p))
+                                   for p in cover.pieces)
 
     def listed(cover):
         docs = spec["list"]
         if not isinstance(docs, list) or len(docs) != len(cover.pieces):
             raise ValidationError("need one piece witness document per cover piece")
-        family = {}
+        family = []
         for i, doc in enumerate(docs):
             if not isinstance(doc, dict) or "vectors" not in doc:
                 raise ValidationError("piece %d: explicit piece witnesses need vectors" % i)
@@ -101,8 +101,8 @@ def _piece_family(scenario, base_dir):
             # validation then reports any mismatch against the actual piece
             pts = [norm_id(_need(row, "point", "witness vector"))
                    for row in _need(doc, "vectors", "witness document", list)]
-            family[i] = load_witness(doc, cover.space.restrict(pts))
-        return family
+            family.append(load_witness(doc, cover.space.restrict(pts)))
+        return tuple(family)
     return listed
 
 
@@ -171,8 +171,7 @@ def _run_glue(scenario, base_dir, params):
     cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
     pieces = _piece_family(scenario, base_dir)(cov)
-    res = glue_with_report(make_glue_input(part, pieces),
-                           tail_radii=params.get("tail_radii"))
+    res = glue_with_report(GlueInput(part, pieces), tail_radii=params.get("tail_radii"))
     return _RunOutput(checked=res.checks, witness=res.witness,
                       partition_json=partition_to_json(part))
 
@@ -227,7 +226,7 @@ def _run_direct_limit(scenario, base_dir, params):
         check_le("nonadjacent_piece_overlap", float(overlap), 0.0),
     ]
     part = bell_partition(cov)
-    glue_res = glue_with_report(make_glue_input(part, dirac_piece_family(cov)),
+    glue_res = glue_with_report(GlueInput(part, dirac_piece_family(cov)),
                                 tail_radii=params.get("tail_radii"))
     details = {"selected_stages": list(res.indices),
                "piece_count": len(cov.pieces),
@@ -240,9 +239,9 @@ def _run_direct_limit(scenario, base_dir, params):
 def _run_fibering(scenario, base_dir, params):
     source = load_space(_resolve(scenario, base_dir, "space"))
     target = load_space(_resolve(scenario, base_dir, "target_space"))
-    assignment = load_map_assignment(_resolve(scenario, base_dir, "map"), source, target)
+    img = load_map_assignment(_resolve(scenario, base_dir, "map"), source, target)
     cov = load_cover(_resolve(scenario, base_dir, "cover"), target)
-    cert = check_coarse_map(source, target, assignment)
+    cert = check_coarse_map(source, target, img)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
     res = fibering_pipeline(cert, part, _piece_family(scenario, base_dir),
                             radii=params.get("radii"),
@@ -269,11 +268,11 @@ def _run_separated(scenario, base_dir, params):
 def _run_group(scenario, base_dir, params):
     grp = load_group(_resolve(scenario, base_dir, "group"))
     space = load_space(_resolve(scenario, base_dir, "space"))
-    maps = load_action_maps(_resolve(scenario, base_dir, "action"), grp, space)
+    img = load_action_maps(_resolve(scenario, base_dir, "action"), grp, space)
     cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
     if "x0" not in params or "R" not in params:
         raise ValidationError("group pipeline needs parameters 'x0' and 'R'")
-    action = certify_quasi_action(grp, space, maps,
+    action = certify_quasi_action(grp, space, img,
                                   A_ceiling=params.get("A_ceiling"),
                                   B_ceiling=params.get("B_ceiling"))
     spec = _resolve(scenario, base_dir, "provider", required=False)
@@ -313,7 +312,7 @@ def execute_scenario(scenario, base_dir):
     _object(scenario, "a scenario")
     _object(scenario.get("inputs", {}), "scenario 'inputs'")
     pipeline = scenario.get("pipeline")
-    if pipeline not in _PIPELINES:
+    if not isinstance(pipeline, str) or pipeline not in _PIPELINES:
         raise ValidationError("unknown pipeline %r; expected one of %s"
                               % (pipeline, ", ".join(sorted(_PIPELINES))))
     params = dict(_object(scenario.get("parameters", {}), "scenario 'parameters'"))

@@ -199,14 +199,6 @@ class GlueInput:
                     "piece %d witness metric is not the restricted metric" % i)
 
 
-def make_glue_input(partition: PartitionOfUnity, piece_witnesses) -> GlueInput:
-    if isinstance(piece_witnesses, dict):
-        seq = [piece_witnesses[i] for i in range(len(partition.cover.pieces))]
-    else:
-        seq = list(piece_witnesses)
-    return GlueInput(partition, tuple(seq))
-
-
 @dataclass(frozen=True)
 class GlueResult:
     witness: Witness
@@ -295,12 +287,11 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
 
 
 def dirac_piece_family(cover: Cover):
-    return {i: dirac_witness(cover.space.restrict(p)) for i, p in enumerate(cover.pieces)}
+    return tuple(dirac_witness(cover.space.restrict(p)) for p in cover.pieces)
 
 
 def uniform_ball_piece_family(cover: Cover, radius):
-    return {i: uniform_ball_witness(cover.space.restrict(p), radius)
-            for i, p in enumerate(cover.pieces)}
+    return tuple(uniform_ball_witness(cover.space.restrict(p), radius) for p in cover.pieces)
 
 
 # ---------------------------------------------------------------- fibering
@@ -323,8 +314,7 @@ def fibering_pipeline(cert: CoarseMapCert, partition: PartitionOfUnity,
     variation at modulus(R); asserted on the sampled radii.
     """
     pulled, kept = pullback_partition(cert, partition)
-    gi = make_glue_input(pulled, pieces(pulled.cover))
-    glued = glue_with_report(gi, tail_radii=tail_radii)
+    glued = glue_with_report(GlueInput(pulled, pieces(pulled.cover)), tail_radii=tail_radii)
 
     if radii is None:
         radii = _sample_grid(cert.source)
@@ -382,8 +372,7 @@ def separated_cover_pipeline(space: FiniteMetricSpace, cover: Cover, L, sigma, R
     if multiplicity(enlarged) > k + 1:
         raise BoundViolationError("enlarged cover multiplicity exceeded k+1")
     partition = bell_partition(enlarged)
-    glued = glue_with_report(make_glue_input(partition, pieces(enlarged)),
-                             tail_radii=tail_radii)
+    glued = glue_with_report(GlueInput(partition, pieces(enlarged)), tail_radii=tail_radii)
 
     var, pair = partition_variation_profile(partition, [R])[0][1:]
     end_rec = check_le("separated_variation_at_R", var, epsilon, witness=pair)

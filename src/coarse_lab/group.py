@@ -7,20 +7,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import glue_with_report, make_glue_input, subspace_construction
+from .construct import GlueInput, glue_with_report, subspace_construction
 from .cover import Cover, enlarge, lebesgue_number, multiplicity
 from .errors import (BoundViolationError, DisconnectedGraphError, PreconditionError,
                      ValidationError)
 from .partition import (PartitionOfUnity, bell_partition, partition_variation_profile,
                         pullback_partition)
 from .report import check_le
-from .space import (_SLOT_BUDGET, FiniteMetricSpace, StepModulus, _bfs, _pair_sweep,
-                    check_coarse_map, space_from_graph)
+from .space import (_SLOT_BUDGET, FiniteMetricSpace, StepModulus, _bfs, _index_array,
+                    _pair_sweep, check_coarse_map, space_from_graph)
 from .witness import Witness, dirac_witness, transport, variation_profile
 
 
@@ -235,35 +234,16 @@ class CoarseQuasiAction:
     word_space: FiniteMetricSpace = field(repr=False)
 
 
-def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
-                         sampled_radii=None, ell_ceiling=None,
+def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, img,
                          A_ceiling=None, B_ceiling=None) -> CoarseQuasiAction:
     """Compute tight ell/A/B for a total family of self-maps.
 
-    ``maps`` is the action's index array (CoarseQuasiAction.img) or a mapping
-    g -> {x: f_g(x)}. Finite data always certifies with some constants;
-    optional ceilings turn a too-large constant into a PreconditionError
-    with its witness.
+    ``img`` is the action's index array (CoarseQuasiAction.img). Finite data
+    always certifies with some constants; optional ceilings turn a too-large
+    A or B into a PreconditionError with its witness.
     """
     n = len(space)
-    if isinstance(maps, Mapping):
-        for g in group.elements:
-            if g not in maps:
-                raise ValidationError("no map for group element %r" % (g,))
-            m = maps[g]
-            for x in space.point_ids:
-                if x not in m:
-                    raise ValidationError("map of %r is not total, missing %r" % (g, x))
-                if m[x] not in space:
-                    raise ValidationError("map of %r sends %r outside the space" % (g, x))
-        maps = [space.indices([maps[g][x] for x in space.point_ids]) for g in group.elements]
-    img = np.asarray(maps)
-    if img.shape != (len(group), n) or not np.issubdtype(img.dtype, np.integer) \
-            or ((img < 0) | (img >= n)).any():
-        raise ValidationError("action array must be (%d, %d) with point indices in 0..%d"
-                              % (len(group), n, n - 1))
-    img = img.astype(np.int64)
-    img.setflags(write=False)
+    img = _index_array(img, (len(group), n), n, "action array")
 
     # cls[i] is the class of the i-th element's map among the distinct rows,
     # flattened since numpy versions differ in the shape of the inverse
@@ -272,11 +252,8 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
     image_dist = np.zeros_like(space.D)
     for gi in distinct:
         np.maximum(image_dist, space.D[np.ix_(gi, gi)], out=image_dist)
-    if sampled_radii is None:
-        sampled_radii = space.realized_distances()
-    samples = set(float(r) for r in sampled_radii) | {space.diameter}
     ell = StepModulus((r, v) for r, v, _ in _pair_sweep(
-        space, samples, lambda a, b: image_dist[a, b]))
+        space, space.realized_distances(), lambda a, b: image_dist[a, b]))
 
     a_vals = space.D[np.arange(n), img[group.index(group.identity)]]
     A = float(a_vals.max())
@@ -318,11 +295,6 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, maps,
         raise PreconditionError("A=%g exceeds ceiling %g at %r" % (A, A_ceiling, A_witness))
     if B_ceiling is not None and B > float(B_ceiling) + 1e-12:
         raise PreconditionError("B=%g exceeds ceiling %g at %r" % (B, B_ceiling, B_witness))
-    if ell_ceiling is not None:
-        for r, v in ell.samples():
-            if v > float(ell_ceiling(r)) + 1e-12:
-                raise PreconditionError(
-                    "ell(%g)=%g exceeds ceiling %g" % (r, v, float(ell_ceiling(r))))
     return CoarseQuasiAction(group, space, img, ell, A, B, A_witness, B_witness,
                              checks, word_metric_space(group))
 
@@ -387,8 +359,7 @@ def orbit_map(action: CoarseQuasiAction, x0) -> OrbitMapResult:
     G, X = action.group, action.space
     disp = _displacement(action, x0)
     pts = action.img[:, X.index(x0)]
-    cert = check_coarse_map(action.word_space, X, zip(G.elements,
-                                                      [X.point_ids[k] for k in pts.tolist()]))
+    cert = check_coarse_map(action.word_space, X, pts)
     # edges (g, gs) in row-major order of the table's generator columns
     gen_cols = sorted({G.index(s) for s in G.generators})
     lam = float(disp[gen_cols].max()) if gen_cols else 0.0
@@ -510,7 +481,6 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     # position in stab.index of each point of the provider's space, in its order
     at = np.searchsorted(stab.index, [G.index(p) for p in base_witness.space.point_ids])
 
-    piece_witnesses = {}
     sub_results = []
     for pos, i in enumerate(kept):
         moved = left_translation(G, rep_ix[pos], stab.index)
@@ -519,8 +489,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
         res = subspace_construction(transport(base_witness, np.argsort(np.argsort(moved))[at],
                                               translated), preimages[pos])
         sub_results.append(res)
-        piece_witnesses[pos] = res.collapsed
-    glue_res = glue_with_report(make_glue_input(psi, piece_witnesses),
+    glue_res = glue_with_report(GlueInput(psi, tuple(res.collapsed for res in sub_results)),
                                 tail_radii=tail_radii)
 
     var, pair = partition_variation_profile(psi, [R])[0][1:]

@@ -96,6 +96,18 @@ def _pair(value, rule):
     return norm_id(value[0]), norm_id(value[1])
 
 
+def _keyed(items, what, known=None):
+    """The (key, value) pairs as a dict. A key listed twice, or one not in
+    ``known``, is an input error naming it: no entry silently replaces another."""
+    out = {}
+    for k, v in items:
+        if k in out or (known is not None and k not in known):
+            raise ValidationError("%s %r is %s"
+                                  % (what, k, "listed twice" if k in out else "unknown"))
+        out[k] = v
+    return out
+
+
 def load_space(obj) -> FiniteMetricSpace:
     metric = _need(obj, "metric", "space document")
     kind = _need(metric, "type", "space metric")
@@ -142,19 +154,21 @@ def load_witness(obj, space: FiniteMetricSpace) -> Witness:
             return uniform_ball_witness(space, _need(obj, "radius", "uniform_ball witness",
                                                      float))
         raise ValidationError("unknown builtin witness %r" % (name,))
-    vectors = {}
-    for row in _need(obj, "vectors", "witness document", list):
+
+    def entry(e):
+        c = _need(e, "c", "witness entry")
+        if not _is_number(c):
+            raise ValidationError("witness entry coefficient must be a number, not %r" % (c,))
+        tag = norm_id(e["tag"], null=True) if "tag" in e else None
+        return (tag, norm_id(_need(e, "at", "witness entry"))), float(c)
+
+    def vector(row):
         x = norm_id(_need(row, "point", "witness vector"))
-        vec = {}
-        for e in _need(row, "entries", "witness vector", list):
-            c = _need(e, "c", "witness entry")
-            if not _is_number(c):
-                raise ValidationError("witness entry coefficient must be a number, not %r"
-                                      % (c,))
-            tag = norm_id(e["tag"], null=True) if "tag" in e else None
-            vec[(tag, norm_id(_need(e, "at", "witness entry")))] = float(c)
-        vectors[x] = vec
-    return Witness(space, vectors)
+        return x, _keyed(map(entry, _need(row, "entries", "witness vector", list)),
+                         "witness vector at %r: (tag, point) entry" % (x,))
+
+    return Witness(space, _keyed(map(vector, _need(obj, "vectors", "witness document", list)),
+                                 "witness document: point"))
 
 
 def partition_to_json(partition) -> dict:
@@ -217,8 +231,7 @@ def _rule_maps(rule, group: GroupModel, space: FiniteMetricSpace, perturb=(0, 0,
 
 
 def load_action_maps(obj, group: GroupModel, space: FiniteMetricSpace):
-    """The action as a (|G|, n) point-index array, or maps g -> {x: f_g(x)} for
-    a table; certification happens separately."""
+    """The (|G|, n) array of image point indices; certification is separate."""
     kind = _need(obj, "type", "action document")
     if kind == "isometric_hom":
         return _rule_maps(_need(obj, "rule", "action document"), group, space)
@@ -229,12 +242,24 @@ def load_action_maps(obj, group: GroupModel, space: FiniteMetricSpace):
             raise ValidationError("perturbation modulus must be >= 1")
         return _rule_maps(_need(obj, "base", "perturbed action"), group, space, perturb)
     if kind == "table":
-        maps = {}
-        for row in _need(obj, "maps", "table action", list):
+        def row_map(row):
             g = norm_id(_need(row, "g", "table action row"))
-            maps[g] = dict(_pair(pair, "table action map entries must be [point, image] pairs")
-                           for pair in _need(row, "map", "table action row", list))
-        return maps
+            return g, _keyed((_pair(p, "table action map entries must be [point, image] pairs")
+                              for p in _need(row, "map", "table action row", list)),
+                             "map of %r: point" % (g,), space)
+
+        maps = _keyed(map(row_map, _need(obj, "maps", "table action", list)),
+                      "table action: group element", set(group.elements))
+        for g in group.elements:
+            if g not in maps:
+                raise ValidationError("no map for group element %r" % (g,))
+            for x in space.point_ids:
+                if x not in maps[g]:
+                    raise ValidationError("map of %r is not total, missing %r" % (g, x))
+                if maps[g][x] not in space:
+                    raise ValidationError("map of %r sends %r outside the space" % (g, x))
+        return np.array([space.indices([maps[g][x] for x in space.point_ids])
+                         for g in group.elements])
     raise ValidationError("unknown action type %r" % (kind,))
 
 
@@ -252,18 +277,22 @@ def load_chain_stages(obj, ambient: FiniteMetricSpace):
 
 
 def load_map_assignment(obj, source: FiniteMetricSpace, target: FiniteMetricSpace):
+    """The (n,) array of the target index of each source point's image."""
     kind = _need(obj, "type", "map document")
     if kind == "proj0":
-        out = {}
-        for p in source.point_ids:
-            if not (isinstance(p, tuple) and p):
-                raise ValidationError("proj0 needs tuple point ids")
-            out[p] = p[0]
-        return out
-    if kind == "pairs":
-        return dict(_pair(pair, "map pairs must be [point, image] pairs")
-                    for pair in _need(obj, "pairs", "map document", list))
-    raise ValidationError("unknown map type %r" % (kind,))
+        if not all(isinstance(p, tuple) and p for p in source.point_ids):
+            raise ValidationError("proj0 needs tuple point ids")
+        m = {p: p[0] for p in source.point_ids}
+    elif kind == "pairs":
+        m = _keyed((_pair(pair, "map pairs must be [point, image] pairs")
+                    for pair in _need(obj, "pairs", "map document", list)),
+                   "map pairs: source point", source)
+        missing = [p for p in source.point_ids if p not in m]
+        if missing:
+            raise ValidationError("assignment is not total, missing %r" % (missing[0],))
+    else:
+        raise ValidationError("unknown map type %r" % (kind,))
+    return np.array(target.indices([m[p] for p in source.point_ids]))
 
 
 # ------------------------------------------------------- deterministic dump

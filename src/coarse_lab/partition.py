@@ -120,8 +120,7 @@ def pullback_partition(cert: CoarseMapCert, partition: PartitionOfUnity):
     """
     if partition.space is not cert.target:
         raise ValidationError("partition must live on the map's target")
-    source = cert.source
-    img = cert.target.indices([cert.assignment[x] for x in source.point_ids])
+    source, img = cert.source, cert.img
     pre = _piece_mask(partition.cover)[:, img]
     kept = np.flatnonzero(pre.any(axis=1))
     pieces = [[source.point_ids[a] for a in np.flatnonzero(row)] for row in pre[kept]]

@@ -231,19 +231,16 @@ class StepModulus:
 class CoarseMapCert:
     """A map between finite spaces together with its exact expansion modulus.
 
-    For every pair with d(x, x') <= r the images satisfy
+    ``img[a]`` is the target index of the a-th source point's image
+    (read-only). For every pair with d(x, x') <= r the images satisfy
     d(f x, f x') <= modulus(r); each sampled value is attained by some pair
     (or repeats the previous sample), so the modulus is tight.
     """
 
     source: FiniteMetricSpace
     target: FiniteMetricSpace
-    assignment: dict
+    img: np.ndarray
     modulus: StepModulus
-    properness_note: str
-
-    def __call__(self, x):
-        return self.assignment[x]
 
 
 def space_from_matrix(points, matrix) -> FiniteMetricSpace:
@@ -544,23 +541,23 @@ def _pair_sweep(space: FiniteMetricSpace, radii, value):
     return out
 
 
-def check_coarse_map(source: FiniteMetricSpace, target: FiniteMetricSpace,
-                     assignment, sampled_radii=None) -> CoarseMapCert:
-    """Certify a total map with its exact expansion modulus on a radius grid.
+def _index_array(values, shape, n, what):
+    """``values`` as a read-only int64 array of ``shape`` with entries in 0..n-1."""
+    img = np.asarray(values)
+    if img.shape != shape or not np.issubdtype(img.dtype, np.integer) \
+            or ((img < 0) | (img >= n)).any():
+        raise ValidationError("%s must be %s with point indices in 0..%d" % (what, shape, n - 1))
+    img = img.astype(np.int64)
+    img.setflags(write=False)
+    return img
 
-    The sampled grid is augmented with the source diameter so the modulus is
-    total on every realized radius. Properness is automatic on finite spaces
-    and recorded as a note.
+
+def check_coarse_map(source: FiniteMetricSpace, target: FiniteMetricSpace, img) -> CoarseMapCert:
+    """Certify a map, given as the target index of each source point's image,
+    with its exact expansion modulus at every realized source distance.
+    Properness is automatic on finite spaces.
     """
-    assignment = dict(assignment)
-    missing = [p for p in source.point_ids if p not in assignment]
-    if missing:
-        raise ValidationError("assignment is not total, missing %r" % (missing[0],))
-    img_idx = np.array([target.index(assignment[p]) for p in source.point_ids])
-    if sampled_radii is None:
-        sampled_radii = source.realized_distances()
-    samples = set(float(r) for r in sampled_radii) | {source.diameter}
+    img = _index_array(img, (len(source),), len(target), "map array")
     modulus = StepModulus((r, v) for r, v, _ in _pair_sweep(
-        source, samples, lambda a, b: target.D[img_idx[a], img_idx[b]]))
-    return CoarseMapCert(source, target, assignment, modulus,
-                         properness_note="properness automatic: finite source")
+        source, source.realized_distances(), lambda a, b: target.D[img[a], img[b]]))
+    return CoarseMapCert(source, target, img, modulus)

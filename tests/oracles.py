@@ -308,16 +308,17 @@ def dict_pullback(cert, partition):
     by the loop over pieces x source points: pieces with an empty preimage
     are dropped, and a kept piece's value at x is its value at f(x)."""
     source = cert.source
+    f = {x: cert.target.point_ids[k] for x, k in zip(source.point_ids, cert.img.tolist())}
     kept, pieces, values = [], [], []
     for i, piece in enumerate(partition.cover.pieces):
-        pre = frozenset(x for x in source.point_ids if cert.assignment[x] in piece)
+        pre = frozenset(x for x in source.point_ids if f[x] in piece)
         if not pre:
             continue
         kept.append(i)
         pieces.append(pre)
         vals = {}
         for x in source.point_ids:
-            v = partition.value(i, cert.assignment[x])
+            v = partition.value(i, f[x])
             if v > 0.0:
                 vals[x] = v
         values.append(vals)

@@ -15,6 +15,7 @@ import pytest
 from coarse_lab import (
     ChainOfSubspaces,
     Cover,
+    GlueInput,
     bell_lipschitz_constant,
     bell_partition,
     certify_quasi_action,
@@ -30,7 +31,6 @@ from coarse_lab import (
     grid,
     group_pipeline,
     lebesgue_number,
-    make_glue_input,
     multiplicity,
     r_multiplicity,
     separated_cover_pipeline,
@@ -268,16 +268,12 @@ def test_criterion_3_cover_facts_exhaustive():
 # ------------------------------------------------------- shared pipelines
 
 def rotation_maps(n_group, n_cycle):
-    return {g: {x: (x + g) % n_cycle for x in range(n_cycle)}
-            for g in range(n_group)}
+    return np.array([[(x + g) % n_cycle for x in range(n_cycle)] for g in range(n_group)])
 
 
 def perturbed_maps(n_group, n_cycle, ga, xa, mod, shift):
-    out = {}
-    for g in range(n_group):
-        out[g] = {x: (x + g + ((ga * g + xa * x) % mod) - shift) % n_cycle
-                  for x in range(n_cycle)}
-    return out
+    return np.array([[(x + g + ((ga * g + xa * x) % mod) - shift) % n_cycle
+                      for x in range(n_cycle)] for g in range(n_group)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,7 +329,7 @@ def explicit_glue_corpus():
 
     def add(cover, family, require_lebesgue=True):
         part = bell_partition(cover, require_lebesgue=require_lebesgue)
-        gi = make_glue_input(part, family)
+        gi = GlueInput(part, family)
         res = glue_with_report(gi, tail_radii=[0.0, 1.0, 2.0])
         vectors = {i: gi.pieces[i].vectors for i in range(len(gi.pieces))}
         cases.append((part, vectors, res))

@@ -1,12 +1,18 @@
 """Command-line driver: scenario runs, exit codes, certificates on disk,
 profile export, suite aggregation, and JSON round-trips."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_lab import (
     BoundViolationError,
@@ -43,6 +49,15 @@ def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh)
     return str(path)
+
+
+def table_action(rule):
+    return {"type": "table", "maps": [{"g": g, "map": [[x, rule(g, x)] for x in range(12)]}
+                                      for g in range(60)]}
+
+
+# rows of the table action of Z_60 rotating the 12-cycle
+ROTATIONS = table_action(lambda g, x: (x + g) % 12)["maps"]
 
 
 def read_certificate(out_dir, name):
@@ -206,6 +221,14 @@ class TestRunCommand:
          "uniform_ball witness field 'radius' must be a number"),
         ({"builtin": "uniform_ball", "radius": True},
          "uniform_ball witness field 'radius' must be a number"),
+        # read last-wins, point 0 gets the unit vector 0.6 e_0 + 0.8 e_1; as listed, norm^2 1.36
+        ({"vectors": [{"point": 0, "entries": [{"at": 0, "c": 0.6}, {"at": 1, "c": 0.8},
+                                               {"at": 0, "c": 0.6}]}] +
+          [{"point": p, "entries": [{"at": p, "c": 1}]} for p in range(1, 11)]},
+         "witness vector at 0: (tag, point) entry (None, 0) is listed twice"),
+        ({"vectors": [{"point": p, "entries": [{"at": p, "c": 1}]} for p in range(11)] +
+          [{"point": 0, "entries": [{"at": 1, "c": 1}]}]},
+         "witness document: point 0 is listed twice"),
     ])
     def test_malformed_witness_document_is_validation_error(self, tmp_path, capsys, witness,
                                                             message):
@@ -239,6 +262,14 @@ class TestRunCommand:
          "uniform_ball witness field 'radius' must be a number"),
         ("provider", {"builtin": "uniform_ball", "radius": True},
          "uniform_ball witness field 'radius' must be a number"),
+        ("action", {"type": "table", "maps": ROTATIONS + [ROTATIONS[0]]},
+         "table action: group element 0 is listed twice"),
+        ("action", {"type": "table", "maps": ROTATIONS + [{"g": 99, "map": []}]},
+         "table action: group element 99 is unknown"),
+        ("action", {"type": "table", "maps": [{"g": 0, "map": ROTATIONS[0]["map"] + [[1, 1]]}]
+                    + ROTATIONS[1:]}, "map of 0: point 1 is listed twice"),
+        ("action", {"type": "table", "maps": [{"g": 0, "map": ROTATIONS[0]["map"] + [[17, 0]]}]
+                    + ROTATIONS[1:]}, "map of 0: point 17 is unknown"),
     ])
     def test_malformed_group_input_is_validation_error(self, tmp_path, capsys, key, doc,
                                                        message):
@@ -341,6 +372,8 @@ class TestRunCommand:
         ([5], "map pairs must be [point, image] pairs, not 5"),
         (5, "map document field 'pairs' must be a JSON list, not 5"),
         ([[1, 2, 3]], "map pairs must be [point, image] pairs, not [1, 2, 3]"),
+        ([[0, 0], [1, 1], [2, 2], [3, 3], [0, 3]], "map pairs: source point 0 is listed twice"),
+        ([[0, 0], [1, 1], [2, 2], [3, 3], [99, 0]], "map pairs: source point 99 is unknown"),
     ])
     def test_malformed_map_document_is_validation_error(self, tmp_path, capsys, pairs,
                                                         message):
@@ -406,6 +439,14 @@ class TestRunCommand:
         scen = write_json(tmp_path / "x.json", {"name": "x", "pipeline": "nope"})
         assert main(["run", scen, "--out", str(tmp_path)]) == 2
         assert "unknown pipeline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline", [{"name": "bell"}, ["bell"]], ids=["object", "list"])
+    def test_non_string_pipeline_is_unknown(self, tmp_path, capsys, pipeline):
+        scen = write_json(tmp_path / "x.json", {"name": "x", "pipeline": pipeline})
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert "unknown pipeline %r" % (pipeline,) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
@@ -574,6 +615,49 @@ class TestPipelinesMatchApi:
         assert cert["details"]["representatives"] == list(res.reps)
 
 
+def inlined_scenarios():
+    """The scenarios/ documents, each with its file inputs read in place."""
+    out = []
+    for fname in sorted(f for f in os.listdir(SCENARIO_DIR) if f.endswith(".json")):
+        with open(os.path.join(SCENARIO_DIR, fname)) as fh:
+            scen = json.load(fh)
+        for key, value in scen["inputs"].items():
+            if isinstance(value, str):
+                with open(os.path.join(SCENARIO_DIR, value)) as fh:
+                    scen["inputs"][key] = json.load(fh)
+        out.append(scen)
+    return out
+
+
+_SCENARIOS = inlined_scenarios()
+_DROP = object()
+# small values only: a size field set to a large number would allocate n x n
+_MUTATIONS = [_DROP, None, "x", {}, [], True, float("nan"), float("inf"), -1, 0]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A scenario of scenarios/ with one field, at any object depth and at
+    most two lists deep, dropped or replaced by one of _MUTATIONS."""
+    scen = copy.deepcopy(draw(st.sampled_from(_SCENARIOS)))
+    node, lists = scen, 0
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        child = node[key]
+        lists += isinstance(child, list)
+        deeper = isinstance(child, dict) or (isinstance(child, list) and lists <= 2)
+        if not (deeper and child and draw(st.booleans())):
+            break
+        node = child
+    value = draw(st.sampled_from(_MUTATIONS))
+    if value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+    return scen
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("inline", [True, False], ids=["inline", "space-file"])
     def test_boolean_matrix_entry_is_input_error(self, tmp_path, capsys, inline):
@@ -608,6 +692,28 @@ class TestExitCodes:
         assert "Traceback" in err and "%s: boom" % type(exc).__name__ in err
         assert not os.listdir(tmp_path)
 
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_scenarios())
+    def test_one_mutated_field_exits_cleanly(self, scen):
+        """Exit 0, 1 or 2 and no traceback; 1 only with a ``pass: false``
+        certificate on disk, 2 only with nothing written."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(os.path.join(tmp, "s.json"), scen)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", path, "--out", out])
+            assert code in (0, 1, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            written = os.listdir(out) if os.path.exists(out) else []
+            if code == 1:
+                certs = [f for f in written if f.endswith(".certificate.json")]
+                assert len(certs) == 1
+                with open(os.path.join(out, certs[0])) as fh:
+                    assert json.load(fh)["pass"] is False
+            if code == 2:
+                assert written == []
+
 
 def rule_certificate(tmp_path, name, action):
     """The certificate of scenarios/<name>.json with its action replaced, with
@@ -621,11 +727,6 @@ def rule_certificate(tmp_path, name, action):
     cert = read_certificate(str(out), name)
     del cert["inputs_timestamp"]
     return cert
-
-
-def table_action(rule):
-    return {"type": "table", "maps": [{"g": g, "map": [[x, rule(g, x)] for x in range(12)]}
-                                      for g in range(60)]}
 
 
 class TestActionArrays:

@@ -23,7 +23,6 @@ from coarse_lab import (
     fibering_pipeline,
     glue_with_report,
     grid,
-    make_glue_input,
     net_construction,
     partition_variation_profile,
     separated_cover_pipeline,
@@ -149,7 +148,7 @@ class TestGlue:
         s = cycle_space(5)
         cover = Cover(s, (frozenset(s.point_ids),))
         part = bell_partition(cover, require_lebesgue=False)
-        res = glue_with_report(make_glue_input(part, dirac_piece_family(cover)))
+        res = glue_with_report(GlueInput(part, dirac_piece_family(cover)))
         for x in s.point_ids:
             assert res.witness.vectors[x] == pytest.approx({((0, None), x): 1.0})
 
@@ -158,7 +157,7 @@ class TestGlue:
         cover = Cover(s, (frozenset(s.point_ids), frozenset(s.point_ids)))
         part = bell_partition(cover, require_lebesgue=False)
         pieces = dirac_piece_family(cover)
-        res = glue_with_report(make_glue_input(part, pieces))
+        res = glue_with_report(GlueInput(part, pieces))
         half = math.sqrt(0.5)
         assert res.witness.vectors[0] == pytest.approx(
             {((0, None), 0): half, ((1, None), 0): half})
@@ -182,14 +181,14 @@ class TestGlue:
         s = z_interval(0, 11)
         cover = Cover(s, [frozenset(range(i, i + 6)) for i in (0, 3, 6)])
         part = bell_partition(cover, require_lebesgue=False)
-        glue_with_report(make_glue_input(part, dirac_piece_family(cover)))
+        glue_with_report(GlueInput(part, dirac_piece_family(cover)))
         assert sizes and max(sizes) <= len(s)
 
     def test_path_overlap_bound(self):
         s = path_graph(5)
         cover = Cover(s, (frozenset({0, 1, 2}), frozenset({2, 3, 4})))
         part = bell_partition(cover, require_lebesgue=False)
-        res = glue_with_report(make_glue_input(part, dirac_piece_family(cover)),
+        res = glue_with_report(GlueInput(part, dirac_piece_family(cover)),
                                tail_radii=[0.0, 1.0])
         assert all(c.passed for c in res.checks)
         (_, v), = variation_profile(res.witness, [1.0])
@@ -203,7 +202,7 @@ class TestGlue:
                                for a in (0, 4, 8)))
         part = bell_partition(cover, require_lebesgue=False)
         res = glue_with_report(
-            make_glue_input(part, uniform_ball_piece_family(cover, 1)),
+            GlueInput(part, uniform_ball_piece_family(cover, 1)),
             tail_radii=[0.0, 1.0, 2.0])
         for s_val, v in res.glued_tail.samples:
             assert v <= res.equi_tail.value_at(s_val) + 1e-9
@@ -254,7 +253,7 @@ def cycle_space(n):
 class TestFibering:
     def test_identity_map_reduces_to_glue(self):
         s = z_interval(0, 8)
-        cert = check_coarse_map(s, s, {p: p for p in s.point_ids}, [1.0, 2.0])
+        cert = check_coarse_map(s, s, np.arange(len(s)))
         cover = Cover(s, (frozenset(range(0, 6)), frozenset(range(3, 9))))
         part = bell_partition(cover)
         res = fibering_pipeline(cert, part, radii=[1.0], tail_radii=[0.0, 1.0])
@@ -265,7 +264,7 @@ class TestFibering:
     def test_constant_map_single_fiber(self):
         s = z_interval(0, 4)
         t = z_interval(0, 0)
-        cert = check_coarse_map(s, t, {p: 0 for p in s.point_ids}, [1.0])
+        cert = check_coarse_map(s, t, np.zeros(len(s), dtype=int))
         cover = Cover(t, (frozenset({0}),))
         part = bell_partition(cover, require_lebesgue=False)
         res = fibering_pipeline(cert, part, radii=[1.0], tail_radii=[0.0])
@@ -275,8 +274,7 @@ class TestFibering:
     def test_projection_pullback_end_to_end(self):
         src = z2_ball(3, "linf")
         tgt = z_interval(-3, 3)
-        cert = check_coarse_map(src, tgt, {p: p[0] for p in src.point_ids},
-                                [1.0, 2.0, 3.0])
+        cert = check_coarse_map(src, tgt, tgt.indices([p[0] for p in src.point_ids]))
         cover = Cover(tgt, (frozenset(range(-3, 1)), frozenset(range(-1, 4))))
         part = bell_partition(cover)
         res = fibering_pipeline(cert, part, radii=[1.0, 2.0], tail_radii=[0.0, 1.0])
@@ -379,7 +377,7 @@ class TestPairRecordsAgainstDoubleLoops:
         part = bell_partition(cover, require_lebesgue=False)
         family = (dirac_piece_family(cover) if radius is None
                   else uniform_ball_piece_family(cover, radius))
-        gi = make_glue_input(part, family)
+        gi = GlueInput(part, family)
         with pytest.MonkeyPatch.context() as mp:
             if small_steps:
                 _small_steps(mp)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from coarse_lab import (
     Cover,
+    GlueInput,
     Witness,
     bell_partition,
     collapse,
@@ -23,7 +24,6 @@ from coarse_lab import (
     dirac_piece_family,
     dirac_witness,
     glue_with_report,
-    make_glue_input,
     net_construction,
     space_from_matrix,
     subspace_construction,
@@ -238,5 +238,5 @@ def test_glued_witness(name, family):
     part = bell_partition(cover, require_lebesgue=False)
     fam = (dirac_piece_family(cover) if family == "dirac"
            else uniform_ball_piece_family(cover, 1))
-    gi = make_glue_input(part, fam)
+    gi = GlueInput(part, fam)
     assert_same_entries(glue_with_report(gi, tail_radii=[0.0]).witness, ref_glue(gi))

@@ -23,6 +23,7 @@ from coarse_lab import (
     group_pipeline,
     GroupModel,
     left_translation,
+    load_action_maps,
     orbit_map,
     product_of_cyclic,
     quasi_stabilizer,
@@ -41,18 +42,20 @@ def product(model, g, h):
     return model.elements[k] if k >= 0 else None
 
 
+def action_array(model, space, maps):
+    """The index array of an action given as maps g -> {x: f_g(x)}."""
+    return np.array([space.indices([maps[g][x] for x in space.point_ids])
+                     for g in model.elements])
+
+
 def rotation_maps(n_group, n_cycle):
     """g acts on the n_cycle-cycle by rotation through g mod n_cycle."""
-    return {g: {x: (x + g) % n_cycle for x in range(n_cycle)}
-            for g in range(n_group)}
+    return np.array([[(x + g) % n_cycle for x in range(n_cycle)] for g in range(n_group)])
 
 
 def perturbed_maps(n_group, n_cycle, ga, xa, mod, shift):
-    out = {}
-    for g in range(n_group):
-        out[g] = {x: (x + g + ((ga * g + xa * x) % mod) - shift) % n_cycle
-                  for x in range(n_cycle)}
-    return out
+    return np.array([[(x + g + ((ga * g + xa * x) % mod) - shift) % n_cycle
+                      for x in range(n_cycle)] for g in range(n_group)])
 
 
 class TestGroupModels:
@@ -201,7 +204,7 @@ class TestCertify:
         g = cyclic_group(4)
         sp = z_interval(0, 3)
         maps = {a: {x: x for x in sp.point_ids} for a in g.elements}
-        act = certify_quasi_action(g, sp, maps)
+        act = certify_quasi_action(g, sp, action_array(g, sp, maps))
         assert act.A == 0.0 and act.B == 0.0
 
     def test_perturbed_constants(self):
@@ -232,26 +235,14 @@ class TestCertify:
                                  perturbed_maps(60, 12, 5, 1, 3, 1), A_ceiling=0.0)
         with pytest.raises(PreconditionError):
             certify_quasi_action(cyclic_group(60), cycle(12),
-                                 perturbed_maps(60, 12, 5, 1, 3, 1),
-                                 ell_ceiling=lambda r: r)
+                                 perturbed_maps(60, 12, 5, 1, 3, 1), B_ceiling=0.0)
 
     def test_partial_maps_rejected(self):
-        g = cyclic_group(3)
-        sp = cycle(3)
-        maps = rotation_maps(3, 3)
-        del maps[2][0]
-        with pytest.raises(ValidationError):
-            certify_quasi_action(g, sp, maps)
-
-    def test_array_and_mapping_certify_alike(self):
-        maps = perturbed_maps(60, 12, 5, 1, 3, 1)
-        img = np.array([[maps[g][x] for x in range(12)] for g in range(60)])
-        by_map = certify_quasi_action(cyclic_group(60), cycle(12), maps)
-        by_array = certify_quasi_action(cyclic_group(60), cycle(12), img)
-        assert np.array_equal(by_array.img, by_map.img)
-        assert not by_array.img.flags.writeable
-        assert (by_array.A, by_array.B, by_array.B_witness, by_array.ell.samples()) == \
-            (by_map.A, by_map.B, by_map.B_witness, by_map.ell.samples())
+        doc = {"type": "table", "maps": [{"g": g, "map": [[x, (x + g) % 3] for x in range(3)]}
+                                         for g in range(3)]}
+        del doc["maps"][2]["map"][0]
+        with pytest.raises(ValidationError, match="map of 2 is not total, missing 0"):
+            load_action_maps(doc, cyclic_group(3), cycle(3))
 
     @pytest.mark.parametrize("img", [np.zeros((3, 2), dtype=int), np.full((3, 3), 3),
                                      np.full((3, 3), -1), np.zeros((3, 3), dtype=bool),
@@ -268,7 +259,7 @@ class TestQuasiStabilizer:
         g = z_ball(N)
         maps = {a: {x: min(max(x + a, lo), hi) for x in sp.point_ids}
                 for a in g.elements}
-        return certify_quasi_action(g, sp, maps)
+        return certify_quasi_action(g, sp, action_array(g, sp, maps))
 
     def test_clamped_translation_stabilizer(self):
         act = self.clamped_z_action(10, -30, 30)
@@ -296,7 +287,7 @@ class TestQuasiStabilizer:
         g = cyclic_group(2)
         maps = {0: {x: x for x in sp.point_ids},
                 1: {x: 5 - x for x in sp.point_ids}}
-        act = certify_quasi_action(g, sp, maps)
+        act = certify_quasi_action(g, sp, action_array(g, sp, maps))
         # identity always fixes, so emptiness only happens at invalid T < 0
         with pytest.raises(ValidationError):
             quasi_stabilizer(act, 0, -1)
@@ -309,7 +300,7 @@ class TestOrbitMap:
         assert res.lam == 1.0
         assert res.edge_bound == 1.0
         assert res.checks[0].passed
-        assert res.cert.assignment[25] == 1
+        assert res.cert.img[25] == 1
 
     def test_edge_bound_formula(self):
         act = certify_quasi_action(cyclic_group(60), cycle(12),
@@ -490,7 +481,7 @@ def shift_maps(model, m, k, family):
 
 
 def assert_constants_match_oracle(model, op, space, maps):
-    act = certify_quasi_action(model, space, maps)
+    act = certify_quasi_action(model, space, action_array(model, space, maps))
     ref = dense_quasi_action(model.elements, model.generators, model.identity,
                              dense_product_table(model.elements, op), space, maps, 0)
     assert (act.A, act.A_witness) == (ref["A"], ref["A_at"])

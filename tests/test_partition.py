@@ -33,6 +33,11 @@ def path_graph(n):
     return space_from_graph(list(range(n)), [(i, i + 1) for i in range(n - 1)])
 
 
+def map_array(source, target, f):
+    """The index array of the map x -> f(x) from source to target."""
+    return target.indices([f(x) for x in source.point_ids])
+
+
 def p5_cover():
     s = path_graph(5)
     return s, Cover(s, [[0, 1, 2], [2, 3, 4]])
@@ -172,7 +177,7 @@ class TestPullback:
     def test_identity_map_keeps_values(self):
         s, cov = p5_cover()
         part = bell_partition(cov, require_lebesgue=False)
-        cert = check_coarse_map(s, s, {p: p for p in s.point_ids})
+        cert = check_coarse_map(s, s, map_array(s, s, lambda p: p))
         pulled, kept = pullback_partition(cert, part)
         assert kept == (0, 1)
         for i in range(2):
@@ -183,7 +188,7 @@ class TestPullback:
         s, cov = p5_cover()
         part = bell_partition(cov, require_lebesgue=False)
         src = cycle(6)
-        cert = check_coarse_map(src, s, {p: 1 for p in src.point_ids})
+        cert = check_coarse_map(src, s, map_array(src, s, lambda p: 1))
         pulled, kept = pullback_partition(cert, part)
         # only the piece containing the image point survives
         assert kept == (0,)
@@ -194,7 +199,7 @@ class TestPullback:
         tgt = z_interval(-4, 4)
         cov = Cover(tgt, [list(range(-4, 1)), list(range(-1, 5))])
         part = bell_partition(cov)
-        cert = check_coarse_map(src, tgt, {p: p[0] for p in src.point_ids})
+        cert = check_coarse_map(src, tgt, map_array(src, tgt, lambda p: p[0]))
         pulled, _ = pullback_partition(cert, part)
         for R in (1.0, 2.0, 3.0):
             assert partition_variation_profile(pulled, [R])[0][1] <= \
@@ -205,7 +210,7 @@ class TestPullback:
         tgt = z_interval(-3, 3)
         cov = Cover(tgt, [list(range(-3, 2)), list(range(-1, 4))])
         part = bell_partition(cov)
-        cert = check_coarse_map(src, tgt, {p: p[0] for p in src.point_ids})
+        cert = check_coarse_map(src, tgt, map_array(src, tgt, lambda p: p[0]))
         pulled, _ = pullback_partition(cert, part)
         for x in src.point_ids:
             total = sum(pulled.value(i, x) for i in range(len(pulled.cover.pieces)))
@@ -215,7 +220,7 @@ class TestPullback:
         s, cov = p5_cover()
         part = bell_partition(cov, require_lebesgue=False)
         other = path_graph(5)
-        cert = check_coarse_map(other, other, {p: p for p in other.point_ids})
+        cert = check_coarse_map(other, other, map_array(other, other, lambda p: p))
         with pytest.raises(ValidationError):
             pullback_partition(cert, part)
 
@@ -251,7 +256,7 @@ def _pullback_cases(draw):
         pieces.append(rest)
     images = draw(st.lists(st.sampled_from(ids), min_size=len(source),
                            max_size=len(source)))
-    cert = check_coarse_map(source, target, dict(zip(source.point_ids, images)))
+    cert = check_coarse_map(source, target, target.indices(images))
     return cert, Cover(target, pieces)
 
 

@@ -17,6 +17,7 @@ from coarse_lab import (
     cycle,
     grid,
     is_c_net,
+    load_map_assignment,
     space_from_graph,
     space_from_matrix,
     z2_ball,
@@ -29,6 +30,11 @@ from oracles import dense_triangle_violation, l1_distance, nearest_point, sparse
 
 def path_graph(n):
     return space_from_graph(list(range(n)), [(i, i + 1) for i in range(n - 1)])
+
+
+def map_array(source, target, f):
+    """The index array of the map x -> f(x) from source to target."""
+    return target.indices([f(x) for x in source.point_ids])
 
 
 class TestBuildSpace:
@@ -122,13 +128,13 @@ class TestNets:
 class TestCoarseMap:
     def test_identity_modulus(self):
         s = cycle(8)
-        cert = check_coarse_map(s, s, {p: p for p in s.point_ids})
+        cert = check_coarse_map(s, s, map_array(s, s, lambda p: p))
         for r, v in cert.modulus.samples():
             assert v == r
 
     def test_constant_map_modulus_zero(self):
         s = z_interval(0, 9)
-        cert = check_coarse_map(s, s, {p: 0 for p in s.point_ids})
+        cert = check_coarse_map(s, s, map_array(s, s, lambda p: 0))
         assert all(v == 0.0 for _, v in cert.modulus.samples())
 
     def test_sup_metric_projection_modulus(self):
@@ -136,7 +142,7 @@ class TestCoarseMap:
         # nothing: ell(r) = r at every sampled radius
         src = z2_ball(3, norm="linf")
         tgt = z_interval(-3, 3)
-        cert = check_coarse_map(src, tgt, {p: p[0] for p in src.point_ids})
+        cert = check_coarse_map(src, tgt, map_array(src, tgt, lambda p: p[0]))
         for r, v in cert.modulus.samples():
             assert v == r
 
@@ -144,7 +150,7 @@ class TestCoarseMap:
         src = z_interval(0, 6)
         tgt = z_interval(0, 12)
         assignment = {p: 2 * p for p in src.point_ids}
-        cert = check_coarse_map(src, tgt, assignment)
+        cert = check_coarse_map(src, tgt, map_array(src, tgt, assignment.get))
         values = [v for _, v in cert.modulus.samples()]
         assert values == sorted(values)
         # every sampled value is attained by some pair
@@ -157,18 +163,26 @@ class TestCoarseMap:
 
     def test_partial_assignment_rejected(self):
         s = cycle(4)
-        with pytest.raises(ValidationError):
-            check_coarse_map(s, s, {0: 0})
+        with pytest.raises(ValidationError, match="assignment is not total, missing 1"):
+            load_map_assignment({"type": "pairs", "pairs": [[0, 0]]}, s, s)
 
-    def test_certificate_is_callable(self):
+    def test_certificate_holds_index_array(self):
         s = cycle(4)
-        cert = check_coarse_map(s, s, {p: (p + 1) % 4 for p in s.point_ids})
+        cert = check_coarse_map(s, s, map_array(s, s, lambda p: (p + 1) % 4))
         assert isinstance(cert, CoarseMapCert)
-        assert cert(0) == 1
+        assert cert.img.tolist() == [1, 2, 3, 0]
+        assert cert.img.dtype == np.int64 and not cert.img.flags.writeable
+
+    @pytest.mark.parametrize("img", [np.zeros(2, dtype=int), np.full(3, 3), np.full(3, -1),
+                                     np.zeros(3, dtype=bool), np.zeros(3)],
+                             ids=["shape", "high", "negative", "bool", "float"])
+    def test_bad_arrays_rejected(self, img):
+        with pytest.raises(ValidationError, match="map array must be"):
+            check_coarse_map(cycle(3), cycle(3), img)
 
     def test_step_modulus_holds_between_samples(self):
         s = z_interval(0, 5)
-        cert = check_coarse_map(s, s, {p: p for p in s.point_ids})
+        cert = check_coarse_map(s, s, map_array(s, s, lambda p: p))
         # conservative step extension: value at 1.5 is the next sample's
         assert cert.modulus(1.5) == 2.0
         assert cert.modulus(99.0) == 5.0
