@@ -8,12 +8,13 @@ precondition, 3 a bug (a bound violation or any other exception, traced).
 from __future__ import annotations
 
 import argparse
-import datetime
+import hashlib
 import json
 import os
 import sys
 import traceback
 
+from . import __version__
 from .construct import (GlueInput, _sample_grid, dirac_piece_family, fibering_pipeline,
                         glue_with_report, separated_cover_pipeline,
                         subspace_construction, net_construction)
@@ -27,41 +28,55 @@ from .jsonio import (_as_jsonable, _check, _is_number, _need, _object, dumps_det
                      parse_json, partition_to_json)
 from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile)
-from .report import InequalityRecord, all_passed, check_le
+from .report import InequalityRecord, all_passed, check_le, json_number
 from .space import check_coarse_map
 from .witness import dirac_witness, tail_profile, variation_profile
 
 _CONSUME_EPSILON = {"separated", "group-pipeline"}
 _NUMBERS = ("R", "S0", "epsilon", "delta", "L", "sigma", "c", "A_ceiling", "B_ceiling")
 _GRIDS = ("radii", "tail_radii")
+_PROFILED = " ?R ?S0 ?epsilon ?delta ?radii ?tail_radii"  # the witness profiles read these
 
 
 def _load_json(path):
+    """The JSON document in the file at ``path``, and the bytes it was read from."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_json(fh.read(), path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse_json(data.decode("utf-8"), path), data
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError("cannot parse %s: line %d: %s"
-                              % (path, exc.lineno, exc.msg)) from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError("cannot parse %s: %s" % (path, exc)) from exc
 
 
-def _resolve(scenario, base_dir, key, required=True):
-    inputs = scenario.get("inputs", {})
-    if key not in inputs:
-        if required:
-            raise ValidationError("scenario is missing input %r" % (key,))
-        return None
-    value = inputs[key]
-    if isinstance(value, str):
-        return _load_json(os.path.join(base_dir, value))
-    if isinstance(value, dict):
-        return value
-    raise ValidationError("input %r must be a path or an inline object" % (key,))
+def _check_keys(pipeline, what, given, spec):
+    """``given`` holds every key of ``spec`` not marked optional ("?") and no other."""
+    known = [key.lstrip("?") for key in spec.split()]
+    for key in spec.split():
+        if key[0] != "?" and key not in given:
+            raise ValidationError("pipeline %r needs %s %r" % (pipeline, what, key))
+    for key in given:
+        if key not in known:
+            raise ValidationError("pipeline %r reads no %s %r; it reads %s"
+                                  % (pipeline, what, key, ", ".join(known)))
+
+
+def _read_inputs(inputs, base_dir):
+    """Each input document by key, and the bytes of the input files in key order."""
+    docs, files = dict(inputs), []
+    for key in sorted(inputs):
+        if isinstance(inputs[key], str):
+            docs[key], data = _load_json(os.path.join(base_dir, inputs[key]))
+            files.append(data)
+        elif not isinstance(inputs[key], dict):
+            raise ValidationError("input %r must be a path or an inline object" % (key,))
+    return docs, files
 
 
 def _check_parameters(params):
+    if not isinstance(params.get("require_lebesgue", True), bool):
+        raise ValidationError("parameter 'require_lebesgue' must be true or false")
     for key in _NUMBERS + _GRIDS:
         if key in params:
             values = params[key] if key in _GRIDS else [params[key]]
@@ -73,16 +88,16 @@ def _check_parameters(params):
                 raise ValidationError("parameter %r must be finite, not NaN or infinite" % key)
 
 
-def _grid(space, params, key, cap=12):
+def _grid(space, params, key):
     if key in params:
         return sorted(float(v) for v in params[key])
-    return _sample_grid(space, cap=cap)
+    return _sample_grid(space, cap=12)
 
 
-def _piece_family(scenario, base_dir):
+def _piece_family(inputs):
     """The scenario's piece witnesses as a function of the cover they are glued
     over: one witness spec for every piece, or a "list" of one document each."""
-    spec = _resolve(scenario, base_dir, "pieces", required=False)
+    spec = inputs.get("pieces")
     if spec is None:
         return dirac_piece_family
     if "list" not in _object(spec, "input 'pieces'"):
@@ -118,17 +133,16 @@ class _RunOutput:
         self.partition_json = partition_json
 
 
-def _run_verify_cover(scenario, base_dir, params):
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
+def _run_verify_cover(inputs, params):
+    space = load_space(inputs["space"])
+    cov = load_cover(inputs["cover"], space)
     leb, failing = lebesgue_report(cov)
     notes = ["multiplicity %d" % multiplicity(cov), "lebesgue_number %g" % leb]
     if failing is not None:
         notes.append("smallest radius with an unfit ball: %g" % failing)
     checked = []
-    L = params.get("L")
-    if L is not None:
-        L = float(L)
+    if "L" in params:
+        L = float(params["L"])
         kp1 = r_multiplicity(cov, L)
         if cov.coloring is not None:
             k = len(set(cov.coloring)) - 1
@@ -144,9 +158,9 @@ def _run_verify_cover(scenario, base_dir, params):
     return _RunOutput(checked=checked, notes=notes)
 
 
-def _run_bell(scenario, base_dir, params):
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
+def _run_bell(inputs, params):
+    space = load_space(inputs["space"])
+    cov = load_cover(inputs["cover"], space)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
     checked = []
     notes = []
@@ -166,23 +180,22 @@ def _run_bell(scenario, base_dir, params):
     return out
 
 
-def _run_glue(scenario, base_dir, params):
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
+def _run_glue(inputs, params):
+    space = load_space(inputs["space"])
+    cov = load_cover(inputs["cover"], space)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
-    pieces = _piece_family(scenario, base_dir)(cov)
+    pieces = _piece_family(inputs)(cov)
     res = glue_with_report(GlueInput(part, pieces), tail_radii=params.get("tail_radii"))
     return _RunOutput(checked=res.checks, witness=res.witness,
                       partition_json=partition_to_json(part))
 
 
-def _run_subspace(scenario, base_dir, params):
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    wit = load_witness(_resolve(scenario, base_dir, "witness"), space)
-    members = [norm_id(p) for p in _check(params.get("subspace", []), list,
-                                          "parameter 'subspace'")]
+def _run_subspace(inputs, params):
+    space = load_space(inputs["space"])
+    wit = load_witness(inputs["witness"], space)
+    members = [norm_id(p) for p in _check(params["subspace"], list, "parameter 'subspace'")]
     if not members:
-        raise ValidationError("subspace pipeline needs a nonempty 'subspace' parameter")
+        raise ValidationError("parameter 'subspace' must not be empty")
     res = subspace_construction(wit, members, tail_radii=params.get("tail_radii"))
     details = {"retraction": [[_as_jsonable(s), _as_jsonable(p)]
                               for s, p in sorted(res.retraction.items(),
@@ -191,13 +204,13 @@ def _run_subspace(scenario, base_dir, params):
                       witness=res.collapsed, details=details)
 
 
-def _run_net(scenario, base_dir, params):
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    members = [norm_id(p) for p in _check(params.get("net", []), list, "parameter 'net'")]
+def _run_net(inputs, params):
+    space = load_space(inputs["space"])
+    members = [norm_id(p) for p in _check(params["net"], list, "parameter 'net'")]
     if not members:
-        raise ValidationError("net pipeline needs a nonempty 'net' parameter")
+        raise ValidationError("parameter 'net' must not be empty")
     net_space = space.restrict(members)
-    wit = load_witness(_resolve(scenario, base_dir, "witness"), net_space)
+    wit = load_witness(inputs["witness"], net_space)
     res = net_construction(space, members, wit, c=params.get("c"),
                            radii=params.get("radii"),
                            tail_radii=params.get("tail_radii"))
@@ -205,11 +218,9 @@ def _run_net(scenario, base_dir, params):
                       details={"c": res.c})
 
 
-def _run_direct_limit(scenario, base_dir, params):
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    stages = load_chain_stages(_resolve(scenario, base_dir, "chain"), space)
-    if "L" not in params:
-        raise ValidationError("direct-limit pipeline needs parameter 'L'")
+def _run_direct_limit(inputs, params):
+    space = load_space(inputs["space"])
+    stages = load_chain_stages(inputs["chain"], space)
     L = float(params["L"])
     chain = ChainOfSubspaces(space, stages)
     res = direct_limit_cover(chain, L)
@@ -230,20 +241,20 @@ def _run_direct_limit(scenario, base_dir, params):
                                 tail_radii=params.get("tail_radii"))
     details = {"selected_stages": list(res.indices),
                "piece_count": len(cov.pieces),
-               "nonadjacent_min_gap": min_gap}
+               "nonadjacent_min_gap": json_number(min_gap)}
     return _RunOutput(checked=checked + list(glue_res.checks),
                       witness=glue_res.witness, details=details,
                       truncation_flags=res.truncation_flags)
 
 
-def _run_fibering(scenario, base_dir, params):
-    source = load_space(_resolve(scenario, base_dir, "space"))
-    target = load_space(_resolve(scenario, base_dir, "target_space"))
-    img = load_map_assignment(_resolve(scenario, base_dir, "map"), source, target)
-    cov = load_cover(_resolve(scenario, base_dir, "cover"), target)
+def _run_fibering(inputs, params):
+    source = load_space(inputs["space"])
+    target = load_space(inputs["target_space"])
+    img = load_map_assignment(inputs["map"], source, target)
+    cov = load_cover(inputs["cover"], target)
     cert = check_coarse_map(source, target, img)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
-    res = fibering_pipeline(cert, part, _piece_family(scenario, base_dir),
+    res = fibering_pipeline(cert, part, _piece_family(inputs),
                             radii=params.get("radii"),
                             tail_radii=params.get("tail_radii"))
     details = {"kept_pieces": list(res.kept_pieces),
@@ -251,31 +262,26 @@ def _run_fibering(scenario, base_dir, params):
     return _RunOutput(checked=res.checks, witness=res.witness, details=details)
 
 
-def _run_separated(scenario, base_dir, params):
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
-    for key in ("L", "sigma", "R", "epsilon"):
-        if key not in params:
-            raise ValidationError("separated pipeline needs parameter %r" % (key,))
+def _run_separated(inputs, params):
+    space = load_space(inputs["space"])
+    cov = load_cover(inputs["cover"], space)
     res = separated_cover_pipeline(space, cov, params["L"], params["sigma"], params["R"],
-                                   params["epsilon"], _piece_family(scenario, base_dir),
+                                   params["epsilon"], _piece_family(inputs),
                                    tail_radii=params.get("tail_radii"))
     details = {"k": res.k, "L": res.L}
     return _RunOutput(checked=res.checks, info=res.info, witness=res.witness,
                       details=details, partition_json=partition_to_json(res.partition))
 
 
-def _run_group(scenario, base_dir, params):
-    grp = load_group(_resolve(scenario, base_dir, "group"))
-    space = load_space(_resolve(scenario, base_dir, "space"))
-    img = load_action_maps(_resolve(scenario, base_dir, "action"), grp, space)
-    cov = load_cover(_resolve(scenario, base_dir, "cover"), space)
-    if "x0" not in params or "R" not in params:
-        raise ValidationError("group pipeline needs parameters 'x0' and 'R'")
+def _run_group(inputs, params):
+    grp = load_group(inputs["group"])
+    space = load_space(inputs["space"])
+    img = load_action_maps(inputs["action"], grp, space)
+    cov = load_cover(inputs["cover"], space)
     action = certify_quasi_action(grp, space, img,
                                   A_ceiling=params.get("A_ceiling"),
                                   B_ceiling=params.get("B_ceiling"))
-    spec = _resolve(scenario, base_dir, "provider", required=False)
+    spec = inputs.get("provider")
     provider = dirac_witness if spec is None else (lambda sp: load_witness(spec, sp))
     res = group_pipeline(action, norm_id(params["x0"]), cov, params["R"],
                          epsilon=params.get("epsilon"), provider=provider,
@@ -306,18 +312,38 @@ _PIPELINES = {
     "group-pipeline": _run_group,
 }
 
+# The inputs and the parameters each pipeline reads, "?" marking optional ones;
+# any other key is rejected, so a misspelling cannot silently turn a check off.
+_READS = {
+    "verify-cover": ("space cover", "?L"),
+    "bell": ("space cover", "?require_lebesgue ?radii"),
+    "glue": ("space cover ?pieces", "?require_lebesgue" + _PROFILED),
+    "subspace": ("space witness", "subspace" + _PROFILED),
+    "net": ("space witness", "net ?c" + _PROFILED),
+    "direct-limit": ("space chain", "L" + _PROFILED),
+    "fibering": ("space target_space map cover ?pieces", "?require_lebesgue" + _PROFILED),
+    "separated": ("space cover ?pieces", "L sigma R epsilon ?S0 ?delta ?radii ?tail_radii"),
+    "group-pipeline": ("group space action cover ?provider", "x0 R ?epsilon ?S0 ?delta "
+                       "?radii ?tail_radii ?A_ceiling ?B_ceiling"),
+}
+
 
 def execute_scenario(scenario, base_dir):
     """Run a parsed scenario document; returns (certificate dict, output)."""
     _object(scenario, "a scenario")
-    _object(scenario.get("inputs", {}), "scenario 'inputs'")
+    inputs = _object(scenario.get("inputs", {}), "scenario 'inputs'")
     pipeline = scenario.get("pipeline")
     if not isinstance(pipeline, str) or pipeline not in _PIPELINES:
         raise ValidationError("unknown pipeline %r; expected one of %s"
                               % (pipeline, ", ".join(sorted(_PIPELINES))))
     params = dict(_object(scenario.get("parameters", {}), "scenario 'parameters'"))
+    _check_keys(pipeline, "field", scenario, "?name pipeline ?inputs ?parameters")
+    _check_keys(pipeline, "input", inputs, _READS[pipeline][0])
+    _check_keys(pipeline, "parameter", params, _READS[pipeline][1])
     _check_parameters(params)
-    out = _PIPELINES[pipeline](scenario, base_dir, params)
+    docs, files = _read_inputs(inputs, base_dir)
+    out = _PIPELINES[pipeline](docs, params)
+    out.input_files = files  # their bytes in input-key order, for the certificate's hash
 
     profiles = {"variation": [], "tail": []}
     observed = {"variation_at_R": None, "tail_at_S0": None}
@@ -398,17 +424,18 @@ def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None
     """Run one scenario file; ``written`` holds the names this run already wrote."""
     if profiles_fmt is not None:
         _check_profile_format(profiles_fmt)
-    scenario = _object(_load_json(path), "scenario %s" % (path,))
+    scenario, scenario_bytes = _load_json(path)
+    _object(scenario, "scenario %s" % (path,))
     name = _output_name(scenario.get("name", "unnamed"))
     if written is not None and name in written:
         raise ValidationError("scenario name %r was already written in this run" % (name,))
     base_dir = os.path.dirname(os.path.abspath(path))
     certificate, out = execute_scenario(scenario, base_dir)
-    # Input mtime, not wall clock: re-running a scenario must reproduce the
-    # certificate byte for byte.
-    mtime = os.stat(path).st_mtime
-    certificate["inputs_timestamp"] = datetime.datetime.fromtimestamp(
-        mtime, datetime.timezone.utc).isoformat()
+    # the inputs' content, not a clock: a re-run reproduces the certificate
+    digest = hashlib.sha256(__version__.encode() + b"\0")
+    for data in [scenario_bytes] + out.input_files:
+        digest.update(hashlib.sha256(data).digest())
+    certificate["inputs_sha256"] = digest.hexdigest()
     text = dumps_deterministic(certificate) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     cert_path = os.path.join(out_dir, "%s.certificate.json" % name)
@@ -420,8 +447,9 @@ def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None
         export_profiles(certificate, profiles_fmt, out_dir, name)
     if not quiet:
         for rec in out.checked:
-            print("[%s] %s: %.17g <= %.17g"
-                  % ("PASS" if rec.passed else "FAIL", rec.name, rec.lhs, rec.rhs))
+            at = "" if rec.passed or rec.witness is None else " at %r" % (rec.witness,)
+            print("[%s] %s: %.17g <= %.17g%s"
+                  % ("PASS" if rec.passed else "FAIL", rec.name, rec.lhs, rec.rhs, at))
         print("%s: %s -> %s"
               % (name, "pass" if certificate["pass"] else "FALSIFIED", cert_path))
     return 0 if certificate["pass"] else 1
@@ -455,11 +483,10 @@ def run_suite(directory, out_dir=".", quiet=False):
 
 
 def check_space(path):
-    space = load_space(_load_json(path))
+    space = load_space(_load_json(path)[0])
     print("points: %d" % len(space))
     print("diameter: %.17g" % space.diameter)
-    ud = space.uniform_discreteness
-    print("uniform_discreteness: %s" % ("inf" if ud == float("inf") else "%.17g" % ud))
+    print("uniform_discreteness: %.17g" % space.uniform_discreteness)
     for r in (1.0, 2.0):
         print("bounded_geometry_N_%g: %d" % (r, space.bounded_geometry(r)))
     return 0

@@ -1,15 +1,14 @@
 """JSON ingestion and emission.
 
 Point ids arriving as JSON arrays (grid coordinates) are normalized to
-tuples so they can key dicts; emission converts them back to lists. All
-float output goes through a deterministic 17-significant-digit formatter so
-re-runs are byte-identical.
+tuples so they can key dicts; emission converts them back to lists.
+Certificates are written by the stdlib encoder with sorted keys, so re-runs
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -297,56 +296,9 @@ def load_map_assignment(obj, source: FiniteMetricSpace, target: FiniteMetricSpac
 
 # ------------------------------------------------------- deterministic dump
 
-def _fmt_float(v: float) -> str:
-    if math.isnan(v):
-        raise ValidationError("refusing to serialize NaN")
-    if math.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
-    if v == int(v) and abs(v) < 1e16:
-        return "%.1f" % v
-    return "%.17g" % v
-
-
 def dumps_deterministic(obj) -> str:
-    out = []
-    _emit(obj, out)
-    return "".join(out)
-
-
-def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(obj)):
-            if not isinstance(k, str):
-                raise ValidationError("JSON object keys must be strings, got %r" % (k,))
-            if i:
-                out.append(", ")
-            out.append(json.dumps(k))
-            out.append(": ")
-            _emit(obj[k], out)
-        out.append("}")
-    elif isinstance(obj, np.integer):
-        out.append(str(int(obj)))
-    elif isinstance(obj, np.floating):
-        out.append(_fmt_float(float(obj)))
-    else:
-        raise ValidationError("cannot serialize %r" % (type(obj),))
+    """``obj`` as JSON, keys sorted, floats shortest round-trip, NaN refused."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError("refusing to serialize NaN or an infinity: %s" % exc) from exc

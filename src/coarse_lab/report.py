@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def json_number(v):
+    """``v`` as a certificate value: a float, or the string "inf" or "-inf"."""
+    return str(float(v)) if math.isinf(v) else float(v)
 
 
 @dataclass(frozen=True)
@@ -23,8 +29,8 @@ class InequalityRecord:
     def as_dict(self):
         return {
             "name": self.name,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
+            "lhs": json_number(self.lhs),
+            "rhs": json_number(self.rhs),
             "pass": bool(self.passed),
             "witness": self.witness,
             "note": self.note,

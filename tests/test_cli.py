@@ -3,6 +3,7 @@ profile export, suite aggregation, and JSON round-trips."""
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,7 @@ from coarse_lab import (
     uniform_ball_witness,
     variation_profile,
 )
+import coarse_lab
 from coarse_lab import cli
 from coarse_lab.cli import export_profiles, main
 from coarse_lab.jsonio import _as_jsonable
@@ -429,11 +431,121 @@ class TestRunCommand:
         src = os.path.join(SCENARIO_DIR, "group_z60_c12.json")
         with open(src) as fh:
             scen = json.load(fh)
-        scen["space"] = {"metric": {"type": "cycle", "n": 12}}
+        scen["inputs"]["space"] = {"metric": {"type": "cycle", "n": 12}}
         scen["parameters"]["epsilon"] = 20.0
         path = write_json(tmp_path / "small_eps.json", scen)
         assert main(["run", path, "--out", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: Lebesgue number 1 < required 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key, message", [
+        ("parameters", "epsilom", "pipeline 'glue' reads no parameter 'epsilom'"),
+        ("inputs", "pices", "pipeline 'glue' reads no input 'pices'"),
+        (None, "parameter", "pipeline 'glue' reads no field 'parameter'"),
+    ])
+    def test_unread_key_is_input_error(self, tmp_path, capsys, where, key, message):
+        # a misspelled bound or piece spec must not silently turn its check off
+        with open(os.path.join(SCENARIO_DIR, "glue_cycle.json")) as fh:
+            scen = json.load(fh)
+        (scen[where] if where else scen)[key] = 0.01
+        out = tmp_path / "out"
+        assert main(["run", write_json(tmp_path / "s.json", scen), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, where, key, message", [
+        ("direct_limit_interval", "parameters", "L",
+         "pipeline 'direct-limit' needs parameter 'L'"),
+        ("group_z60_c12", "parameters", "x0", "pipeline 'group-pipeline' needs parameter 'x0'"),
+        ("group_z60_c12", "inputs", "cover", "pipeline 'group-pipeline' needs input 'cover'"),
+    ])
+    def test_missing_key_is_input_error(self, tmp_path, capsys, name, where, key, message):
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            scen = json.load(fh)
+        del scen[where][key]
+        assert main(["run", write_json(tmp_path / "s.json", scen),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, 0, "false"])
+    def test_require_lebesgue_must_be_boolean(self, tmp_path, capsys, value):
+        # a cover with Lebesgue number 0 is refused unless the check is turned
+        # off by a JSON false; null used to drop the precondition silently
+        scen = {"name": "z", "pipeline": "bell",
+                "inputs": {"space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                           "cover": {"pieces": [[0, 1], [2, 3]]}},
+                "parameters": {"radii": [1.0]}}
+        path = write_json(tmp_path / "z.json", scen)
+        assert main(["run", path, "--out", str(tmp_path / "a")]) == 2
+        scen["parameters"]["require_lebesgue"] = value
+        path = write_json(tmp_path / "z.json", scen)
+        assert main(["run", path, "--out", str(tmp_path / "b")]) == 2
+        assert "parameter 'require_lebesgue' must be true or false" in capsys.readouterr().err
+        scen["parameters"]["require_lebesgue"] = False
+        path = write_json(tmp_path / "z.json", scen)
+        assert main(["run", path, "--out", str(tmp_path / "c")]) == 0
+
+    def test_fail_line_names_the_witness(self, tmp_path, capsys):
+        with open(os.path.join(SCENARIO_DIR, "separated_interval_100.json")) as fh:
+            scen = json.load(fh)
+        scen["parameters"]["epsilon"] = 0.01
+        assert main(["run", write_json(tmp_path / "s.json", scen),
+                     "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] separated_variation_at_R: 0.048780487804878092 <= 0.01 at (35, 36)\n" \
+            in out
+        assert "[PASS] glue_variation_bound: 2 <= 4\n" in out
+
+    def test_singleton_color_families_write_inf(self, tmp_path):
+        # no color has two pieces, so the family separation is +inf
+        code, cert = run_inline(tmp_path, {
+            "name": "vc", "pipeline": "verify-cover",
+            "inputs": {"space": {"metric": {"type": "cycle", "n": 12}},
+                       "cover": {"pieces": [[0, 1, 2, 3, 4, 5], [4, 5, 6, 7, 8, 9],
+                                            [8, 9, 10, 11, 0, 1]],
+                                 "coloring": [0, 1, 2]}},
+            "parameters": {"L": 1}})
+        assert code == 0
+        rec = cert["checked_inequalities"][0]
+        assert (rec["name"], rec["lhs"], rec["rhs"]) == ("family_separation_exceeds_2L", 2.0,
+                                                         "inf")
+
+    def test_two_piece_direct_limit_writes_inf_gap(self, tmp_path):
+        # two pieces have no nonadjacent pair, so the smallest gap is +inf
+        code, cert = run_inline(tmp_path, {
+            "name": "dl", "pipeline": "direct-limit",
+            "inputs": {"space": {"metric": {"type": "z_interval", "lo": -20, "hi": 20}},
+                       "chain": {"type": "z_intervals", "radii": [0, 20]}},
+            "parameters": {"L": 1}})
+        assert code == 0
+        assert cert["details"]["piece_count"] == 2
+        assert cert["details"]["nonadjacent_min_gap"] == "inf"
+
+    def test_inputs_sha256_covers_every_input_file(self, tmp_path):
+        with open(os.path.join(SCENARIO_DIR, "fibering_z2ball.json")) as fh:
+            scen = json.load(fh)
+        for key in ("target_space", "cover"):
+            write_json(tmp_path / (key + ".json"), scen["inputs"][key])
+            scen["inputs"][key] = key + ".json"
+        path = write_json(tmp_path / "s.json", scen)
+        main(["run", path, "--out", str(tmp_path / "a")])
+        digest = hashlib.sha256(coarse_lab.__version__.encode() + b"\0")
+        for name in ("s", "cover", "target_space"):  # the scenario, then input-key order
+            digest.update(hashlib.sha256((tmp_path / (name + ".json")).read_bytes()).digest())
+        first = read_certificate(str(tmp_path / "a"), scen["name"])
+        assert first["inputs_sha256"] == digest.hexdigest()
+        # the same documents spelled with other bytes are other inputs
+        with open(tmp_path / "cover.json", "a") as fh:
+            fh.write("\n")
+        main(["run", path, "--out", str(tmp_path / "b")])
+        second = read_certificate(str(tmp_path / "b"), scen["name"])
+        assert second.pop("inputs_sha256") != first.pop("inputs_sha256")
+        assert second == first
+
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert main(["run", str(path)]) == 2
+        assert "cannot parse %s: 'utf-8' codec can't decode" % path in capsys.readouterr().err
 
     def test_unknown_pipeline(self, tmp_path, capsys):
         scen = write_json(tmp_path / "x.json", {"name": "x", "pipeline": "nope"})
@@ -461,8 +573,8 @@ class TestRunCommand:
     def test_serialization_error_writes_no_certificate(self, tmp_path, capsys, monkeypatch):
         run = cli._PIPELINES["subspace"]
 
-        def with_nan_detail(scenario, base_dir, params):
-            out = run(scenario, base_dir, params)
+        def with_nan_detail(inputs, params):
+            out = run(inputs, params)
             out.details["probe"] = float("nan")
             return out
 
@@ -717,7 +829,7 @@ class TestExitCodes:
 
 def rule_certificate(tmp_path, name, action):
     """The certificate of scenarios/<name>.json with its action replaced, with
-    the input-file timestamp dropped."""
+    the input hash dropped (the scenario documents differ)."""
     with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
         scen = json.load(fh)
     scen["inputs"]["space"] = {"metric": {"type": "cycle", "n": 12}}
@@ -725,7 +837,7 @@ def rule_certificate(tmp_path, name, action):
     out = tmp_path / str(len(os.listdir(tmp_path)))
     assert main(["run", write_json(tmp_path / "s.json", scen), "--out", str(out)]) == 0
     cert = read_certificate(str(out), name)
-    del cert["inputs_timestamp"]
+    del cert["inputs_sha256"]
     return cert
 
 
