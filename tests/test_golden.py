@@ -1,13 +1,12 @@
 """Byte-for-byte regression gate: every scenario's certificate must match the
-committed golden copy in tests/golden/.
+committed golden copy in tests/golden/, whole file.
 
 The goldens were written by ``coarse-lab suite scenarios --out tests/golden``.
-Only ``inputs_timestamp`` (the scenario file's mtime, which a checkout does
-not preserve) is removed from both sides before comparing.
+Their ``inputs_sha256`` covers the bytes of the scenario and input files, so
+those are compared too.
 """
 
 import os
-import re
 
 import pytest
 
@@ -16,15 +15,7 @@ from conftest import SCENARIO_DIR
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-_TIMESTAMP = re.compile(rb'"inputs_timestamp": "[^"]*", ')
-
 _SCENARIOS = sorted(f for f in os.listdir(SCENARIO_DIR) if f.endswith(".json"))
-
-
-def _strip(raw):
-    stripped, count = _TIMESTAMP.subn(b"", raw)
-    assert count == 1
-    return stripped
 
 
 def test_every_scenario_has_a_golden():
@@ -40,4 +31,4 @@ def test_certificate_matches_golden(fname, tmp_path):
         got = fh.read()
     with open(os.path.join(GOLDEN_DIR, cert_name), "rb") as fh:
         want = fh.read()
-    assert _strip(got) == _strip(want)
+    assert got == want
