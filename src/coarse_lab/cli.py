@@ -63,15 +63,15 @@ def _check_keys(pipeline, what, given, spec):
 
 
 def _read_inputs(inputs, base_dir):
-    """Each input document by key, and the bytes of the input files in key order."""
-    docs, files = dict(inputs), []
+    """Each input document by key, and the SHA-256 of each input file in key order."""
+    docs, digests = dict(inputs), []
     for key in sorted(inputs):
         if isinstance(inputs[key], str):
             docs[key], data = _load_json(os.path.join(base_dir, inputs[key]))
-            files.append(data)
+            digests.append(hashlib.sha256(data).digest())
         elif not isinstance(inputs[key], dict):
             raise ValidationError("input %r must be a path or an inline object" % (key,))
-    return docs, files
+    return docs, digests
 
 
 def _check_parameters(params):
@@ -341,9 +341,9 @@ def execute_scenario(scenario, base_dir):
     _check_keys(pipeline, "input", inputs, _READS[pipeline][0])
     _check_keys(pipeline, "parameter", params, _READS[pipeline][1])
     _check_parameters(params)
-    docs, files = _read_inputs(inputs, base_dir)
+    docs, digests = _read_inputs(inputs, base_dir)
     out = _PIPELINES[pipeline](docs, params)
-    out.input_files = files  # their bytes in input-key order, for the certificate's hash
+    out.input_digests = digests  # for the certificate's inputs_sha256
 
     profiles = {"variation": [], "tail": []}
     observed = {"variation_at_R": None, "tail_at_S0": None}
@@ -432,9 +432,8 @@ def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None
     base_dir = os.path.dirname(os.path.abspath(path))
     certificate, out = execute_scenario(scenario, base_dir)
     # the inputs' content, not a clock: a re-run reproduces the certificate
-    digest = hashlib.sha256(__version__.encode() + b"\0")
-    for data in [scenario_bytes] + out.input_files:
-        digest.update(hashlib.sha256(data).digest())
+    parts = [__version__.encode(), b"\0", hashlib.sha256(scenario_bytes).digest()]
+    digest = hashlib.sha256(b"".join(parts + out.input_digests))
     certificate["inputs_sha256"] = digest.hexdigest()
     text = dumps_deterministic(certificate) + "\n"
     os.makedirs(out_dir, exist_ok=True)

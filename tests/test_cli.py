@@ -437,19 +437,13 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path)]) == 2
         assert "error: Lebesgue number 1 < required 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where, key, message", [
-        ("parameters", "epsilom", "pipeline 'glue' reads no parameter 'epsilom'"),
-        ("inputs", "pices", "pipeline 'glue' reads no input 'pices'"),
-        (None, "parameter", "pipeline 'glue' reads no field 'parameter'"),
-    ])
-    def test_unread_key_is_input_error(self, tmp_path, capsys, where, key, message):
-        # a misspelled bound or piece spec must not silently turn its check off
+    def test_unread_field_is_input_error(self, tmp_path, capsys):
         with open(os.path.join(SCENARIO_DIR, "glue_cycle.json")) as fh:
             scen = json.load(fh)
-        (scen[where] if where else scen)[key] = 0.01
+        scen["parameter"] = scen.pop("parameters")
         out = tmp_path / "out"
         assert main(["run", write_json(tmp_path / "s.json", scen), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert "pipeline 'glue' reads no field 'parameter'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, where, key, message", [
@@ -465,24 +459,6 @@ class TestRunCommand:
         assert main(["run", write_json(tmp_path / "s.json", scen),
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", [None, 0, "false"])
-    def test_require_lebesgue_must_be_boolean(self, tmp_path, capsys, value):
-        # a cover with Lebesgue number 0 is refused unless the check is turned
-        # off by a JSON false; null used to drop the precondition silently
-        scen = {"name": "z", "pipeline": "bell",
-                "inputs": {"space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
-                           "cover": {"pieces": [[0, 1], [2, 3]]}},
-                "parameters": {"radii": [1.0]}}
-        path = write_json(tmp_path / "z.json", scen)
-        assert main(["run", path, "--out", str(tmp_path / "a")]) == 2
-        scen["parameters"]["require_lebesgue"] = value
-        path = write_json(tmp_path / "z.json", scen)
-        assert main(["run", path, "--out", str(tmp_path / "b")]) == 2
-        assert "parameter 'require_lebesgue' must be true or false" in capsys.readouterr().err
-        scen["parameters"]["require_lebesgue"] = False
-        path = write_json(tmp_path / "z.json", scen)
-        assert main(["run", path, "--out", str(tmp_path / "c")]) == 0
 
     def test_fail_line_names_the_witness(self, tmp_path, capsys):
         with open(os.path.join(SCENARIO_DIR, "separated_interval_100.json")) as fh:
@@ -634,6 +610,12 @@ class TestRunCommand:
         ({}, {"epsilon": float("inf")}, "parameter 'epsilon' must be finite"),
         ({}, {"R": float("inf")}, "parameter 'R' must be finite"),
         ({}, {"radii": [1.0, float("inf")]}, "parameter 'radii' must be finite"),
+        # a misspelled bound or piece spec must not silently turn its check off
+        ({}, {"epsilom": 0.01}, "pipeline 'glue' reads no parameter 'epsilom'"),
+        ({"pices": {"builtin": "dirac"}}, {}, "pipeline 'glue' reads no input 'pices'"),
+        # null used to drop the Lebesgue precondition
+        ({}, {"require_lebesgue": None}, "parameter 'require_lebesgue' must be true or false"),
+        ({}, {"require_lebesgue": 0}, "parameter 'require_lebesgue' must be true or false"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, inputs, params,
                                                  message):
