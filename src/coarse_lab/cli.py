@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import traceback
@@ -39,11 +38,13 @@ _PROFILED = " ?R ?S0 ?epsilon ?delta ?radii ?tail_radii"  # the witness profiles
 
 
 def _load_json(path):
-    """The JSON document in the file at ``path``, and the bytes it was read from."""
+    """The JSON document in the file at ``path``, and the SHA-256 of its bytes."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return parse_json(data.decode("utf-8"), path), data
+        digest, text = hashlib.sha256(data).digest(), data.decode("utf-8")
+        del data  # not held while the document is parsed
+        return parse_json(text, path), digest
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -67,8 +68,8 @@ def _read_inputs(inputs, base_dir):
     docs, digests = dict(inputs), []
     for key in sorted(inputs):
         if isinstance(inputs[key], str):
-            docs[key], data = _load_json(os.path.join(base_dir, inputs[key]))
-            digests.append(hashlib.sha256(data).digest())
+            docs[key], digest = _load_json(os.path.join(base_dir, inputs[key]))
+            digests.append(digest)
         elif not isinstance(inputs[key], dict):
             raise ValidationError("input %r must be a path or an inline object" % (key,))
     return docs, digests
@@ -88,10 +89,10 @@ def _check_parameters(params):
                 raise ValidationError("parameter %r must be finite, not NaN or infinite" % key)
 
 
-def _grid(space, params, key):
+def _grid(space, params, key, cap=12):
     if key in params:
         return sorted(float(v) for v in params[key])
-    return _sample_grid(space, cap=12)
+    return _sample_grid(space, cap=cap)
 
 
 def _piece_family(inputs):
@@ -424,7 +425,7 @@ def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None
     """Run one scenario file; ``written`` holds the names this run already wrote."""
     if profiles_fmt is not None:
         _check_profile_format(profiles_fmt)
-    scenario, scenario_bytes = _load_json(path)
+    scenario, scenario_digest = _load_json(path)
     _object(scenario, "scenario %s" % (path,))
     name = _output_name(scenario.get("name", "unnamed"))
     if written is not None and name in written:
@@ -432,9 +433,8 @@ def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None
     base_dir = os.path.dirname(os.path.abspath(path))
     certificate, out = execute_scenario(scenario, base_dir)
     # the inputs' content, not a clock: a re-run reproduces the certificate
-    parts = [__version__.encode(), b"\0", hashlib.sha256(scenario_bytes).digest()]
-    digest = hashlib.sha256(b"".join(parts + out.input_digests))
-    certificate["inputs_sha256"] = digest.hexdigest()
+    parts = [__version__.encode(), b"\0", scenario_digest] + out.input_digests
+    certificate["inputs_sha256"] = hashlib.sha256(b"".join(parts)).hexdigest()
     text = dumps_deterministic(certificate) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     cert_path = os.path.join(out_dir, "%s.certificate.json" % name)
