@@ -503,7 +503,7 @@ class TestRunCommand:
             write_json(tmp_path / (key + ".json"), scen["inputs"][key])
             scen["inputs"][key] = key + ".json"
         path = write_json(tmp_path / "s.json", scen)
-        main(["run", path, "--out", str(tmp_path / "a")])
+        assert main(["run", path, "--out", str(tmp_path / "a")]) == 0
         digest = hashlib.sha256(coarse_lab.__version__.encode() + b"\0")
         for name in ("s", "cover", "target_space"):  # the scenario, then input-key order
             digest.update(hashlib.sha256((tmp_path / (name + ".json")).read_bytes()).digest())
@@ -512,7 +512,7 @@ class TestRunCommand:
         # the same documents spelled with other bytes are other inputs
         with open(tmp_path / "cover.json", "a") as fh:
             fh.write("\n")
-        main(["run", path, "--out", str(tmp_path / "b")])
+        assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
         second = read_certificate(str(tmp_path / "b"), scen["name"])
         assert second.pop("inputs_sha256") != first.pop("inputs_sha256")
         assert second == first
