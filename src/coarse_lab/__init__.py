@@ -30,7 +30,7 @@ from .group import (CoarseQuasiAction, GroupModel, GroupPipelineResult,
                     cyclic_group, free_group_ball,
                     group_pipeline, left_translation, orbit_map, product_of_cyclic,
                     quasi_stabilizer, word_metric_space, z_ball)
-from .jsonio import (dumps_deterministic, load_action_maps, load_chain_stages,
+from .jsonio import (dumps_deterministic, load_action_maps, load_chain,
                      load_cover, load_group, load_map_assignment, load_space,
                      load_witness, partition_to_json)
 

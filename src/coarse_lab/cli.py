@@ -13,16 +13,18 @@ import os
 import sys
 import traceback
 
+import numpy as np
+
 from . import __version__
 from .construct import (GlueInput, _sample_grid, dirac_piece_family, fibering_pipeline,
                         glue_with_report, separated_cover_pipeline,
                         subspace_construction, net_construction)
-from .cover import (ChainOfSubspaces, direct_limit_cover, enlarge, family_separation,
-                    lebesgue_report, multiplicity, r_multiplicity, set_distance)
+from .cover import (_piece_distances, direct_limit_cover, enlarge, family_separation,
+                    lebesgue_report, multiplicity, r_multiplicity)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
 from .group import certify_quasi_action, group_pipeline
 from .jsonio import (_as_jsonable, _check, _is_number, _need, _object, dumps_deterministic,
-                     load_action_maps, load_chain_stages, load_cover, load_group,
+                     load_action_maps, load_chain, load_cover, load_group,
                      load_map_assignment, load_space, load_witness, norm_id,
                      parse_json, partition_to_json)
 from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
@@ -220,18 +222,15 @@ def _run_net(inputs, params):
 
 
 def _run_direct_limit(inputs, params):
-    space = load_space(inputs["space"])
-    stages = load_chain_stages(inputs["chain"], space)
+    chain = load_chain(inputs["chain"], load_space(inputs["space"]))
     L = float(params["L"])
-    chain = ChainOfSubspaces(space, stages)
     res = direct_limit_cover(chain, L)
     cov = res.cover
-    overlap = 0
-    min_gap = float("inf")
-    for i in range(len(cov.pieces)):
-        for j in range(i + 2, len(cov.pieces)):
-            overlap = max(overlap, len(cov.pieces[i] & cov.pieces[j]))
-            min_gap = min(min_gap, set_distance(space, cov.pieces[i], cov.pieces[j]))
+    # the pairs of pieces i, j >= i + 2
+    far = np.triu(np.ones((len(cov.pieces),) * 2, dtype=bool), 2)
+    mask = cov.mask.astype(np.float64)
+    overlap = (mask @ mask.T)[far].max(initial=0.0)
+    min_gap = _piece_distances(cov)[far].min(initial=float("inf"))
     checked = [
         check_le("cover_multiplicity_le_2", multiplicity(cov), 2),
         check_le("cover_lebesgue_ge_L", L, lebesgue_report(cov)[0]),

@@ -1,5 +1,5 @@
-"""Cover calculus: multiplicity, Lebesgue number, separation, enlargement,
-and the chain-limit cover construction."""
+"""Cover calculus on index arrays and membership masks: multiplicity, Lebesgue
+number, separation, enlargement, and the chain-limit cover of a rank-array chain."""
 
 from __future__ import annotations
 
@@ -9,69 +9,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError, PreconditionError, ValidationError
+from .errors import BoundViolationError, ValidationError
 from .space import FiniteMetricSpace
+
+
+def _index_arrays(space: FiniteMetricSpace, lists, noun, first):
+    """One sorted index array per point list; the first empty list or unknown
+    point, in the order given, is named as ``noun`` number i, counted from ``first``."""
+    out = []
+    for i, members in enumerate(lists, first):
+        if not members:
+            raise ValidationError("%s %d is empty" % (noun, i))
+        for x in members:
+            if x not in space:
+                raise ValidationError("%s %d contains unknown point %r" % (noun, i, x))
+        out.append(np.unique(space.indices(members)))
+    return out
 
 
 class Cover:
     """Finitely many nonempty pieces whose union is the whole space.
 
-    ``coloring`` optionally assigns each piece a family index 0..k, used by
-    the separation checks.
+    ``pieces`` holds frozensets of point ids, ``indices`` sorted index arrays and
+    ``mask`` the (pieces, points) membership, all read-only. ``coloring``
+    optionally assigns each piece a family index 0..k, used by the separation checks.
     """
 
     def __init__(self, space: FiniteMetricSpace, pieces, coloring=None):
         given = tuple(tuple(p) for p in pieces)
         if not given:
             raise ValidationError("a cover needs at least one piece")
-        for i, p in enumerate(given):
-            if not p:
-                raise ValidationError("piece %d is empty" % i)
-            for x in p:
-                if x not in space:
-                    raise ValidationError("piece %d contains unknown point %r" % (i, x))
-        pieces = tuple(frozenset(p) for p in given)
-        seen = set().union(*pieces)
-        if seen != set(space.point_ids):
-            missing = space.sorted_ids(set(space.point_ids) - seen)[0]
-            raise ValidationError("pieces do not cover the space: %r uncovered" % (missing,))
+        indices = _index_arrays(space, given, "piece", 0)
+        mask = np.zeros((len(given), len(space)), dtype=bool)
+        for i, idx in enumerate(indices):
+            mask[i, idx] = True
+            idx.setflags(write=False)
+        missing = np.flatnonzero(~mask.any(axis=0))
+        if missing.size:
+            raise ValidationError("pieces do not cover the space: %r uncovered"
+                                  % (space.point_ids[missing[0]],))
         if coloring is not None:
             coloring = tuple(int(c) for c in coloring)
-            if len(coloring) != len(pieces):
+            if len(coloring) != len(given):
                 raise ValidationError("coloring length does not match piece count")
             if any(c < 0 for c in coloring):
                 raise ValidationError("colors must be >= 0")
+        mask.setflags(write=False)
         self.space = space
-        self.pieces = pieces
+        self.pieces = tuple(frozenset(p) for p in given)
+        self.indices = tuple(indices)
+        self.mask = mask
         self.coloring = coloring
         self._complement = None
-        self._indices = None
-
-    def piece_indices(self):
-        """Stored-order index arrays, one per piece. Computed once per cover,
-        read-only."""
-        if self._indices is None:
-            self._indices = [np.sort(self.space.indices(p)) for p in self.pieces]
-            for idx in self._indices:
-                idx.setflags(write=False)
-        return self._indices
 
 
 def multiplicity(cover: Cover) -> int:
-    counts = np.zeros(len(cover.space), dtype=int)
-    for idx in cover.piece_indices():
-        counts[idx] += 1
-    return int(counts.max())
+    return int(cover.mask.sum(axis=0).max())
 
 
 def r_multiplicity(cover: Cover, radius) -> int:
     """Max number of pieces meeting a closed ball of the given radius."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValidationError("radius must be >= 0")
-    counts = np.zeros(len(cover.space), dtype=int)
-    for idx in cover.piece_indices():
-        counts += _near(cover.space, idx, radius)
-    return int(counts.max())
+    return int(sum(_near(cover.space, idx, radius) for idx in cover.indices).max())
 
 
 def _near(space: FiniteMetricSpace, idx, radius):
@@ -79,9 +79,8 @@ def _near(space: FiniteMetricSpace, idx, radius):
     return space.D[:, idx].min(axis=1) <= float(radius)
 
 
-def _neighborhood(space: FiniteMetricSpace, members, radius) -> frozenset:
-    near = _near(space, space.indices(members), radius)
-    return frozenset(space.point_ids[i] for i in np.flatnonzero(near))
+def _neighborhood(space: FiniteMetricSpace, idx, radius):
+    return [space.point_ids[a] for a in np.flatnonzero(_near(space, idx, radius))]
 
 
 def _complement_distances(cover: Cover):
@@ -96,7 +95,7 @@ def _complement_distances(cover: Cover):
         return cover._complement
     space = cover.space
     out = np.zeros((len(cover.pieces), len(space)))
-    for i, idx in enumerate(cover.piece_indices()):
+    for i, idx in enumerate(cover.indices):
         rows = space.D[idx]
         rows[:, idx] = math.inf
         out[i, idx] = rows.min(axis=1)
@@ -141,11 +140,10 @@ def set_distance(space: FiniteMetricSpace, U, V) -> float:
     return float(space.D[np.ix_(iu, iv)].min())
 
 
-def _separation(space: FiniteMetricSpace, fam) -> float:
-    """Smallest set distance between two members of the family (+inf if < 2)."""
-    return min((set_distance(space, fam[i], fam[j])
-                for i in range(len(fam)) for j in range(i + 1, len(fam))),
-               default=math.inf)
+def _piece_distances(cover: Cover):
+    """(pieces, pieces) array of the set distances between the pieces."""
+    near = np.array([cover.space.D[idx].min(axis=0) for idx in cover.indices])
+    return np.stack([near[:, idx].min(axis=1) for idx in cover.indices], axis=1)
 
 
 def check_kl_separated(cover: Cover, k, L) -> bool:
@@ -163,40 +161,49 @@ def family_separation(cover: Cover, k) -> float:
             "coloring uses %d families, more than k+1=%d"
             % (max(cover.coloring) + 1, int(k) + 1)
         )
-    return min(_separation(cover.space, [p for p, col in zip(cover.pieces, cover.coloring)
-                                         if col == c])
-               for c in sorted(set(cover.coloring)))
+    colors = np.array(cover.coloring)
+    same = np.triu(colors[:, None] == colors, 1)
+    return float(_piece_distances(cover)[same].min(initial=math.inf))
 
 
 def enlarge(cover: Cover, L) -> Cover:
     """Replace each piece U by its closed L-neighborhood. Coloring carries over."""
-    if L < 0:
+    if not L >= 0:
         raise ValidationError("enlargement radius must be >= 0")
-    return Cover(cover.space, [_neighborhood(cover.space, p, L) for p in cover.pieces],
+    return Cover(cover.space, [_neighborhood(cover.space, idx, L) for idx in cover.indices],
                  coloring=cover.coloring)
 
 
 class ChainOfSubspaces:
-    """Increasing subsets X_1 <= ... <= X_N of one ambient space, X_N = ambient."""
+    """Increasing subsets X_1 <= ... <= X_N of one ambient space, X_N = ambient,
+    held as ``count`` = N and the read-only ``rank``: stage k (from 0) is ``rank <= k``."""
 
     def __init__(self, ambient: FiniteMetricSpace, stages):
-        given = tuple(tuple(s) for s in stages)
-        if not given:
+        indices = _index_arrays(ambient, [tuple(s) for s in stages], "stage", 1)
+        for k in range(len(indices) - 1):
+            if not np.isin(indices[k], indices[k + 1]).all():
+                raise ValidationError("stage %d is not contained in stage %d" % (k + 1, k + 2))
+        rank = np.full(len(ambient), len(indices))
+        for k in reversed(range(len(indices))):
+            rank[indices[k]] = k
+        self._store(ambient, rank, len(indices))
+
+    @classmethod
+    def _of(cls, ambient: FiniteMetricSpace, rank, count):
+        """A chain from its rank array and stage count, validated as above."""
+        chain = cls.__new__(cls)
+        chain._store(ambient, rank, count)
+        return chain
+
+    def _store(self, ambient, rank, count):
+        if count < 1:
             raise ValidationError("a chain needs at least one stage")
-        for i, s in enumerate(given):
-            if not s:
-                raise ValidationError("stage %d is empty" % (i + 1,))
-            for x in s:
-                if x not in ambient:
-                    raise ValidationError("stage %d contains unknown point %r" % (i + 1, x))
-        stages = tuple(frozenset(s) for s in given)
-        for i in range(len(stages) - 1):
-            if not stages[i] <= stages[i + 1]:
-                raise ValidationError("stage %d is not contained in stage %d" % (i + 1, i + 2))
-        if stages[-1] != set(ambient.point_ids):
+        if not (rank == 0).any():
+            raise ValidationError("stage 1 is empty")
+        if (rank >= count).any():
             raise ValidationError("the final stage must equal the ambient space")
-        self.ambient = ambient
-        self.stages = stages
+        rank.setflags(write=False)
+        self.ambient, self.rank, self.count = ambient, rank, count
 
 
 @dataclass(frozen=True)
@@ -216,29 +223,21 @@ def direct_limit_cover(chain: ChainOfSubspaces, L) -> DirectLimitResult:
     everything. Multiplicity <= 2 and Lebesgue number >= L are re-verified on
     the output.
     """
-    if L <= 0:
+    if not L > 0:
         raise ValidationError("need L > 0")
-    space = chain.ambient
-    stages = chain.stages
+    space, rank = chain.ambient, chain.rank
+    # stage k is order[:ends[k]]; run[:, j] is the distance to order[:j + 1]
+    order = np.argsort(rank, kind="stable")
+    ends = np.searchsorted(rank[order], np.arange(chain.count), side="right")
+    run = space.D[:, order]
+    np.minimum.accumulate(run, axis=1, out=run)
     subseq = [0]
-    while subseq[-1] < len(stages) - 1:
-        need = _neighborhood(space, stages[subseq[-1]], 3.0 * float(L))
-        nxt = None
-        for m in range(subseq[-1] + 1, len(stages)):
-            if need <= stages[m]:
-                nxt = m
-                break
-        if nxt is None:
-            raise PreconditionError(
-                "chain too short: no stage contains the 3L-neighborhood of stage %d"
-                % (subseq[-1] + 1,)
-            )
-        subseq.append(nxt)
-    pieces = [_neighborhood(space, stages[subseq[0]], L)]
-    for a, b in zip(subseq, subseq[1:]):
-        diff = stages[b] - stages[a]
-        if diff:
-            pieces.append(_neighborhood(space, diff, L))
+    while subseq[-1] < chain.count - 1:
+        need = run[:, ends[subseq[-1]] - 1] <= 3.0 * float(L)
+        subseq.append(max(subseq[-1] + 1, int(rank[need].max())))
+    # the first selected stage, then each nonempty difference of the next ones
+    parts = np.split(order, np.unique(ends[subseq])[:-1])
+    pieces = [_neighborhood(space, part, L) for part in parts]
     cover = Cover(space, pieces)
     if multiplicity(cover) > 2:
         raise BoundViolationError("chain-limit cover exceeded multiplicity 2")

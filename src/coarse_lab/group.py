@@ -447,7 +447,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     preimages = psi.cover.pieces
 
     # per piece, the first element whose orbit point minimises the farthest distance
-    far = [X.D[np.ix_(orbit.pts, enlarged.piece_indices()[i])].max(axis=1) for i in kept]
+    far = [X.D[np.ix_(orbit.pts, enlarged.indices[i])].max(axis=1) for i in kept]
     rep_ix = [int(r.argmin()) for r in far]
     T = max(float(r.min()) for r in far)
     threshold = action.A + 2.0 * action.B + action.ell(T)
@@ -461,7 +461,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     # each preimage piece in stored order, so the first worst member wins
     incl_worst = (-math.inf, None)
     for pos, i in enumerate(kept):
-        members = psi.cover.piece_indices()[pos]
+        members = psi.cover.indices[pos]
         moved = left_translation(G, G.inverse[rep_ix[pos]], members)
         top = int(orbit.disp[moved].argmax())
         if orbit.disp[moved[top]] > incl_worst[0]:

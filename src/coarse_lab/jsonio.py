@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .group import GroupModel, cyclic_group, free_group_ball, product_of_cyclic, z_ball
-from .cover import Cover
+from .cover import ChainOfSubspaces, Cover
 from .space import (FiniteMetricSpace, cycle, grid, space_from_graph,
                     space_from_matrix, z2_ball, z_interval)
 from .witness import Witness, dirac_witness, uniform_ball_witness
@@ -262,16 +262,18 @@ def load_action_maps(obj, group: GroupModel, space: FiniteMetricSpace):
     raise ValidationError("unknown action type %r" % (kind,))
 
 
-def load_chain_stages(obj, ambient: FiniteMetricSpace):
+def load_chain(obj, ambient: FiniteMetricSpace) -> ChainOfSubspaces:
     kind = _need(obj, "type", "chain document")
     if kind == "z_intervals":
         _int_points(ambient, "z_intervals chain")
         radii = sorted(_check(r, int, "chain radius")
                        for r in _need(obj, "radii", "chain document", list))
-        return [frozenset(p for p in ambient.point_ids if abs(p) <= r) for r in radii]
+        # stage k holds the points with |p| <= radii[k]: rank is the first such k
+        return ChainOfSubspaces._of(ambient, np.searchsorted(radii, np.abs(ambient.point_ids)),
+                                    len(radii))
     if kind == "explicit":
-        return [[norm_id(p) for p in _check(stage, list, "chain stage")]
-                for stage in _need(obj, "stages", "chain document", list)]
+        return ChainOfSubspaces(ambient, [[norm_id(p) for p in _check(s, list, "chain stage")]
+                                          for s in _need(obj, "stages", "chain document", list)])
     raise ValidationError("unknown chain type %r" % (kind,))
 
 

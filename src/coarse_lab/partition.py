@@ -13,14 +13,6 @@ from .space import (CoarseMapCert, _fold, _pair_chunks, _pair_sweep, _SparseRows
 _SUM_TOL = 1e-9
 
 
-def _piece_mask(cover: Cover):
-    """(pieces, points) mask of the stored points inside each piece."""
-    inside = np.zeros((len(cover.pieces), len(cover.space)), dtype=bool)
-    for i, idx in enumerate(cover.piece_indices()):
-        inside[i, idx] = True
-    return inside
-
-
 class PartitionOfUnity:
     """Nonnegative functions, one per cover piece, summing to 1 at every point.
 
@@ -37,7 +29,7 @@ class PartitionOfUnity:
         if phi.shape != shape:
             raise ValidationError("partition values must have shape %r, not %r"
                                   % (shape, phi.shape))
-        inside = _piece_mask(cover)
+        inside = cover.mask
         bad = np.argwhere((phi != 0.0) & ~(inside & (phi > 0.0) & (phi <= 1.0 + _SUM_TOL)))
         if bad.size:
             i, a = (int(v) for v in bad[0])
@@ -121,7 +113,7 @@ def pullback_partition(cert: CoarseMapCert, partition: PartitionOfUnity):
     if partition.space is not cert.target:
         raise ValidationError("partition must live on the map's target")
     source, img = cert.source, cert.img
-    pre = _piece_mask(partition.cover)[:, img]
+    pre = partition.cover.mask[:, img]
     kept = np.flatnonzero(pre.any(axis=1))
     pieces = [[source.point_ids[a] for a in np.flatnonzero(row)] for row in pre[kept]]
     phi = partition.phi[kept][:, img]

@@ -161,7 +161,7 @@ class FiniteMetricSpace:
 
     def ball(self, center, radius) -> frozenset:
         """Closed ball: all y with d(center, y) <= radius."""
-        if radius < 0:
+        if not radius >= 0:
             raise ValidationError("ball radius must be >= 0")
         row = self.D[self.index(center)]
         return frozenset(self.point_ids[i] for i in np.flatnonzero(row <= float(radius)))

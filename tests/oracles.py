@@ -153,6 +153,40 @@ def dense_complement_distances(cover):
             for piece in cover.pieces]
 
 
+def set_separation(space, pieces) -> float:
+    """Smallest set distance between two of the pieces, pair by pair (+inf for
+    fewer than two)."""
+    return min((min(space.d(x, y) for x in pieces[i] for y in pieces[j])
+                for i in range(len(pieces)) for j in range(i + 1, len(pieces))),
+               default=math.inf)
+
+
+def frozenset_direct_limit(space, stages, L):
+    """The chain-limit cover greedy over frozenset stages: (selected stage
+    numbers, 1-based; pieces as id sets; largest overlap and smallest set
+    distance over the pairs of pieces i, j >= i + 2)."""
+    stages = [frozenset(s) for s in stages]
+
+    def neighborhood(members, radius):
+        return frozenset(y for y in space.point_ids
+                         if min(space.d(y, x) for x in members) <= radius)
+
+    subseq = [0]
+    while subseq[-1] < len(stages) - 1:
+        need = neighborhood(stages[subseq[-1]], 3.0 * L)
+        subseq.append(next(m for m in range(subseq[-1] + 1, len(stages))
+                           if need <= stages[m]))
+    pieces = [neighborhood(stages[0], L)]
+    for a, b in zip(subseq, subseq[1:]):
+        if stages[b] - stages[a]:
+            pieces.append(neighborhood(stages[b] - stages[a], L))
+    far = [(i, j) for i in range(len(pieces)) for j in range(i + 2, len(pieces))]
+    overlap = max((len(pieces[i] & pieces[j]) for i, j in far), default=0)
+    gap = min((set_separation(space, [pieces[i], pieces[j]]) for i, j in far),
+              default=math.inf)
+    return tuple(i + 1 for i in subseq), pieces, overlap, gap
+
+
 def dense_triangle_violation(D, triples=None):
     """(i, k, j) of the first triple with D[i][j] > D[i][k] + D[k][j] + 1e-12 in
     float arithmetic, or None. Triples run k outer, then (i, j) row-major, the

@@ -47,6 +47,9 @@ from coarse_lab.jsonio import _as_jsonable
 from conftest import SCENARIO_DIR
 
 
+INTERVAL = list(range(-5, 6))  # the points of z_interval(-5, 5)
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh)
@@ -368,6 +371,45 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", scen, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline, key, doc, message", [
+        ("direct-limit", "chain", {"type": "explicit", "stages": []},
+         "a chain needs at least one stage"),
+        ("direct-limit", "chain", {"type": "z_intervals", "radii": []},
+         "a chain needs at least one stage"),
+        ("direct-limit", "chain", {"type": "z_intervals", "radii": [-1, 5]}, "stage 1 is empty"),
+        ("direct-limit", "chain", {"type": "z_intervals", "radii": [1, 3]},
+         "the final stage must equal the ambient space"),
+        ("direct-limit", "chain", {"type": "explicit", "stages": [[0, 1]]},
+         "the final stage must equal the ambient space"),
+        ("direct-limit", "chain", {"type": "explicit", "stages": [[0, 1], [2, 3], INTERVAL]},
+         "stage 1 is not contained in stage 2"),
+        ("direct-limit", "chain", {"type": "explicit", "stages": [[0], [], INTERVAL]},
+         "stage 2 is empty"),
+        ("verify-cover", "cover", {"pieces": []}, "a cover needs at least one piece"),
+        ("verify-cover", "cover", {"pieces": [INTERVAL, []]}, "piece 1 is empty"),
+        ("verify-cover", "cover", {"pieces": [[0, 99], INTERVAL]},
+         "piece 0 contains unknown point 99"),
+        ("verify-cover", "cover", {"pieces": [[-5, -4], list(range(-2, 6))]},
+         "pieces do not cover the space: -3 uncovered"),
+        ("verify-cover", "cover", {"pieces": [INTERVAL], "coloring": [0, 1]},
+         "coloring length does not match piece count"),
+        ("verify-cover", "cover", {"pieces": [INTERVAL], "coloring": [-1]},
+         "colors must be >= 0"),
+    ])
+    def test_cover_and_chain_errors_are_named(self, tmp_path, capsys, pipeline, key, doc,
+                                              message):
+        scen = write_json(tmp_path / "e.json", {
+            "name": "e",
+            "pipeline": pipeline,
+            "inputs": {"space": {"metric": {"type": "z_interval", "lo": -5, "hi": 5}},
+                       key: doc},
+            "parameters": {"L": 1},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
         assert not out.exists()
 
     @pytest.mark.parametrize("pairs, message", [

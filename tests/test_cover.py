@@ -17,6 +17,7 @@ from coarse_lab import (
     enlarge,
     lebesgue_number,
     lebesgue_report,
+    load_space,
     multiplicity,
     r_multiplicity,
     set_distance,
@@ -24,8 +25,10 @@ from coarse_lab import (
     space_from_matrix,
     z_interval,
 )
+from coarse_lab import cli
 from coarse_lab.cover import _complement_distances, family_separation
-from oracles import dense_complement_distances
+from coarse_lab.report import json_number
+from oracles import dense_complement_distances, frozenset_direct_limit, set_separation
 
 
 def path_graph(n):
@@ -162,6 +165,17 @@ class TestSeparation:
         assert check_kl_separated(cov, 1, 2)
         assert not check_kl_separated(cov, 1, 3)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_covers(), st.data())
+    def test_family_separation_matches_pairwise_loop(self, cover, data):
+        m = len(cover.pieces)
+        coloring = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        cov = Cover(cover.space, cover.pieces, coloring=coloring)
+        expected = min(set_separation(cov.space, [p for p, c in zip(cov.pieces, coloring)
+                                                  if c == color])
+                       for color in set(coloring))
+        assert family_separation(cov, max(coloring)) == expected
+
     def test_missing_coloring_rejected(self):
         cov = Cover(path_graph(3), [[0, 1], [1, 2]])
         with pytest.raises(ValidationError):
@@ -285,3 +299,57 @@ class TestDirectLimit:
         with pytest.raises(ValidationError):
             ChainOfSubspaces(amb, [frozenset({0, 1})])
 
+
+class TestNanRadius:
+    @pytest.mark.parametrize("call, message", [
+        (lambda cov, chain: r_multiplicity(cov, math.nan), "radius must be >= 0"),
+        (lambda cov, chain: enlarge(cov, math.nan), "enlargement radius must be >= 0"),
+        (lambda cov, chain: direct_limit_cover(chain, math.nan), "need L > 0"),
+    ], ids=["r_multiplicity", "enlarge", "direct_limit_cover"])
+    def test_nan_radius_rejected(self, call, message):
+        amb, chain = interval_chain(3)
+        with pytest.raises(ValidationError, match=message):
+            call(Cover(amb, [amb.point_ids]), chain)
+
+
+@st.composite
+def _chains(draw):
+    """(matrix space document, nested explicit stage lists, integer L >= 1).
+
+    The points sit at 0..n-1 on a line in shuffled order, so every distance up
+    to the diameter is realized and the cover's realized Lebesgue number is
+    positive, as the pipeline's Bell partition needs. The stages grow along
+    the line, as intervals do, with each point's stage moved by up to one; a
+    stage no point enters repeats the one before it, and every stage list is
+    shuffled.
+    """
+    n = draw(st.integers(min_value=2, max_value=16))
+    at = draw(st.permutations(range(n)))
+    ids = ["p%d" % i for i in range(n)]
+    doc = {"points": ids, "metric": {"type": "matrix", "d": [[abs(a - b) for b in at]
+                                                               for a in at]}}
+    count = draw(st.integers(min_value=2, max_value=8))
+    shift = st.integers(min_value=-1, max_value=1)
+    rank = [min(count - 1, max(0, x * count // n + draw(shift))) for x in at]
+    rank[draw(st.integers(min_value=0, max_value=len(ids) - 1))] = 0
+    stages = [draw(st.permutations([p for p, r in zip(ids, rank) if r <= k]))
+              for k in range(count)]
+    return doc, stages, draw(st.sampled_from([1, 2]))
+
+
+class TestDirectLimitReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_chains())
+    def test_matches_frozenset_greedy(self, case):
+        doc, stages, L = case
+        space = load_space(doc)
+        indices, pieces, overlap, gap = frozenset_direct_limit(space, stages, L)
+        res = direct_limit_cover(ChainOfSubspaces(space, stages), L)
+        assert res.indices == indices
+        assert list(res.cover.pieces) == pieces
+        out = cli._run_direct_limit({"space": doc, "chain": {"type": "explicit",
+                                                             "stages": stages}}, {"L": L})
+        assert out.details["selected_stages"] == list(indices)
+        assert out.checked[2].name == "nonadjacent_piece_overlap"
+        assert out.checked[2].lhs == overlap
+        assert out.details["nonadjacent_min_gap"] == json_number(gap)

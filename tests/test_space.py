@@ -88,6 +88,10 @@ class TestBalls:
         with pytest.raises(ValidationError):
             path_graph(5).ball(99, 1)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValidationError, match="ball radius must be >= 0"):
+            path_graph(5).ball(0, math.nan)
+
     def test_monotone_in_radius(self):
         s = cycle(9)
         for r in range(5):
