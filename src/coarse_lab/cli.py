@@ -300,31 +300,22 @@ def _run_group(inputs, params):
                       partition_json=partition_to_json(res.partition))
 
 
+# Each pipeline's runner, and the inputs and the parameters it reads, "?" marking
+# optional ones; any other key is rejected, so a misspelling cannot silently turn
+# a check off.
 _PIPELINES = {
-    "verify-cover": _run_verify_cover,
-    "bell": _run_bell,
-    "glue": _run_glue,
-    "subspace": _run_subspace,
-    "net": _run_net,
-    "direct-limit": _run_direct_limit,
-    "fibering": _run_fibering,
-    "separated": _run_separated,
-    "group-pipeline": _run_group,
-}
-
-# The inputs and the parameters each pipeline reads, "?" marking optional ones;
-# any other key is rejected, so a misspelling cannot silently turn a check off.
-_READS = {
-    "verify-cover": ("space cover", "?L"),
-    "bell": ("space cover", "?require_lebesgue ?radii"),
-    "glue": ("space cover ?pieces", "?require_lebesgue" + _PROFILED),
-    "subspace": ("space witness", "subspace" + _PROFILED),
-    "net": ("space witness", "net ?c" + _PROFILED),
-    "direct-limit": ("space chain", "L" + _PROFILED),
-    "fibering": ("space target_space map cover ?pieces", "?require_lebesgue" + _PROFILED),
-    "separated": ("space cover ?pieces", "L sigma R epsilon ?S0 ?delta ?radii ?tail_radii"),
-    "group-pipeline": ("group space action cover ?provider", "x0 R ?epsilon ?S0 ?delta "
-                       "?radii ?tail_radii ?A_ceiling ?B_ceiling"),
+    "verify-cover": (_run_verify_cover, "space cover", "?L"),
+    "bell": (_run_bell, "space cover", "?require_lebesgue ?radii"),
+    "glue": (_run_glue, "space cover ?pieces", "?require_lebesgue" + _PROFILED),
+    "subspace": (_run_subspace, "space witness", "subspace" + _PROFILED),
+    "net": (_run_net, "space witness", "net ?c" + _PROFILED),
+    "direct-limit": (_run_direct_limit, "space chain", "L" + _PROFILED),
+    "fibering": (_run_fibering, "space target_space map cover ?pieces",
+                 "?require_lebesgue" + _PROFILED),
+    "separated": (_run_separated, "space cover ?pieces",
+                  "L sigma R epsilon ?S0 ?delta ?radii ?tail_radii"),
+    "group-pipeline": (_run_group, "group space action cover ?provider",
+                       "x0 R ?epsilon ?S0 ?delta ?radii ?tail_radii ?A_ceiling ?B_ceiling"),
 }
 
 
@@ -338,11 +329,12 @@ def execute_scenario(scenario, base_dir):
                               % (pipeline, ", ".join(sorted(_PIPELINES))))
     params = dict(_object(scenario.get("parameters", {}), "scenario 'parameters'"))
     _check_keys(pipeline, "field", scenario, "?name pipeline ?inputs ?parameters")
-    _check_keys(pipeline, "input", inputs, _READS[pipeline][0])
-    _check_keys(pipeline, "parameter", params, _READS[pipeline][1])
+    run, input_keys, parameter_keys = _PIPELINES[pipeline]
+    _check_keys(pipeline, "input", inputs, input_keys)
+    _check_keys(pipeline, "parameter", params, parameter_keys)
     _check_parameters(params)
     docs, digests = _read_inputs(inputs, base_dir)
-    out = _PIPELINES[pipeline](docs, params)
+    out = run(docs, params)
     out.input_digests = digests  # for the certificate's inputs_sha256
 
     profiles = {"variation": [], "tail": []}

@@ -21,8 +21,7 @@ from .errors import BoundViolationError, PreconditionError, ValidationError
 from .partition import (PartitionOfUnity, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .report import check_le
-from .space import (CoarseMapCert, FiniteMetricSpace, _pair_chunks, _SparseRows,
-                    _worst_pair, is_c_net)
+from .space import CoarseMapCert, FiniteMetricSpace, _pair_chunks, _SparseRows, _worst_pair
 from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, dirac_witness,
                       tail_profile, uniform_ball_witness, variation_profile)
 
@@ -129,15 +128,13 @@ def net_construction(ambient: FiniteMetricSpace, net_members, witness: Witness,
         raise ValidationError("net construction starts from a bare witness")
     if set(witness.space.point_ids) != set(net_members):
         raise ValidationError("witness must live on the net")
-    idx = ambient.indices(net_members)
-    covering = float(ambient.D[:, idx].min(axis=1).max())
-    if c is None:
-        c = covering
-    c = float(c)
-    if not is_c_net(ambient, net_members, c):
+    near = ambient.D[:, ambient.indices(net_members)]
+    nearest = near.argmin(axis=1)
+    covering = float(near[np.arange(len(ambient)), nearest].max())
+    c = covering if c is None else float(c)
+    if not covering <= c:
         raise PreconditionError(
             "net condition fails: covering radius %r exceeds c=%r" % (covering, c))
-    nearest = np.argmin(ambient.D[:, idx], axis=1)
     q = {x: net_members[i] for x, i in zip(ambient.point_ids, nearest.tolist())}
     # xi_x is beta's vector at q(x), its entries moved to ambient indices
     on = np.array(ambient.indices(witness.space.point_ids))
@@ -219,30 +216,24 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     partition = glue_input.partition
     space = partition.space
     n = len(space)
-    # the piece witnesses stacked into one set of entry arrays, with tags
-    # (i, tag); piece_row[i, a] is the row of piece i's vector at point a
-    # within the piece, or -1 off the piece, and start[i] its first stacked row
+    # xi_x: sqrt(phi_i(x)) times piece i's vector at x, with tags (i, tag), over
+    # x's pieces in order (a zero phi drops the entry); piece_row[i, a] is the
+    # row of piece i's vector at point a within the piece, or -1 off the piece
     piece_row = np.full((len(glue_input.pieces), n), -1, dtype=np.int64)
-    start = np.zeros(len(glue_input.pieces), dtype=np.int64)
-    parts, tags, n_rows = [], [], 0
+    parts, tags = [], []
     for i, w in enumerate(glue_input.pieces):
         on = np.array(space.indices(w.space.point_ids))
         piece_row[i, on] = np.arange(len(on))
-        start[i] = n_rows
-        parts.append((w.row + n_rows, on[w.at], w.tag + len(tags), w.coef))
+        parts.append((on[w.row], on[w.at], w.tag + len(tags),
+                      np.sqrt(partition.phi[i, on[w.row]]) * w.coef))
         tags.extend((i, t) for t in w.tags)
-        n_rows += len(on)
-    s_row, s_at, s_tag, s_coef = (np.concatenate(v) for v in zip(*parts))
-    # one kernel per piece: lookup tables grow with the piece, not the stack
+    row, at, tag, coef = (np.concatenate(v) for v in zip(*parts))
+    order = np.argsort(row, kind="stable")
+    glued = Witness._of(space, row[order], at[order], tag[order], tuple(tags), coef[order])
+    # one kernel per piece: lookup tables grow with the piece, not the cover
     piece_rows = [w._kernel() for w in glue_input.pieces]
-    # xi_x: sqrt(phi_i(x)) times piece i's vector at x, over x's pieces in order
-    m_row, m_piece, m_phi = partition.entries()
-    k, pos = _gather(np.searchsorted(s_row, np.arange(n_rows + 1)),
-                     piece_row[m_piece, m_row] + start[m_piece])
-    glued = Witness._of(space, m_row[pos], s_at[k], s_tag[k], tuple(tags),
-                        np.sqrt(m_phi)[pos] * s_coef[k])
     glued_rows = glued._kernel()
-    mass_rows = _SparseRows(n, m_row, m_piece, m_phi)
+    mass_rows = _SparseRows(n, *partition.entries())
 
     def bound_chunks():
         for a, b in _pair_chunks(n):
@@ -270,17 +261,13 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
         tail_radii = _sample_grid(space)
     tail_radii = sorted(float(s) for s in tail_radii) or [0.0]
     glued_tail = tail_profile(glued, tail_radii)
-    acc = [0.0] * len(tail_radii)
-    for w in glue_input.pieces:
-        for j, (_, v) in enumerate(tail_profile(w, tail_radii)):
-            acc[j] = max(acc[j], v)
-    equi_tail = DecayProfile(tuple(zip(tail_radii, acc)))
-    worst_tail = None
-    for (s, lv), (_, ev) in zip(glued_tail, equi_tail):
-        if worst_tail is None or lv - ev > worst_tail[0]:
-            worst_tail = (lv - ev, lv, ev, s)
-    tail_rec = check_le("glue_tail_domination", worst_tail[1], worst_tail[2], tol=_ID_TOL,
-                        witness=worst_tail[3])
+    equi = np.max([[v for _, v in tail_profile(w, tail_radii)] for w in glue_input.pieces],
+                  axis=0)
+    equi_tail = DecayProfile(tuple(zip(tail_radii, equi.tolist())))
+    lhs = [v for _, v in glued_tail]
+    j = int(np.argmax(lhs - equi))     # the first radius with the largest excess
+    tail_rec = check_le("glue_tail_domination", lhs[j], float(equi[j]), tol=_ID_TOL,
+                        witness=tail_radii[j])
     checks = (variation_rec, tail_rec)
     _require(checks)
     return GlueResult(glued, partition, checks, glued_tail, equi_tail)
@@ -334,7 +321,6 @@ def fibering_pipeline(cert: CoarseMapCert, partition: PartitionOfUnity,
 class SeparatedResult:
     witness: Witness
     partition: PartitionOfUnity
-    enlarged: Cover
     k: int
     L: float
     checks: tuple        # required: the end inequality variation(R) <= epsilon
@@ -385,5 +371,5 @@ def separated_cover_pipeline(space: FiniteMetricSpace, cover: Cover, L, sigma, R
         check_le("info_k2p1_le_2Lsigmaeps", k * k + 1.0, 2.0 * L * sigma * epsilon,
                  note="informational"),
     )
-    return SeparatedResult(glued.witness, partition, enlarged, k, L,
+    return SeparatedResult(glued.witness, partition, k, L,
                            (end_rec,) + glued.checks, info, glued)

@@ -301,7 +301,6 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, img,
 
 @dataclass(frozen=True)
 class QuasiStabilizer:
-    base_point: object
     threshold: float
     members: tuple        # in word-space stored order
     index: np.ndarray     # the members' element indices, ascending
@@ -324,7 +323,7 @@ def quasi_stabilizer(action: CoarseQuasiAction, x0, T) -> QuasiStabilizer:
     if not index.size:
         raise PreconditionError("quasi-stabilizer at T=%g is empty" % float(T))
     members = tuple(action.group.elements[i] for i in index.tolist())
-    return QuasiStabilizer(x0, float(T), members, index,
+    return QuasiStabilizer(float(T), members, index,
                            action.word_space.restrict(members))
 
 
@@ -396,7 +395,6 @@ class GroupPipelineResult:
     truncation_flags: tuple
     subspace_results: tuple
     glue: object
-    orbit: OrbitMapResult
 
 
 def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
@@ -506,4 +504,4 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     return GroupPipelineResult(
         glue_res.witness, psi, psi.cover, kept, tuple(G.elements[g] for g in rep_ix), float(T),
         float(threshold), stab, epsilon, orbit.lam, k, L, checks, info,
-        tuple(flags), tuple(sub_results), glue_res, orbit)
+        tuple(flags), tuple(sub_results), glue_res)

@@ -400,8 +400,8 @@ class _SparseRows:
     calls the same libm ``pow`` as CPython's ``**`` (``d * d`` and
     ``np.power`` differ from it in the last bit on some inputs). Lookups
     gather from a (row, entry id) slot table; pairs whose supports are
-    disjoint need none once the row pairs sharing an entry are marked, which
-    happens on the first call that queries at least as many pairs.
+    disjoint need none, as the constructor marks the row pairs sharing an
+    entry.
     """
 
     def __init__(self, n, row, key, coef):
@@ -419,38 +419,35 @@ class _SparseRows:
         self.coef = self._coef[:, :-1]
         self._slot = np.full((n, len(uniq) + 1), -1, dtype=np.min_scalar_type(-self.width - 1))
         self._slot[row, keys] = slot      # the slot of entry id k in row r, else -1
-        # row pairs holding a common entry: counted now, marked on first use
-        self._row, self._keys = row, keys
-        per_entry = np.bincount(keys)
-        self._n_shared = int((per_entry * (per_entry - 1) // 2).sum())
-        self._shared = None
+        self._shared = self._shared_pairs(row, keys)
         # the scalar sums of a row against a row it shares no entry with
         zeros = np.zeros(n)
         self._own_sq = _fold(np.float_power(self.coef, 2.0), zeros)
         self._own_abs = _fold(np.abs(self.coef), zeros)
         self._own_sum = _fold(self.coef, zeros)
 
-    def _shared_pairs(self):
-        """(n, n) mask of the row pairs holding a common entry, diagonal set."""
+    def _shared_pairs(self, row, keys):
+        """(n, n) mask of the row pairs holding a common entry, diagonal set.
+
+        Sorted by entry (rows ascending within each), every entry pairs with
+        the earlier rows holding the same one; ``ends[e]`` is the end of entry
+        e's pairs in that list, which is marked _SLOT_BUDGET pairs at a time.
+        """
         n = len(self.ids)
-        order = np.lexsort((self._row, self._keys))
-        k, r = self._keys[order], self._row[order]
+        order = np.argsort(keys, kind="stable")
+        k, r = keys[order], row[order]
         new = np.ones(len(k), dtype=bool)
         new[1:] = k[1:] != k[:-1]
         first = np.flatnonzero(new)[np.cumsum(new) - 1]
-        before = np.arange(len(k)) - first     # earlier rows holding the same entry
-        offset = np.arange(self._n_shared) - np.repeat(np.cumsum(before) - before, before)
-        earlier, later = r[np.repeat(first, before) + offset], np.repeat(r, before)
+        ends = np.cumsum(np.arange(len(k)) - first)
         mask = np.eye(n, dtype=bool)
-        mask[earlier, later] = mask[later, earlier] = True
+        total = int(ends[-1]) if len(ends) else 0
+        for lo in range(0, total, _SLOT_BUDGET):
+            p = np.arange(lo, min(lo + _SLOT_BUDGET, total))
+            e = np.searchsorted(ends, p, side="right")
+            earlier, later = r[p - ends[e] + e], r[e]
+            mask[earlier, later] = mask[later, earlier] = True
         return mask
-
-    def _shares(self, a, b):
-        """Whether rows a and b may hold a common entry: exact once the sharing
-        pairs are marked, True for every pair before."""
-        if self._shared is None:
-            return np.ones(len(a), dtype=bool)
-        return self._shared.take(a * len(self.ids) + b)
 
     def _match(self, a, b):
         """Row b's coefficient at each entry of row a (0.0 where absent), and
@@ -463,14 +460,11 @@ class _SparseRows:
     def _pairs(self, a, b, shared, disjoint):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        # marking the sharing pairs pays off once a call queries as many pairs
-        if self._shared is None and self._n_shared <= len(a):
-            self._shared = self._shared_pairs()
         out = np.empty(len(a))
         step = max(1, _SLOT_BUDGET // max(self.width, 1))
         for lo in range(0, len(a), step):
             ca, cb, part = a[lo:lo + step], b[lo:lo + step], out[lo:lo + step]
-            sh = self._shares(ca, cb)
+            sh = self._shared.take(ca * len(self.ids) + cb)
             dj = ~sh
             part[dj] = disjoint(ca[dj], cb[dj])
             part[sh] = shared(ca[sh], cb[sh])

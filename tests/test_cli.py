@@ -589,14 +589,14 @@ class TestRunCommand:
 
 
     def test_serialization_error_writes_no_certificate(self, tmp_path, capsys, monkeypatch):
-        run = cli._PIPELINES["subspace"]
+        run, *keys = cli._PIPELINES["subspace"]
 
         def with_nan_detail(inputs, params):
             out = run(inputs, params)
             out.details["probe"] = float("nan")
             return out
 
-        monkeypatch.setitem(cli._PIPELINES, "subspace", with_nan_detail)
+        monkeypatch.setitem(cli._PIPELINES, "subspace", (with_nan_detail, *keys))
         scen = write_json(tmp_path / "e.json", {
             "name": "e",
             "pipeline": "subspace",

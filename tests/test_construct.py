@@ -12,6 +12,7 @@ from coarse_lab import (
     Cover,
     FiniteMetricSpace,
     GlueInput,
+    PartitionOfUnity,
     PreconditionError,
     ValidationError,
     Witness,
@@ -183,6 +184,43 @@ class TestGlue:
         part = bell_partition(cover, require_lebesgue=False)
         glue_with_report(GlueInput(part, dirac_piece_family(cover)))
         assert sizes and max(sizes) <= len(s)
+
+    def test_only_pairs_sharing_an_entry_are_looked_up(self, monkeypatch):
+        # one row of pairs per chunk: far fewer pairs per call than share an entry
+        shares = []
+        match = space_module._SparseRows._match
+
+        def record(kernel, a, b):
+            for x, y in zip(kernel.ids[a], kernel.ids[b]):
+                shares.append(bool(np.intersect1d(x[x >= 0], y[y >= 0]).size))
+            return match(kernel, a, b)
+
+        monkeypatch.setattr(space_module, "_PAIR_CHUNK", 1)
+        monkeypatch.setattr(space_module._SparseRows, "_match", record)
+        s = z_interval(0, 23)
+        cover = Cover(s, [frozenset(range(0, 10)), frozenset(range(6, 18)),
+                          frozenset(range(14, 24))])
+        part = bell_partition(cover, require_lebesgue=False)
+        glue_with_report(GlueInput(part, uniform_ball_piece_family(cover, 1)))
+        assert shares and all(shares)
+
+    def test_zero_phi_inside_a_piece_drops_its_entries(self):
+        s = z_interval(0, 5)
+        cover = Cover(s, (frozenset(range(0, 4)), frozenset(range(2, 6))))
+        # piece 0 holds point 3 at phi 0; the piece vectors have negative entries
+        part = PartitionOfUnity(s, cover, [[1.0, 1.0, 0.5, 0.0, 0.0, 0.0],
+                                           [0.0, 0.0, 0.5, 1.0, 1.0, 1.0]])
+        pieces = tuple(_signed_witness(s.restrict(p), seed)
+                       for seed, p in enumerate(cover.pieces))
+        gi = GlueInput(part, pieces)
+        res = glue_with_report(gi)
+        assert res.witness.vectors == {
+            x: {((i, t), u): math.sqrt(part.value(i, x)) * c
+                for i, w in enumerate(pieces) if part.value(i, x) > 0.0
+                for (t, u), c in w.vectors[x].items()}
+            for x in s.point_ids}
+        rec = res.checks[0]
+        assert (rec.lhs, rec.rhs, rec.witness) == dense_glue_bound(gi, res.witness)
 
     def test_path_overlap_bound(self):
         s = path_graph(5)

@@ -424,15 +424,14 @@ def _sparse_rows(draw):
 def _assert_scalar_sums(rows, one_pair_per_call):
     """Both kernel distances equal the scalar sums (==) on every ordered pair.
 
-    One pair per call looks every pair up; all pairs at once mark the
-    sharing pairs first and skip the lookup for the others."""
+    Either way only the pairs that share an entry are looked up; one pair per
+    call checks that a pair's sums do not depend on the pairs queried with it."""
     n = len(rows)
     a, b = (v.ravel() for v in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
     calls = ([(a[i:i + 1], b[i:i + 1]) for i in range(len(a))] if one_pair_per_call
              else [(a, b)])
     kernel = _SparseRows(*_flat(rows))
     sq = [v for ca, cb in calls for v in kernel.sq_dist(ca, cb).tolist()]
-    kernel = _SparseRows(*_flat(rows))
     l1 = [v for ca, cb in calls for v in kernel.l1_dist(ca, cb).tolist()]
     pairs = list(zip(a.tolist(), b.tolist()))
     assert sq == [sparse_diff_norm_sq(rows[i], rows[j]) for i, j in pairs]
@@ -451,6 +450,20 @@ class TestSparseRows:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(space_module, "_SLOT_BUDGET", slot_budget)
             _assert_scalar_sums(rows, one_pair_per_call)
+
+    @pytest.mark.parametrize("slot_budget", [1 << 16, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_sparse_rows(), crowd=st.integers(0, 12))
+    def test_sharing_mask_is_the_sharing_relation(self, rows, crowd, slot_budget):
+        # rows that all hold one key make a long key group, listed across blocks
+        rows = rows + [{("crowd", 0): 1.0, ("own", r): 0.5} for r in range(crowd)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space_module, "_SLOT_BUDGET", slot_budget)
+            kernel = _SparseRows(*_flat(rows))
+        n = len(rows)
+        assert kernel._shared.tolist() == [
+            [i == j or bool(rows[i].keys() & rows[j].keys()) for j in range(n)]
+            for i in range(n)]
 
     @pytest.mark.parametrize("one_pair_per_call", [False, True])
     @pytest.mark.parametrize("width", [127, 128, 255, 256])
