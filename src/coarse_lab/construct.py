@@ -21,7 +21,7 @@ from .errors import BoundViolationError, PreconditionError, ValidationError
 from .partition import (PartitionOfUnity, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .report import check_le
-from .space import CoarseMapCert, FiniteMetricSpace, _pair_chunks, _SparseRows, _worst_pair
+from .space import CoarseMapCert, FiniteMetricSpace, _pair_chunks, _worst_pair
 from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, dirac_witness,
                       tail_profile, uniform_ball_witness, variation_profile)
 
@@ -69,7 +69,7 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     if not members:
         raise ValidationError("subspace must be nonempty")
     sub = ambient.restrict(members)
-    idx = ambient.indices(members)
+    idx = np.array(ambient.indices(members))
     # first minimum over the members in stored order: earliest-stored tie-break
     nearest = np.argmin(ambient.D[:, idx], axis=1)
     retraction = {s: members[i] for s, i in zip(ambient.point_ids, nearest.tolist())}
@@ -80,13 +80,12 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     eta = collapse(tagged)
 
     norm_dev = float(np.abs(_row_norms(len(sub), tagged.row, tagged.coef) - 1.0).max())
-    xi_rows, beta_rows, eta_rows = tagged._kernel(), witness._kernel(idx), eta._kernel()
     match_dev = 0.0
     contraction = 0.0
     for a, b in _pair_chunks(len(members)):
-        dxi = np.sqrt(xi_rows.sq_dist(a, b))
-        dbeta = np.sqrt(beta_rows.sq_dist(a, b))
-        deta = np.sqrt(eta_rows.sq_dist(a, b))
+        dxi = np.sqrt(tagged.kernel.sq_dist(a, b))
+        dbeta = np.sqrt(witness.kernel.sq_dist(idx[a], idx[b]))
+        deta = np.sqrt(eta.kernel.sq_dist(a, b))
         match_dev = max(match_dev, float(np.abs(dxi - dbeta).max()))
         contraction = max(contraction, float((deta - dxi).max()))
     checks = (
@@ -230,10 +229,6 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     row, at, tag, coef = (np.concatenate(v) for v in zip(*parts))
     order = np.argsort(row, kind="stable")
     glued = Witness._of(space, row[order], at[order], tag[order], tuple(tags), coef[order])
-    # one kernel per piece: lookup tables grow with the piece, not the cover
-    piece_rows = [w._kernel() for w in glue_input.pieces]
-    glued_rows = glued._kernel()
-    mass_rows = _SparseRows(n, *partition.entries())
 
     def bound_chunks():
         for a, b in _pair_chunks(n):
@@ -243,10 +238,11 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
                 ra, rb = piece_row[i, a], piece_row[i, b]
                 both = np.flatnonzero((ra >= 0) & (rb >= 0))
                 if both.size:
-                    common[both] = np.maximum(common[both],
-                                              piece_rows[i].sq_dist(ra[both], rb[both]))
-            yield (a, b, glued_rows.sq_dist(a, b),
-                   2.0 * mass_rows.l1_dist(a, b) + 2.0 * common)
+                    # one kernel per piece: lookup tables grow with the piece, not the cover
+                    kernel = glue_input.pieces[i].kernel
+                    common[both] = np.maximum(common[both], kernel.sq_dist(ra[both], rb[both]))
+            yield (a, b, glued.kernel.sq_dist(a, b),
+                   2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common)
 
     worst = _worst_pair(bound_chunks())
     if worst is None:

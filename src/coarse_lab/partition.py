@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
@@ -18,7 +20,8 @@ class PartitionOfUnity:
 
     ``phi`` is a read-only (pieces, points) float64 array: ``phi[i, a]`` is
     piece i's value at the stored point a. Every entry is 0 or in (0, 1], and
-    positivity is only allowed inside piece i (subordination).
+    positivity is only allowed inside piece i (subordination). The pair
+    kernel ``kernel`` over the positive values is built on first use and kept.
     """
 
     def __init__(self, space, cover: Cover, phi):
@@ -49,6 +52,11 @@ class PartitionOfUnity:
         self.space = space
         self.cover = cover
         self.phi = phi
+
+    @cached_property
+    def kernel(self):
+        """The pair kernel over the positive values, keyed by piece."""
+        return _SparseRows(len(self.space), *self.entries())
 
     def value(self, i, x) -> float:
         return float(self.phi[i, self.space.index(x)])
@@ -123,16 +131,14 @@ def pullback_partition(cert: CoarseMapCert, partition: PartitionOfUnity):
 def partition_variation_profile(partition: PartitionOfUnity, radii):
     """For each R, the max of sum_i |phi_i(x) - phi_i(y)| over pairs with d <= R,
     with the first pair attaining it (None when the max is 0)."""
-    rows = _SparseRows(len(partition.space), *partition.entries())
-    return _pair_sweep(partition.space, radii, rows.l1_dist)
+    return _pair_sweep(partition.space, radii, partition.kernel.l1_dist)
 
 
 def _bell_lipschitz_check(partition: PartitionOfUnity, C):
     """Record for sum_i |phi_i(x) - phi_i(y)| <= C d(x, y) at the pair with the
     largest excess (first in row-major order); None on a one-point space."""
     space = partition.space
-    rows = _SparseRows(len(space), *partition.entries())
-    worst = _worst_pair((a, b, rows.l1_dist(a, b), C * space.D[a, b])
+    worst = _worst_pair((a, b, partition.kernel.l1_dist(a, b), C * space.D[a, b])
                         for a, b in _pair_chunks(len(space)))
     if worst is None:
         return None

@@ -16,6 +16,7 @@ keeps its insertion order, which is the order the pair kernel sums in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -48,7 +49,7 @@ class Witness:
     ``Witness(space, vectors)`` takes point -> {(tag, point): coefficient}.
     Vectors are either all bare (every tag None) or all tagged; mixing is
     rejected so collapse and gluing stay unambiguous. Zero coefficients are
-    dropped.
+    dropped. ``vectors`` and the pair ``kernel`` are built on first use and kept.
     """
 
     def __init__(self, space: FiniteMetricSpace, vectors):
@@ -107,29 +108,23 @@ class Witness:
         self.row, self.at, self.tag, self.tags, self.coef = row, at, tag, tuple(tags), coef
         self.tagged = bare == {False}
         self._ptr = np.searchsorted(row, np.arange(len(space) + 1))
-        self._vectors = None
 
-    @property
+    @cached_property
     def vectors(self):
         """Read-only view point -> {(tag, point): coefficient}, in stored point
         order and entry order."""
-        if self._vectors is None:
-            ids, tags = self.space.point_ids, self.tags
-            items = list(zip([(tags[t], ids[p]) for t, p in
-                              zip(self.tag.tolist(), self.at.tolist())], self.coef.tolist()))
-            ptr = self._ptr.tolist()
-            self._vectors = MappingProxyType({
-                x: MappingProxyType(dict(items[lo:hi]))
-                for x, lo, hi in zip(ids, ptr, ptr[1:])})
-        return self._vectors
+        ids, tags = self.space.point_ids, self.tags
+        items = list(zip([(tags[t], ids[p]) for t, p in
+                          zip(self.tag.tolist(), self.at.tolist())], self.coef.tolist()))
+        ptr = self._ptr.tolist()
+        return MappingProxyType({x: MappingProxyType(dict(items[lo:hi]))
+                                 for x, lo, hi in zip(ids, ptr, ptr[1:])})
 
-    def _kernel(self, rows=None):
-        """The pair kernel over the vectors at the given rows (default all)."""
-        key = self.tag * len(self.space) + self.at
-        if rows is None:
-            return _SparseRows(len(self.space), self.row, key, self.coef)
-        k, pos = _gather(self._ptr, rows)
-        return _SparseRows(len(rows), pos, key[k], self.coef[k])
+    @cached_property
+    def kernel(self):
+        """The pair kernel over all the vectors, keyed by (tag, point)."""
+        n = len(self.space)
+        return _SparseRows(n, self.row, self.tag * n + self.at, self.coef)
 
 
 @dataclass(frozen=True)
@@ -174,9 +169,8 @@ def uniform_ball_witness(space: FiniteMetricSpace, radius) -> Witness:
 
 def variation_profile(witness: Witness, radii):
     """For each R, max of ||xi_x - xi_y|| over pairs with d(x, y) <= R."""
-    rows = witness._kernel()
     return [(r, v) for r, v, _ in _pair_sweep(
-        witness.space, radii, lambda a, b: np.sqrt(rows.sq_dist(a, b)))]
+        witness.space, radii, lambda a, b: np.sqrt(witness.kernel.sq_dist(a, b)))]
 
 
 def tail_profile(witness: Witness, radii) -> DecayProfile:

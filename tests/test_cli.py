@@ -963,6 +963,33 @@ class TestDeterminism:
         assert not any((tmp_path / seed).exists() for seed in "12")
 
 
+class TestKernelBuilds:
+    # each witness and partition builds its pair kernel once, on first use:
+    # bell builds the partition's; a glue over p pieces the pieces', the
+    # partition's and the glued witness's (p + 2); a group run over p kept
+    # pieces the transported, tagged and collapsed witness of each piece, the
+    # partition's and the glued witness's (3p + 2)
+    @pytest.mark.parametrize("name, builds", [("bell_interval_blocks", 1),
+                                              ("glue_cycle", 5), ("group_z60_c12", 11)])
+    def test_each_kernel_is_built_once_per_run(self, monkeypatch, name, builds):
+        count = []
+        init = coarse_lab.space._SparseRows.__init__
+
+        def record(self, *args):
+            count.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(coarse_lab.space._SparseRows, "__init__", record)
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cli.execute_scenario(json.load(fh), SCENARIO_DIR)
+        assert len(count) == builds
+
+    def test_glued_witness_keeps_its_kernel(self):
+        with open(os.path.join(SCENARIO_DIR, "glue_cycle.json")) as fh:
+            _, out = cli.execute_scenario(json.load(fh), SCENARIO_DIR)
+        assert out.witness.kernel is out.witness.kernel
+
+
 class TestProfiles:
     def run_and_read(self, tmp_path, scen, name):
         path = write_json(tmp_path / (name + ".json"), scen)
