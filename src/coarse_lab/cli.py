@@ -16,16 +16,16 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .construct import (GlueInput, _sample_grid, dirac_piece_family, fibering_pipeline,
+from .construct import (GlueInput, _radii, dirac_piece_family, fibering_pipeline,
                         glue_with_report, separated_cover_pipeline,
                         subspace_construction, net_construction)
 from .cover import (_piece_distances, direct_limit_cover, enlarge, family_separation,
                     lebesgue_report, multiplicity, r_multiplicity)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
 from .group import certify_quasi_action, group_pipeline
-from .jsonio import (_as_jsonable, _check, _is_number, _need, _object, dumps_deterministic,
-                     load_action_maps, load_chain, load_cover, load_group,
-                     load_map_assignment, load_space, load_witness, norm_id,
+from .jsonio import (_as_jsonable, _check, _finite, _is_number, _need, _object,
+                     dumps_deterministic, load_action_maps, load_chain, load_cover,
+                     load_group, load_map_assignment, load_space, load_witness, norm_id,
                      parse_json, partition_to_json)
 from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile)
@@ -86,15 +86,7 @@ def _check_parameters(params):
             if not (isinstance(values, list) and all(_is_number(v) for v in values)):
                 raise ValidationError("parameter %r must be %s" % (
                     key, "a list of numbers" if key in _GRIDS else "a number"))
-            # false for NaN, the infinities and integers past the float range
-            if not all(abs(v) <= sys.float_info.max for v in values):
-                raise ValidationError("parameter %r must be finite, not NaN or infinite" % key)
-
-
-def _grid(space, params, key, cap=12):
-    if key in params:
-        return sorted(float(v) for v in params[key])
-    return _sample_grid(space, cap=cap)
+            _finite(values, "parameter %r" % key)
 
 
 def _piece_family(inputs):
@@ -104,8 +96,8 @@ def _piece_family(inputs):
     if spec is None:
         return dirac_piece_family
     if "list" not in _object(spec, "input 'pieces'"):
-        return lambda cover: tuple(load_witness(spec, cover.space.restrict(p))
-                                   for p in cover.pieces)
+        return lambda cover: tuple(load_witness(spec, cover.space._sub(idx))
+                                   for idx in cover.indices)
 
     def listed(cover):
         docs = spec["list"]
@@ -176,7 +168,7 @@ def _run_bell(inputs, params):
             checked.append(rec)
     else:
         notes.append("Lebesgue number 0: no Lipschitz certificate")
-    var = partition_variation_profile(part, _grid(space, params, "radii"))
+    var = partition_variation_profile(part, _radii(space, params.get("radii"), cap=12))
     out = _RunOutput(checked=checked, notes=notes,
                      partition_json=partition_to_json(part))
     out.details["partition_variation"] = [[r, v] for r, v, _ in var]
@@ -343,8 +335,8 @@ def execute_scenario(scenario, base_dir):
     S0 = params.get("S0")
     if out.witness is not None:
         w = out.witness
-        radii = _grid(w.space, params, "radii")
-        tails = _grid(w.space, params, "tail_radii")
+        radii = _radii(w.space, params.get("radii"), cap=12)
+        tails = _radii(w.space, params.get("tail_radii"), cap=12)
         # R and S0 ride along in the grid sweeps; the profiles list the grids only
         var = dict(variation_profile(w, radii + ([float(R)] if R is not None else [])))
         tail = dict(tail_profile(w, tails + ([float(S0)] if S0 is not None else [])))

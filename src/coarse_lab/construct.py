@@ -34,8 +34,10 @@ def _require(records, kind=BoundViolationError):
             raise kind("%s failed: %r > %r at %r" % (rec.name, rec.lhs, rec.rhs, rec.witness))
 
 
-def _sample_grid(space: FiniteMetricSpace, cap=24):
-    """Deterministic subsample of the realized distances, ends included."""
+def _radii(space: FiniteMetricSpace, radii, cap=24):
+    """The radii as sorted floats, or for None up to ``cap`` realized distances, both ends."""
+    if radii is not None:
+        return sorted(float(r) for r in radii)
     grid = space.realized_distances()
     if len(grid) <= cap:
         return grid
@@ -68,8 +70,8 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     members = ambient.sorted_ids(frozenset(members))
     if not members:
         raise ValidationError("subspace must be nonempty")
-    sub = ambient.restrict(members)
     idx = np.array(ambient.indices(members))
+    sub = ambient._sub(idx)
     # first minimum over the members in stored order: earliest-stored tie-break
     nearest = np.argmin(ambient.D[:, idx], axis=1)
     retraction = {s: members[i] for s, i in zip(ambient.point_ids, nearest.tolist())}
@@ -95,9 +97,7 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     )
     _require(checks)
 
-    if tail_radii is None:
-        tail_radii = _sample_grid(sub)
-    tail_radii = sorted(float(s) for s in tail_radii)
+    tail_radii = _radii(sub, tail_radii)
     eta_tail = tail_profile(eta, tail_radii)
     beta_tail_all = tail_profile(witness, sorted({float(math.floor(s / 3.0)) for s in tail_radii}
                                                  | {float(s) for s in tail_radii}))
@@ -141,17 +141,13 @@ def net_construction(ambient: FiniteMetricSpace, net_members, witness: Witness,
     out = Witness._of(ambient, row, on[witness.at[k]], witness.tag[k], witness.tags,
                       witness.coef[k])
 
-    if radii is None:
-        radii = _sample_grid(ambient)
-    radii = sorted(float(r) for r in radii)
+    radii = _radii(ambient, radii)
     out_var = variation_profile(out, radii)
     base_var = variation_profile(witness, [r + 2.0 * c for r in radii])
     checks = [check_le("net_variation_R=%g" % r, lv, bv[1], tol=1e-12)
               for (r, lv), bv in zip(out_var, base_var)]
 
-    if tail_radii is None:
-        tail_radii = _sample_grid(ambient)
-    tail_radii = sorted(float(s) for s in tail_radii if s > c)
+    tail_radii = [s for s in _radii(ambient, tail_radii) if s > c]
     if tail_radii:
         out_tail = tail_profile(out, tail_radii)
         base_tail = tail_profile(witness, [s - c for s in tail_radii])
@@ -230,32 +226,23 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     order = np.argsort(row, kind="stable")
     glued = Witness._of(space, row[order], at[order], tag[order], tuple(tags), coef[order])
 
-    def bound_chunks():
-        for a, b in _pair_chunks(n):
-            common = np.zeros(len(a))
-            # a chunk's first points are consecutive: skip the pieces missing them all
-            for i in np.flatnonzero((piece_row[:, a[0]:a[-1] + 1] >= 0).any(axis=1)):
-                ra, rb = piece_row[i, a], piece_row[i, b]
-                both = np.flatnonzero((ra >= 0) & (rb >= 0))
-                if both.size:
-                    # one kernel per piece: lookup tables grow with the piece, not the cover
-                    kernel = glue_input.pieces[i].kernel
-                    common[both] = np.maximum(common[both], kernel.sq_dist(ra[both], rb[both]))
-            yield (a, b, glued.kernel.sq_dist(a, b),
-                   2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common)
+    def sides(a, b):
+        common = np.zeros(len(a))
+        # a block's first points are consecutive: skip the pieces missing them all
+        for i in np.flatnonzero((piece_row[:, a[0]:a[-1] + 1] >= 0).any(axis=1)):
+            ra, rb = piece_row[i, a], piece_row[i, b]
+            both = np.flatnonzero((ra >= 0) & (rb >= 0))
+            if both.size:
+                # one kernel per piece: lookup tables grow with the piece, not the cover
+                kernel = glue_input.pieces[i].kernel
+                common[both] = np.maximum(common[both], kernel.sq_dist(ra[both], rb[both]))
+        return glued.kernel.sq_dist(a, b), 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common
 
-    worst = _worst_pair(bound_chunks())
-    if worst is None:
-        variation_rec = check_le("glue_variation_bound", 0.0, 0.0, tol=_ID_TOL,
-                                 note="single-point space, no pairs")
-    else:
-        lhs, rhs, a, b = worst
-        variation_rec = check_le("glue_variation_bound", lhs, rhs, tol=_ID_TOL,
-                                 witness=(space.point_ids[a], space.point_ids[b]))
+    variation_rec = _worst_pair("glue_variation_bound", space, sides, _ID_TOL) or \
+        check_le("glue_variation_bound", 0.0, 0.0, tol=_ID_TOL,
+                 note="single-point space, no pairs")
 
-    if tail_radii is None:
-        tail_radii = _sample_grid(space)
-    tail_radii = sorted(float(s) for s in tail_radii) or [0.0]
+    tail_radii = _radii(space, tail_radii) or [0.0]
     glued_tail = tail_profile(glued, tail_radii)
     equi = np.max([[v for _, v in tail_profile(w, tail_radii)] for w in glue_input.pieces],
                   axis=0)
@@ -270,11 +257,11 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
 
 
 def dirac_piece_family(cover: Cover):
-    return tuple(dirac_witness(cover.space.restrict(p)) for p in cover.pieces)
+    return tuple(dirac_witness(cover.space._sub(idx)) for idx in cover.indices)
 
 
 def uniform_ball_piece_family(cover: Cover, radius):
-    return tuple(uniform_ball_witness(cover.space.restrict(p), radius) for p in cover.pieces)
+    return tuple(uniform_ball_witness(cover.space._sub(idx), radius) for idx in cover.indices)
 
 
 # ---------------------------------------------------------------- fibering
@@ -299,9 +286,7 @@ def fibering_pipeline(cert: CoarseMapCert, partition: PartitionOfUnity,
     pulled, kept = pullback_partition(cert, partition)
     glued = glue_with_report(GlueInput(pulled, pieces(pulled.cover)), tail_radii=tail_radii)
 
-    if radii is None:
-        radii = _sample_grid(cert.source)
-    radii = sorted(float(r) for r in radii)
+    radii = _radii(cert.source, radii)
     src_var = partition_variation_profile(pulled, radii)
     tgt_var = partition_variation_profile(partition, [cert.modulus(r) for r in radii])
     chain = tuple(

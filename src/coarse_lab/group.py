@@ -18,8 +18,8 @@ from .errors import (BoundViolationError, DisconnectedGraphError, PreconditionEr
 from .partition import (PartitionOfUnity, bell_partition, partition_variation_profile,
                         pullback_partition)
 from .report import check_le
-from .space import (_SLOT_BUDGET, FiniteMetricSpace, StepModulus, _bfs, _index_array,
-                    _pair_sweep, check_coarse_map, space_from_graph)
+from .space import (_SLOT_BUDGET, FiniteMetricSpace, StepModulus, _bfs, _hop_space,
+                    _index_array, _pair_sweep, check_coarse_map)
 from .witness import Witness, dirac_witness, transport, variation_profile
 
 
@@ -35,7 +35,7 @@ class GroupModel:
     """
 
     def __init__(self, elements, generators, mult, identity,
-                 truncation_radius=None, name="group"):
+                 truncation_radius=None):
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise ValidationError("duplicate group elements")
@@ -77,9 +77,7 @@ class GroupModel:
         self.identity = identity
         self.inverse = inverse
         self.truncation_radius = truncation_radius
-        self.name = name
         self._ix = ix
-        self._word_space = None
 
     @property
     def is_finite_group(self) -> bool:
@@ -101,7 +99,7 @@ def cyclic_group(n) -> GroupModel:
         raise ValidationError("cyclic group order must be >= 1")
     a = np.arange(n)
     gens = tuple(sorted({1 % n, (n - 1) % n} - {0}))
-    return GroupModel(range(n), gens, (a[:, None] + a) % n, 0, name="Z_%d" % n)
+    return GroupModel(range(n), gens, (a[:, None] + a) % n, 0)
 
 
 def product_of_cyclic(factors) -> GroupModel:
@@ -116,8 +114,7 @@ def product_of_cyclic(factors) -> GroupModel:
     identity = tuple(0 for _ in factors)
     gens = {tuple(v if j == i else 0 for j in range(len(factors)))
             for i, m in enumerate(factors) if m > 1 for v in (1, m - 1)}
-    return GroupModel(elements, tuple(sorted(gens)), mult, identity,
-                      name="Z_" + "x".join(str(m) for m in factors))
+    return GroupModel(elements, tuple(sorted(gens)), mult, identity)
 
 
 def z_ball(radius) -> GroupModel:
@@ -128,8 +125,7 @@ def z_ball(radius) -> GroupModel:
     i = np.arange(2 * N + 1)
     s = i[:, None] + i - N
     mult = np.where((s >= 0) & (s <= 2 * N), s, -1)
-    return GroupModel(range(-N, N + 1), (-1, 1), mult, 0,
-                      truncation_radius=N, name="Z|%d" % N)
+    return GroupModel(range(-N, N + 1), (-1, 1), mult, 0, truncation_radius=N)
 
 
 def _reduce_word(word: str) -> str:
@@ -172,8 +168,7 @@ def free_group_ball(rank, radius) -> GroupModel:
     mult[:, 0] = np.arange(len(elements))
     for j, w in enumerate(elements[1:], 1):
         mult[:, j] = right[w[-1]][mult[:, ix[w[:-1]]]]
-    return GroupModel(elements, gens, mult, "", truncation_radius=N,
-                      name="F_%d|%d" % (rank, N))
+    return GroupModel(elements, gens, mult, "", truncation_radius=N)
 
 
 def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
@@ -182,19 +177,18 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
     A finite group gets one BFS from the identity over the generator columns
     and the gather d(g, h) = |g^-1 h|. Light's test, (x s) y = x (s y) for
     every generator s, makes the table associative, since the generators
-    generate it; a table that fails it is rejected. On a truncated ball,
-    paths are forced to stay inside the ball, so the values are upper bounds
-    for the true word metric.
+    generate it; a table that fails it is rejected. On a truncated ball, a
+    BFS from every element walks the stored steps x -> x s, so paths stay
+    inside the ball and the values are upper bounds for the true word metric.
     """
-    if model._word_space is not None:
-        return model._word_space
-    gen_cols = model.mult[:, [model.index(s) for s in model.generators]]
+    gen_ix = [model.index(s) for s in model.generators]
+    gen_cols = model.mult[:, gen_ix]
     if not model.is_finite_group:
-        rows, cols = np.nonzero(gen_cols >= 0)
-        edges = [(model.elements[a], model.elements[b])
-                 for a, b in zip(rows.tolist(), gen_cols[rows, cols].tolist())]
-        model._word_space = space_from_graph(model.elements, edges)
-        return model._word_space
+        # each stored step x -> x s needs x s s^-1 = x stored, or a hop runs one way only
+        back = model.mult[gen_cols, model.inverse[gen_ix]]
+        if ((gen_cols >= 0) & (back != np.arange(len(model))[:, None])).any():
+            raise ValidationError("a stored step x -> x*s has no stored way back")
+        return _hop_space(model.elements, [row[row >= 0].tolist() for row in gen_cols])
     dist = _bfs(gen_cols.tolist(), model.index(model.identity))
     if -1 in dist:
         raise DisconnectedGraphError("word metric undefined: the generators do not reach %r"
@@ -208,9 +202,7 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
             raise ValidationError("product table is not associative: (x*s)*y != x*(s*y) "
                                   "at (x, s, y) = %r" % ((x, s, y),))
     d0 = np.array(dist, dtype=np.float64)
-    model._word_space = FiniteMetricSpace(model.elements, d0[mult[model.inverse]],
-                                          validate=False)
-    return model._word_space
+    return FiniteMetricSpace(model.elements, d0[mult[model.inverse]], validate=False)
 
 
 @dataclass(frozen=True)
@@ -323,8 +315,7 @@ def quasi_stabilizer(action: CoarseQuasiAction, x0, T) -> QuasiStabilizer:
     if not index.size:
         raise PreconditionError("quasi-stabilizer at T=%g is empty" % float(T))
     members = tuple(action.group.elements[i] for i in index.tolist())
-    return QuasiStabilizer(float(T), members, index,
-                           action.word_space.restrict(members))
+    return QuasiStabilizer(float(T), members, index, action.word_space._sub(index))
 
 
 def left_translation(group: GroupModel, g, members):
@@ -350,7 +341,8 @@ class OrbitMapResult:
 
 
 def orbit_map(action: CoarseQuasiAction, x0) -> OrbitMapResult:
-    """pi(g) = f_g(x0), certified with its exact modulus and the edge bound.
+    """pi(g) = f_g(x0), certified with the edge bound; its exact modulus is
+    swept only if read.
 
     Adjacent group elements (g, gs) land within ell(lam) + B of each other;
     lam is the largest generator displacement of the base point.
@@ -409,7 +401,6 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     without raising.
     """
     G = action.group
-    gsp = action.word_space
     X = action.space
     if cover.space is not X:
         raise ValidationError("cover must live on the acted-on space")
@@ -482,7 +473,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     sub_results = []
     for pos, i in enumerate(kept):
         moved = left_translation(G, rep_ix[pos], stab.index)
-        translated = gsp.restrict([G.elements[g] for g in moved.tolist()])
+        translated = action.word_space._sub(np.sort(moved))
         # a stabilizer member's image sits at its rank among the images
         res = subspace_construction(transport(base_witness, np.argsort(np.argsort(moved))[at],
                                               translated), preimages[pos])

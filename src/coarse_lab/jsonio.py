@@ -9,6 +9,7 @@ are byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -78,6 +79,12 @@ def _check(value, kind, what):
     if not ok:
         raise ValidationError("%s must be %s, not %r" % (what, _KINDS[kind], value))
     return value
+
+
+def _finite(values, what):
+    """Reject NaN, the infinities and integers past the float range in ``values``."""
+    if not all(abs(v) <= sys.float_info.max for v in values):
+        raise ValidationError("%s must be finite, not NaN or infinite" % what)
 
 
 def _need(obj, key, where, kind=None):
@@ -150,8 +157,9 @@ def load_witness(obj, space: FiniteMetricSpace) -> Witness:
         if name == "dirac":
             return dirac_witness(space)
         if name == "uniform_ball":
-            return uniform_ball_witness(space, _need(obj, "radius", "uniform_ball witness",
-                                                     float))
+            radius = _need(obj, "radius", "uniform_ball witness", float)
+            _finite([radius], "uniform_ball witness field 'radius'")
+            return uniform_ball_witness(space, radius)
         raise ValidationError("unknown builtin witness %r" % (name,))
 
     def entry(e):

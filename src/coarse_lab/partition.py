@@ -8,9 +8,7 @@ import numpy as np
 
 from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
-from .report import check_le
-from .space import (CoarseMapCert, _fold, _pair_chunks, _pair_sweep, _SparseRows,
-                    _worst_pair)
+from .space import CoarseMapCert, _fold, _pair_sweep, _SparseRows, _worst_pair
 
 _SUM_TOL = 1e-9
 
@@ -137,12 +135,6 @@ def partition_variation_profile(partition: PartitionOfUnity, radii):
 def _bell_lipschitz_check(partition: PartitionOfUnity, C):
     """Record for sum_i |phi_i(x) - phi_i(y)| <= C d(x, y) at the pair with the
     largest excess (first in row-major order); None on a one-point space."""
-    space = partition.space
-    worst = _worst_pair((a, b, partition.kernel.l1_dist(a, b), C * space.D[a, b])
-                        for a, b in _pair_chunks(len(space)))
-    if worst is None:
-        return None
-    s, bound, a, b = worst
-    return check_le("bell_lipschitz_bound", s, bound, tol=1e-9,
-                    witness=(space.point_ids[a], space.point_ids[b]))
-
+    D = partition.space.D
+    return _worst_pair("bell_lipschitz_bound", partition.space,
+                       lambda a, b: (partition.kernel.l1_dist(a, b), C * D[a, b]), 1e-9)

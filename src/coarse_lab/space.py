@@ -13,6 +13,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     MetricAxiomError,
     ValidationError,
 )
+from .report import check_le
 
 _TRI_TOL = 1e-12
 _EXHAUSTIVE_TRIANGLE_LIMIT = 300
@@ -187,12 +189,15 @@ class FiniteMetricSpace:
     def restrict(self, members) -> "FiniteMetricSpace":
         """Subspace with the restricted metric, in stored point order."""
         members = frozenset(members)
-        keep = [p for p in self.point_ids if p in members]
-        if len(keep) != len(members):
+        idx = [i for i, p in enumerate(self.point_ids) if p in members]
+        if len(idx) != len(members):
             raise ValidationError("restrict: some members are not points of the space")
-        idx = self.indices(keep)
-        sub = self.D[np.ix_(idx, idx)]
-        return FiniteMetricSpace(keep, sub, validate=False)
+        return self._sub(idx)
+
+    def _sub(self, idx) -> "FiniteMetricSpace":
+        """Subspace on the ascending point indices ``idx``, in stored point order."""
+        ids = self.point_ids
+        return FiniteMetricSpace([ids[i] for i in idx], self.D[np.ix_(idx, idx)], validate=False)
 
 
 class StepModulus:
@@ -234,13 +239,19 @@ class CoarseMapCert:
     ``img[a]`` is the target index of the a-th source point's image
     (read-only). For every pair with d(x, x') <= r the images satisfy
     d(f x, f x') <= modulus(r); each sampled value is attained by some pair
-    (or repeats the previous sample), so the modulus is tight.
+    (or repeats the previous sample), so the modulus is tight. It is swept
+    over the source pairs on first read and kept.
     """
 
     source: FiniteMetricSpace
     target: FiniteMetricSpace
     img: np.ndarray
-    modulus: StepModulus
+
+    @cached_property
+    def modulus(self) -> StepModulus:
+        return StepModulus((r, v) for r, v, _ in _pair_sweep(
+            self.source, self.source.realized_distances(),
+            lambda a, b: self.target.D[self.img[a], self.img[b]]))
 
 
 def space_from_matrix(points, matrix) -> FiniteMetricSpace:
@@ -264,8 +275,7 @@ def space_from_graph(points, edges) -> FiniteMetricSpace:
     """Shortest-path metric of an undirected unit-length graph. Exact integers."""
     ids = list(points)
     ix = {p: i for i, p in enumerate(ids)}
-    n = len(ids)
-    adj = [[] for _ in range(n)]
+    adj = [[] for _ in ids]
     for e in edges:
         a, b = e
         if a not in ix or b not in ix:
@@ -275,6 +285,12 @@ def space_from_graph(points, edges) -> FiniteMetricSpace:
             continue
         adj[ia].append(ib)
         adj[ib].append(ia)
+    return _hop_space(ids, adj)
+
+
+def _hop_space(ids, adj) -> FiniteMetricSpace:
+    """Hop counts over adjacency lists of point indices as the metric on ``ids``."""
+    n = len(ids)
     D = np.empty((n, n))
     for s in range(n):
         D[s] = _bfs(adj, s)
@@ -366,19 +382,18 @@ def _pair_chunks(n):
         yield a + a0, b
 
 
-def _worst_pair(chunks):
-    """(lhs, rhs, a, b) at the first pair with the largest lhs - rhs, or None.
-
-    ``chunks`` yields (a, b, lhs, rhs) arrays in row-major pair order, as
-    from ``_pair_chunks``; ties keep the earliest pair.
-    """
+def _worst_pair(name, space: FiniteMetricSpace, sides, tol):
+    """The record of lhs <= rhs at the first row-major pair with the largest
+    lhs - rhs, ``sides(a, b)`` giving both sides on a block of ``_pair_chunks``;
+    None when the space has no pairs."""
     worst = None
-    for a, b, lhs, rhs in chunks:
+    for a, b in _pair_chunks(len(space)):
+        lhs, rhs = sides(a, b)
         excess = lhs - rhs
         k = int(np.argmax(excess))
         if worst is None or excess[k] > worst[0]:
-            worst = (excess[k], float(lhs[k]), float(rhs[k]), int(a[k]), int(b[k]))
-    return None if worst is None else worst[1:]
+            worst = (excess[k], lhs[k], rhs[k], space.point_ids[a[k]], space.point_ids[b[k]])
+    return None if worst is None else check_le(name, *worst[1:3], tol=tol, witness=worst[3:])
 
 
 def _fold(terms, start):
@@ -547,11 +562,8 @@ def _index_array(values, shape, n, what):
 
 
 def check_coarse_map(source: FiniteMetricSpace, target: FiniteMetricSpace, img) -> CoarseMapCert:
-    """Certify a map, given as the target index of each source point's image,
-    with its exact expansion modulus at every realized source distance.
-    Properness is automatic on finite spaces.
+    """Certify a map, given as the target index of each source point's image.
+    Properness is automatic on finite spaces; the modulus is computed on read.
     """
-    img = _index_array(img, (len(source),), len(target), "map array")
-    modulus = StepModulus((r, v) for r, v, _ in _pair_sweep(
-        source, source.realized_distances(), lambda a, b: target.D[img[a], img[b]]))
-    return CoarseMapCert(source, target, img, modulus)
+    return CoarseMapCert(source, target, _index_array(img, (len(source),), len(target),
+                                                      "map array"))

@@ -1,6 +1,7 @@
-"""The public surface: what ``coarse_lab`` exports, and the traced layers the
-benchmark's per-layer metrics name."""
+"""The public surface: what ``coarse_lab`` exports, the traced layers the
+benchmark's per-layer metrics name, and no import that a module never uses."""
 
+import ast
 import inspect
 import json
 import os
@@ -34,3 +35,21 @@ def test_traced_functions_are_exported():
     assert traced
     for layer, function in traced:
         assert ("coarse_lab." + layer, function) in exported, (layer, function)
+
+
+def test_every_module_uses_its_imports():
+    # __init__ imports to re-export; every other module imports only what it reads
+    src = os.path.dirname(coarse_lab.__file__)
+    unused = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), fname)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += ["%s:%d %s" % (fname, node.lineno, alias.name) for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []

@@ -234,6 +234,10 @@ class TestRunCommand:
         ({"vectors": [{"point": p, "entries": [{"at": p, "c": 1}]} for p in range(11)] +
           [{"point": 0, "entries": [{"at": 1, "c": 1}]}]},
          "witness document: point 0 is listed twice"),
+        ({"builtin": "uniform_ball", "radius": float("inf")},
+         "uniform_ball witness field 'radius' must be finite"),
+        ({"builtin": "uniform_ball", "radius": 10 ** 400},
+         "uniform_ball witness field 'radius' must be finite"),
     ])
     def test_malformed_witness_document_is_validation_error(self, tmp_path, capsys, witness,
                                                             message):
@@ -275,6 +279,21 @@ class TestRunCommand:
                     + ROTATIONS[1:]}, "map of 0: point 1 is listed twice"),
         ("action", {"type": "table", "maps": [{"g": 0, "map": ROTATIONS[0]["map"] + [[17, 0]]}]
                     + ROTATIONS[1:]}, "map of 0: point 17 is unknown"),
+        ("provider", {"builtin": "uniform_ball", "radius": float("inf")},
+         "uniform_ball witness field 'radius' must be finite"),
+        ("group", {"type": "dihedral", "n": 6}, "unknown group type 'dihedral'"),
+        ("group", {"type": "ball", "group": "surface", "radius": 2},
+         "unknown ball family 'surface'"),
+        # a free-group ball loads, but the rule actions translate integers
+        ("group", {"type": "ball", "group": "free", "rank": 2, "radius": 1},
+         "action rule 'cyclic_mod' needs an integer group"),
+        ("action", {"type": "perturbed", "base": "cyclic_mod", "ga": 1, "xa": 0, "mod": 0,
+                    "shift": 0}, "perturbation modulus must be >= 1"),
+        ("space", {"metric": {"type": "z_interval", "lo": 1, "hi": 12}},
+         "cyclic_mod needs points 0..n-1"),
+        ("space", {"metric": {"type": "graph", "edges": [[0, 2]]}, "points": [0, 2]},
+         "action rule 'cyclic_mod' needs contiguous integer points"),
+        ("action", {"type": "table", "maps": ROTATIONS[1:]}, "no map for group element 0"),
     ])
     def test_malformed_group_input_is_validation_error(self, tmp_path, capsys, key, doc,
                                                        message):
@@ -314,6 +333,11 @@ class TestRunCommand:
           "points": [0, 1]}, "distances must be finite"),
         ({"metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "points": [{}, 1]},
          "ids must be numbers, strings or lists of them"),
+        ({"metric": {"type": "graph", "edges": [[0, 1]]}, "points": [0, 1, 2]},
+         "graph metric undefined: no path between 0 and 2"),
+        ({"metric": {"type": "graph", "edges": [[0, 1], [1, 5]]}, "points": [0, 1, 2]},
+         "edge (1, 5) refers to unknown point ids"),
+        ({"metric": {"type": "torus"}}, "unknown space metric type 'torus'"),
     ])
     def test_malformed_space_document_is_validation_error(self, tmp_path, capsys, space,
                                                           message):
@@ -327,6 +351,23 @@ class TestRunCommand:
         assert main(["run", scen, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_graph_space_document_verifies(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "v.json", {
+            "name": "v",
+            "pipeline": "verify-cover",
+            "inputs": {"space": {"metric": {"type": "graph", "edges": [[0, 1], [1, 2], [2, 3]]},
+                                 "points": [0, 1, 2, 3]},
+                       "cover": {"pieces": [[0, 1, 2], [1, 2, 3]]}},
+            "parameters": {"L": 0.5},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 0
+        cert = read_certificate(str(out), "v")
+        assert cert["notes"] == ["multiplicity 2", "lebesgue_number 1",
+                                 "smallest radius with an unfit ball: 2"]
+        assert [r["name"] for r in cert["checked_inequalities"]] == [
+            "enlarged_multiplicity_le_L_multiplicity", "enlarged_lebesgue_ge_L"]
 
     @pytest.mark.parametrize("cover, message", [
         ({"pieces": 5}, "cover document field 'pieces' must be a JSON list"),
@@ -433,6 +474,41 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", scen, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"type": "proj0"}, "proj0 needs tuple point ids"),
+        ({"type": "rotate"}, "unknown map type 'rotate'"),
+    ])
+    def test_malformed_map_type_is_validation_error(self, tmp_path, capsys, doc, message):
+        scen = write_json(tmp_path / "m.json", {
+            "name": "m",
+            "pipeline": "fibering",
+            "inputs": {"space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                       "target_space": {"metric": {"type": "z_interval", "lo": 0, "hi": 3}},
+                       "map": doc,
+                       "cover": {"pieces": [[0, 1, 2, 3]]}},
+            "parameters": {},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["subspace", "net"])
+    def test_empty_member_list_is_validation_error(self, tmp_path, capsys, pipeline):
+        scen = write_json(tmp_path / "s.json", {
+            "name": "s",
+            "pipeline": pipeline,
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 10}},
+                "witness": {"builtin": "dirac"},
+            },
+            "parameters": {pipeline: []},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert "parameter '%s' must not be empty" % pipeline in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("pipeline", ["subspace", "net"])
@@ -658,6 +734,9 @@ class TestRunCommand:
         # null used to drop the Lebesgue precondition
         ({}, {"require_lebesgue": None}, "parameter 'require_lebesgue' must be true or false"),
         ({}, {"require_lebesgue": 0}, "parameter 'require_lebesgue' must be true or false"),
+        ({"pieces": {"list": []}}, {}, "need one piece witness document per cover piece"),
+        ({"pieces": {"list": [{"builtin": "dirac"}]}}, {},
+         "piece 0: explicit piece witnesses need vectors"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, inputs, params,
                                                  message):

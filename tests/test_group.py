@@ -17,6 +17,7 @@ from coarse_lab import (
     PreconditionError,
     ValidationError,
     certify_quasi_action,
+    check_coarse_map,
     cycle,
     cyclic_group,
     free_group_ball,
@@ -27,12 +28,14 @@ from coarse_lab import (
     orbit_map,
     product_of_cyclic,
     quasi_stabilizer,
+    space_from_graph,
     uniform_ball_witness,
     word_metric_space,
     z_ball,
     z_interval,
 )
 from coarse_lab import group as group_module
+from coarse_lab.cli import execute_scenario
 from oracles import dense_product_table, dense_quasi_action, dense_word_metric, free_reduce
 
 
@@ -142,12 +145,34 @@ class TestWordMetric:
 
     def test_finite_group_needs_no_graph_bfs(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("space_from_graph called on a finite group")
+            raise AssertionError("the per-element BFS ran on a finite group")
 
-        monkeypatch.setattr(group_module, "space_from_graph", refuse)
+        monkeypatch.setattr(group_module, "_hop_space", refuse)
         model, op = _with_op(("cyclic", 360))
         assert word_metric_space(model).D.tolist() == \
             dense_word_metric(model.elements, model.generators, op)
+
+    @pytest.mark.parametrize("case", [("z_ball", N) for N in range(1, 6)] +
+                             [("free", (r, N)) for r in (1, 2) for N in (1, 2, 3)],
+                             ids=lambda case: "%s-%s" % case)
+    def test_truncated_ball_is_the_graph_metric_of_its_steps(self, case):
+        model = _with_op(case)[0]
+        gen_cols = model.mult[:, [model.index(s) for s in model.generators]]
+        edges = [(model.elements[a], model.elements[b])
+                 for a, row in enumerate(gen_cols.tolist()) for b in row if b >= 0]
+        want = space_from_graph(model.elements, edges)
+        got = word_metric_space(model)
+        assert got.point_ids == want.point_ids
+        assert got.D.tolist() == want.D.tolist()
+
+    def test_one_way_step_of_a_truncated_table_is_rejected(self):
+        # Z_6 stored as a truncated table without 2 * 1: the hop 3 -> 2 has no
+        # way back, and BFS over the steps would give d(2, 3) = 5 but d(3, 2) = 1
+        mult = cyclic_group(6).mult.copy()
+        mult[2, 1] = -1
+        model = GroupModel(range(6), (1, 5), mult, 0, truncation_radius=3)
+        with pytest.raises(ValidationError, match="no stored way back"):
+            word_metric_space(model)
 
     def test_loops_of_order_five(self):
         # every loop on 0..4 with identity 0, all four other elements generating:
@@ -310,6 +335,15 @@ class TestOrbitMap:
         assert res.checks[0].lhs <= res.edge_bound + 1e-12
 
 
+    def test_modulus_is_computed_on_read(self):
+        act = certify_quasi_action(cyclic_group(60), cycle(12), rotation_maps(60, 12))
+        res = orbit_map(act, 0)
+        assert "modulus" not in vars(res.cert)
+        fresh = check_coarse_map(res.cert.source, res.cert.target, res.cert.img)
+        assert res.cert.modulus.samples() == fresh.modulus.samples()
+        assert "modulus" in vars(res.cert)
+
+
 class TestLeftTranslation:
     def test_within_model(self):
         g = cyclic_group(5)
@@ -400,6 +434,21 @@ class TestGroupPipeline:
         assert res.witness.vectors == want.witness.vectors
         assert res.checks == want.checks
 
+    def test_truncated_ball_scenario_passes_with_flag(self, tmp_path):
+        arcs = [[(12 * i + j) % 48 for j in range(-1, 13)] for i in range(4)]
+        cert, _ = execute_scenario({
+            "name": "z_ball_on_cycle",
+            "pipeline": "group-pipeline",
+            "inputs": {"group": {"type": "ball", "radius": 3},
+                       "space": {"metric": {"type": "cycle", "n": 48}},
+                       "action": {"type": "isometric_hom", "rule": "cyclic_mod"},
+                       "cover": {"pieces": arcs}},
+            "parameters": {"x0": 5, "R": 1},
+        }, str(tmp_path))
+        assert cert["pass"]
+        assert cert["truncation_flags"] == [
+            "group model truncated at radius 3; word distances are upper bounds"]
+
     def test_cover_must_live_on_space(self):
         act = certify_quasi_action(cyclic_group(12), cycle(4), rotation_maps(12, 4))
         other = cycle(4)
@@ -450,7 +499,7 @@ class TestAgainstOracle:
             # generators listed against the stored order: the edge sweep
             # must still visit the table's columns in stored order
             model = GroupModel(model.elements, model.generators[::-1], model.mult,
-                               model.identity, model.truncation_radius, model.name)
+                               model.identity, model.truncation_radius)
         n = len(model)
         if family == "noise":
             noise = data.draw(st.lists(st.integers(min_value=-1, max_value=1),
