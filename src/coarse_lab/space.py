@@ -31,7 +31,7 @@ _SAMPLED_TRIPLES = 200_000
 
 def _validate_metric_axioms(ids, D):
     n = len(ids)
-    if not np.all(np.isfinite(D)):
+    if not np.isfinite(D).all():
         raise MetricAxiomError("distances must be finite")
     diag = np.diagonal(D)
     bad = np.flatnonzero(diag != 0.0)
@@ -40,18 +40,18 @@ def _validate_metric_axioms(ids, D):
         raise MetricAxiomError(
             "d(x,x) must be 0, got %r at point %r" % (diag[i], ids[i]), (ids[i],)
         )
-    asym = np.argwhere(D != D.T)
-    if asym.size:
-        i, j = (int(v) for v in asym[0])
+    if (D != D.T).any():
+        i, j = (int(v) for v in np.argwhere(D != D.T)[0])
         raise MetricAxiomError(
             "asymmetry: d(%r,%r)=%r but d(%r,%r)=%r"
             % (ids[i], ids[j], D[i, j], ids[j], ids[i], D[j, i]),
             (ids[i], ids[j]),
         )
-    off = D + np.eye(n)
-    nonpos = np.argwhere(off <= 0.0)
-    if nonpos.size:
-        i, j = (int(v) for v in nonpos[0])
+    # the zero diagonal accounts for exactly n of the entries <= 0
+    if np.count_nonzero(D <= 0.0) > n:
+        nonpos = D <= 0.0
+        np.fill_diagonal(nonpos, False)
+        i, j = (int(v) for v in np.argwhere(nonpos)[0])
         raise MetricAxiomError(
             "distinct points need positive distance: d(%r,%r)=%r"
             % (ids[i], ids[j], D[i, j]),
@@ -67,8 +67,14 @@ def _validate_metric_axioms(ids, D):
         if np.array_equal(narrow, D):
             M, tol = narrow, 0
     if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
+        # d(i,k) + d(k,j) (+ tol) and the violations, in two buffers every k reuses
+        via = np.empty_like(M)
+        viol = np.empty(M.shape, dtype=bool)
         for k in range(n):
-            viol = M > M[:, [k]] + M[[k], :] + tol
+            np.add(M[:, k:k + 1], M[k:k + 1, :], out=via)
+            if tol:
+                via += tol
+            np.greater(M, via, out=viol)
             if viol.any():
                 i, j = (int(v) for v in np.argwhere(viol)[0])
                 raise MetricAxiomError(
@@ -275,6 +281,8 @@ def space_from_graph(points, edges) -> FiniteMetricSpace:
     """Shortest-path metric of an undirected unit-length graph. Exact integers."""
     ids = list(points)
     ix = {p: i for i, p in enumerate(ids)}
+    if len(ix) != len(ids):
+        raise ValidationError("duplicate point ids")
     adj = [[] for _ in ids]
     for e in edges:
         a, b = e
@@ -289,11 +297,31 @@ def space_from_graph(points, edges) -> FiniteMetricSpace:
 
 
 def _hop_space(ids, adj) -> FiniteMetricSpace:
-    """Hop counts over adjacency lists of point indices as the metric on ``ids``."""
+    """Hop counts over adjacency lists of point indices as the metric on ``ids``.
+
+    One BFS runs from every vertex at once, on bitsets: bit t of ``seen[v]`` is
+    set once v reaches t. At each level v first reaches what a neighbour has
+    reached and v has not, so row v of D is ``_bfs(adj, v)``.
+    """
     n = len(ids)
-    D = np.empty((n, n))
-    for s in range(n):
-        D[s] = _bfs(adj, s)
+    lens = np.fromiter(map(len, adj), dtype=np.intp, count=n)
+    # neighbour table padded with n: row n of seen stays zero and adds nothing
+    nbr = np.full((n, int(lens.max(initial=0))), n, dtype=np.intp)
+    slot = np.arange(lens.sum()) - np.repeat(lens.cumsum() - lens, lens)
+    nbr[np.repeat(np.arange(n), lens), slot] = np.fromiter(
+        itertools.chain.from_iterable(adj), dtype=np.intp, count=len(slot))
+    seen = np.zeros((n + 1, -(-n // 64)), dtype="<u8")
+    own = np.arange(n, dtype="<u8")
+    seen[own, own // 64] = np.uint64(1) << own % 64
+    D = np.full((n, n), -1.0)
+    np.fill_diagonal(D, 0.0)
+    for level in itertools.count(1):
+        fresh = np.bitwise_or.reduce(seen[nbr], axis=1) & ~seen[:n]
+        if not fresh.any():
+            break
+        seen[:n] |= fresh
+        bits = np.unpackbits(fresh.view(np.uint8), axis=1, count=n, bitorder="little")
+        np.copyto(D, level, where=bits.view(bool))
     if (D < 0).any():
         s, t = (int(v) for v in np.argwhere(D < 0)[0])
         raise DisconnectedGraphError(
@@ -325,13 +353,17 @@ def cycle(n) -> FiniteMetricSpace:
 
 
 def _coord_metric(coords, norm):
+    """l1 or linf distances of integer coordinate tuples, one coordinate at a time."""
+    if norm not in ("l1", "linf"):
+        raise ValidationError("unsupported norm %r (use 'l1' or 'linf')" % (norm,))
+    step = np.add if norm == "l1" else np.maximum
     arr = np.array(coords, dtype=float)
-    diff = np.abs(arr[:, None, :] - arr[None, :, :])
-    if norm == "l1":
-        return diff.sum(axis=2)
-    if norm == "linf":
-        return diff.max(axis=2)
-    raise ValidationError("unsupported norm %r (use 'l1' or 'linf')" % (norm,))
+    D = np.zeros((len(arr), len(arr)))
+    diff = np.empty_like(D)
+    for x in arr.T:
+        np.subtract(x[:, None], x, out=diff)
+        step(D, np.abs(diff, out=diff), out=D)
+    return D
 
 
 def grid(dims, norm="l1") -> FiniteMetricSpace:

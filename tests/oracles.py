@@ -204,6 +204,27 @@ def dense_triangle_violation(D, triples=None):
     return None
 
 
+def first_axiom_violation(D):
+    """(phrase, indices) of the first entry the library's pre-checks reject, or
+    None: a non-finite entry (no indices), then the first nonzero diagonal
+    entry, then the first asymmetric entry in row-major order, then the first
+    non-positive entry off the diagonal in row-major order."""
+    n = len(D)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if any(not math.isfinite(D[i][j]) for i, j in cells):
+        return "distances must be finite", ()
+    for i in range(n):
+        if D[i][i] != 0.0:
+            return "d(x,x) must be 0", (i,)
+    for i, j in cells:
+        if D[i][j] != D[j][i]:
+            return "asymmetry", (i, j)
+    for i, j in cells:
+        if i != j and D[i][j] <= 0.0:
+            return "distinct points need positive distance", (i, j)
+    return None
+
+
 def dense_partition_variation(partition, R) -> float:
     space = partition.space
     n_pieces = len(partition.cover.pieces)

@@ -338,6 +338,8 @@ class TestRunCommand:
         ({"metric": {"type": "graph", "edges": [[0, 1], [1, 5]]}, "points": [0, 1, 2]},
          "edge (1, 5) refers to unknown point ids"),
         ({"metric": {"type": "torus"}}, "unknown space metric type 'torus'"),
+        ({"metric": {"type": "graph", "edges": [["a", "b"]]}, "points": ["a", "b", "a"]},
+         "duplicate point ids"),
     ])
     def test_malformed_space_document_is_validation_error(self, tmp_path, capsys, space,
                                                           message):

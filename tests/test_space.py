@@ -24,8 +24,14 @@ from coarse_lab import (
     z_interval,
 )
 from coarse_lab import space as space_module
-from coarse_lab.space import _pair_chunks, _pair_sweep, _SparseRows
-from oracles import dense_triangle_violation, l1_distance, nearest_point, sparse_diff_norm_sq
+from coarse_lab.space import _bfs, _pair_chunks, _pair_sweep, _SparseRows
+from oracles import (
+    dense_triangle_violation,
+    first_axiom_violation,
+    l1_distance,
+    nearest_point,
+    sparse_diff_norm_sq,
+)
 
 
 def path_graph(n):
@@ -72,6 +78,93 @@ class TestBuildSpace:
     def test_disconnected_graph_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             space_from_graph([0, 1, 2, 3], [(0, 1), (2, 3)])
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges): spanning trees of 1-3 vertex blocks (or none), plus random
+    edges with self-loops and repeats. Sizes around 64 put the bitsets across
+    word boundaries."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=12), st.sampled_from([63, 64, 65, 129])))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2 + 3))
+    edges += [(v, v) for v in draw(st.lists(vertex, max_size=3))]
+    blocks = draw(st.integers(min_value=0, max_value=3))
+    if blocks:
+        perm = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.lists(vertex, min_size=blocks - 1, max_size=blocks - 1)))
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            edges += [(perm[draw(st.integers(min_value=lo, max_value=i - 1))], perm[i])
+                      for i in range(lo + 1, hi)]
+    return n, draw(st.permutations(edges))
+
+
+class TestHopMetric:
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_lists())
+    def test_matches_scalar_bfs_per_source(self, case):
+        n, edges = case
+        ids = ["v%d" % i for i in range(n)]
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        rows = [_bfs(adj, s) for s in range(n)]
+        unreached = [(s, t) for s in range(n) for t in range(n) if rows[s][t] < 0]
+        named = [(ids[a], ids[b]) for a, b in edges]
+        if not unreached:
+            assert space_from_graph(ids, named).D.tolist() == rows
+            return
+        with pytest.raises(DisconnectedGraphError) as err:
+            space_from_graph(ids, named)
+        s, t = unreached[0]
+        assert str(err.value) == "graph metric undefined: no path between %r and %r" % (
+            ids[s], ids[t])
+
+
+def _plant(D, kind, i, j):
+    """Make one entry of D bad, at (i, j) or (i, i); i != j."""
+    if kind == "nonfinite":
+        D[i][j] = [math.nan, math.inf, -math.inf][j % 3]
+    elif kind == "diagonal":
+        D[i][i] = 0.5 + j
+    elif kind == "asymmetric":
+        D[i][j] = D[j][i] + 1.0
+    else:
+        D[i][j] = D[j][i] = [0.0, -0.0, -1.5][j % 3]
+
+
+@st.composite
+def _planted_matrices(draw):
+    """A metric on 2-30 points with 1-5 bad entries planted at random places."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    pos = np.cumsum(draw(st.lists(st.integers(min_value=1, max_value=9),
+                                  min_size=n, max_size=n)))
+    D = np.abs(pos[:, None] - pos[None, :]).astype(float).tolist()
+    pair = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                     st.integers(min_value=0, max_value=n - 1)).filter(lambda p: p[0] != p[1])
+    kind = st.sampled_from(["nonfinite", "diagonal", "asymmetric", "nonpositive"])
+    for k, (i, j) in draw(st.lists(st.tuples(kind, pair), min_size=1, max_size=5)):
+        _plant(D, k, i, j)
+    return D
+
+
+class TestAxiomReports:
+    @settings(max_examples=200, deadline=None)
+    @given(_planted_matrices())
+    def test_names_the_first_bad_entry(self, D):
+        ids = ["p%d" % i for i in range(len(D))]
+        phrase, at = first_axiom_violation(D)
+        with pytest.raises(MetricAxiomError) as err:
+            space_from_matrix(ids, D)
+        message, A = str(err.value), np.array(D)
+        assert message.startswith(phrase)
+        assert err.value.points == tuple(ids[i] for i in at)
+        if len(at) == 2:
+            i, j = at
+            assert "d(%r,%r)=%r" % (ids[i], ids[j], A[i, j]) in message
+        elif at:
+            assert message.endswith("got %r at point %r" % (A[at[0], at[0]], ids[at[0]]))
 
 
 class TestBalls:
@@ -217,6 +310,18 @@ class TestBuilders:
         with pytest.raises(ValidationError):
             grid([2, 2], norm="l7")
 
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    @pytest.mark.parametrize("build", [
+        functools.partial(grid, [6, 10]), functools.partial(grid, [4, 5, 6]),
+    ] + [functools.partial(z2_ball, r) for r in range(5)],
+        ids=["grid-6x10", "grid-4x5x6"] + ["z2_ball-%d" % r for r in range(5)])
+    def test_coordinate_metrics_match_broadcast(self, build, norm):
+        space = build(norm=norm)
+        arr = np.array(space.point_ids, dtype=float)
+        diff = np.abs(arr[:, None, :] - arr[None, :, :])
+        want = diff.sum(axis=2) if norm == "l1" else diff.max(axis=2)
+        assert np.array_equal(space.D, want)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=7))
@@ -287,6 +392,26 @@ class TestTriangleCheck:
     def test_exhaustive_matches_triple_loop(self, case):
         ids, D = case
         _assert_matches_oracle(ids, D, dense_triangle_violation(D))
+
+    def test_excess_within_tolerance_passes(self):
+        # d(a, c) is one ulp above d(a, b) + d(b, c), well inside 1e-12
+        over = np.nextafter(0.1 + 0.2, 1.0)
+        space_from_matrix("abc", [[0, 0.1, over], [0.1, 0, 0.2], [over, 0.2, 0]])
+        with pytest.raises(MetricAxiomError):
+            space_from_matrix("abc", [[0, 0.1, 0.3 + 2e-12], [0.1, 0, 0.2], [0.3 + 2e-12, 0.2, 0]])
+
+    @pytest.mark.parametrize("shift", [0, 0.5], ids=["integer", "half"])
+    @pytest.mark.parametrize("a, b", [(0, 299), (17, 40), (297, 299)])
+    def test_one_raised_entry_at_the_exhaustive_limit(self, a, b, shift):
+        # on a line every k strictly between a and b breaks d(a, b) + 1; the
+        # first k is a + 1, so the buffers are reused over a + 1 values of k
+        n = space_module._EXHAUSTIVE_TRIANGLE_LIMIT
+        pos = np.arange(n, dtype=float)
+        D = np.abs(pos[:, None] - pos[None, :]) + shift * (1 - np.eye(n))
+        D[a, b] = D[b, a] = D[a, b] + 1
+        with pytest.raises(MetricAxiomError) as err:
+            space_from_matrix(range(n), D)
+        assert err.value.points == (a, a + 1, b)
 
     @settings(max_examples=50, deadline=None)
     @given(_perturbed_metrics(min_n=5))
