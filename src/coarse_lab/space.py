@@ -31,7 +31,7 @@ _SAMPLED_TRIPLES = 200_000
 
 def _validate_metric_axioms(ids, D):
     n = len(ids)
-    if not np.isfinite(D).all():
+    if not np.all(np.isfinite(D)):
         raise MetricAxiomError("distances must be finite")
     diag = np.diagonal(D)
     bad = np.flatnonzero(diag != 0.0)
@@ -67,7 +67,6 @@ def _validate_metric_axioms(ids, D):
         if np.array_equal(narrow, D):
             M, tol = narrow, 0
     if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
-        # d(i,k) + d(k,j) (+ tol) and the violations, in two buffers every k reuses
         via = np.empty_like(M)
         viol = np.empty(M.shape, dtype=bool)
         for k in range(n):
@@ -297,37 +296,59 @@ def space_from_graph(points, edges) -> FiniteMetricSpace:
 
 
 def _hop_space(ids, adj) -> FiniteMetricSpace:
-    """Hop counts over adjacency lists of point indices as the metric on ``ids``.
-
-    One BFS runs from every vertex at once, on bitsets: bit t of ``seen[v]`` is
-    set once v reaches t. At each level v first reaches what a neighbour has
-    reached and v has not, so row v of D is ``_bfs(adj, v)``.
-    """
-    n = len(ids)
-    lens = np.fromiter(map(len, adj), dtype=np.intp, count=n)
-    # neighbour table padded with n: row n of seen stays zero and adds nothing
-    nbr = np.full((n, int(lens.max(initial=0))), n, dtype=np.intp)
-    slot = np.arange(lens.sum()) - np.repeat(lens.cumsum() - lens, lens)
-    nbr[np.repeat(np.arange(n), lens), slot] = np.fromiter(
-        itertools.chain.from_iterable(adj), dtype=np.intp, count=len(slot))
-    seen = np.zeros((n + 1, -(-n // 64)), dtype="<u8")
-    own = np.arange(n, dtype="<u8")
-    seen[own, own // 64] = np.uint64(1) << own % 64
-    D = np.full((n, n), -1.0)
-    np.fill_diagonal(D, 0.0)
-    for level in itertools.count(1):
-        fresh = np.bitwise_or.reduce(seen[nbr], axis=1) & ~seen[:n]
-        if not fresh.any():
-            break
-        seen[:n] |= fresh
-        bits = np.unpackbits(fresh.view(np.uint8), axis=1, count=n, bitorder="little")
-        np.copyto(D, level, where=bits.view(bool))
-    if (D < 0).any():
+    """Hop counts over adjacency lists of point indices as the metric on ``ids``."""
+    D = _hop_counts(adj)
+    if D.min(initial=0.0) < 0:  # no n^2 mask next to D and the copy the space makes
         s, t = (int(v) for v in np.argwhere(D < 0)[0])
         raise DisconnectedGraphError(
             "graph metric undefined: no path between %r and %r" % (ids[s], ids[t])
         )
     return FiniteMetricSpace(ids, D, validate=False)
+
+
+def _hop_counts(adj):
+    """Row v is ``_bfs(adj, v)``: hop counts from v, -1 where v reaches no path.
+
+    One BFS runs from every vertex at once, on bitsets: bit t of ``seen[v]`` is
+    set once v reaches t. At each level v first reaches what a neighbour has
+    reached and v has not. The neighbour rows are gathered, and the fresh bits
+    unpacked into D, _SLOT_BUDGET words at a time: beyond D and the edge arrays,
+    the memory is O(n^2 / 64) words whatever the degrees and the diameter.
+    """
+    n = len(adj)
+    # edge (v, u) as the key v * n + u in the narrowest type that holds it
+    lens = np.fromiter(map(len, adj), dtype=np.intp, count=n)
+    kind = np.min_scalar_type(n * n)
+    keys = np.fromiter(itertools.chain.from_iterable(adj), dtype=kind, count=int(lens.sum()))
+    keys += np.repeat(np.arange(n, dtype=kind) * n, lens)
+    # repeated edges dropped, rows ascending; there are no keys when n = 0
+    row, nbr = np.divmod(np.unique(keys), max(n, 1))
+    w = -(-n // 64)
+    step = max(1, _SLOT_BUDGET // max(w, 1))
+    blocks = []
+    for lo in range(0, len(row), step):
+        r = row[lo:lo + step]
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        blocks.append((nbr[lo:lo + step], starts, r[starts]))
+    seen = np.zeros((n, w), dtype="<u8")
+    own = np.arange(n, dtype="<u8")
+    seen[own, own // 64] = np.uint64(1) << own % 64
+    fresh = np.empty_like(seen)
+    D = np.full((n, n), -1.0)
+    np.fill_diagonal(D, 0.0)
+    for level in itertools.count(1):
+        fresh.fill(0)
+        for cols, starts, rows in blocks:
+            fresh[rows] |= np.bitwise_or.reduceat(seen[cols], starts, axis=0)
+        fresh &= ~seen
+        if not fresh.any():
+            break
+        seen |= fresh
+        for lo in range(0, n, step):
+            bits = np.unpackbits(fresh[lo:lo + step].view(np.uint8), axis=1, count=n,
+                                 bitorder="little")
+            np.copyto(D[lo:lo + step], level, where=bits.view(bool))
+    return D
 
 
 def z_interval(lo, hi) -> FiniteMetricSpace:
@@ -353,17 +374,13 @@ def cycle(n) -> FiniteMetricSpace:
 
 
 def _coord_metric(coords, norm):
-    """l1 or linf distances of integer coordinate tuples, one coordinate at a time."""
-    if norm not in ("l1", "linf"):
-        raise ValidationError("unsupported norm %r (use 'l1' or 'linf')" % (norm,))
-    step = np.add if norm == "l1" else np.maximum
     arr = np.array(coords, dtype=float)
-    D = np.zeros((len(arr), len(arr)))
-    diff = np.empty_like(D)
-    for x in arr.T:
-        np.subtract(x[:, None], x, out=diff)
-        step(D, np.abs(diff, out=diff), out=D)
-    return D
+    diff = np.abs(arr[:, None, :] - arr[None, :, :])
+    if norm == "l1":
+        return diff.sum(axis=2)
+    if norm == "linf":
+        return diff.max(axis=2)
+    raise ValidationError("unsupported norm %r (use 'l1' or 'linf')" % (norm,))
 
 
 def grid(dims, norm="l1") -> FiniteMetricSpace:
@@ -401,7 +418,7 @@ def is_c_net(space: FiniteMetricSpace, members, c) -> bool:
 
 
 _PAIR_CHUNK = 1 << 15        # pairs per block of a row-major pair enumeration
-_SLOT_BUDGET = 1 << 16       # pair slots (pairs x row width) per kernel step
+_SLOT_BUDGET = 1 << 16       # slots (pairs, edges or rows x row width) per kernel step
 
 
 def _pair_chunks(n):

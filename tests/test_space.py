@@ -1,7 +1,9 @@
 """Space layer: metric validation, balls, nets, retraction, coarse-map moduli."""
 
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +81,10 @@ class TestBuildSpace:
         with pytest.raises(DisconnectedGraphError):
             space_from_graph([0, 1, 2, 3], [(0, 1), (2, 3)])
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValidationError, match="at least one point"):
+            space_from_graph([], [])
+
 
 @st.composite
 def _edge_lists(draw):
@@ -120,6 +126,41 @@ class TestHopMetric:
         s, t = unreached[0]
         assert str(err.value) == "graph metric undefined: no path between %r and %r" % (
             ids[s], ids[t])
+
+    def test_hub_graph_in_bounded_memory(self):
+        # a hub joined to 2059 points, every spoke listed twice, then a path of
+        # 40 more: the hub's neighbour rows and the unpacked rows each span two
+        # blocks, and the build needs little beyond D and the copy the space keeps
+        n, hub = 2100, 1000
+        edges = [(hub, v) for v in range(2060) if v != hub] * 2
+        edges += [(v, v + 1) for v in range(2059, n - 1)]
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        tracemalloc.start()
+        try:
+            D = space_from_graph(range(n), edges).D
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * D.nbytes
+        for s in [0, hub, 2058, 2059, n - 1] + list(range(1, n, 97)):
+            assert D[s].tolist() == _bfs(adj, s)
+
+    def test_complete_graph_in_bounded_memory(self):
+        # the setup holds a few arrays of the 408960 neighbour indices; their
+        # bitset rows gathered at once would take 10 times D
+        n = 640
+        edges = list(itertools.combinations(range(n), 2))
+        tracemalloc.start()
+        try:
+            D = space_from_graph(range(n), edges).D
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * D.nbytes
+        assert np.array_equal(D, 1 - np.eye(n))
 
 
 def _plant(D, kind, i, j):
@@ -309,18 +350,6 @@ class TestBuilders:
     def test_unsupported_norm(self):
         with pytest.raises(ValidationError):
             grid([2, 2], norm="l7")
-
-    @pytest.mark.parametrize("norm", ["l1", "linf"])
-    @pytest.mark.parametrize("build", [
-        functools.partial(grid, [6, 10]), functools.partial(grid, [4, 5, 6]),
-    ] + [functools.partial(z2_ball, r) for r in range(5)],
-        ids=["grid-6x10", "grid-4x5x6"] + ["z2_ball-%d" % r for r in range(5)])
-    def test_coordinate_metrics_match_broadcast(self, build, norm):
-        space = build(norm=norm)
-        arr = np.array(space.point_ids, dtype=float)
-        diff = np.abs(arr[:, None, :] - arr[None, :, :])
-        want = diff.sum(axis=2) if norm == "l1" else diff.max(axis=2)
-        assert np.array_equal(space.D, want)
 
 
 @settings(max_examples=60, deadline=None)
