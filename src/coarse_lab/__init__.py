@@ -11,8 +11,7 @@ from .errors import (BoundViolationError, CoarseLabError, DisconnectedGraphError
                      MetricAxiomError, PreconditionError, ValidationError)
 from .report import InequalityRecord, all_passed, check_le
 from .space import (CoarseMapCert, FiniteMetricSpace, StepModulus, check_coarse_map,
-                    cycle, grid, is_c_net, space_from_graph, space_from_matrix, z2_ball,
-                    z_interval)
+                    cycle, grid, space_from_graph, space_from_matrix, z2_ball, z_interval)
 from .cover import (ChainOfSubspaces, Cover, DirectLimitResult, check_kl_separated,
                     direct_limit_cover, enlarge, has_lebesgue_at_least, lebesgue_number,
                     lebesgue_report, multiplicity, r_multiplicity, set_distance)
@@ -23,8 +22,7 @@ from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profi
 from .construct import (FiberingResult, GlueInput, GlueResult, NetWitnessResult,
                         SeparatedResult, SubspaceWitnessResult, dirac_piece_family,
                         fibering_pipeline, glue_with_report, net_construction,
-                        separated_cover_pipeline, subspace_construction,
-                        uniform_ball_piece_family)
+                        separated_cover_pipeline, subspace_construction)
 from .group import (CoarseQuasiAction, GroupModel, GroupPipelineResult,
                     OrbitMapResult, QuasiStabilizer, certify_quasi_action,
                     cyclic_group, free_group_ball,

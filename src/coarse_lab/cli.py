@@ -101,7 +101,7 @@ def _piece_family(inputs):
 
     def listed(cover):
         docs = spec["list"]
-        if not isinstance(docs, list) or len(docs) != len(cover.pieces):
+        if not isinstance(docs, list) or len(docs) != len(cover.indices):
             raise ValidationError("need one piece witness document per cover piece")
         family = []
         for i, doc in enumerate(docs):
@@ -191,10 +191,10 @@ def _run_subspace(inputs, params):
     members = [norm_id(p) for p in _check(params["subspace"], list, "parameter 'subspace'")]
     if not members:
         raise ValidationError("parameter 'subspace' must not be empty")
-    res = subspace_construction(wit, members, tail_radii=params.get("tail_radii"))
-    details = {"retraction": [[_as_jsonable(s), _as_jsonable(p)]
-                              for s, p in sorted(res.retraction.items(),
-                                                 key=lambda kv: space.index(kv[0]))]}
+    idx = np.unique(space.indices(members))
+    res = subspace_construction(wit, idx, tail_radii=params.get("tail_radii"))
+    ids = [_as_jsonable(p) for p in space.point_ids]
+    details = {"retraction": [[ids[s], ids[t]] for s, t in enumerate(idx[res.nearest].tolist())]}
     return _RunOutput(checked=res.checks, info=res.tail_checks,
                       witness=res.collapsed, details=details)
 
@@ -204,10 +204,8 @@ def _run_net(inputs, params):
     members = [norm_id(p) for p in _check(params["net"], list, "parameter 'net'")]
     if not members:
         raise ValidationError("parameter 'net' must not be empty")
-    net_space = space.restrict(members)
-    wit = load_witness(inputs["witness"], net_space)
-    res = net_construction(space, members, wit, c=params.get("c"),
-                           radii=params.get("radii"),
+    wit = load_witness(inputs["witness"], space.restrict(members))
+    res = net_construction(space, wit, c=params.get("c"), radii=params.get("radii"),
                            tail_radii=params.get("tail_radii"))
     return _RunOutput(checked=res.checks, witness=res.witness,
                       details={"c": res.c})
@@ -219,7 +217,7 @@ def _run_direct_limit(inputs, params):
     res = direct_limit_cover(chain, L)
     cov = res.cover
     # the pairs of pieces i, j >= i + 2
-    far = np.triu(np.ones((len(cov.pieces),) * 2, dtype=bool), 2)
+    far = np.triu(np.ones((len(cov.indices),) * 2, dtype=bool), 2)
     mask = cov.mask.astype(np.float64)
     overlap = (mask @ mask.T)[far].max(initial=0.0)
     min_gap = _piece_distances(cov)[far].min(initial=float("inf"))
@@ -232,7 +230,7 @@ def _run_direct_limit(inputs, params):
     glue_res = glue_with_report(GlueInput(part, dirac_piece_family(cov)),
                                 tail_radii=params.get("tail_radii"))
     details = {"selected_stages": list(res.indices),
-               "piece_count": len(cov.pieces),
+               "piece_count": len(cov.indices),
                "nonadjacent_min_gap": json_number(min_gap)}
     return _RunOutput(checked=checked + list(glue_res.checks),
                       witness=glue_res.witness, details=details,

@@ -2,6 +2,11 @@
 partition of unity, pullback along a certified map, and the separated-cover
 pipeline.
 
+A subspace is given as ascending point indices into the witness's space, a
+net as the witness's own space, and a cover piece by its index array; point
+ids are read only to relate one space's points to another's and to name a
+point in a message or a record.
+
 Every construction returns the built witness together with InequalityRecords
 for the bounds it is supposed to satisfy. Bounds that are provable for the
 implemented formulas are asserted (a violation raises BoundViolationError,
@@ -23,7 +28,7 @@ from .partition import (PartitionOfUnity, bell_partition,
 from .report import check_le
 from .space import CoarseMapCert, FiniteMetricSpace, _pair_chunks, _worst_pair
 from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, dirac_witness,
-                      tail_profile, uniform_ball_witness, variation_profile)
+                      tail_profile, variation_profile)
 
 _ID_TOL = 1e-9
 
@@ -50,31 +55,33 @@ def _radii(space: FiniteMetricSpace, radii, cap=24):
 @dataclass(frozen=True)
 class SubspaceWitnessResult:
     subspace: FiniteMetricSpace
-    tagged: Witness       # xi over (ambient source, retraction image) entries
-    collapsed: Witness    # eta, grouped by retraction image
-    retraction: dict      # ambient point -> nearest subspace point
+    tagged: Witness       # xi over (ambient source, nearest member) entries
+    collapsed: Witness    # eta, grouped by nearest member
+    nearest: np.ndarray   # per ambient point, the subspace index of its nearest member
     checks: tuple         # exact identities, asserted
     tail_checks: tuple    # empirical S/3 control, recorded only
 
 
-def subspace_construction(witness: Witness, members, tail_radii=None) -> SubspaceWitnessResult:
-    """Restrict a bare witness on X to a subspace Y via nearest-point retraction.
+def subspace_construction(witness: Witness, idx, tail_radii=None) -> SubspaceWitnessResult:
+    """Restrict a bare witness on X to the subspace Y on the ascending point
+    indices ``idx`` of X, along p: X -> Y, the nearest member (earliest stored on ties).
 
     xi_y carries beta_y's coefficient at ambient point s on the entry
-    (tag=s, point=p(s)); eta collapses by the retraction image. Norms and
-    pair distances of xi match beta exactly because entries stay keyed by s.
+    (tag=s, point=p(s)); eta collapses by p(s). Norms and pair distances of
+    xi match beta exactly because entries stay keyed by s.
     """
     if witness.tagged:
         raise ValidationError("subspace construction starts from a bare witness")
     ambient = witness.space
-    members = ambient.sorted_ids(frozenset(members))
-    if not members:
-        raise ValidationError("subspace must be nonempty")
-    idx = np.array(ambient.indices(members))
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu" or idx[0] < 0 \
+            or idx[-1] >= len(ambient) or (idx[1:] <= idx[:-1]).any():
+        raise ValidationError("a subspace must be a nonempty ascending array of point "
+                              "indices in 0..%d" % (len(ambient) - 1))
     sub = ambient._sub(idx)
     # first minimum over the members in stored order: earliest-stored tie-break
     nearest = np.argmin(ambient.D[:, idx], axis=1)
-    retraction = {s: members[i] for s, i in zip(ambient.point_ids, nearest.tolist())}
+    nearest.setflags(write=False)
     # beta's entry at ambient index s becomes the entry (tag s, point p(s))
     k, row = _gather(witness._ptr, idx)
     src = witness.at[k]
@@ -84,7 +91,7 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
     norm_dev = float(np.abs(_row_norms(len(sub), tagged.row, tagged.coef) - 1.0).max())
     match_dev = 0.0
     contraction = 0.0
-    for a, b in _pair_chunks(len(members)):
+    for a, b in _pair_chunks(len(sub)):
         dxi = np.sqrt(tagged.kernel.sq_dist(a, b))
         dbeta = np.sqrt(witness.kernel.sq_dist(idx[a], idx[b]))
         deta = np.sqrt(eta.kernel.sq_dist(a, b))
@@ -106,7 +113,7 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
         rhs = beta_tail_all.value_at(math.floor(s / 3.0)) + beta_tail_all.value_at(s)
         tail_checks.append(check_le("subspace_tail_S=%g" % s, lhs, rhs, tol=1e-12,
                                     note="empirical check, not an assumed theorem"))
-    return SubspaceWitnessResult(sub, tagged, eta, retraction, checks, tuple(tail_checks))
+    return SubspaceWitnessResult(sub, tagged, eta, nearest, checks, tuple(tail_checks))
 
 
 # --------------------------------------------------------------------- net
@@ -115,29 +122,27 @@ def subspace_construction(witness: Witness, members, tail_radii=None) -> Subspac
 class NetWitnessResult:
     witness: Witness
     c: float
-    assignment: dict      # ambient point -> chosen net point
     checks: tuple         # variation/tail transfer bounds, asserted
 
 
-def net_construction(ambient: FiniteMetricSpace, net_members, witness: Witness,
+def net_construction(ambient: FiniteMetricSpace, witness: Witness,
                      c=None, radii=None, tail_radii=None) -> NetWitnessResult:
-    """Extend a witness on a c-net to the ambient space by xi_x = beta_{q(x)}."""
-    net_members = ambient.sorted_ids(frozenset(net_members))
+    """Extend a witness on a c-net, its space, to the ambient space by
+    xi_x = beta_{q(x)}, q(x) the nearest net point (the earliest stored on ties)."""
     if witness.tagged:
         raise ValidationError("net construction starts from a bare witness")
-    if set(witness.space.point_ids) != set(net_members):
-        raise ValidationError("witness must live on the net")
-    near = ambient.D[:, ambient.indices(net_members)]
-    nearest = near.argmin(axis=1)
-    covering = float(near[np.arange(len(ambient)), nearest].max())
+    # the net's ambient indices, and the witness rows listed in ambient order
+    on = np.array(ambient.indices(witness.space.point_ids))
+    order = np.argsort(on)
+    near = ambient.D[:, on[order]]
+    first = near.argmin(axis=1)
+    covering = float(near[np.arange(len(ambient)), first].max())
     c = covering if c is None else float(c)
     if not covering <= c:
         raise PreconditionError(
             "net condition fails: covering radius %r exceeds c=%r" % (covering, c))
-    q = {x: net_members[i] for x, i in zip(ambient.point_ids, nearest.tolist())}
     # xi_x is beta's vector at q(x), its entries moved to ambient indices
-    on = np.array(ambient.indices(witness.space.point_ids))
-    k, row = _gather(witness._ptr, np.array(witness.space.indices(net_members))[nearest])
+    k, row = _gather(witness._ptr, order[first])
     out = Witness._of(ambient, row, on[witness.at[k]], witness.tag[k], witness.tags,
                       witness.coef[k])
 
@@ -154,7 +159,7 @@ def net_construction(ambient: FiniteMetricSpace, net_members, witness: Witness,
         for (s, lv), (_, bv) in zip(out_tail, base_tail):
             checks.append(check_le("net_tail_S=%g" % s, lv, bv, tol=1e-12))
     _require(checks)
-    return NetWitnessResult(out, c, q, tuple(checks))
+    return NetWitnessResult(out, c, tuple(checks))
 
 
 # -------------------------------------------------------------------- glue
@@ -172,20 +177,22 @@ class GlueInput:
 
     def __post_init__(self):
         cover = self.partition.cover
-        if len(self.pieces) != len(cover.pieces):
+        if len(self.pieces) != len(cover.indices):
             raise ValidationError("need one piece witness per cover piece")
         space = self.partition.space
-        for i, (piece, w) in enumerate(zip(cover.pieces, self.pieces)):
+        for i, (piece, w) in enumerate(zip(cover.indices, self.pieces)):
             if not isinstance(w, Witness):
                 raise ValidationError("piece %d is not a witness" % i)
-            have = set(w.space.point_ids)
-            if have != set(piece):
-                missing = space.sorted_ids(set(piece) - have) or \
-                    space.sorted_ids(have - set(piece))
+            idx = space.indices(w.space.point_ids)
+            have = np.sort(idx)
+            if not np.array_equal(have, piece):
+                # the first piece point the witness lacks, else its first extra point
+                missing = np.setdiff1d(piece, have)
+                if not missing.size:
+                    missing = np.setdiff1d(have, piece)
                 raise ValidationError(
                     "piece %d witness does not cover point %r of the piece"
-                    % (i, missing[0]))
-            idx = space.indices(w.space.point_ids)
+                    % (i, space.point_ids[missing[0]]))
             if not np.allclose(w.space.D, space.D[np.ix_(idx, idx)], atol=1e-12, rtol=0.0):
                 raise ValidationError(
                     "piece %d witness metric is not the restricted metric" % i)
@@ -258,10 +265,6 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
 
 def dirac_piece_family(cover: Cover):
     return tuple(dirac_witness(cover.space._sub(idx)) for idx in cover.indices)
-
-
-def uniform_ball_piece_family(cover: Cover, radius):
-    return tuple(uniform_ball_witness(cover.space._sub(idx), radius) for idx in cover.indices)
 
 
 # ---------------------------------------------------------------- fibering

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,18 +31,30 @@ def _index_arrays(space: FiniteMetricSpace, lists, noun, first):
 class Cover:
     """Finitely many nonempty pieces whose union is the whole space.
 
-    ``pieces`` holds frozensets of point ids, ``indices`` sorted index arrays and
-    ``mask`` the (pieces, points) membership, all read-only. ``coloring``
-    optionally assigns each piece a family index 0..k, used by the separation checks.
+    ``indices`` holds one sorted index array per piece and ``mask`` the
+    (pieces, points) membership, both read-only; ``pieces``, the frozensets of
+    point ids, is derived on first read. ``coloring`` optionally assigns each
+    piece a family index 0..k, used by the separation checks.
     """
 
     def __init__(self, space: FiniteMetricSpace, pieces, coloring=None):
-        given = tuple(tuple(p) for p in pieces)
-        if not given:
+        self._store(space, _index_arrays(space, [tuple(p) for p in pieces], "piece", 0),
+                    coloring)
+
+    @classmethod
+    def _of(cls, space: FiniteMetricSpace, indices, coloring=None):
+        """A cover from sorted index arrays, one per piece, validated as above."""
+        cover = cls.__new__(cls)
+        cover._store(space, list(indices), coloring)
+        return cover
+
+    def _store(self, space, indices, coloring):
+        if not indices:
             raise ValidationError("a cover needs at least one piece")
-        indices = _index_arrays(space, given, "piece", 0)
-        mask = np.zeros((len(given), len(space)), dtype=bool)
+        mask = np.zeros((len(indices), len(space)), dtype=bool)
         for i, idx in enumerate(indices):
+            if not idx.size:
+                raise ValidationError("piece %d is empty" % i)
             mask[i, idx] = True
             idx.setflags(write=False)
         missing = np.flatnonzero(~mask.any(axis=0))
@@ -50,17 +63,38 @@ class Cover:
                                   % (space.point_ids[missing[0]],))
         if coloring is not None:
             coloring = tuple(int(c) for c in coloring)
-            if len(coloring) != len(given):
+            if len(coloring) != len(indices):
                 raise ValidationError("coloring length does not match piece count")
             if any(c < 0 for c in coloring):
                 raise ValidationError("colors must be >= 0")
         mask.setflags(write=False)
         self.space = space
-        self.pieces = tuple(frozenset(p) for p in given)
         self.indices = tuple(indices)
         self.mask = mask
         self.coloring = coloring
-        self._complement = None
+
+    @cached_property
+    def pieces(self):
+        """The pieces as frozensets of point ids."""
+        ids = self.space.point_ids
+        return tuple(frozenset(ids[a] for a in idx.tolist()) for idx in self.indices)
+
+    @cached_property
+    def complement(self):
+        """(pieces, points) array: d(x, complement of piece i) at row i, column x.
+
+        A point outside piece i is its own nearest outside point and gets 0.0, so
+        only the piece's own rows are searched, with the piece's own columns set
+        to +inf: a piece equal to the whole space has an empty complement and
+        gets +inf. Read-only.
+        """
+        out = np.zeros(self.mask.shape)
+        for i, idx in enumerate(self.indices):
+            rows = self.space.D[idx]
+            rows[:, idx] = math.inf
+            out[i, idx] = rows.min(axis=1)
+        out.setflags(write=False)
+        return out
 
 
 def multiplicity(cover: Cover) -> int:
@@ -79,37 +113,12 @@ def _near(space: FiniteMetricSpace, idx, radius):
     return space.D[:, idx].min(axis=1) <= float(radius)
 
 
-def _neighborhood(space: FiniteMetricSpace, idx, radius):
-    return [space.point_ids[a] for a in np.flatnonzero(_near(space, idx, radius))]
-
-
-def _complement_distances(cover: Cover):
-    """(pieces, points) array: d(x, complement of piece i) at row i, column x.
-
-    A point outside piece i is its own nearest outside point and gets 0.0, so
-    only the piece's own rows are searched, with the piece's own columns set
-    to +inf: a piece equal to the whole space has an empty complement and
-    gets +inf. Computed once per cover, read-only.
-    """
-    if cover._complement is not None:
-        return cover._complement
-    space = cover.space
-    out = np.zeros((len(cover.pieces), len(space)))
-    for i, idx in enumerate(cover.indices):
-        rows = space.D[idx]
-        rows[:, idx] = math.inf
-        out[i, idx] = rows.min(axis=1)
-    out.setflags(write=False)
-    cover._complement = out
-    return out
-
-
 def _fit_radii(cover: Cover):
     """Per point, the sup of radii whose closed ball fits inside some piece.
 
     A ball B(x, r) sits inside piece U exactly when r < d(x, complement of U).
     """
-    return _complement_distances(cover).max(axis=0)
+    return cover.complement.max(axis=0)
 
 
 def lebesgue_report(cover: Cover):
@@ -170,8 +179,8 @@ def enlarge(cover: Cover, L) -> Cover:
     """Replace each piece U by its closed L-neighborhood. Coloring carries over."""
     if not L >= 0:
         raise ValidationError("enlargement radius must be >= 0")
-    return Cover(cover.space, [_neighborhood(cover.space, idx, L) for idx in cover.indices],
-                 coloring=cover.coloring)
+    return Cover._of(cover.space, [np.flatnonzero(_near(cover.space, idx, L))
+                                   for idx in cover.indices], cover.coloring)
 
 
 class ChainOfSubspaces:
@@ -237,11 +246,10 @@ def direct_limit_cover(chain: ChainOfSubspaces, L) -> DirectLimitResult:
         subseq.append(max(subseq[-1] + 1, int(rank[need].max())))
     # the first selected stage, then each nonempty difference of the next ones
     parts = np.split(order, np.unique(ends[subseq])[:-1])
-    pieces = [_neighborhood(space, part, L) for part in parts]
-    cover = Cover(space, pieces)
+    cover = Cover._of(space, [np.flatnonzero(_near(space, part, L)) for part in parts])
     if multiplicity(cover) > 2:
         raise BoundViolationError("chain-limit cover exceeded multiplicity 2")
     if not has_lebesgue_at_least(cover, L):
         raise BoundViolationError("chain-limit cover lost Lebesgue number L")
-    flags = ("piece %d is built from the final truncation stage" % (len(pieces) - 1),)
+    flags = ("piece %d is built from the final truncation stage" % (len(parts) - 1),)
     return DirectLimitResult(tuple(i + 1 for i in subseq), cover, flags)

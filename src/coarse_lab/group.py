@@ -433,7 +433,6 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     # Bell values are subordinate to the cover, hence to its enlargement
     bell = bell_partition(cover)
     psi, kept = pullback_partition(orbit.cert, PartitionOfUnity(X, enlarged, bell.phi))
-    preimages = psi.cover.pieces
 
     # per piece, the first element whose orbit point minimises the farthest distance
     far = [X.D[np.ix_(orbit.pts, enlarged.indices[i])].max(axis=1) for i in kept]
@@ -473,10 +472,18 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     sub_results = []
     for pos, i in enumerate(kept):
         moved = left_translation(G, rep_ix[pos], stab.index)
-        translated = action.word_space._sub(np.sort(moved))
+        support = np.sort(moved)
+        translated = action.word_space._sub(support)
+        # the preimage piece's positions in the translated stabilizer
+        members = psi.cover.indices[pos]
+        within = np.searchsorted(support, members)
+        inside = support[np.minimum(within, len(support) - 1)] == members
+        if not inside.all():
+            raise ValidationError("unknown point id %r"
+                                  % (G.elements[members[np.argmin(inside)]],))
         # a stabilizer member's image sits at its rank among the images
-        res = subspace_construction(transport(base_witness, np.argsort(np.argsort(moved))[at],
-                                              translated), preimages[pos])
+        res = subspace_construction(transport(base_witness, np.searchsorted(support, moved)[at],
+                                              translated), within)
         sub_results.append(res)
     glue_res = glue_with_report(GlueInput(psi, tuple(res.collapsed for res in sub_results)),
                                 tail_radii=tail_radii)

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cover import Cover, _complement_distances, lebesgue_report, multiplicity
+from .cover import Cover, lebesgue_report, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .space import CoarseMapCert, _fold, _pair_sweep, _SparseRows, _worst_pair
 
@@ -26,7 +26,7 @@ class PartitionOfUnity:
         phi = np.array(phi, dtype=np.float64)
         if cover.space is not space:
             raise ValidationError("partition space must be the cover's space")
-        shape = (len(cover.pieces), len(space))
+        shape = cover.mask.shape
         if phi.shape != shape:
             raise ValidationError("partition values must have shape %r, not %r"
                                   % (shape, phi.shape))
@@ -61,17 +61,9 @@ class PartitionOfUnity:
 
     def entries(self):
         """(point index, piece, value) arrays of the positive values, by point
-        and then by piece, as in ``masses``."""
+        and then by piece."""
         point, piece = np.nonzero(self.phi.T)
         return point, piece, self.phi[piece, point]
-
-    def masses(self):
-        """Per point, the dict piece index -> positive value, pieces ascending."""
-        ids = self.space.point_ids
-        masses = {p: {} for p in ids}
-        for a, i, v in zip(*(e.tolist() for e in self.entries())):
-            masses[ids[a]][i] = v
-        return masses
 
 
 def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
@@ -86,7 +78,7 @@ def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
     require_lebesgue=False.
     """
     space = cover.space
-    mat = _complement_distances(cover)
+    mat = cover.complement
     L = lebesgue_report(cover)[0]
     if require_lebesgue and L <= 0.0:
         raise PreconditionError(
@@ -121,9 +113,8 @@ def pullback_partition(cert: CoarseMapCert, partition: PartitionOfUnity):
     source, img = cert.source, cert.img
     pre = partition.cover.mask[:, img]
     kept = np.flatnonzero(pre.any(axis=1))
-    pieces = [[source.point_ids[a] for a in np.flatnonzero(row)] for row in pre[kept]]
-    phi = partition.phi[kept][:, img]
-    return PartitionOfUnity(source, Cover(source, pieces), phi), tuple(kept.tolist())
+    cover = Cover._of(source, [np.flatnonzero(row) for row in pre[kept]])
+    return PartitionOfUnity(source, cover, partition.phi[kept][:, img]), tuple(kept.tolist())
 
 
 def partition_variation_profile(partition: PartitionOfUnity, radii):

@@ -1,4 +1,4 @@
-"""Finite metric spaces: validated axioms, balls, nets, coarse-map certificates.
+"""Finite metric spaces: validated axioms, subspaces by index, coarse-map certificates.
 
 Distances live in a dense float64 matrix. Graph-derived metrics are exact
 integers stored as floats. Point ids are opaque hashables (ints, strings,
@@ -166,13 +166,6 @@ class FiniteMetricSpace:
         """N_R = max over x of |B(x, R)|."""
         return int((self.D <= float(radius)).sum(axis=1).max())
 
-    def ball(self, center, radius) -> frozenset:
-        """Closed ball: all y with d(center, y) <= radius."""
-        if not radius >= 0:
-            raise ValidationError("ball radius must be >= 0")
-        row = self.D[self.index(center)]
-        return frozenset(self.point_ids[i] for i in np.flatnonzero(row <= float(radius)))
-
     def _sorted_pairs(self, r):
         """(a, b, d) of the pairs a < b with d <= r + 1e-12 in stable distance
         order, ties row-major: a prefix of the pairs kept for the largest r yet.
@@ -187,17 +180,9 @@ class FiniteMetricSpace:
         k = int(np.searchsorted(d, r + 1e-12, side="right"))
         return a[:k], b[:k], d[:k]
 
-    def sorted_ids(self, points):
-        """The given points listed in stored order."""
-        return sorted(points, key=self.index)
-
     def restrict(self, members) -> "FiniteMetricSpace":
         """Subspace with the restricted metric, in stored point order."""
-        members = frozenset(members)
-        idx = [i for i, p in enumerate(self.point_ids) if p in members]
-        if len(idx) != len(members):
-            raise ValidationError("restrict: some members are not points of the space")
-        return self._sub(idx)
+        return self._sub(np.unique(self.indices(members)))
 
     def _sub(self, idx) -> "FiniteMetricSpace":
         """Subspace on the ascending point indices ``idx``, in stored point order."""
@@ -407,14 +392,6 @@ def z2_ball(radius, norm="l1") -> FiniteMetricSpace:
         raise ValidationError("unsupported norm %r" % (norm,))
     D = _coord_metric(ids, norm)
     return FiniteMetricSpace(ids, D, validate=False)
-
-
-def is_c_net(space: FiniteMetricSpace, members, c) -> bool:
-    """True when every point of the space lies within c of the given set."""
-    idx = space.indices(members)
-    if not idx:
-        raise ValidationError("a net must be nonempty")
-    return bool(space.D[:, idx].min(axis=1).max() <= float(c))
 
 
 _PAIR_CHUNK = 1 << 15        # pairs per block of a row-major pair enumeration

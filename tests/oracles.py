@@ -11,7 +11,39 @@ match the library bit for bit.
 
 import math
 
-from coarse_lab import ValidationError
+from coarse_lab import ValidationError, uniform_ball_witness
+
+
+def sorted_ids(space, points):
+    """The given points listed in stored order."""
+    return sorted(points, key=space.index)
+
+
+def ball(space, center, radius) -> frozenset:
+    """Closed ball: all y with d(center, y) <= radius."""
+    if not radius >= 0:
+        raise ValidationError("ball radius must be >= 0")
+    return frozenset(y for y in space.point_ids if space.d(center, y) <= float(radius))
+
+
+def is_c_net(space, members, c) -> bool:
+    """True when every point of the space lies within c of the given set."""
+    if not members:
+        raise ValidationError("a net must be nonempty")
+    return all(min(space.d(x, y) for y in members) <= float(c) for x in space.point_ids)
+
+
+def masses(partition):
+    """Per stored point, the dict piece index -> positive value, pieces ascending."""
+    return {x: {i: v for i in range(len(partition.cover.pieces))
+                if (v := partition.value(i, x)) > 0.0}
+            for x in partition.space.point_ids}
+
+
+def uniform_ball_piece_family(cover, radius):
+    """A uniform-ball witness of the given radius on every piece of the cover."""
+    return tuple(uniform_ball_witness(cover.space.restrict(piece), radius)
+                 for piece in cover.pieces)
 
 
 def dense_vector_distance(u, v) -> float:
@@ -52,7 +84,7 @@ def dense_glue_bound(glue_input, glued):
     phi_i(y)| + 2 max ||beta^i_x - beta^i_y||^2 over the pieces holding both.
     """
     partition = glue_input.partition
-    masses = partition.masses()
+    masses_at = masses(partition)
     ids = partition.space.point_ids
     worst = None
     for a in range(len(ids)):
@@ -60,7 +92,7 @@ def dense_glue_bound(glue_input, glued):
         for b in range(a + 1, len(ids)):
             y = ids[b]
             lhs = sparse_diff_norm_sq(glued.vectors[x], glued.vectors[y])
-            s = l1_distance(masses[x], masses[y])
+            s = l1_distance(masses_at[x], masses_at[y])
             common = 0.0
             for i, piece in enumerate(partition.cover.pieces):
                 if x in piece and y in piece:
@@ -75,12 +107,12 @@ def dense_glue_bound(glue_input, glued):
 def dense_bell_lipschitz(partition, C):
     """(sum_i |phi_i(x) - phi_i(y)|, C d(x, y), pair) at the first pair, in
     row-major order, with the largest excess; None on a one-point space."""
-    masses = partition.masses()
+    masses_at = masses(partition)
     ids = partition.space.point_ids
     worst = None
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            s = l1_distance(masses[ids[a]], masses[ids[b]])
+            s = l1_distance(masses_at[ids[a]], masses_at[ids[b]])
             bound = C * partition.space.d(ids[a], ids[b])
             if worst is None or s - bound > worst[0]:
                 worst = (s - bound, s, bound, (ids[a], ids[b]))
@@ -130,7 +162,7 @@ def dense_tail(witness, S) -> float:
 
 def nearest_point(space, x, members):
     """Closest member to x; ties break to the earliest stored point."""
-    members = space.sorted_ids(members)
+    members = sorted_ids(space, members)
     if not members:
         raise ValidationError("nearest_point needs a nonempty point set")
     row = space.D[space.index(x)]
@@ -382,17 +414,17 @@ def dict_pullback(cert, partition):
 
 def dict_masses(space, values):
     """Per stored point, the dict piece -> positive value, pieces ascending."""
-    masses = {p: {} for p in space.point_ids}
+    out = {p: {} for p in space.point_ids}
     for i, vals in enumerate(values):
         for x, v in vals.items():
-            masses[x][i] = v
-    return masses
+            out[x][i] = v
+    return out
 
 
 def dict_partition_rows(space, values):
     """The partition document's rows: by piece, then by stored point."""
     rows = []
     for i, vals in enumerate(values):
-        for x in space.sorted_ids(vals):
+        for x in sorted_ids(space, vals):
             rows.append({"piece": i, "point": x, "value": vals[x]})
     return rows

@@ -39,7 +39,6 @@ from coarse_lab import (
     space_from_matrix,
     subspace_construction,
     tail_profile,
-    uniform_ball_piece_family,
     uniform_ball_witness,
     variation_profile,
     word_metric_space,
@@ -54,6 +53,8 @@ from oracles import (
     dense_tail,
     dense_variation,
     dense_vector_distance,
+    masses,
+    uniform_ball_piece_family,
 )
 from test_witness import random_witness
 
@@ -101,8 +102,9 @@ def test_criterion_1_subspace_exact_identities():
             pick = sorted(int(i) for i in
                           rng.choice(len(space), size=size, replace=False))
             members = [space.point_ids[i] for i in pick]
-            res = subspace_construction(w, members, tail_radii=[0.0])
+            res = subspace_construction(w, np.array(pick), tail_radii=[0.0])
             ids = res.subspace.point_ids
+            assert ids == tuple(members)
             for a in range(len(ids)):
                 y = ids[a]
                 norm = math.sqrt(sum(c * c for c in res.tagged.vectors[y].values()))
@@ -188,11 +190,11 @@ def test_criterion_2_bell_bound_zero_violations():
             part = bell_partition(cov)
             C = bell_lipschitz_constant(cov)
             sp = cov.space
-            masses = part.masses()
+            at = masses(part)
             n = len(sp)
             Phi = np.zeros((len(cov.pieces), n))
             for j, x in enumerate(sp.point_ids):
-                for i, v in masses[x].items():
+                for i, v in at[x].items():
                     Phi[i, j] = v
             S = np.abs(Phi[:, :, None] - Phi[:, None, :]).sum(axis=0)
             excess = S - C * sp.D - 1e-9
@@ -301,7 +303,7 @@ def separated_run():
 def oracle_check_glue(partition, piece_vectors, glue_result, tol=1e-9):
     """Re-verify the combination and tail bounds with plain double loops."""
     space = partition.space
-    masses = partition.masses()
+    at = masses(partition)
     pieces = partition.cover.pieces
     ids = space.point_ids
     for a in range(len(ids)):
@@ -310,7 +312,7 @@ def oracle_check_glue(partition, piece_vectors, glue_result, tol=1e-9):
             y = ids[b]
             lhs = dense_vector_distance(glue_result.witness.vectors[x],
                                         glue_result.witness.vectors[y]) ** 2
-            mx, my = masses[x], masses[y]
+            mx, my = at[x], at[y]
             l1 = sum(abs(mx.get(i, 0.0) - my.get(i, 0.0))
                      for i in set(mx) | set(my))
             common = 0.0

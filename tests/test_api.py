@@ -1,5 +1,6 @@
 """The public surface: what ``coarse_lab`` exports, the traced layers the
-benchmark's per-layer metrics name, and no import that a module never uses."""
+benchmark's per-layer metrics name, no export that nothing reads, and no
+import that a module never uses."""
 
 import ast
 import inspect
@@ -37,15 +38,38 @@ def test_traced_functions_are_exported():
         assert ("coarse_lab." + layer, function) in exported, (layer, function)
 
 
+def _module_trees():
+    """(file name, AST) of every module of the package but ``__init__``."""
+    src = os.path.dirname(coarse_lab.__file__)
+    for fname in sorted(os.listdir(src)):
+        if fname.endswith(".py") and fname != "__init__.py":
+            with open(os.path.join(src, fname), encoding="utf-8") as fh:
+                yield fname, ast.parse(fh.read(), fname)
+
+
+def test_every_exported_function_and_class_is_read():
+    # an export that no module reads is dead API, unless the benchmark times it
+    read = set()
+    for _, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    with open(BENCHMARK) as fh:
+        timed = {name.split(".")[1] for name in (m["name"] for m in json.load(fh)["per_layer"])
+                 if name.count(".") == 2}
+    dead = [name for name in coarse_lab.__all__
+            if (inspect.isfunction(getattr(coarse_lab, name))
+                or inspect.isclass(getattr(coarse_lab, name)))
+            and name not in read and name not in timed]
+    assert dead == []
+
+
 def test_every_module_uses_its_imports():
     # __init__ imports to re-export; every other module imports only what it reads
-    src = os.path.dirname(coarse_lab.__file__)
     unused = []
-    for fname in sorted(os.listdir(src)):
-        if not fname.endswith(".py") or fname == "__init__.py":
-            continue
-        with open(os.path.join(src, fname), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), fname)
+    for fname, tree in _module_trees():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and \

@@ -36,7 +36,6 @@ from coarse_lab import (
     load_witness,
     partition_to_json,
     separated_cover_pipeline,
-    uniform_ball_piece_family,
     uniform_ball_witness,
     variation_profile,
 )
@@ -45,6 +44,7 @@ from coarse_lab import cli
 from coarse_lab.cli import export_profiles, main
 from coarse_lab.jsonio import _as_jsonable
 from conftest import SCENARIO_DIR
+from oracles import uniform_ball_piece_family
 
 
 INTERVAL = list(range(-5, 6))  # the points of z_interval(-5, 5)
@@ -527,6 +527,22 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", scen, "--out", str(out)]) == 2
         assert "parameter '%s' must be a JSON list" % pipeline in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["subspace", "net"])
+    def test_unknown_member_is_named(self, tmp_path, capsys, pipeline):
+        scen = write_json(tmp_path / "s.json", {
+            "name": "s",
+            "pipeline": pipeline,
+            "inputs": {
+                "space": {"metric": {"type": "z_interval", "lo": 0, "hi": 10}},
+                "witness": {"builtin": "dirac"},
+            },
+            "parameters": {pipeline: [0, 999, 4, 0]},
+        })
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown point id 999\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("params", [{"S0": -1.0}, {"tail_radii": [0.0, -1.0]}])

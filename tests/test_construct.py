@@ -31,7 +31,6 @@ from coarse_lab import (
     subspace_construction,
     tail_profile,
     transport,
-    uniform_ball_piece_family,
     uniform_ball_witness,
     variation_profile,
     z2_ball,
@@ -40,7 +39,8 @@ from coarse_lab import (
 from coarse_lab import space as space_module
 from coarse_lab.partition import _bell_lipschitz_check
 from oracles import (dense_bell_lipschitz, dense_glue_bound, dense_subspace_records,
-                     dense_variation, dense_vector_distance, nearest_point)
+                     dense_variation, dense_vector_distance, nearest_point,
+                     uniform_ball_piece_family)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,14 +53,14 @@ class TestSubspace:
     def test_full_subspace_is_identity(self):
         s = z_interval(0, 6)
         w = uniform_ball_witness(s, 1)
-        res = subspace_construction(w, s.point_ids)
-        assert res.retraction == {p: p for p in s.point_ids}
+        res = subspace_construction(w, np.arange(len(s)))
+        assert res.nearest.tolist() == list(range(len(s)))
         assert res.collapsed.vectors == w.vectors
 
     def test_path_retraction_ties_go_to_earliest(self):
         s = path_graph(3)
         res = subspace_construction(dirac_witness(s), [0, 2])
-        assert res.retraction[1] == 0
+        assert res.nearest.tolist() == [0, 0, 1]
         assert res.collapsed.vectors[0] == {(None, 0): 1.0}
         assert res.collapsed.vectors[2] == {(None, 2): 1.0}
 
@@ -105,19 +105,25 @@ class TestSubspace:
         with pytest.raises(ValidationError):
             subspace_construction(dirac_witness(path_graph(3)), [])
 
+    @pytest.mark.parametrize("idx", [[2, 0], [0, 0, 2], [-1, 2], [0, 3], [[0, 1]], [0.0, 2.0]],
+                             ids=["descending", "repeated", "negative", "past-end", "2d",
+                                  "float"])
+    def test_index_array_must_ascend_within_the_space(self, idx):
+        with pytest.raises(ValidationError, match="ascending array of point indices in 0..2"):
+            subspace_construction(dirac_witness(path_graph(3)), idx)
+
 
 class TestNet:
     def test_whole_space_net_is_identity(self):
         s = z_interval(0, 5)
         w = uniform_ball_witness(s, 1)
-        res = net_construction(s, s.point_ids, transport(w, np.arange(len(s)), s), c=0)
+        res = net_construction(s, transport(w, np.arange(len(s)), s), c=0)
         assert res.witness.vectors == w.vectors
-        assert res.assignment == {p: p for p in s.point_ids}
 
     def test_even_net_dirac_extension(self):
         s = z_interval(0, 10)
         net = [0, 2, 4, 6, 8, 10]
-        res = net_construction(s, net, dirac_witness(s.restrict(net)), c=1,
+        res = net_construction(s, dirac_witness(s.restrict(net)), c=1,
                                radii=[1.0], tail_radii=[1.0, 2.0])
         # odd x copies the vector of the nearest even point one step away
         assert tail_profile(res.witness, [1.0]).value_at(1.0) == 0.0
@@ -130,18 +136,27 @@ class TestNet:
     def test_covering_radius_default(self):
         s = z_interval(0, 10)
         net = [0, 2, 4, 6, 8, 10]
-        res = net_construction(s, net, dirac_witness(s.restrict(net)))
+        res = net_construction(s, dirac_witness(s.restrict(net)))
         assert res.c == 1.0
+
+    def test_ties_go_to_the_earliest_stored_net_point(self):
+        s = path_graph(5)
+        # the net lists 4 before 0; point 2 is as far from both
+        net = FiniteMetricSpace([4, 0], [[0.0, 4.0], [4.0, 0.0]])
+        res = net_construction(s, dirac_witness(net))
+        assert [dict(res.witness.vectors[x]) for x in s.point_ids] == \
+            [{(None, q): 1.0} for q in (0, 0, 0, 4, 4)]
 
     def test_net_condition_enforced(self):
         s = z_interval(0, 10)
         with pytest.raises(PreconditionError):
-            net_construction(s, [0, 10], dirac_witness(s.restrict([0, 10])), c=1)
+            net_construction(s, dirac_witness(s.restrict([0, 10])), c=1)
 
     def test_witness_must_live_on_net(self):
+        # the net is the witness's space, so its points must be ambient points
         s = z_interval(0, 10)
-        with pytest.raises(ValidationError):
-            net_construction(s, [0, 2, 4, 6, 8, 10], dirac_witness(s), c=1)
+        with pytest.raises(ValidationError, match="unknown point id 11"):
+            net_construction(s, dirac_witness(z_interval(0, 12)), c=1)
 
 
 class TestGlue:
@@ -450,17 +465,17 @@ class TestPairRecordsAgainstDoubleLoops:
         with pytest.MonkeyPatch.context() as mp:
             if small_steps:
                 _small_steps(mp)
-            res = subspace_construction(witness, members)
+            res = subspace_construction(witness, cover.indices[0])
         assert tuple(r.lhs for r in res.checks) == dense_subspace_records(
             witness, res.tagged, res.collapsed)
-        assert res.retraction == {s: nearest_point(ambient, s, members)
-                                  for s in ambient.point_ids}
+        assert [res.subspace.point_ids[t] for t in res.nearest] == \
+            [nearest_point(ambient, s, members) for s in ambient.point_ids]
 
     @settings(max_examples=20, deadline=None)
     @given(_covers(max_points=12))
     def test_net_assignment_is_nearest_point(self, cover):
         ambient = cover.space
         net = cover.pieces[0]
-        res = net_construction(ambient, net, dirac_witness(ambient.restrict(net)))
-        assert res.assignment == {x: nearest_point(ambient, x, net)
-                                  for x in ambient.point_ids}
+        res = net_construction(ambient, dirac_witness(ambient.restrict(net)))
+        assert res.witness.vectors == {x: {(None, nearest_point(ambient, x, net)): 1.0}
+                                       for x in ambient.point_ids}

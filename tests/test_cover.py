@@ -3,6 +3,7 @@ and the chain-limit cover."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from coarse_lab import (
     ChainOfSubspaces,
     Cover,
     ValidationError,
+    bell_partition,
+    check_coarse_map,
     check_kl_separated,
     cycle,
     direct_limit_cover,
@@ -19,6 +22,7 @@ from coarse_lab import (
     lebesgue_report,
     load_space,
     multiplicity,
+    pullback_partition,
     r_multiplicity,
     set_distance,
     space_from_graph,
@@ -26,9 +30,10 @@ from coarse_lab import (
     z_interval,
 )
 from coarse_lab import cli
-from coarse_lab.cover import _complement_distances, family_separation
+from coarse_lab.cover import family_separation
 from coarse_lab.report import json_number
-from oracles import dense_complement_distances, frozenset_direct_limit, set_separation
+from oracles import (dense_complement_distances, dict_pullback, frozenset_direct_limit,
+                     set_separation)
 
 
 def path_graph(n):
@@ -51,6 +56,21 @@ class TestCoverValidation:
     def test_coloring_length_must_match(self):
         with pytest.raises(ValidationError):
             Cover(path_graph(3), [[0, 1], [1, 2]], coloring=[0])
+
+    @pytest.mark.parametrize("pieces, coloring, message", [
+        ([], None, "a cover needs at least one piece"),
+        ([[0, 1, 2, 3], []], None, "piece 1 is empty"),
+        ([[0, 1], [2]], None, "pieces do not cover the space: 3 uncovered"),
+        ([[0, 1, 2, 3]], [0, 1], "coloring length does not match piece count"),
+        ([[0, 1], [2, 3]], [0, -1], "colors must be >= 0"),
+    ], ids=["no-piece", "empty-piece", "uncovered", "coloring-length", "negative-color"])
+    def test_index_constructor_shares_the_messages(self, pieces, coloring, message):
+        # on a path the point ids are the point indices
+        space = path_graph(4)
+        with pytest.raises(ValidationError, match="^%s$" % message):
+            Cover(space, pieces, coloring=coloring)
+        with pytest.raises(ValidationError, match="^%s$" % message):
+            Cover._of(space, [np.array(p, dtype=np.intp) for p in pieces], coloring)
 
 
 class TestMultiplicity:
@@ -125,12 +145,12 @@ class TestComplementDistances:
     @settings(max_examples=150, deadline=None)
     @given(_covers())
     def test_matches_double_loop(self, cover):
-        assert _complement_distances(cover).tolist() == dense_complement_distances(cover)
+        assert cover.complement.tolist() == dense_complement_distances(cover)
 
     def test_whole_space_piece_is_infinite(self):
         s = path_graph(4)
         cov = Cover(s, [[0, 1], list(s.point_ids)])
-        assert _complement_distances(cov).tolist() == [
+        assert cov.complement.tolist() == [
             [2.0, 1.0, 0.0, 0.0], [math.inf] * 4]
 
 
@@ -353,3 +373,66 @@ class TestDirectLimitReference:
         assert out.checked[2].name == "nonadjacent_piece_overlap"
         assert out.checked[2].lhs == overlap
         assert out.details["nonadjacent_min_gap"] == json_number(gap)
+
+
+@st.composite
+def _line_covers(draw):
+    """A random cover of an interval or a cycle, colored or not."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    space = draw(st.sampled_from([z_interval(0, n - 1), cycle(n)]))
+    ids = space.point_ids
+    pieces = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), min_size=1, max_size=4))
+    rest = set(ids) - set().union(*pieces)
+    if rest:
+        pieces.append(rest)
+    coloring = draw(st.none() | st.lists(st.integers(0, 2), min_size=len(pieces),
+                                         max_size=len(pieces)))
+    return Cover(space, pieces, coloring=coloring)
+
+
+def _assert_same_cover(got, want):
+    assert got.pieces == want.pieces
+    assert [idx.tolist() for idx in got.indices] == [idx.tolist() for idx in want.indices]
+    assert np.array_equal(got.mask, want.mask)
+    assert got.coloring == want.coloring
+    assert not any(idx.flags.writeable for idx in got.indices)
+    assert not got.mask.flags.writeable
+
+
+class TestIndexBuiltCovers:
+    """Covers built from index arrays equal the covers built from the same
+    pieces, given as point ids, by the public constructor."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_line_covers(), st.sampled_from([0, 1, 2.5]))
+    def test_enlarge(self, cover, L):
+        space = cover.space
+        want = [[y for y in space.point_ids if any(space.d(x, y) <= L for x in piece)]
+                for piece in cover.pieces]
+        _assert_same_cover(enlarge(cover, L), Cover(space, want, coloring=cover.coloring))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_line_covers(), st.data())
+    def test_pullback_partition(self, cover, data):
+        space = cover.space
+        img = data.draw(st.lists(st.integers(0, len(space) - 1), min_size=len(space),
+                                 max_size=len(space)))
+        cert = check_coarse_map(space, space, np.array(img))
+        partition = bell_partition(cover, require_lebesgue=False)
+        pulled, kept = pullback_partition(cert, partition)
+        want_kept, want_pieces, _ = dict_pullback(cert, partition)
+        assert kept == want_kept
+        _assert_same_cover(pulled.cover, Cover(space, want_pieces))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_line_covers(), st.data(), st.sampled_from([1, 2]))
+    def test_direct_limit_cover(self, cover, data, L):
+        space = cover.space
+        count = data.draw(st.integers(1, 4))
+        rank = data.draw(st.lists(st.integers(0, count - 1), min_size=len(space),
+                                  max_size=len(space)))
+        rank[data.draw(st.integers(0, len(space) - 1))] = 0
+        stages = [[x for x, r in zip(space.point_ids, rank) if r <= k] for k in range(count)]
+        res = direct_limit_cover(ChainOfSubspaces(space, stages), L)
+        _, pieces, _, _ = frozenset_direct_limit(space, stages, L)
+        _assert_same_cover(res.cover, Cover(space, pieces))

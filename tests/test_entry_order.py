@@ -28,12 +28,11 @@ from coarse_lab import (
     space_from_matrix,
     subspace_construction,
     transport,
-    uniform_ball_piece_family,
     uniform_ball_witness,
     z2_ball,
     z_interval,
 )
-from oracles import nearest_point
+from oracles import ball, masses, nearest_point, sorted_ids, uniform_ball_piece_family
 
 
 # ------------------------------------------------------ scalar references
@@ -45,9 +44,9 @@ def ref_dirac(space):
 def ref_uniform_ball(space, radius):
     out = {}
     for x in space.point_ids:
-        ball = space.sorted_ids(space.ball(x, radius))
-        c = 1.0 / math.sqrt(len(ball))
-        out[x] = {(None, p): c for p in ball}
+        near = sorted_ids(space, ball(space, x, radius))
+        c = 1.0 / math.sqrt(len(near))
+        out[x] = {(None, p): c for p in near}
     return out
 
 
@@ -75,16 +74,16 @@ def ref_subspace(witness, members):
     ambient = witness.space
     retraction = {s: nearest_point(ambient, s, members) for s in ambient.point_ids}
     xi = {y: {(s, retraction[s]): c for (_, s), c in witness.vectors[y].items()}
-          for y in ambient.sorted_ids(members)}
+          for y in sorted_ids(ambient, members)}
     return xi, ref_collapse(xi)
 
 
 def ref_glue(glue_input):
-    masses = glue_input.partition.masses()
+    at = masses(glue_input.partition)
     out = {}
     for x in glue_input.partition.space.point_ids:
         vec = {}
-        for i, phi in masses[x].items():
+        for i, phi in at[x].items():
             root = math.sqrt(phi)
             for (tag, u), cc in glue_input.pieces[i].vectors[x].items():
                 vec[((i, tag), u)] = root * cc
@@ -198,7 +197,7 @@ def test_net_extension(name, net, source):
         w = uniform_ball_witness(net_space, 1)
     else:
         w = Witness(net_space, random_vectors(net_space, 11, tagged=False))
-    res = net_construction(ambient, net, w, radii=[1.0], tail_radii=[])
+    res = net_construction(ambient, w, radii=[1.0], tail_radii=[])
     assert_same_entries(res.witness, ref_net(ambient, net, w))
 
 
@@ -215,7 +214,7 @@ def test_subspace_xi_and_eta(name, members, source):
         w = uniform_ball_witness(space, 2)
     else:
         w = Witness(space, random_vectors(space, 13, tagged=False, entries=6))
-    res = subspace_construction(w, members, tail_radii=[0.0, 1.0])
+    res = subspace_construction(w, np.unique(space.indices(members)), tail_radii=[0.0, 1.0])
     xi, eta = ref_subspace(w, members)
     assert_same_entries(res.tagged, xi)
     assert_same_entries(res.collapsed, eta)

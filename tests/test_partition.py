@@ -26,7 +26,7 @@ from coarse_lab import (
     z_interval,
 )
 from oracles import (dense_partition_variation, dict_masses, dict_partition_rows,
-                     dict_pullback, partition_value_maps)
+                     dict_pullback, masses, partition_value_maps)
 
 
 def path_graph(n):
@@ -99,7 +99,7 @@ class TestPartitionValidation:
         phi[0, 0] = 0.0
         assert part.value(0, 0) == 1.0
         assert not part.phi.flags.writeable
-        assert part.masses() == {0: {0: 1.0}, 1: {0: 0.5, 1: 0.5}, 2: {1: 1.0}}
+        assert masses(part) == {0: {0: 1.0}, 1: {0: 0.5, 1: 0.5}, 2: {1: 1.0}}
 
 
 class TestBellPartition:
@@ -267,8 +267,9 @@ def _assert_matches_dicts(part, pieces, values):
         for x in space.point_ids:
             assert part.value(i, x) == values[i].get(x, 0.0)
     want = dict_masses(space, values)
-    assert [(x, list(m.items())) for x, m in part.masses().items()] == \
-        [(x, list(m.items())) for x, m in want.items()]
+    ids = space.point_ids
+    assert [(ids[a], i, v) for a, i, v in zip(*(e.tolist() for e in part.entries()))] == \
+        [(x, i, v) for x, m in want.items() for i, v in m.items()]
     assert partition_to_json(part)["values"] == dict_partition_rows(space, values)
 
 

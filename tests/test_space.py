@@ -18,7 +18,6 @@ from coarse_lab import (
     check_coarse_map,
     cycle,
     grid,
-    is_c_net,
     load_map_assignment,
     space_from_graph,
     space_from_matrix,
@@ -29,7 +28,9 @@ from coarse_lab import space as space_module
 from coarse_lab.space import _bfs, _pair_chunks, _pair_sweep, _SparseRows
 from oracles import (
     dense_triangle_violation,
+    ball,
     first_axiom_violation,
+    is_c_net,
     l1_distance,
     nearest_point,
     sparse_diff_norm_sq,
@@ -54,7 +55,7 @@ class TestBuildSpace:
     def test_one_point_space(self):
         s = space_from_matrix(["a"], [[0.0]])
         assert s.uniform_discreteness == math.inf
-        assert s.ball("a", 100.0) == frozenset(["a"])
+        assert ball(s, "a", 100.0) == frozenset(["a"])
 
     def test_six_cycle(self):
         c6 = cycle(6)
@@ -209,27 +210,29 @@ class TestAxiomReports:
 
 
 class TestBalls:
+    """The scalar reference for closed balls."""
+
     def test_interior_ball(self):
-        assert path_graph(5).ball(2, 1) == frozenset({1, 2, 3})
+        assert ball(path_graph(5), 2, 1) == frozenset({1, 2, 3})
 
     def test_radius_zero(self):
-        assert path_graph(5).ball(4, 0) == frozenset({4})
+        assert ball(path_graph(5), 4, 0) == frozenset({4})
 
     def test_radius_past_diameter(self):
-        assert path_graph(5).ball(0, 10) == frozenset(range(5))
+        assert ball(path_graph(5), 0, 10) == frozenset(range(5))
 
     def test_unknown_center(self):
         with pytest.raises(ValidationError):
-            path_graph(5).ball(99, 1)
+            ball(path_graph(5), 99, 1)
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValidationError, match="ball radius must be >= 0"):
-            path_graph(5).ball(0, math.nan)
+            ball(path_graph(5), 0, math.nan)
 
     def test_monotone_in_radius(self):
         s = cycle(9)
         for r in range(5):
-            assert s.ball(0, r) <= s.ball(0, r + 1)
+            assert ball(s, 0, r) <= ball(s, 0, r + 1)
 
 
 class TestNearestPoint:
@@ -252,6 +255,8 @@ class TestNearestPoint:
 
 
 class TestNets:
+    """The scalar reference for the c-net condition."""
+
     def test_whole_space_is_a_net_at_any_scale(self):
         s = cycle(7)
         assert is_c_net(s, s.point_ids, 0.0)
@@ -369,7 +374,7 @@ def test_random_path_metrics_validate(weights):
 def test_cycle_ball_size(n, r):
     s = cycle(n)
     expected = min(n, 2 * r + 1)
-    assert len(s.ball(0, r)) == expected
+    assert len(ball(s, 0, r)) == expected
 
 
 # largest entries at the edges of uint8, uint16 and uint32 sums, and past them
