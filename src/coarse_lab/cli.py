@@ -23,10 +23,9 @@ from .cover import (_piece_distances, direct_limit_cover, enlarge, family_separa
                     lebesgue_report, multiplicity, r_multiplicity)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
 from .group import certify_quasi_action, group_pipeline
-from .jsonio import (_as_jsonable, _check, _finite, _is_number, _need, _object,
-                     dumps_deterministic, load_action_maps, load_chain, load_cover,
-                     load_group, load_map_assignment, load_space, load_witness, norm_id,
-                     parse_json, partition_to_json)
+from .jsonio import (_read, dumps_deterministic, load_action_maps, load_chain, load_cover,
+                     load_group, load_map_assignment, load_space, load_witness, parse_json,
+                     partition_to_json)
 from .partition import (_bell_lipschitz_check, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile)
 from .report import InequalityRecord, all_passed, check_le, json_number
@@ -34,9 +33,6 @@ from .space import check_coarse_map
 from .witness import dirac_witness, tail_profile, variation_profile
 
 _CONSUME_EPSILON = {"separated", "group-pipeline"}
-_NUMBERS = ("R", "S0", "epsilon", "delta", "L", "sigma", "c", "A_ceiling", "B_ceiling")
-_GRIDS = ("radii", "tail_radii")
-_PROFILED = " ?R ?S0 ?epsilon ?delta ?radii ?tail_radii"  # the witness profiles read these
 
 
 def _load_json(path):
@@ -53,40 +49,18 @@ def _load_json(path):
         raise ValidationError("cannot parse %s: %s" % (path, exc)) from exc
 
 
-def _check_keys(pipeline, what, given, spec):
-    """``given`` holds every key of ``spec`` not marked optional ("?") and no other."""
-    known = [key.lstrip("?") for key in spec.split()]
-    for key in spec.split():
-        if key[0] != "?" and key not in given:
-            raise ValidationError("pipeline %r needs %s %r" % (pipeline, what, key))
-    for key in given:
-        if key not in known:
-            raise ValidationError("pipeline %r reads no %s %r; it reads %s"
-                                  % (pipeline, what, key, ", ".join(known)))
-
-
-def _read_inputs(inputs, base_dir):
-    """Each input document by key, and the SHA-256 of each input file in key order."""
+def _read_inputs(inputs, base_dir, what):
+    """Each input document by key, and the SHA-256 of each input file in key order;
+    ``what`` names the inputs in a message."""
     docs, digests = dict(inputs), []
     for key in sorted(inputs):
         if isinstance(inputs[key], str):
             docs[key], digest = _load_json(os.path.join(base_dir, inputs[key]))
             digests.append(digest)
-        elif not isinstance(inputs[key], dict):
-            raise ValidationError("input %r must be a path or an inline object" % (key,))
+            if not isinstance(docs[key], dict):
+                raise ValidationError("%s field %r: file %s must hold a JSON object, not %s"
+                                      % (what, key, inputs[key], type(docs[key]).__name__))
     return docs, digests
-
-
-def _check_parameters(params):
-    if not isinstance(params.get("require_lebesgue", True), bool):
-        raise ValidationError("parameter 'require_lebesgue' must be true or false")
-    for key in _NUMBERS + _GRIDS:
-        if key in params:
-            values = params[key] if key in _GRIDS else [params[key]]
-            if not (isinstance(values, list) and all(_is_number(v) for v in values)):
-                raise ValidationError("parameter %r must be %s" % (
-                    key, "a list of numbers" if key in _GRIDS else "a number"))
-            _finite(values, "parameter %r" % key)
 
 
 def _piece_family(inputs):
@@ -95,23 +69,24 @@ def _piece_family(inputs):
     spec = inputs.get("pieces")
     if spec is None:
         return dirac_piece_family
-    if "list" not in _object(spec, "input 'pieces'"):
+    if not (isinstance(spec, dict) and "list" in spec):
         return lambda cover: tuple(load_witness(spec, cover.space._sub(idx))
                                    for idx in cover.indices)
+    docs = _read(spec, "pieces list")[1]["list"]
 
     def listed(cover):
-        docs = spec["list"]
-        if not isinstance(docs, list) or len(docs) != len(cover.indices):
+        if len(docs) != len(cover.indices):
             raise ValidationError("need one piece witness document per cover piece")
         family = []
         for i, doc in enumerate(docs):
-            if not isinstance(doc, dict) or "vectors" not in doc:
-                raise ValidationError("piece %d: explicit piece witnesses need vectors" % i)
             # restrict to the points the document mentions; the glue input
             # validation then reports any mismatch against the actual piece
-            pts = [norm_id(_need(row, "point", "witness vector"))
-                   for row in _need(doc, "vectors", "witness document", list)]
-            family.append(load_witness(doc, cover.space.restrict(pts)))
+            try:
+                pts = [_read(row, "witness vector")[1]["point"]
+                       for row in _read(doc, "witness document")[1]["vectors"]]
+                family.append(load_witness(doc, cover.space.restrict(pts)))
+            except ValidationError as exc:
+                raise ValidationError("piece %d: %s" % (i, exc)) from None
         return tuple(family)
     return listed
 
@@ -188,12 +163,12 @@ def _run_glue(inputs, params):
 def _run_subspace(inputs, params):
     space = load_space(inputs["space"])
     wit = load_witness(inputs["witness"], space)
-    members = [norm_id(p) for p in _check(params["subspace"], list, "parameter 'subspace'")]
+    members = params["subspace"]
     if not members:
         raise ValidationError("parameter 'subspace' must not be empty")
     idx = np.unique(space.indices(members))
     res = subspace_construction(wit, idx, tail_radii=params.get("tail_radii"))
-    ids = [_as_jsonable(p) for p in space.point_ids]
+    ids = space.point_ids
     details = {"retraction": [[ids[s], ids[t]] for s, t in enumerate(idx[res.nearest].tolist())]}
     return _RunOutput(checked=res.checks, info=res.tail_checks,
                       witness=res.collapsed, details=details)
@@ -201,7 +176,7 @@ def _run_subspace(inputs, params):
 
 def _run_net(inputs, params):
     space = load_space(inputs["space"])
-    members = [norm_id(p) for p in _check(params["net"], list, "parameter 'net'")]
+    members = params["net"]
     if not members:
         raise ValidationError("parameter 'net' must not be empty")
     wit = load_witness(inputs["witness"], space.restrict(members))
@@ -273,15 +248,15 @@ def _run_group(inputs, params):
                                   B_ceiling=params.get("B_ceiling"))
     spec = inputs.get("provider")
     provider = dirac_witness if spec is None else (lambda sp: load_witness(spec, sp))
-    res = group_pipeline(action, norm_id(params["x0"]), cov, params["R"],
+    res = group_pipeline(action, params["x0"], cov, params["R"],
                          epsilon=params.get("epsilon"), provider=provider,
                          tail_radii=params.get("tail_radii"))
     details = {
         "A": action.A, "B": action.B, "lambda": res.lam,
         "T": res.T, "threshold": res.threshold, "epsilon": res.epsilon,
         "k": res.k, "L": res.L,
-        "representatives": [_as_jsonable(g) for g in res.reps],
-        "stabilizer_size": len(res.stabilizer.members),
+        "representatives": list(res.reps),
+        "stabilizer_size": len(res.stabilizer.index),
         "kept_pieces": list(res.kept_pieces),
     }
     return _RunOutput(checked=list(res.checks) + list(action.checks), info=res.info,
@@ -290,41 +265,31 @@ def _run_group(inputs, params):
                       partition_json=partition_to_json(res.partition))
 
 
-# Each pipeline's runner, and the inputs and the parameters it reads, "?" marking
-# optional ones; any other key is rejected, so a misspelling cannot silently turn
-# a check off.
+# Each pipeline's runner; jsonio's table lists the inputs and parameters it reads.
 _PIPELINES = {
-    "verify-cover": (_run_verify_cover, "space cover", "?L"),
-    "bell": (_run_bell, "space cover", "?require_lebesgue ?radii"),
-    "glue": (_run_glue, "space cover ?pieces", "?require_lebesgue" + _PROFILED),
-    "subspace": (_run_subspace, "space witness", "subspace" + _PROFILED),
-    "net": (_run_net, "space witness", "net ?c" + _PROFILED),
-    "direct-limit": (_run_direct_limit, "space chain", "L" + _PROFILED),
-    "fibering": (_run_fibering, "space target_space map cover ?pieces",
-                 "?require_lebesgue" + _PROFILED),
-    "separated": (_run_separated, "space cover ?pieces",
-                  "L sigma R epsilon ?S0 ?delta ?radii ?tail_radii"),
-    "group-pipeline": (_run_group, "group space action cover ?provider",
-                       "x0 R ?epsilon ?S0 ?delta ?radii ?tail_radii ?A_ceiling ?B_ceiling"),
+    "verify-cover": _run_verify_cover,
+    "bell": _run_bell,
+    "glue": _run_glue,
+    "subspace": _run_subspace,
+    "net": _run_net,
+    "direct-limit": _run_direct_limit,
+    "fibering": _run_fibering,
+    "separated": _run_separated,
+    "group-pipeline": _run_group,
 }
 
 
 def execute_scenario(scenario, base_dir):
     """Run a parsed scenario document; returns (certificate dict, output)."""
-    _object(scenario, "a scenario")
-    inputs = _object(scenario.get("inputs", {}), "scenario 'inputs'")
-    pipeline = scenario.get("pipeline")
+    fields = _read(scenario, "scenario")[1]
+    pipeline = fields["pipeline"]
     if not isinstance(pipeline, str) or pipeline not in _PIPELINES:
         raise ValidationError("unknown pipeline %r; expected one of %s"
                               % (pipeline, ", ".join(sorted(_PIPELINES))))
-    params = dict(_object(scenario.get("parameters", {}), "scenario 'parameters'"))
-    _check_keys(pipeline, "field", scenario, "?name pipeline ?inputs ?parameters")
-    run, input_keys, parameter_keys = _PIPELINES[pipeline]
-    _check_keys(pipeline, "input", inputs, input_keys)
-    _check_keys(pipeline, "parameter", params, parameter_keys)
-    _check_parameters(params)
-    docs, digests = _read_inputs(inputs, base_dir)
-    out = run(docs, params)
+    inputs = _read(fields.get("inputs", {}), pipeline + " inputs")[1]
+    params = _read(fields.get("parameters", {}), pipeline + " parameters")[1]
+    docs, digests = _read_inputs(inputs, base_dir, pipeline + " inputs")
+    out = _PIPELINES[pipeline](docs, params)
     out.input_digests = digests  # for the certificate's inputs_sha256
 
     profiles = {"variation": [], "tail": []}
@@ -394,25 +359,16 @@ def export_profiles(certificate, fmt, out_dir, base_name):
     return paths
 
 
-def _output_name(name):
-    """The scenario name as a file name stem inside the output directory."""
-    name = str(name)
-    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-        raise ValidationError("scenario name %r is not a plain file name" % (name,))
-    return name
-
-
 def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None):
     """Run one scenario file; ``written`` holds the names this run already wrote."""
     if profiles_fmt is not None:
         _check_profile_format(profiles_fmt)
     scenario, scenario_digest = _load_json(path)
-    _object(scenario, "scenario %s" % (path,))
-    name = _output_name(scenario.get("name", "unnamed"))
-    if written is not None and name in written:
-        raise ValidationError("scenario name %r was already written in this run" % (name,))
     base_dir = os.path.dirname(os.path.abspath(path))
     certificate, out = execute_scenario(scenario, base_dir)
+    name = str(certificate["scenario"])  # a plain file name stem, as the reader checked
+    if written is not None and name in written:
+        raise ValidationError("scenario name %r was already written in this run" % (name,))
     # the inputs' content, not a clock: a re-run reproduces the certificate
     parts = [__version__.encode(), b"\0", scenario_digest] + out.input_digests
     certificate["inputs_sha256"] = hashlib.sha256(b"".join(parts)).hexdigest()

@@ -188,11 +188,11 @@ class GlueInput:
             if not np.array_equal(have, piece):
                 # the first piece point the witness lacks, else its first extra point
                 missing = np.setdiff1d(piece, have)
-                if not missing.size:
-                    missing = np.setdiff1d(have, piece)
-                raise ValidationError(
-                    "piece %d witness does not cover point %r of the piece"
-                    % (i, space.point_ids[missing[0]]))
+                if missing.size:
+                    raise ValidationError("piece %d witness does not cover point %r of the piece"
+                                          % (i, space.point_ids[missing[0]]))
+                raise ValidationError("piece %d witness has point %r outside the piece"
+                                      % (i, space.point_ids[np.setdiff1d(have, piece)[0]]))
             if not np.allclose(w.space.D, space.D[np.ix_(idx, idx)], atol=1e-12, rtol=0.0):
                 raise ValidationError(
                     "piece %d witness metric is not the restricted metric" % i)

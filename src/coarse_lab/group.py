@@ -202,7 +202,7 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
             raise ValidationError("product table is not associative: (x*s)*y != x*(s*y) "
                                   "at (x, s, y) = %r" % ((x, s, y),))
     d0 = np.array(dist, dtype=np.float64)
-    return FiniteMetricSpace(model.elements, d0[mult[model.inverse]], validate=False)
+    return FiniteMetricSpace._of(model.elements, d0[mult[model.inverse]])
 
 
 @dataclass(frozen=True)
@@ -294,9 +294,8 @@ def certify_quasi_action(group: GroupModel, space: FiniteMetricSpace, img,
 @dataclass(frozen=True)
 class QuasiStabilizer:
     threshold: float
-    members: tuple        # in word-space stored order
     index: np.ndarray     # the members' element indices, ascending
-    space: FiniteMetricSpace
+    space: FiniteMetricSpace  # on the members, in that order
 
 
 def _displacement(action: CoarseQuasiAction, x0):
@@ -314,8 +313,7 @@ def quasi_stabilizer(action: CoarseQuasiAction, x0, T) -> QuasiStabilizer:
     index = np.flatnonzero(disp <= float(T) + 1e-9)
     if not index.size:
         raise PreconditionError("quasi-stabilizer at T=%g is empty" % float(T))
-    members = tuple(action.group.elements[i] for i in index.tolist())
-    return QuasiStabilizer(float(T), members, index, action.word_space._sub(index))
+    return QuasiStabilizer(float(T), index, action.word_space._sub(index))
 
 
 def left_translation(group: GroupModel, g, members):
@@ -463,11 +461,11 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
                          tol=1e-9, witness=incl_worst[1])
 
     base_witness = provider(stab.space)
-    if not isinstance(base_witness, Witness) or \
-            set(base_witness.space.point_ids) != set(stab.members):
+    ids = base_witness.space.point_ids if isinstance(base_witness, Witness) else ()
+    if len(ids) != len(stab.space) or not all(p in stab.space for p in ids):
         raise ValidationError("provider witness is not on the quasi-stabilizer")
     # position in stab.index of each point of the provider's space, in its order
-    at = np.searchsorted(stab.index, [G.index(p) for p in base_witness.space.point_ids])
+    at = np.array(stab.space.indices(ids))
 
     sub_results = []
     for pos, i in enumerate(kept):

@@ -98,9 +98,9 @@ def _validate_metric_axioms(ids, D):
 
 
 class FiniteMetricSpace:
-    """Finite point set with a validated metric."""
+    """Finite point set with a validated metric: the constructor copies and checks it."""
 
-    def __init__(self, point_ids, dist_matrix, validate=True):
+    def __init__(self, point_ids, dist_matrix):
         ids = tuple(point_ids)
         if not ids:
             raise ValidationError("a metric space needs at least one point")
@@ -117,8 +117,21 @@ class FiniteMetricSpace:
             raise ValidationError(
                 "distance matrix shape %r does not match %d points" % (D.shape, len(ids))
             )
-        if validate:
-            _validate_metric_axioms(ids, D)
+        _validate_metric_axioms(ids, D)
+        self._store(ids, D)
+
+    @classmethod
+    def _of(cls, ids, D):
+        """A space that takes over the fresh float64 matrix ``D`` of a builder:
+        frozen in place, neither copied nor validated."""
+        ids = tuple(ids)
+        if not ids:
+            raise ValidationError("a metric space needs at least one point")
+        space = cls.__new__(cls)
+        space._store(ids, D)
+        return space
+
+    def _store(self, ids, D):
         D.setflags(write=False)
         self.point_ids = ids
         self.D = D
@@ -187,7 +200,7 @@ class FiniteMetricSpace:
     def _sub(self, idx) -> "FiniteMetricSpace":
         """Subspace on the ascending point indices ``idx``, in stored point order."""
         ids = self.point_ids
-        return FiniteMetricSpace([ids[i] for i in idx], self.D[np.ix_(idx, idx)], validate=False)
+        return FiniteMetricSpace._of([ids[i] for i in idx], self.D[np.ix_(idx, idx)])
 
 
 class StepModulus:
@@ -288,7 +301,7 @@ def _hop_space(ids, adj) -> FiniteMetricSpace:
         raise DisconnectedGraphError(
             "graph metric undefined: no path between %r and %r" % (ids[s], ids[t])
         )
-    return FiniteMetricSpace(ids, D, validate=False)
+    return FiniteMetricSpace._of(ids, D)
 
 
 def _hop_counts(adj):
@@ -343,7 +356,7 @@ def z_interval(lo, hi) -> FiniteMetricSpace:
     ids = list(range(int(lo), int(hi) + 1))
     vals = np.array(ids, dtype=float)
     D = np.abs(vals[:, None] - vals[None, :])
-    return FiniteMetricSpace(ids, D, validate=False)
+    return FiniteMetricSpace._of(ids, D)
 
 
 def cycle(n) -> FiniteMetricSpace:
@@ -355,7 +368,7 @@ def cycle(n) -> FiniteMetricSpace:
     vals = np.arange(n, dtype=float)
     diff = np.abs(vals[:, None] - vals[None, :])
     D = np.minimum(diff, n - diff)
-    return FiniteMetricSpace(ids, D, validate=False)
+    return FiniteMetricSpace._of(ids, D)
 
 
 def _coord_metric(coords, norm):
@@ -375,7 +388,7 @@ def grid(dims, norm="l1") -> FiniteMetricSpace:
         raise ValidationError("grid dims must be positive")
     ids = [tuple(c) for c in itertools.product(*(range(d) for d in dims))]
     D = _coord_metric(ids, norm)
-    return FiniteMetricSpace(ids, D, validate=False)
+    return FiniteMetricSpace._of(ids, D)
 
 
 def z2_ball(radius, norm="l1") -> FiniteMetricSpace:
@@ -391,7 +404,7 @@ def z2_ball(radius, norm="l1") -> FiniteMetricSpace:
     else:
         raise ValidationError("unsupported norm %r" % (norm,))
     D = _coord_metric(ids, norm)
-    return FiniteMetricSpace(ids, D, validate=False)
+    return FiniteMetricSpace._of(ids, D)
 
 
 _PAIR_CHUNK = 1 << 15        # pairs per block of a row-major pair enumeration

@@ -445,7 +445,7 @@ def test_criterion_7_group_action_end_to_end():
             assert dense_partition_variation(run.partition, 1.0) <= run.epsilon + 1e-9
             # translated preimages sit inside the quasi-stabilizer, exactly
             G = act.group
-            stab_set = set(run.stabilizer.members)
+            stab_set = set(run.stabilizer.space.point_ids)
             for pos, i in enumerate(run.kept_pieces):
                 inv = G.inverse[G.index(run.reps[pos])]
                 for g in run.group_cover.pieces[pos]:

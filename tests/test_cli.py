@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,7 +41,7 @@ from coarse_lab import (
     variation_profile,
 )
 import coarse_lab
-from coarse_lab import cli
+from coarse_lab import cli, jsonio
 from coarse_lab.cli import export_profiles, main
 from coarse_lab.jsonio import _as_jsonable
 from conftest import SCENARIO_DIR
@@ -48,6 +49,8 @@ from oracles import uniform_ball_piece_family
 
 
 INTERVAL = list(range(-5, 6))  # the points of z_interval(-5, 5)
+# A row given as pytest.param(..., id=...) keeps the test id it had when the id
+# was made from the message it expected before every document had a field table.
 
 
 def write_json(path, obj):
@@ -176,7 +179,8 @@ class TestRunCommand:
             "parameters": {"subspace": [0, 2, 4, 6, 8, 10]},
         })
         assert main(["run", scen, "--out", str(tmp_path)]) == 2
-        assert "non-finite coefficient" in capsys.readouterr().err
+        assert "witness entry field 'c' must be a finite number, not nan" \
+            in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "nan.certificate.json")
 
     @pytest.mark.parametrize("key", ["R", "S0"])
@@ -193,12 +197,14 @@ class TestRunCommand:
             "parameters": params,
         })
         assert main(["run", scen, "--out", str(tmp_path)]) == 2
-        assert "NaN" in capsys.readouterr().err
+        assert "subspace parameters field %r must be a finite number, not nan" % key \
+            in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "nanr.certificate.json")
 
     @pytest.mark.parametrize("entry, message", [
         (5, "witness entry must be a JSON object"),
-        ({"at": 4, "c": "x"}, "witness entry coefficient must be a number"),
+        pytest.param({"at": 4, "c": "x"}, "witness entry field 'c' must be a finite number",
+                     id="entry1-witness entry coefficient must be a number"),
     ])
     def test_malformed_witness_entry_is_validation_error(self, tmp_path, capsys, entry,
                                                          message):
@@ -222,10 +228,12 @@ class TestRunCommand:
         ({"vectors": 5}, "witness document field 'vectors' must be a JSON list"),
         ({"vectors": [{"point": 0, "entries": 5}]},
          "witness vector field 'entries' must be a JSON list"),
-        ({"builtin": "uniform_ball", "radius": "x"},
-         "uniform_ball witness field 'radius' must be a number"),
-        ({"builtin": "uniform_ball", "radius": True},
-         "uniform_ball witness field 'radius' must be a number"),
+        pytest.param({"builtin": "uniform_ball", "radius": "x"},
+                     "uniform_ball witness field 'radius' must be a finite number",
+                     id="witness2-uniform_ball witness field 'radius' must be a number"),
+        pytest.param({"builtin": "uniform_ball", "radius": True},
+                     "uniform_ball witness field 'radius' must be a finite number",
+                     id="witness3-uniform_ball witness field 'radius' must be a number"),
         # read last-wins, point 0 gets the unit vector 0.6 e_0 + 0.8 e_1; as listed, norm^2 1.36
         ({"vectors": [{"point": 0, "entries": [{"at": 0, "c": 0.6}, {"at": 1, "c": 0.8},
                                                {"at": 0, "c": 0.6}]}] +
@@ -234,10 +242,12 @@ class TestRunCommand:
         ({"vectors": [{"point": p, "entries": [{"at": p, "c": 1}]} for p in range(11)] +
           [{"point": 0, "entries": [{"at": 1, "c": 1}]}]},
          "witness document: point 0 is listed twice"),
-        ({"builtin": "uniform_ball", "radius": float("inf")},
-         "uniform_ball witness field 'radius' must be finite"),
-        ({"builtin": "uniform_ball", "radius": 10 ** 400},
-         "uniform_ball witness field 'radius' must be finite"),
+        pytest.param({"builtin": "uniform_ball", "radius": float("inf")},
+                     "uniform_ball witness field 'radius' must be a finite number",
+                     id="witness6-uniform_ball witness field 'radius' must be finite"),
+        pytest.param({"builtin": "uniform_ball", "radius": 10 ** 400},
+                     "uniform_ball witness field 'radius' must be a finite number",
+                     id="witness7-uniform_ball witness field 'radius' must be finite"),
     ])
     def test_malformed_witness_document_is_validation_error(self, tmp_path, capsys, witness,
                                                             message):
@@ -267,10 +277,12 @@ class TestRunCommand:
         ("action", {"type": "table", "maps": 5}, "table action field 'maps' must be a JSON list"),
         ("action", {"type": "table", "maps": [{"g": 0, "map": 5}]},
          "table action row field 'map' must be a JSON list"),
-        ("provider", {"builtin": "uniform_ball", "radius": "x"},
-         "uniform_ball witness field 'radius' must be a number"),
-        ("provider", {"builtin": "uniform_ball", "radius": True},
-         "uniform_ball witness field 'radius' must be a number"),
+        pytest.param("provider", {"builtin": "uniform_ball", "radius": "x"},
+                     "uniform_ball witness field 'radius' must be a finite number",
+                     id="provider-doc7-uniform_ball witness field 'radius' must be a number"),
+        pytest.param("provider", {"builtin": "uniform_ball", "radius": True},
+                     "uniform_ball witness field 'radius' must be a finite number",
+                     id="provider-doc8-uniform_ball witness field 'radius' must be a number"),
         ("action", {"type": "table", "maps": ROTATIONS + [ROTATIONS[0]]},
          "table action: group element 0 is listed twice"),
         ("action", {"type": "table", "maps": ROTATIONS + [{"g": 99, "map": []}]},
@@ -279,8 +291,9 @@ class TestRunCommand:
                     + ROTATIONS[1:]}, "map of 0: point 1 is listed twice"),
         ("action", {"type": "table", "maps": [{"g": 0, "map": ROTATIONS[0]["map"] + [[17, 0]]}]
                     + ROTATIONS[1:]}, "map of 0: point 17 is unknown"),
-        ("provider", {"builtin": "uniform_ball", "radius": float("inf")},
-         "uniform_ball witness field 'radius' must be finite"),
+        pytest.param("provider", {"builtin": "uniform_ball", "radius": float("inf")},
+                     "uniform_ball witness field 'radius' must be a finite number",
+                     id="provider-doc13-uniform_ball witness field 'radius' must be finite"),
         ("group", {"type": "dihedral", "n": 6}, "unknown group type 'dihedral'"),
         ("group", {"type": "ball", "group": "surface", "radius": 2},
          "unknown ball family 'surface'"),
@@ -308,21 +321,30 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("space, message", [
-        ({"metric": {"type": "cycle", "n": "x"}}, "cycle field 'n' must be an integer"),
-        ({"metric": {"type": "cycle", "n": 2.5}}, "cycle field 'n' must be an integer"),
-        ({"metric": {"type": "z_interval", "lo": 0, "hi": "x"}},
-         "z_interval field 'hi' must be an integer"),
-        ({"metric": {"type": "z2_ball", "radius": "x"}},
-         "z2_ball field 'radius' must be an integer"),
-        ({"metric": {"type": "grid", "dims": 5}}, "grid field 'dims' must be a JSON list"),
+        pytest.param({"metric": {"type": "cycle", "n": "x"}},
+                     "cycle metric field 'n' must be an integer",
+                     id="space0-cycle field 'n' must be an integer"),
+        pytest.param({"metric": {"type": "cycle", "n": 2.5}},
+                     "cycle metric field 'n' must be an integer",
+                     id="space1-cycle field 'n' must be an integer"),
+        pytest.param({"metric": {"type": "z_interval", "lo": 0, "hi": "x"}},
+                     "z_interval metric field 'hi' must be an integer",
+                     id="space2-z_interval field 'hi' must be an integer"),
+        pytest.param({"metric": {"type": "z2_ball", "radius": "x"}},
+                     "z2_ball metric field 'radius' must be an integer",
+                     id="space3-z2_ball field 'radius' must be an integer"),
+        pytest.param({"metric": {"type": "grid", "dims": 5}},
+                     "grid metric field 'dims' must be a JSON list",
+                     id="space4-grid field 'dims' must be a JSON list"),
         ({"metric": {"type": "matrix", "d": [[0]]}, "points": 5},
          "space document field 'points' must be a JSON list"),
         ({"metric": {"type": "graph", "edges": 5}, "points": [0, 1]},
          "graph metric field 'edges' must be a JSON list"),
         ({"metric": {"type": "graph", "edges": [[0, 1, 2]]}, "points": [0, 1, 2]},
          "graph edges must be [point, point] pairs"),
-        ({"metric": {"type": "matrix", "d": "x"}, "points": [0, 1]},
-         "a distance matrix must be a rectangular array of numbers"),
+        pytest.param({"metric": {"type": "matrix", "d": "x"}, "points": [0, 1]},
+                     "matrix metric field 'd' must be a JSON list, not 'x'",
+                     id="space8-a distance matrix must be a rectangular array of numbers"),
         ({"metric": {"type": "matrix", "d": [[0, 1], [1]]}, "points": [0, 1]},
          "a distance matrix must be a rectangular array of numbers"),
         ({"metric": {"type": "matrix", "d": [[0, "1"], ["1", 0]]}, "points": [0, 1]},
@@ -331,8 +353,10 @@ class TestRunCommand:
          "a distance matrix must be a rectangular array of numbers"),
         ({"metric": {"type": "matrix", "d": [[0, float("nan")], [float("nan"), 0]]},
           "points": [0, 1]}, "distances must be finite"),
-        ({"metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "points": [{}, 1]},
-         "ids must be numbers, strings or lists of them"),
+        pytest.param({"metric": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "points": [{}, 1]},
+                     "space document field 'points'[0] must be an id (a number, a string or a "
+                     "list of them), not {}",
+                     id="space13-ids must be numbers, strings or lists of them"),
         ({"metric": {"type": "graph", "edges": [[0, 1]]}, "points": [0, 1, 2]},
          "graph metric undefined: no path between 0 and 2"),
         ({"metric": {"type": "graph", "edges": [[0, 1], [1, 5]]}, "points": [0, 1, 2]},
@@ -373,10 +397,14 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("cover, message", [
         ({"pieces": 5}, "cover document field 'pieces' must be a JSON list"),
-        ({"pieces": [5]}, "cover piece must be a JSON list"),
+        pytest.param({"pieces": [5]},
+                     "cover document field 'pieces'[0] must be a JSON list, not 5",
+                     id="cover1-cover piece must be a JSON list"),
         ({"pieces": [[0, 1]], "coloring": "ab"},
          "cover document field 'coloring' must be a JSON list"),
-        ({"pieces": [[0, 1]], "coloring": ["a"]}, "cover color must be an integer"),
+        pytest.param({"pieces": [[0, 1]], "coloring": ["a"]},
+                     "cover document field 'coloring'[0] must be an integer, not 'a'",
+                     id="cover3-cover color must be an integer"),
     ])
     def test_malformed_cover_document_is_validation_error(self, tmp_path, capsys, cover,
                                                           message):
@@ -393,14 +421,21 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("chain, message", [
-        ({"type": "z_intervals", "radii": ["x"]}, "chain radius must be an integer, not 'x'"),
-        ({"type": "z_intervals", "radii": 5},
-         "chain document field 'radii' must be a JSON list, not 5"),
-        ({"type": "z_intervals", "radii": [1.5, 100]},
-         "chain radius must be an integer, not 1.5"),
-        ({"type": "explicit", "stages": 5},
-         "chain document field 'stages' must be a JSON list, not 5"),
-        ({"type": "explicit", "stages": [5]}, "chain stage must be a JSON list, not 5"),
+        pytest.param({"type": "z_intervals", "radii": ["x"]},
+                     "z_intervals chain field 'radii'[0] must be an integer, not 'x'",
+                     id="chain0-chain radius must be an integer, not 'x'"),
+        pytest.param({"type": "z_intervals", "radii": 5},
+                     "z_intervals chain field 'radii' must be a JSON list, not 5",
+                     id="chain1-chain document field 'radii' must be a JSON list, not 5"),
+        pytest.param({"type": "z_intervals", "radii": [1.5, 100]},
+                     "z_intervals chain field 'radii'[0] must be an integer, not 1.5",
+                     id="chain2-chain radius must be an integer, not 1.5"),
+        pytest.param({"type": "explicit", "stages": 5},
+                     "explicit chain field 'stages' must be a JSON list, not 5",
+                     id="chain3-chain document field 'stages' must be a JSON list, not 5"),
+        pytest.param({"type": "explicit", "stages": [5]},
+                     "explicit chain field 'stages'[0] must be a JSON list, not 5",
+                     id="chain4-chain stage must be a JSON list, not 5"),
     ])
     def test_malformed_chain_document_is_validation_error(self, tmp_path, capsys, chain,
                                                           message):
@@ -457,7 +492,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("pairs, message", [
         ([5], "map pairs must be [point, image] pairs, not 5"),
-        (5, "map document field 'pairs' must be a JSON list, not 5"),
+        pytest.param(5, "pairs map field 'pairs' must be a JSON list, not 5",
+                     id="5-map document field 'pairs' must be a JSON list, not 5"),
         ([[1, 2, 3]], "map pairs must be [point, image] pairs, not [1, 2, 3]"),
         ([[0, 0], [1, 1], [2, 2], [3, 3], [0, 3]], "map pairs: source point 0 is listed twice"),
         ([[0, 0], [1, 1], [2, 2], [3, 3], [99, 0]], "map pairs: source point 99 is unknown"),
@@ -526,7 +562,8 @@ class TestRunCommand:
         })
         out = tmp_path / "out"
         assert main(["run", scen, "--out", str(out)]) == 2
-        assert "parameter '%s' must be a JSON list" % pipeline in capsys.readouterr().err
+        assert "%s parameters field '%s' must be a JSON list" % (pipeline, pipeline) \
+            in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("pipeline", ["subspace", "net"])
@@ -579,14 +616,22 @@ class TestRunCommand:
         scen["parameter"] = scen.pop("parameters")
         out = tmp_path / "out"
         assert main(["run", write_json(tmp_path / "s.json", scen), "--out", str(out)]) == 2
-        assert "pipeline 'glue' reads no field 'parameter'" in capsys.readouterr().err
+        assert "scenario has unknown field 'parameter'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, where, key, message", [
-        ("direct_limit_interval", "parameters", "L",
-         "pipeline 'direct-limit' needs parameter 'L'"),
-        ("group_z60_c12", "parameters", "x0", "pipeline 'group-pipeline' needs parameter 'x0'"),
-        ("group_z60_c12", "inputs", "cover", "pipeline 'group-pipeline' needs input 'cover'"),
+        pytest.param("direct_limit_interval", "parameters", "L",
+                     "direct-limit parameters is missing field 'L'",
+                     id="direct_limit_interval-parameters-L-pipeline 'direct-limit' needs "
+                        "parameter 'L'"),
+        pytest.param("group_z60_c12", "parameters", "x0",
+                     "group-pipeline parameters is missing field 'x0'",
+                     id="group_z60_c12-parameters-x0-pipeline 'group-pipeline' needs parameter "
+                        "'x0'"),
+        pytest.param("group_z60_c12", "inputs", "cover",
+                     "group-pipeline inputs is missing field 'cover'",
+                     id="group_z60_c12-inputs-cover-pipeline 'group-pipeline' needs input "
+                        "'cover'"),
     ])
     def test_missing_key_is_input_error(self, tmp_path, capsys, name, where, key, message):
         with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
@@ -683,14 +728,14 @@ class TestRunCommand:
 
 
     def test_serialization_error_writes_no_certificate(self, tmp_path, capsys, monkeypatch):
-        run, *keys = cli._PIPELINES["subspace"]
+        run = cli._PIPELINES["subspace"]
 
         def with_nan_detail(inputs, params):
             out = run(inputs, params)
             out.details["probe"] = float("nan")
             return out
 
-        monkeypatch.setitem(cli._PIPELINES, "subspace", (with_nan_detail, *keys))
+        monkeypatch.setitem(cli._PIPELINES, "subspace", with_nan_detail)
         scen = write_json(tmp_path / "e.json", {
             "name": "e",
             "pipeline": "subspace",
@@ -735,26 +780,48 @@ class TestRunCommand:
         assert os.listdir(tmp_path) == ["s.json"]
 
     @pytest.mark.parametrize("inputs, params, message", [
-        ({"pieces": "pieces.json"}, {}, "input 'pieces' must be a JSON object"),
-        ({"space": {"metric": 5}}, {}, "space metric must be a JSON object"),
-        ({}, {"radii": 3}, "parameter 'radii' must be a list of numbers"),
-        ({}, {"R": "x"}, "parameter 'R' must be a number"),
+        pytest.param({"pieces": "pieces.json"}, {},
+                     "glue inputs field 'pieces': file pieces.json must hold a JSON object, "
+                     "not list",
+                     id="inputs0-params0-input 'pieces' must be a JSON object"),
+        pytest.param({"space": {"metric": 5}}, {},
+                     "space document field 'metric' must be a JSON object, not 5",
+                     id="inputs1-params1-space metric must be a JSON object"),
+        pytest.param({}, {"radii": 3}, "glue parameters field 'radii' must be a JSON list, not 3",
+                     id="inputs2-params2-parameter 'radii' must be a list of numbers"),
+        pytest.param({}, {"R": "x"}, "glue parameters field 'R' must be a finite number, not 'x'",
+                     id="inputs3-params3-parameter 'R' must be a number"),
         ({"pieces": {"list": [{"vectors": 5}]}}, {},
          "witness document field 'vectors' must be a JSON list"),
         ({"pieces": {"list": [{"vectors": [5]}]}}, {}, "witness vector must be a JSON object"),
-        ({}, {"epsilon": float("nan")}, "parameter 'epsilon' must be finite"),
-        ({}, {"epsilon": float("inf")}, "parameter 'epsilon' must be finite"),
-        ({}, {"R": float("inf")}, "parameter 'R' must be finite"),
-        ({}, {"radii": [1.0, float("inf")]}, "parameter 'radii' must be finite"),
+        pytest.param({}, {"epsilon": float("nan")},
+                     "glue parameters field 'epsilon' must be a finite number, not nan",
+                     id="inputs6-params6-parameter 'epsilon' must be finite"),
+        pytest.param({}, {"epsilon": float("inf")},
+                     "glue parameters field 'epsilon' must be a finite number, not inf",
+                     id="inputs7-params7-parameter 'epsilon' must be finite"),
+        pytest.param({}, {"R": float("inf")},
+                     "glue parameters field 'R' must be a finite number, not inf",
+                     id="inputs8-params8-parameter 'R' must be finite"),
+        pytest.param({}, {"radii": [1.0, float("inf")]},
+                     "glue parameters field 'radii'[1] must be a finite number, not inf",
+                     id="inputs9-params9-parameter 'radii' must be finite"),
         # a misspelled bound or piece spec must not silently turn its check off
-        ({}, {"epsilom": 0.01}, "pipeline 'glue' reads no parameter 'epsilom'"),
-        ({"pices": {"builtin": "dirac"}}, {}, "pipeline 'glue' reads no input 'pices'"),
+        pytest.param({}, {"epsilom": 0.01}, "glue parameters has unknown field 'epsilom'",
+                     id="inputs10-params10-pipeline 'glue' reads no parameter 'epsilom'"),
+        pytest.param({"pices": {"builtin": "dirac"}}, {}, "glue inputs has unknown field 'pices'",
+                     id="inputs11-params11-pipeline 'glue' reads no input 'pices'"),
         # null used to drop the Lebesgue precondition
-        ({}, {"require_lebesgue": None}, "parameter 'require_lebesgue' must be true or false"),
-        ({}, {"require_lebesgue": 0}, "parameter 'require_lebesgue' must be true or false"),
+        pytest.param({}, {"require_lebesgue": None},
+                     "glue parameters field 'require_lebesgue' must be true or false",
+                     id="inputs12-params12-parameter 'require_lebesgue' must be true or false"),
+        pytest.param({}, {"require_lebesgue": 0},
+                     "glue parameters field 'require_lebesgue' must be true or false",
+                     id="inputs13-params13-parameter 'require_lebesgue' must be true or false"),
         ({"pieces": {"list": []}}, {}, "need one piece witness document per cover piece"),
-        ({"pieces": {"list": [{"builtin": "dirac"}]}}, {},
-         "piece 0: explicit piece witnesses need vectors"),
+        pytest.param({"pieces": {"list": [{"builtin": "dirac"}]}}, {},
+                     "piece 0: witness document is missing field 'vectors'",
+                     id="inputs15-params15-piece 0: explicit piece witnesses need vectors"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, inputs, params,
                                                  message):
@@ -864,31 +931,39 @@ def inlined_scenarios():
 
 _SCENARIOS = inlined_scenarios()
 _DROP = object()
+_INSERT = object()
+_UNKNOWN_KEY = "zz_unknown"  # no document reads it
 # small values only: a size field set to a large number would allocate n x n
-_MUTATIONS = [_DROP, None, "x", {}, [], True, float("nan"), float("inf"), -1, 0]
+_MUTATIONS = [_DROP, _INSERT, None, "x", {}, [], True, float("nan"), float("inf"), -1, 0]
 
 
 @st.composite
 def mutated_scenarios(draw):
     """A scenario of scenarios/ with one field, at any object depth and at
-    most two lists deep, dropped or replaced by one of _MUTATIONS."""
+    most two lists deep, dropped or replaced by one of _MUTATIONS, or with
+    _UNKNOWN_KEY inserted into the deepest object on the way to that field;
+    and whether the key was inserted."""
     scen = copy.deepcopy(draw(st.sampled_from(_SCENARIOS)))
-    node, lists = scen, 0
+    node, lists, deepest = scen, 0, scen
     while True:
         key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
                                    else range(len(node))))
         child = node[key]
         lists += isinstance(child, list)
         deeper = isinstance(child, dict) or (isinstance(child, list) and lists <= 2)
+        if isinstance(child, dict):
+            deepest = child
         if not (deeper and child and draw(st.booleans())):
             break
         node = child
     value = draw(st.sampled_from(_MUTATIONS))
-    if value is _DROP:
+    if value is _INSERT:
+        deepest[_UNKNOWN_KEY] = draw(st.sampled_from(_MUTATIONS[2:]))
+    elif value is _DROP:
         del node[key]
     else:
         node[key] = value
-    return scen
+    return scen, value is _INSERT
 
 
 class TestExitCodes:
@@ -927,9 +1002,11 @@ class TestExitCodes:
 
     @settings(max_examples=150, deadline=None)
     @given(mutated_scenarios())
-    def test_one_mutated_field_exits_cleanly(self, scen):
+    def test_one_mutated_field_exits_cleanly(self, mutated):
         """Exit 0, 1 or 2 and no traceback; 1 only with a ``pass: false``
-        certificate on disk, 2 only with nothing written."""
+        certificate on disk, 2 only with nothing written. An inserted unknown
+        key is exit 2, named in the message."""
+        scen, inserted = mutated
         with tempfile.TemporaryDirectory() as tmp:
             path = write_json(os.path.join(tmp, "s.json"), scen)
             out = os.path.join(tmp, "out")
@@ -946,6 +1023,140 @@ class TestExitCodes:
                     assert json.load(fh)["pass"] is False
             if code == 2:
                 assert written == []
+            if inserted:
+                assert code == 2 and "unknown field %r" % _UNKNOWN_KEY in err.getvalue()
+
+
+def unit_vectors(points):
+    """The explicit witness document of the Dirac vectors on ``points``."""
+    return {"vectors": [{"point": p, "entries": [{"at": p, "c": 1.0}]} for p in points]}
+
+
+def shift_table(elements, shift, n):
+    """The table action moving the points of the n-cycle by ``shift(g)``."""
+    return {"type": "table", "maps": [{"g": g, "map": [[x, (x + shift(g)) % n] for x in range(n)]}
+                                      for g in elements]}
+
+
+_INTERVAL4 = {"metric": {"type": "z_interval", "lo": 0, "hi": 3}}
+_ARCS48 = [[(12 * i + j) % 48 for j in range(-1, 13)] for i in range(4)]
+# passing scenarios that, with scenarios/, reach every kind of inner document
+_KIND_SCENARIOS = {
+    "matrix_cover": {"pipeline": "verify-cover", "parameters": {"L": 1}, "inputs": {
+        "space": {"points": ["a", "b", "c"],
+                  "metric": {"type": "matrix", "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}},
+        "cover": {"pieces": [["a", "b"], ["b", "c"]]}}},
+    "graph_cover": {"pipeline": "verify-cover", "parameters": {"L": 0.5}, "inputs": {
+        "space": {"points": [0, 1, 2, 3],
+                  "metric": {"type": "graph", "edges": [[0, 1], [1, 2], [2, 3]]}},
+        "cover": {"pieces": [[0, 1, 2], [1, 2, 3]]}}},
+    "grid_cover": {"pipeline": "verify-cover", "inputs": {
+        "space": {"metric": {"type": "grid", "dims": [3, 3], "norm": "linf"}},
+        "cover": {"pieces": [[[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]],
+                             [[1, 0], [1, 1], [1, 2], [2, 0], [2, 1], [2, 2]]]}}},
+    "explicit_chain": {"pipeline": "direct-limit", "parameters": {"L": 1}, "inputs": {
+        "space": {"metric": {"type": "z_interval", "lo": -5, "hi": 5}},
+        "chain": {"type": "explicit",
+                  "stages": [list(range(-1, 2)), list(range(-3, 4)), INTERVAL]}}},
+    "pairs_map": {"pipeline": "fibering", "inputs": {
+        "space": _INTERVAL4, "target_space": _INTERVAL4,
+        "map": {"type": "pairs", "pairs": [[p, p] for p in range(4)]},
+        "cover": {"pieces": [[0, 1, 2, 3]]}}},
+    "explicit_witness": {"pipeline": "subspace", "parameters": {"subspace": [0, 2]},
+                         "inputs": {"space": _INTERVAL4, "witness": unit_vectors(range(4))}},
+    "pieces_list": {"pipeline": "glue", "parameters": {"R": 1.0, "radii": [1.0]}, "inputs": {
+        "space": _INTERVAL4, "cover": {"pieces": [[0, 1, 2, 3]]},
+        "pieces": {"list": [unit_vectors(range(4))]}}},
+    # Z_2 x Z_3 acting on the 12-cycle through (a, b) -> 6a + 8b
+    "product_table": {"pipeline": "group-pipeline", "parameters": {"x0": 0, "R": 1}, "inputs": {
+        "group": {"type": "product", "factors": [2, 3]},
+        "space": {"metric": {"type": "cycle", "n": 12}},
+        "action": shift_table([[a, b] for a in range(2) for b in range(3)],
+                              lambda g: 6 * g[0] + 8 * g[1], 12),
+        "cover": {"pieces": [list(range(6)), list(range(4, 10)), [8, 9, 10, 11, 0, 1]]}}},
+    "z_ball": {"pipeline": "group-pipeline", "parameters": {"x0": 5, "R": 1}, "inputs": {
+        "group": {"type": "ball", "radius": 3}, "space": {"metric": {"type": "cycle", "n": 48}},
+        "action": {"type": "isometric_hom", "rule": "cyclic_mod"},
+        "cover": {"pieces": _ARCS48}}},
+    "free_ball": {"pipeline": "group-pipeline", "parameters": {"x0": 5, "R": 1}, "inputs": {
+        "group": {"type": "ball", "group": "free", "rank": 1, "radius": 3},
+        "space": {"metric": {"type": "cycle", "n": 48}},
+        "action": shift_table(["", "a", "A", "aa", "AA", "aaa", "AAA"],
+                              lambda w: w.count("a") - w.count("A"), 48),
+        "cover": {"pieces": _ARCS48}}},
+}
+_KIND_SCENARIOS.update({scen["name"]: scen for scen in _SCENARIOS})
+
+# one unknown key per kind of inner document: (scenario, path to the document,
+# the document's name in the message, key, value)
+_UNKNOWN_KEYS = [
+    ("group_z60_c12", ("inputs", "group"), "cyclic group", "order", 7),
+    ("group_z60_c12", ("inputs", "cover"), "cover document", "colouring", [0, 1, 0]),
+    ("group_z60_c12", ("inputs", "action"), "isometric_hom action", "shift", 3),
+    ("group_z60_c12_perturbed", ("inputs", "action"), "perturbed action", "zz", 1),
+    ("glue_cycle_uniform_ball", ("inputs", "space"), "space document", "zz", 1),
+    ("glue_cycle_uniform_ball", ("inputs", "space"), "space document with a cycle metric",
+     "points", list(range(24))),
+    ("glue_cycle_uniform_ball", ("inputs", "space", "metric"), "cycle metric", "zz", 1),
+    ("subspace_interval", ("inputs", "space", "metric"), "z_interval metric", "zz", 1),
+    ("fibering_z2ball", ("inputs", "space", "metric"), "z2_ball metric", "zz", 1),
+    ("grid_cover", ("inputs", "space", "metric"), "grid metric", "nrom", "l1"),
+    ("matrix_cover", ("inputs", "space", "metric"), "matrix metric", "zz", 1),
+    ("graph_cover", ("inputs", "space", "metric"), "graph metric", "zz", 1),
+    ("direct_limit_interval", ("inputs", "chain"), "z_intervals chain", "zz", 1),
+    ("explicit_chain", ("inputs", "chain"), "explicit chain", "zz", 1),
+    ("product_table", ("inputs", "group"), "product group", "zz", 1),
+    ("z_ball", ("inputs", "group"), "z group ball", "rank", 1),
+    ("free_ball", ("inputs", "group"), "free group ball", "zz", 1),
+    ("product_table", ("inputs", "action"), "table action", "zz", 1),
+    ("product_table", ("inputs", "action", "maps", 0), "table action row", "zz", 1),
+    ("fibering_z2ball", ("inputs", "map"), "proj0 map", "zz", 1),
+    ("pairs_map", ("inputs", "map"), "pairs map", "zz", 1),
+    ("glue_cycle", ("inputs", "pieces"), "dirac witness", "radius", 1),
+    ("subspace_interval", ("inputs", "witness"), "uniform_ball witness", "zz", 1),
+    ("explicit_witness", ("inputs", "witness"), "witness document", "zz", 1),
+    ("explicit_witness", ("inputs", "witness", "vectors", 0), "witness vector", "zz", 1),
+    ("explicit_witness", ("inputs", "witness", "vectors", 0, "entries", 0), "witness entry",
+     "zz", 1),
+    ("pieces_list", ("inputs", "pieces"), "pieces list", "zz", 1),
+]
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("name", sorted(_KIND_SCENARIOS))
+    def test_kind_scenario_passes(self, tmp_path, name):
+        path = write_json(tmp_path / "s.json", dict(_KIND_SCENARIOS[name], name=name))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("name, where, document, key, value", _UNKNOWN_KEYS,
+                             ids=["%s-%s" % (row[2], row[3]) for row in _UNKNOWN_KEYS])
+    def test_unknown_key_is_input_error(self, tmp_path, capsys, name, where, document, key,
+                                        value):
+        scen = copy.deepcopy(dict(_KIND_SCENARIOS[name], name=name))
+        node = scen
+        for step in where:
+            node = node[step]
+        node[key] = value
+        out = tmp_path / "out"
+        assert main(["run", write_json(tmp_path / "s.json", scen), "--out", str(out)]) == 2
+        assert "%s has unknown field %r" % (document, key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_lists_the_table(self):
+        with open(os.path.join(os.path.dirname(SCENARIO_DIR), "README.md")) as fh:
+            text = fh.read()
+        table = text.split("<!-- input-document rows")[1].split("\n\n")[0]
+        rows = dict(re.findall(r"^\| `([^`]+)` \| *`?([^`|]*?)`? *\|$", table, re.M))
+        assert rows == {what: spec[1] if isinstance(spec, tuple) else spec
+                        for what, spec in jsonio._FIELDS.items() if what not in jsonio._FAMILIES}
+        for what, family in jsonio._FAMILIES.items():
+            assert "| `%s`" % what in text and "| `%s` |" % family.field in text
+
+    def test_check_space_names_unknown_metric_key(self, tmp_path, capsys):
+        path = write_json(tmp_path / "g.json",
+                          {"metric": {"type": "grid", "dims": [3, 3], "nrom": "linf"}})
+        assert main(["check-space", path]) == 2
+        assert "grid metric has unknown field 'nrom'" in capsys.readouterr().err
 
 
 def rule_certificate(tmp_path, name, action):

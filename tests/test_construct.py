@@ -270,6 +270,14 @@ class TestGlue:
         assert "piece 0" in str(exc.value)
         assert "2" in str(exc.value)
 
+    def test_extra_point_is_named_as_outside_the_piece(self):
+        s = z_interval(0, 3)
+        part = bell_partition(Cover(s, [[0, 1], [1, 2, 3]]), require_lebesgue=False)
+        extra = dirac_witness(s.restrict([0, 1, 2]))
+        with pytest.raises(ValidationError) as exc:
+            GlueInput(part, (extra, dirac_witness(s.restrict([1, 2, 3]))))
+        assert str(exc.value) == "piece 0 witness has point 2 outside the piece"
+
     def test_piece_metric_must_be_restricted(self):
         s = path_graph(3)
         cover = Cover(s, (frozenset({0, 2}), frozenset({0, 1, 2})))

@@ -20,6 +20,7 @@ from coarse_lab import (
     check_coarse_map,
     cycle,
     cyclic_group,
+    dirac_witness,
     free_group_ball,
     group_pipeline,
     GroupModel,
@@ -290,22 +291,22 @@ class TestQuasiStabilizer:
     def test_clamped_translation_stabilizer(self):
         act = self.clamped_z_action(10, -30, 30)
         stab = quasi_stabilizer(act, 0, 3)
-        assert set(stab.members) == set(range(-3, 4))
+        assert set(stab.space.point_ids) == set(range(-3, 4))
 
     def test_rotation_kernel(self):
         act = certify_quasi_action(cyclic_group(12), cycle(4), rotation_maps(12, 4))
-        assert set(quasi_stabilizer(act, 0, 0).members) == {0, 4, 8}
+        assert set(quasi_stabilizer(act, 0, 0).space.point_ids) == {0, 4, 8}
 
     def test_perturbed_contains_kernel(self):
         act = certify_quasi_action(cyclic_group(12), cycle(4),
                                    perturbed_maps(12, 4, 5, 1, 3, 1))
-        members = set(quasi_stabilizer(act, 0, 1).members)
+        members = set(quasi_stabilizer(act, 0, 1).space.point_ids)
         assert {0, 4, 8} <= members
 
     def test_monotone_in_threshold(self):
         act = self.clamped_z_action(8, -20, 20)
-        small = set(quasi_stabilizer(act, 0, 2).members)
-        large = set(quasi_stabilizer(act, 0, 5).members)
+        small = set(quasi_stabilizer(act, 0, 2).space.point_ids)
+        large = set(quasi_stabilizer(act, 0, 5).space.point_ids)
         assert small <= large
 
     def test_empty_stabilizer_raises(self):
@@ -378,7 +379,7 @@ class TestGroupPipeline:
         assert res.epsilon == 40.0
         assert res.reps == (2, 6, 10)
         assert res.T == 4.0 and res.threshold == 4.0
-        assert len(res.stabilizer.members) == 45
+        assert len(res.stabilizer.space.point_ids) == 45
         chain = next(c for c in res.checks if c.name == "group_epsilon_chain")
         assert chain.passed
         assert chain.lhs == pytest.approx(2.0 / 3.0)
@@ -396,7 +397,7 @@ class TestGroupPipeline:
         assert res.epsilon == 160.0
         assert res.T == 5.0
         assert res.threshold == 12.0
-        assert len(res.stabilizer.members) == 60
+        assert len(res.stabilizer.space.point_ids) == 60
         assert all(c.passed for c in res.checks)
 
     def test_epsilon_below_admissible_raises(self):
@@ -417,6 +418,18 @@ class TestGroupPipeline:
         res = group_pipeline(act, 0, cover, R=1.0,
                              provider=lambda sp: uniform_ball_witness(sp, 1))
         assert all(c.passed for c in res.checks)
+
+    @pytest.mark.parametrize("provider", [
+        lambda sp: dirac_witness(sp.restrict(sp.point_ids[1:])),      # a point short
+        lambda sp: dirac_witness(FiniteMetricSpace([p + 1000 for p in sp.point_ids], sp.D)),
+        lambda sp: "not a witness",
+    ], ids=["subset", "other-points", "not-a-witness"])
+    def test_provider_off_the_stabilizer_is_named(self, provider):
+        act = certify_quasi_action(cyclic_group(60), cycle(12), rotation_maps(60, 12))
+        cover = three_arc_cover(act.space, 12, 6, 4)
+        with pytest.raises(ValidationError,
+                           match="provider witness is not on the quasi-stabilizer"):
+            group_pipeline(act, 0, cover, R=1.0, provider=provider)
 
     @pytest.mark.parametrize("maps", [rotation_maps(60, 12),
                                       perturbed_maps(60, 12, 5, 1, 3, 1)])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from coarse_lab import (
     CoarseMapCert,
     DisconnectedGraphError,
+    FiniteMetricSpace,
     MetricAxiomError,
     ValidationError,
     check_coarse_map,
@@ -329,6 +330,40 @@ class TestCoarseMap:
         # conservative step extension: value at 1.5 is the next sample's
         assert cert.modulus(1.5) == 2.0
         assert cert.modulus(99.0) == 5.0
+
+
+class TestMatrixHandover:
+    """Builders hand their fresh matrix to the space; nothing copies it."""
+
+    def test_path_graph_build_holds_one_matrix(self):
+        n = 1500
+        tracemalloc.start()
+        try:
+            D = path_graph(n).D
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * D.nbytes
+        assert not D.flags.writeable
+
+    def test_subspace_holds_one_matrix(self):
+        ambient = cycle(1500)
+        tracemalloc.start()
+        try:
+            sub = ambient._sub(np.arange(0, 1500, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sub.D.nbytes
+        assert not sub.D.flags.writeable
+        assert sub.d(0, 1498) == 2.0
+
+    def test_constructor_copies_and_validates(self):
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        space = FiniteMetricSpace(["a", "b"], D)
+        assert space.D is not D and D.flags.writeable
+        with pytest.raises(MetricAxiomError):
+            FiniteMetricSpace(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])
 
 
 class TestRestrict:
