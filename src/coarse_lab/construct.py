@@ -219,13 +219,13 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     space = partition.space
     n = len(space)
     # xi_x: sqrt(phi_i(x)) times piece i's vector at x, with tags (i, tag), over
-    # x's pieces in order (a zero phi drops the entry); piece_row[i, a] is the
-    # row of piece i's vector at point a within the piece, or -1 off the piece
-    piece_row = np.full((len(glue_input.pieces), n), -1, dtype=np.int64)
-    parts, tags = [], []
+    # x's pieces in order (a zero phi drops the entry); members[i] is piece i's
+    # points ascending, with the rows of piece i's vectors at them
+    members, parts, tags = [], [], []
     for i, w in enumerate(glue_input.pieces):
         on = np.array(space.indices(w.space.point_ids))
-        piece_row[i, on] = np.arange(len(on))
+        rows = np.argsort(on)
+        members.append((on[rows], rows))
         parts.append((on[w.row], on[w.at], w.tag + len(tags),
                       np.sqrt(partition.phi[i, on[w.row]]) * w.coef))
         tags.extend((i, t) for t in w.tags)
@@ -234,15 +234,24 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     glued = Witness._of(space, row[order], at[order], tag[order], tuple(tags), coef[order])
 
     def sides(a, b):
+        # the block holds every pair (p, q > p) of the rows [a0, a1), row-major:
+        # pair (p, q) sits at off[p - a0] + q - p - 1
+        a0, a1 = int(a[0]), int(a[-1]) + 1
+        off = np.cumsum(np.r_[0, n - 1 - np.arange(a0, a1 - 1)])
         common = np.zeros(len(a))
-        # a block's first points are consecutive: skip the pieces missing them all
-        for i in np.flatnonzero((piece_row[:, a[0]:a[-1] + 1] >= 0).any(axis=1)):
-            ra, rb = piece_row[i, a], piece_row[i, b]
-            both = np.flatnonzero((ra >= 0) & (rb >= 0))
-            if both.size:
-                # one kernel per piece: lookup tables grow with the piece, not the cover
-                kernel = glue_input.pieces[i].kernel
-                common[both] = np.maximum(common[both], kernel.sq_dist(ra[both], rb[both]))
+        for w, (on, rows) in zip(glue_input.pieces, members):
+            # the pairs (p, q) of piece points with p in the block: p = on[j],
+            # q = on[k] for j < k, listed from the piece's own index array
+            lo, hi = np.searchsorted(on, [a0, a1])
+            lens = len(on) - 1 - np.arange(lo, hi)
+            j = np.repeat(np.arange(lo, hi), lens)
+            if not j.size:
+                continue
+            k = np.arange(len(j)) - np.repeat(np.cumsum(lens) - lens, lens) + j + 1
+            p, q = on[j], on[k]
+            pos = off[p - a0] + q - p - 1
+            # one kernel per piece: lookup tables grow with the piece, not the cover
+            common[pos] = np.maximum(common[pos], w.kernel.sq_dist(rows[j], rows[k]))
         return glued.kernel.sq_dist(a, b), 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common
 
     variation_rec = _worst_pair("glue_variation_bound", space, sides, _ID_TOL) or \

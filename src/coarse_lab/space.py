@@ -186,7 +186,13 @@ class FiniteMetricSpace:
         if self._pairs is None or r > self._pairs[0]:
             a, b = np.nonzero(np.triu(self.D <= r + 1e-12, 1))
             d = self.D[a, b]
-            order = np.argsort(d, kind="stable")
+            # integral distances below 2^16 sort by radix as uint16, in the same order
+            key = d
+            if d.max(initial=0.0) < 2**16:
+                narrow = d.astype(np.uint16)
+                if np.array_equal(narrow, d):
+                    key = narrow
+            order = np.argsort(key, kind="stable")
             kind = np.min_scalar_type(len(self) - 1)
             self._pairs = (r, a.astype(kind)[order], b.astype(kind)[order], d[order])
         _, a, b, d = self._pairs
@@ -474,7 +480,9 @@ class _SparseRows:
         self._slot = np.full((n, len(uniq) + 1), -1, dtype=np.min_scalar_type(-self.width - 1))
         self._slot[row, keys] = slot      # the slot of entry id k in row r, else -1
         self._shared = self._shared_pairs(row, keys)
-        # the scalar sums of a row against a row it shares no entry with
+        # the scalar sums of a row against a row it shares no entry with, and
+        # the c * c terms a row adds as the second of such a pair
+        self._sq = self.coef * self.coef
         zeros = np.zeros(n)
         self._own_sq = _fold(np.float_power(self.coef, 2.0), zeros)
         self._own_abs = _fold(np.abs(self.coef), zeros)
@@ -518,9 +526,15 @@ class _SparseRows:
         step = max(1, _SLOT_BUDGET // max(self.width, 1))
         for lo in range(0, len(a), step):
             ca, cb, part = a[lo:lo + step], b[lo:lo + step], out[lo:lo + step]
-            sh = self._shared.take(ca * len(self.ids) + cb)
-            dj = ~sh
-            part[dj] = disjoint(ca[dj], cb[dj])
+            mask = self._shared.take(ca * len(self.ids) + cb)
+            sh = np.flatnonzero(mask)
+            if 2 * len(sh) < len(ca):
+                # mostly disjoint: the closed form on every pair, then the
+                # lookups on the shared ones only
+                part[:] = disjoint(ca, cb)
+            else:
+                dj = ~mask
+                part[dj] = disjoint(ca[dj], cb[dj])
             part[sh] = shared(ca[sh], cb[sh])
         return out
 
@@ -529,13 +543,11 @@ class _SparseRows:
         (c - u_b.get(k, 0.0)) ** 2, then c * c over the entries only u_b has."""
         def shared(a, b):
             m, in_a = self._match(a, b)
-            cb = self.coef.take(b, axis=0)
             s = _fold(np.float_power(self.coef.take(a, axis=0) - m, 2.0), np.zeros(len(a)))
-            return _fold(np.where(in_a, 0.0, cb * cb), s)
+            return _fold(np.where(in_a, 0.0, self._sq.take(b, axis=0)), s)
 
         def disjoint(a, b):
-            cb = self.coef.take(b, axis=0)
-            return _fold(cb * cb, self._own_sq[a])
+            return _fold(self._sq.take(b, axis=0), self._own_sq[a])
 
         return self._pairs(a, b, shared, disjoint)
 

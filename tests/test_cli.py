@@ -6,7 +6,9 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 from coarse_lab import (
     BoundViolationError,
     Cover,
+    ValidationError,
+    Witness,
     all_passed,
     bell_partition,
     certify_quasi_action,
@@ -28,6 +32,7 @@ from coarse_lab import (
     dumps_deterministic,
     fibering_pipeline,
     free_group_ball,
+    grid,
     group_pipeline,
     load_action_maps,
     load_cover,
@@ -1471,11 +1476,48 @@ class TestJsonRoundTrips:
         assert back.vectors == w.vectors
 
     def test_tagged_witness_round_trip(self):
-        from coarse_lab import Witness
         space = cycle(3)
         w = Witness(space, {x: {("t%d" % x, x): 1.0} for x in space.point_ids})
         back = load_witness(witness_to_json(w), space)
         assert back.vectors == w.vectors
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_loader_builds_the_constructor_arrays(self, seed):
+        # vectors listed out of stored order, entries and tags in drawn orders
+        space = grid([2, 3])
+        ids = space.point_ids
+        rng = random.Random(seed)
+        vectors = {}
+        for x in rng.sample(ids, len(ids)):
+            support = rng.sample(ids, rng.randint(1, 4))
+            coefs = [rng.uniform(-1.0, 1.0) for _ in support]
+            norm = math.sqrt(sum(c * c for c in coefs))
+            vectors[x] = {(rng.choice(["u", "v", (1, "w")]), p): c / norm
+                          for p, c in zip(support, coefs)}
+        doc = {"vectors": [{"point": list(x), "entries": [
+            {"at": list(p), "c": c, "tag": _as_jsonable(t)} for (t, p), c in vec.items()]}
+            for x, vec in vectors.items()]}
+        got, want = load_witness(doc, space), Witness(space, vectors)
+        for name in ("row", "at", "tag", "coef"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert got.tags == want.tags
+
+    @pytest.mark.parametrize("vectors", [
+        pytest.param({9: {(None, 0): 1.0}, 1: {(None, 1): 1.0}}, id="unknown-point-first"),
+        pytest.param({0: {(None, 7): 1.0}, 2: {(None, 2): 1.0}}, id="missing-before-entry"),
+        pytest.param({2: {(None, 8): 1.0}, 0: {(None, 0): 1.0},
+                      1: {(None, 1): 1.0, (None, 7): 0.0}, 3: {(None, 3): 1.0}},
+                     id="first-stored-unknown-entry"),
+    ])
+    def test_witness_loader_errors_are_the_constructors(self, vectors):
+        space = cycle(4)
+        doc = {"vectors": [{"point": x, "entries": [{"at": p, "c": c} for (_, p), c in
+                                                    vec.items()]} for x, vec in vectors.items()]}
+        with pytest.raises(ValidationError) as got:
+            load_witness(doc, space)
+        with pytest.raises(ValidationError) as want:
+            Witness(space, vectors)
+        assert str(got.value) == str(want.value)
 
     def test_partition_document_is_deterministic(self):
         space = cycle(6)

@@ -423,6 +423,26 @@ def _signed_witness(space, seed):
     return Witness(space, vectors)
 
 
+@st.composite
+def _glue_inputs(draw):
+    """A Bell partition on 5-12 overlapping pieces with signed piece witnesses;
+    one piece's witness space lists the piece's points in a drawn order."""
+    space = _SPACES[draw(st.sampled_from(sorted(_SPACES)))](draw(st.integers(2, 14)))
+    ids = space.point_ids
+    pieces = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), min_size=5,
+                           max_size=12))
+    pieces[-1] |= set(ids) - set().union(*pieces)
+    cover = Cover(space, pieces)
+    turned = draw(st.integers(0, len(pieces) - 1))
+    family = []
+    for i, idx in enumerate(cover.indices):
+        if i == turned:
+            idx = np.array(draw(st.permutations(idx.tolist())))
+        on = FiniteMetricSpace([ids[a] for a in idx], space.D[np.ix_(idx, idx)])
+        family.append(_signed_witness(on, draw(st.integers(0, 2**32 - 1))))
+    return GlueInput(bell_partition(cover, require_lebesgue=False), tuple(family))
+
+
 def _small_steps(mp):
     """Make every pair enumeration and kernel step a few pairs long."""
     mp.setattr(space_module, "_PAIR_CHUNK", 1)
@@ -449,6 +469,39 @@ class TestPairRecordsAgainstDoubleLoops:
             assert (rec.lhs, rec.rhs, rec.witness) == (0.0, 0.0, None)
         else:
             assert (rec.lhs, rec.rhs, rec.witness) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, space_module._PAIR_CHUNK])
+    @settings(max_examples=30, deadline=None)
+    @given(gi=_glue_inputs())
+    def test_glue_variation_record_on_signed_pieces(self, gi, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space_module, "_PAIR_CHUNK", chunk)
+            res = glue_with_report(gi)
+        rec = res.checks[0]
+        assert (rec.lhs, rec.rhs, rec.witness) == dense_glue_bound(gi, res.witness)
+
+    @pytest.mark.parametrize("chunk", [1, 7, space_module._PAIR_CHUNK])
+    @settings(max_examples=20, deadline=None)
+    @given(gi=_glue_inputs())
+    def test_piece_kernels_see_each_piece_pair_once(self, gi, chunk):
+        calls = []
+        sq_dist = space_module._SparseRows.sq_dist
+
+        def spy(kernel, a, b):
+            calls.append((kernel, np.array(a), np.array(b)))
+            return sq_dist(kernel, a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space_module, "_PAIR_CHUNK", chunk)
+            mp.setattr(space_module._SparseRows, "sq_dist", spy)
+            glue_with_report(gi)
+        space = gi.partition.space
+        for w, piece in zip(gi.pieces, gi.partition.cover.indices):
+            on = np.array(space.indices(w.space.point_ids))
+            got = [(int(on[p]), int(on[q])) for kernel, a, b in calls if kernel is w.kernel
+                   for p, q in zip(a, b)]
+            # the first point of each pair comes first in the stored order
+            assert sorted(got) == [(p, q) for p in piece for q in piece if p < q]
 
     @settings(max_examples=40, deadline=None)
     @given(_covers(), st.floats(0.0, 4.0), st.booleans())

@@ -694,3 +694,53 @@ class TestSparseRows:
         monkeypatch.setattr(space_module, "_PAIR_CHUNK", size)
         got = [(int(a), int(b)) for ca, cb in _pair_chunks(n) for a, b in zip(ca, cb)]
         assert got == [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+    @pytest.mark.parametrize("slot_budget", [3, 1 << 16])
+    def test_chunk_paths(self, slot_budget, monkeypatch):
+        # rows 2i and 2i + 1 share one entry; every other row pair shares none.
+        # Chunks with no shared pair, half but one, exactly half (the path
+        # boundary) and only shared pairs take both paths of _pairs.
+        monkeypatch.setattr(space_module, "_SLOT_BUDGET", slot_budget)
+        # coefficients whose CPython square c ** 2 is not c * c, so that either
+        # square of the closed form moves a bit if taken the other way
+        rng = np.random.default_rng(11)
+        odd = iter([c for c in rng.uniform(-2.0, 2.0, 200000).tolist() if c ** 2 != c * c])
+        rows = [{("own", i, 0): next(odd), ("own", i, 1): next(odd),
+                 ("pair", i // 2): next(odd), ("own", i, 2): next(odd)} for i in range(24)]
+        kernel = _SparseRows(*_flat(rows))
+        size = max(1, slot_budget // kernel.width)
+        pick = np.random.default_rng(5)
+        shared = [(i, i ^ 1) for i in range(24)] + [(i, i) for i in range(24)]
+        disjoint = [(i, j) for i in range(24) for j in range(24) if i // 2 != j // 2]
+        pairs = []
+        for count in (0, max(size // 2 - 1, 0), size // 2, size, (size + 1) // 2):
+            chunk = [shared[k] for k in pick.integers(0, len(shared), count)]
+            chunk += [disjoint[k] for k in pick.integers(0, len(disjoint), size - count)]
+            pairs += [chunk[k] for k in pick.permutation(size)]
+        a, b = (np.array(v) for v in zip(*pairs))
+        assert kernel.sq_dist(a, b).tolist() == [sparse_diff_norm_sq(rows[i], rows[j])
+                                                 for i, j in pairs]
+        assert kernel.l1_dist(a, b).tolist() == [l1_distance(rows[i], rows[j])
+                                                 for i, j in pairs]
+
+
+def _float_sorted_pairs(D, r):
+    a, b = np.nonzero(np.triu(D <= r + 1e-12, 1))
+    order = np.argsort(D[a, b], kind="stable")
+    return a[order].tolist(), b[order].tolist(), D[a, b][order].tolist()
+
+
+class TestSortedPairs:
+    """The pair list is the float-key stable argsort, whatever the sort key."""
+
+    @pytest.mark.parametrize("D", [
+        pytest.param(cycle(40).D, id="integral-with-ties"),
+        pytest.param(1024.0 * z_interval(0, 70).D, id="integral-past-2^16"),
+        pytest.param(0.7 * cycle(40).D + 0.25 * (1.0 - np.eye(40)), id="not-integral"),
+    ])
+    def test_matches_float_key_argsort(self, D):
+        space = FiniteMetricSpace(range(len(D)), D)
+        # a larger radius rebuilds the list; a smaller one reads a prefix of it
+        for r in (D.max() / 2, 2**16 - 1, D.max()):
+            got = space._sorted_pairs(r)
+            assert [v.tolist() for v in got] == list(_float_sorted_pairs(D, r))
