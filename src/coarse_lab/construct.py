@@ -243,9 +243,11 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
             # the pairs (p, q) of piece points with p in the block: p = on[j],
             # q = on[k] for j < k, listed from the piece's own index array
             lo, hi = np.searchsorted(on, [a0, a1])
+            if lo == hi:
+                continue
             lens = len(on) - 1 - np.arange(lo, hi)
             j = np.repeat(np.arange(lo, hi), lens)
-            if not j.size:
+            if not j.size:      # the block holds only the piece's last point
                 continue
             k = np.arange(len(j)) - np.repeat(np.cumsum(lens) - lens, lens) + j + 1
             p, q = on[j], on[k]

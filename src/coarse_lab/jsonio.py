@@ -284,26 +284,7 @@ def load_witness(obj, space: FiniteMetricSpace) -> Witness:
         return x, _keyed(map(entry, f["entries"]),
                          "witness vector at %r: (tag, point) entry" % (x,))
 
-    # the entry arrays of Witness(space, vectors), with its checks in its order:
-    # vectors in stored point order, tags interned in entry order
-    vectors = _keyed(map(vector, fields["vectors"]), "witness document: point")
-    for x in vectors:
-        if x not in space:
-            raise ValidationError("witness defined at unknown point %r" % (x,))
-    missing = [p for p in space.point_ids if p not in vectors]
-    if missing:
-        raise ValidationError("witness is missing a vector at %r" % (missing[0],))
-    vectors = [vectors[x] for x in space.point_ids]
-    entries = [e for v in vectors for e in v]
-    at = [space._ix.get(p, -1) for _, p in entries]
-    row = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
-    if -1 in at:
-        k = at.index(-1)
-        raise ValidationError("entry of vector at %r projects to unknown point %r"
-                              % (space.point_ids[row[k]], entries[k][1]))
-    tags = {}
-    tag = [tags.setdefault(t, len(tags)) for t, _ in entries]
-    return Witness._of(space, row, at, tag, tuple(tags), [c for v in vectors for c in v.values()])
+    return Witness(space, _keyed(map(vector, fields["vectors"]), "witness document: point"))
 
 
 def partition_to_json(partition) -> dict:

@@ -152,7 +152,11 @@ class FiniteMetricSpace:
             raise ValidationError("unknown point id %r" % (point,)) from None
 
     def indices(self, points):
-        return [self.index(p) for p in points]
+        ix = self._ix
+        try:
+            return [ix[p] for p in points]
+        except KeyError as e:
+            raise ValidationError("unknown point id %r" % (e.args[0],)) from None
 
     def d(self, x, y) -> float:
         return float(self.D[self.index(x), self.index(y)])
@@ -526,15 +530,9 @@ class _SparseRows:
         step = max(1, _SLOT_BUDGET // max(self.width, 1))
         for lo in range(0, len(a), step):
             ca, cb, part = a[lo:lo + step], b[lo:lo + step], out[lo:lo + step]
-            mask = self._shared.take(ca * len(self.ids) + cb)
-            sh = np.flatnonzero(mask)
-            if 2 * len(sh) < len(ca):
-                # mostly disjoint: the closed form on every pair, then the
-                # lookups on the shared ones only
-                part[:] = disjoint(ca, cb)
-            else:
-                dj = ~mask
-                part[dj] = disjoint(ca[dj], cb[dj])
+            # the closed form on every pair, then the lookups on the shared ones
+            sh = np.flatnonzero(self._shared.take(ca * len(self.ids) + cb))
+            part[:] = disjoint(ca, cb)
             part[sh] = shared(ca[sh], cb[sh])
         return out
 

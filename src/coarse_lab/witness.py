@@ -60,21 +60,23 @@ class Witness:
         missing = [p for p in space.point_ids if p not in vectors]
         if missing:
             raise ValidationError("witness is missing a vector at %r" % (missing[0],))
+        # the entries in stored point order: the first that is no (tag, point)
+        # pair, or projects off the space, is named
+        vectors = [vectors[x] for x in space.point_ids]
+        entries = [e for v in vectors for e in v]
+        row = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+        ok = [isinstance(e, tuple) and len(e) == 2 and e[1] in space for e in entries]
+        if not all(ok):
+            k = ok.index(False)
+            e = entries[k]
+            if not (isinstance(e, tuple) and len(e) == 2):
+                raise ValidationError("entry %r must be a (tag, point) pair" % (e,))
+            raise ValidationError("entry of vector at %r projects to unknown point %r"
+                                  % (space.point_ids[row[k]], e[1]))
         tags = {}
-        row, at, tag, coef = [], [], [], []
-        for i, x in enumerate(space.point_ids):
-            for entry, c in vectors[x].items():
-                if not (isinstance(entry, tuple) and len(entry) == 2):
-                    raise ValidationError("entry %r must be a (tag, point) pair" % (entry,))
-                t, p = entry
-                if p not in space:
-                    raise ValidationError(
-                        "entry of vector at %r projects to unknown point %r" % (x, p))
-                row.append(i)
-                at.append(space.index(p))
-                tag.append(tags.setdefault(t, len(tags)))
-                coef.append(float(c))
-        self._store(space, row, at, tag, tuple(tags), coef)
+        tag = [tags.setdefault(t, len(tags)) for t, _ in entries]
+        self._store(space, row, space.indices([p for _, p in entries]), tag, tuple(tags),
+                    [float(c) for v in vectors for c in v.values()])
 
     @classmethod
     def _of(cls, space, row, at, tag, tags, coef):

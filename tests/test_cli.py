@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from coarse_lab import (
     BoundViolationError,
     Cover,
-    ValidationError,
     Witness,
     all_passed,
     bell_partition,
@@ -1501,23 +1500,6 @@ class TestJsonRoundTrips:
         for name in ("row", "at", "tag", "coef"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
         assert got.tags == want.tags
-
-    @pytest.mark.parametrize("vectors", [
-        pytest.param({9: {(None, 0): 1.0}, 1: {(None, 1): 1.0}}, id="unknown-point-first"),
-        pytest.param({0: {(None, 7): 1.0}, 2: {(None, 2): 1.0}}, id="missing-before-entry"),
-        pytest.param({2: {(None, 8): 1.0}, 0: {(None, 0): 1.0},
-                      1: {(None, 1): 1.0, (None, 7): 0.0}, 3: {(None, 3): 1.0}},
-                     id="first-stored-unknown-entry"),
-    ])
-    def test_witness_loader_errors_are_the_constructors(self, vectors):
-        space = cycle(4)
-        doc = {"vectors": [{"point": x, "entries": [{"at": p, "c": c} for (_, p), c in
-                                                    vec.items()]} for x, vec in vectors.items()]}
-        with pytest.raises(ValidationError) as got:
-            load_witness(doc, space)
-        with pytest.raises(ValidationError) as want:
-            Witness(space, vectors)
-        assert str(got.value) == str(want.value)
 
     def test_partition_document_is_deterministic(self):
         space = cycle(6)

@@ -698,8 +698,8 @@ class TestSparseRows:
     @pytest.mark.parametrize("slot_budget", [3, 1 << 16])
     def test_chunk_paths(self, slot_budget, monkeypatch):
         # rows 2i and 2i + 1 share one entry; every other row pair shares none.
-        # Chunks with no shared pair, half but one, exactly half (the path
-        # boundary) and only shared pairs take both paths of _pairs.
+        # Chunks with no shared pair, half but one, exactly half and only
+        # shared pairs: the closed form, and the lookups over it, on each.
         monkeypatch.setattr(space_module, "_SLOT_BUDGET", slot_budget)
         # coefficients whose CPython square c ** 2 is not c * c, so that either
         # square of the closed form moves a bit if taken the other way

@@ -70,6 +70,51 @@ class TestWitnessValidation:
         with pytest.raises(ValidationError):
             Witness(s, {0: {(None, 0): 1.0}, 1: {("t", 1): 1.0}})
 
+    @pytest.mark.parametrize("vectors, message", [
+        pytest.param({9: {(None, 0): 1.0}, 1: {(None, 1): 1.0}},
+                     "witness defined at unknown point 9", id="unknown-point-first"),
+        pytest.param({0: {(None, 7): 1.0}, 2: {(None, 2): 1.0}},
+                     "witness is missing a vector at 1", id="missing-before-entry"),
+        pytest.param({2: {(None, 8): 1.0}, 0: {(None, 0): 1.0},
+                      1: {(None, 1): 1.0, (None, 7): 0.0}, 3: {(None, 3): 1.0}},
+                     "entry of vector at 1 projects to unknown point 7",
+                     id="first-stored-unknown-entry"),
+        pytest.param({2: {"ab": 1.0}, 0: {(None, 0): 1.0},
+                      1: {(None, 1): 1.0, (None, 7): 0.0}, 3: {(None, 3): 1.0}},
+                     "entry of vector at 1 projects to unknown point 7",
+                     id="unknown-entry-before-non-pair"),
+        pytest.param({2: {(None, 8): 1.0}, 0: {(None, 0): 1.0},
+                      1: {(None, 1, 2): 1.0}, 3: {(None, 3): 1.0}},
+                     "entry (None, 1, 2) must be a (tag, point) pair",
+                     id="non-pair-before-unknown-entry"),
+    ])
+    def test_first_error_in_stored_order(self, vectors, message):
+        # vectors are checked in stored point order, whatever order they come in
+        with pytest.raises(ValidationError) as got:
+            Witness(cycle(4), vectors)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entry_arrays_in_stored_order(self, seed):
+        # vectors listed out of stored order; tags interned in entry order
+        space = cycle(7)
+        rng = np.random.default_rng(seed)
+        vectors = {}
+        for x in rng.permutation(7).tolist():
+            support = rng.choice(7, size=int(rng.integers(1, 5)), replace=False).tolist()
+            coefs = rng.uniform(-1.0, 1.0, len(support))
+            coefs /= math.sqrt(sum(c * c for c in coefs.tolist()))
+            vectors[x] = {("uv"[int(rng.integers(2))], p): c
+                          for p, c in zip(support, coefs.tolist())}
+        w = Witness(space, vectors)
+        tags, want = {}, []
+        for x in space.point_ids:
+            for (t, p), c in vectors[x].items():
+                want.append((x, p, tags.setdefault(t, len(tags)), c))
+        assert list(zip(w.row.tolist(), w.at.tolist(), w.tag.tolist(),
+                        w.coef.tolist())) == want
+        assert w.tags == tuple(tags)
+
     def test_zero_coefficients_dropped(self):
         s = path_graph(2)
         w = Witness(s, {0: {(None, 0): 1.0, (None, 1): 0.0}, 1: {(None, 1): 1.0}})
