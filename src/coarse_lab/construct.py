@@ -193,7 +193,9 @@ class GlueInput:
                                           % (i, space.point_ids[missing[0]]))
                 raise ValidationError("piece %d witness has point %r outside the piece"
                                       % (i, space.point_ids[np.setdiff1d(have, piece)[0]]))
-            if not np.allclose(w.space.D, space.D[np.ix_(idx, idx)], atol=1e-12, rtol=0.0):
+            sub = space.D[np.ix_(idx, idx)]
+            if not np.array_equal(w.space.D, sub) and \
+                    not np.allclose(w.space.D, sub, atol=1e-12, rtol=0.0):
                 raise ValidationError(
                     "piece %d witness metric is not the restricted metric" % i)
 
@@ -254,11 +256,17 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
             pos = off[p - a0] + q - p - 1
             # one kernel per piece: lookup tables grow with the piece, not the cover
             common[pos] = np.maximum(common[pos], w.kernel.sq_dist(rows[j], rows[k]))
-        return glued.kernel.sq_dist(a, b), 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common
+        lhs = glued.kernel.sq_dist(a, b)
+        # every pair passes here once: the glued witness's variation sweep too
+        # (finite unit vectors, so no NaN for the sweep's running max to skip)
+        np.maximum.at(sq_by_distance, space._distance_ranks(a, b), lhs)
+        return lhs, 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common
 
+    sq_by_distance = np.zeros(len(space.realized_distances()))
     variation_rec = _worst_pair("glue_variation_bound", space, sides, _ID_TOL) or \
         check_le("glue_variation_bound", 0.0, 0.0, tol=_ID_TOL,
                  note="single-point space, no pairs")
+    glued._sq_by_distance = sq_by_distance
 
     tail_radii = _radii(space, tail_radii) or [0.0]
     glued_tail = tail_profile(glued, tail_radii)

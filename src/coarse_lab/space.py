@@ -97,6 +97,16 @@ def _validate_metric_axioms(ids, D):
             )
 
 
+def _narrow(values):
+    """A uint16 copy of the nonnegative float ``values`` when every one of them
+    is an integer below 2^16, else None."""
+    if values.max(initial=0.0) < 2**16:
+        narrow = values.astype(np.uint16)
+        if np.array_equal(narrow, values):
+            return narrow
+    return None
+
+
 class FiniteMetricSpace:
     """Finite point set with a validated metric: the constructor copies and checks it."""
 
@@ -137,6 +147,7 @@ class FiniteMetricSpace:
         self.D = D
         self._ix = {p: i for i, p in enumerate(ids)}
         self._realized = None
+        self._rank_of = None
         self._pairs = None
 
     def __len__(self):
@@ -176,8 +187,32 @@ class FiniteMetricSpace:
     def realized_distances(self):
         """Sorted list of all realized distance values, always including 0."""
         if self._realized is None:
-            self._realized = sorted(set(float(v) for v in np.unique(self.D)))
-        return list(self._realized)
+            narrow = _narrow(self.D)
+            # only the diagonal holds zeros, and np.unique lists a -0.0 there as -0.0
+            if narrow is None or np.signbit(np.diagonal(self.D)).any():
+                self._realized = np.unique(self.D)
+            else:
+                # integral distances below 2^16: the values present, and the rank
+                # of each in the narrowest type holding it
+                present = np.bincount(narrow.ravel()) > 0
+                self._realized = np.flatnonzero(present).astype(np.float64)
+                rank = np.cumsum(present) - 1
+                self._rank_of = rank.astype(np.min_scalar_type(rank[-1]))
+        return self._realized.tolist()
+
+    def _distance_ranks(self, a, b):
+        """Per pair of int64 index arrays a, b: the exact rank of d(a, b) among
+        the realized distances, by table lookup when they are narrow integers.
+        One index array is reused throughout, to keep the temporaries few."""
+        if self._realized is None:
+            self.realized_distances()
+        at = a * len(self)
+        at += b
+        d = self.D.take(at)
+        if self._rank_of is None:
+            return np.searchsorted(self._realized, d)
+        at[:] = d       # integers below 2^16: exact
+        return self._rank_of.take(at)
 
     def bounded_geometry(self, radius) -> int:
         """N_R = max over x of |B(x, R)|."""
@@ -191,12 +226,8 @@ class FiniteMetricSpace:
             a, b = np.nonzero(np.triu(self.D <= r + 1e-12, 1))
             d = self.D[a, b]
             # integral distances below 2^16 sort by radix as uint16, in the same order
-            key = d
-            if d.max(initial=0.0) < 2**16:
-                narrow = d.astype(np.uint16)
-                if np.array_equal(narrow, d):
-                    key = narrow
-            order = np.argsort(key, kind="stable")
+            key = _narrow(d)
+            order = np.argsort(d if key is None else key, kind="stable")
             kind = np.min_scalar_type(len(self) - 1)
             self._pairs = (r, a.astype(kind)[order], b.astype(kind)[order], d[order])
         _, a, b, d = self._pairs
@@ -495,24 +526,29 @@ class _SparseRows:
     def _shared_pairs(self, row, keys):
         """(n, n) mask of the row pairs holding a common entry, diagonal set.
 
-        Sorted by entry (rows ascending within each), every entry pairs with
-        the earlier rows holding the same one; ``ends[e]`` is the end of entry
-        e's pairs in that list, which is marked _SLOT_BUDGET pairs at a time.
+        Sorted by entry, the rows holding an entry are a run of the sorted
+        rows. Entries held by the same number c of rows mark their c x c row
+        blocks together, _SLOT_BUDGET cells at a time; an entry held by more
+        rows than that marks its rows against each other in blocks of rows.
         """
         n = len(self.ids)
         order = np.argsort(keys, kind="stable")
         k, r = keys[order], row[order]
-        new = np.ones(len(k), dtype=bool)
-        new[1:] = k[1:] != k[:-1]
-        first = np.flatnonzero(new)[np.cumsum(new) - 1]
-        ends = np.cumsum(np.arange(len(k)) - first)
+        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        held = np.diff(np.r_[starts, len(k)])
         mask = np.eye(n, dtype=bool)
-        total = int(ends[-1]) if len(ends) else 0
-        for lo in range(0, total, _SLOT_BUDGET):
-            p = np.arange(lo, min(lo + _SLOT_BUDGET, total))
-            e = np.searchsorted(ends, p, side="right")
-            earlier, later = r[p - ends[e] + e], r[e]
-            mask[earlier, later] = mask[later, earlier] = True
+        for c in np.unique(held[held > 1]).tolist():
+            R = r[starts[held == c][:, None] + np.arange(c)]
+            step = _SLOT_BUDGET // (c * c)
+            if step:
+                for lo in range(0, len(R), step):
+                    block = R[lo:lo + step]
+                    mask[block[:, :, None], block[:, None, :]] = True
+            else:
+                step = max(1, _SLOT_BUDGET // c)
+                for rows in R:
+                    for lo in range(0, c, step):
+                        mask[rows[lo:lo + step, None], rows[None, :]] = True
         return mask
 
     def _match(self, a, b):
@@ -564,6 +600,14 @@ class _SparseRows:
         return self._pairs(a, b, shared, disjoint)
 
 
+def _sweep_radii(radii):
+    """The radii as ascending floats; a negative or NaN radius is rejected."""
+    radii = sorted(float(r) for r in radii)
+    if not all(r >= 0.0 for r in radii):
+        raise ValidationError("radii must be >= 0 and not NaN")
+    return radii
+
+
 def _pair_sweep(space: FiniteMetricSpace, radii, value):
     """For each radius r, ascending: (r, max of value over pairs with d <= r, pair).
 
@@ -575,12 +619,9 @@ def _pair_sweep(space: FiniteMetricSpace, radii, value):
     max starts at 0.0 and skips NaN; ``pair`` is the first point-id pair that
     attains it, or None when no pair value exceeds 0.0.
     """
-    radii = [float(r) for r in radii]
-    if not all(r >= 0.0 for r in radii):
-        raise ValidationError("radii must be >= 0 and not NaN")
+    radii = _sweep_radii(radii)
     if not radii:
         return []
-    radii.sort()
     a, b, dists = space._sorted_pairs(radii[-1])
     vals = np.asarray(value(a, b), dtype=np.float64)
     # prefix[k] is the max over the first k pairs; best_at[k] the first of

@@ -1301,6 +1301,26 @@ class TestKernelBuilds:
             _, out = cli.execute_scenario(json.load(fh), SCENARIO_DIR)
         assert out.witness.kernel is out.witness.kernel
 
+    def test_glued_kernel_evaluates_each_pair_once(self, monkeypatch):
+        # the glue's pass over all pairs is also the glued witness's variation
+        # sweep: the profile over every realized distance evaluates no pair again
+        calls = []
+        sq_dist = coarse_lab.space._SparseRows.sq_dist
+
+        def spy(kernel, a, b):
+            calls.append((kernel, [int(v) for v in a], [int(v) for v in b]))
+            return sq_dist(kernel, a, b)
+
+        monkeypatch.setattr(coarse_lab.space._SparseRows, "sq_dist", spy)
+        with open(os.path.join(SCENARIO_DIR, "glue_cycle.json")) as fh:
+            cert, out = cli.execute_scenario(json.load(fh), SCENARIO_DIR)
+        n = len(out.witness.space)
+        assert [r for r, _ in cert["profiles"]["variation"]] == \
+            out.witness.space.realized_distances()
+        got = sorted(pair for kernel, a, b in calls if kernel is out.witness.kernel
+                     for pair in zip(a, b))
+        assert got == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
 
 class TestProfiles:
     def run_and_read(self, tmp_path, scen, name):

@@ -38,6 +38,7 @@ from coarse_lab import (
 )
 from coarse_lab import space as space_module
 from coarse_lab.partition import _bell_lipschitz_check
+from coarse_lab.space import _pair_sweep
 from oracles import (dense_bell_lipschitz, dense_glue_bound, dense_subspace_records,
                      dense_variation, dense_vector_distance, nearest_point,
                      uniform_ball_piece_family)
@@ -297,6 +298,34 @@ class TestGlue:
         assert res.witness.vectors == want.witness.vectors
         assert res.checks == want.checks
 
+    def test_equal_piece_metric_passes_without_allclose(self, monkeypatch):
+        s = z_interval(0, 7)
+        cover = Cover(s, [range(0, 5), range(3, 8)])
+        part = bell_partition(cover, require_lebesgue=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allclose called on an exactly equal metric")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        GlueInput(part, dirac_piece_family(cover))
+
+    @pytest.mark.parametrize("off, passes", [(1e-13, True), (1e-9, False)])
+    def test_piece_metric_tolerance(self, off, passes):
+        # piece 1's metric off the restriction by ``off`` on every pair
+        s = z_interval(0, 7)
+        cover = Cover(s, [range(0, 5), range(3, 8)])
+        part = bell_partition(cover, require_lebesgue=False)
+        idx = cover.indices[1]
+        D = s.D[np.ix_(idx, idx)] + off * (1.0 - np.eye(len(idx)))
+        pieces = (dirac_piece_family(cover)[0],
+                  dirac_witness(FiniteMetricSpace([s.point_ids[i] for i in idx], D)))
+        if passes:
+            GlueInput(part, pieces)
+            return
+        with pytest.raises(ValidationError) as exc:
+            GlueInput(part, pieces)
+        assert str(exc.value) == "piece 1 witness metric is not the restricted metric"
+
     def test_wrong_piece_metric_is_named(self):
         s = path_graph(4)
         part = bell_partition(Cover(s, [s.point_ids]))
@@ -424,10 +453,13 @@ def _signed_witness(space, seed):
 
 
 @st.composite
-def _glue_inputs(draw):
+def _glue_inputs(draw, scale=1.0):
     """A Bell partition on 5-12 overlapping pieces with signed piece witnesses;
-    one piece's witness space lists the piece's points in a drawn order."""
+    one piece's witness space lists the piece's points in a drawn order. The
+    space's metric is multiplied by ``scale``."""
     space = _SPACES[draw(st.sampled_from(sorted(_SPACES)))](draw(st.integers(2, 14)))
+    if scale != 1.0:
+        space = FiniteMetricSpace(space.point_ids, scale * space.D)
     ids = space.point_ids
     pieces = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), min_size=5,
                            max_size=12))
@@ -502,6 +534,50 @@ class TestPairRecordsAgainstDoubleLoops:
                    for p, q in zip(a, b)]
             # the first point of each pair comes first in the stored order
             assert sorted(got) == [(p, q) for p in piece for q in piece if p < q]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_glued_profile_from_the_table_is_the_pair_sweep(self, data):
+        # integral narrow, integral past 2^16 and non-integral metrics
+        scale = data.draw(st.sampled_from([1.0, 70000.0, 0.3]))
+        gi = data.draw(_glue_inputs(scale))
+        res = glue_with_report(gi)
+        w = res.witness
+        assert w._sq_by_distance is not None
+        grid = w.space.realized_distances()
+        # radii at, just inside and just outside the 1e-12 tolerance of a
+        # realized distance, below the smallest distance, past the diameter
+        near = st.tuples(st.sampled_from(grid), st.sampled_from([0.0, 5e-13, -5e-13, -2e-12]))
+        radii = data.draw(st.lists(st.one_of(near.map(lambda t: max(0.0, t[0] + t[1])),
+                                             st.floats(0.0, 2.0 * grid[-1] + 1.0),
+                                             st.just(0.5 * scale)),
+                                   max_size=10))
+        radii += radii[:2]          # repeated radii
+        plain = Witness._of(w.space, w.row, w.at, w.tag, w.tags, w.coef)
+        assert plain._sq_by_distance is None
+        want = [(r, v) for r, v, _ in _pair_sweep(
+            w.space, radii, lambda a, b: np.sqrt(plain.kernel.sq_dist(a, b)))]
+        assert variation_profile(w, radii) == want
+        assert variation_profile(plain, radii) == want
+
+    def test_one_point_glued_profile(self):
+        s = z_interval(0, 0)
+        cover = Cover(s, [[0]])
+        res = glue_with_report(GlueInput(bell_partition(cover, require_lebesgue=False),
+                                         dirac_piece_family(cover)))
+        assert res.witness._sq_by_distance.tolist() == [0.0]
+        assert variation_profile(res.witness, [0.0, 3.0, 3.0]) == [
+            (0.0, 0.0), (3.0, 0.0), (3.0, 0.0)]
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_glued_profile_rejects_negative_or_nan_radius(self, bad):
+        s = cycle(9)
+        cover = Cover(s, [range(0, 6), [5, 6, 7, 8, 0]])
+        res = glue_with_report(GlueInput(bell_partition(cover, require_lebesgue=False),
+                                         dirac_piece_family(cover)))
+        assert res.witness._sq_by_distance is not None
+        with pytest.raises(ValidationError, match="radii must be >= 0 and not NaN"):
+            variation_profile(res.witness, [1.0, bad])
 
     @settings(max_examples=40, deadline=None)
     @given(_covers(), st.floats(0.0, 4.0), st.booleans())

@@ -645,7 +645,9 @@ class TestSparseRows:
             mp.setattr(space_module, "_SLOT_BUDGET", slot_budget)
             _assert_scalar_sums(rows, one_pair_per_call)
 
-    @pytest.mark.parametrize("slot_budget", [1 << 16, 3])
+    # budget 3 marks every key's rows in row blocks; 16 marks the keys held by
+    # up to 4 rows in key blocks and the crowd's key in row blocks
+    @pytest.mark.parametrize("slot_budget", [1 << 16, 16, 3])
     @settings(max_examples=40, deadline=None)
     @given(rows=_sparse_rows(), crowd=st.integers(0, 12))
     def test_sharing_mask_is_the_sharing_relation(self, rows, crowd, slot_budget):
@@ -744,3 +746,27 @@ class TestSortedPairs:
         for r in (D.max() / 2, 2**16 - 1, D.max()):
             got = space._sorted_pairs(r)
             assert [v.tolist() for v in got] == list(_float_sorted_pairs(D, r))
+
+
+class TestRealizedDistances:
+    """The realized grid, and each pair's rank in it, are exact on every path."""
+
+    @pytest.mark.parametrize("D", [
+        pytest.param(np.zeros((1, 1)), id="one-point"),
+        pytest.param(cycle(40).D, id="integral-with-ties"),
+        pytest.param(65535.0 * z_interval(0, 1).D, id="integral-at-2^16-1"),
+        pytest.param(65536.0 * z_interval(0, 1).D, id="integral-at-2^16"),
+        pytest.param(1024.0 * z_interval(0, 70).D, id="integral-past-2^16"),
+        pytest.param(0.7 * cycle(40).D + 0.25 * (1.0 - np.eye(40)), id="not-integral"),
+        pytest.param(np.where(np.eye(9, dtype=bool), -0.0, cycle(9).D),
+                     id="negative-zero-diagonal"),
+    ])
+    def test_grid_and_ranks(self, D):
+        space = FiniteMetricSpace(range(len(D)), D)
+        grid = space.realized_distances()
+        want = sorted(set(float(v) for v in np.unique(D)))
+        assert grid == want
+        assert np.signbit(grid).tolist() == np.signbit(want).tolist()
+        assert all(type(v) is float for v in grid)
+        a, b = (v.ravel() for v in np.indices(D.shape))
+        assert space._distance_ranks(a, b).tolist() == [grid.index(v) for v in D.ravel()]
