@@ -92,11 +92,14 @@ def _piece_family(inputs):
 
 
 class _RunOutput:
+    """A runner's result; ``variation`` is the witness's sweep if the construction made one."""
+
     def __init__(self, checked=(), info=(), witness=None, details=None,
-                 truncation_flags=(), notes=(), partition_json=None):
+                 truncation_flags=(), notes=(), partition_json=None, variation=None):
         self.checked = list(checked)
         self.info = list(info)
         self.witness = witness
+        self.variation = variation
         self.details = details or {}
         self.truncation_flags = list(truncation_flags)
         self.notes = list(notes)
@@ -156,7 +159,7 @@ def _run_glue(inputs, params):
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
     pieces = _piece_family(inputs)(cov)
     res = glue_with_report(GlueInput(part, pieces), tail_radii=params.get("tail_radii"))
-    return _RunOutput(checked=res.checks, witness=res.witness,
+    return _RunOutput(checked=res.checks, witness=res.witness, variation=res.variation,
                       partition_json=partition_to_json(part))
 
 
@@ -171,7 +174,7 @@ def _run_subspace(inputs, params):
     ids = space.point_ids
     details = {"retraction": [[ids[s], ids[t]] for s, t in enumerate(idx[res.nearest].tolist())]}
     return _RunOutput(checked=res.checks, info=res.tail_checks,
-                      witness=res.collapsed, details=details)
+                      witness=res.collapsed, details=details, variation=res.variation)
 
 
 def _run_net(inputs, params):
@@ -209,7 +212,7 @@ def _run_direct_limit(inputs, params):
                "nonadjacent_min_gap": json_number(min_gap)}
     return _RunOutput(checked=checked + list(glue_res.checks),
                       witness=glue_res.witness, details=details,
-                      truncation_flags=res.truncation_flags)
+                      truncation_flags=res.truncation_flags, variation=glue_res.variation)
 
 
 def _run_fibering(inputs, params):
@@ -224,7 +227,8 @@ def _run_fibering(inputs, params):
                             tail_radii=params.get("tail_radii"))
     details = {"kept_pieces": list(res.kept_pieces),
                "modulus": [[r, v] for r, v in cert.modulus.samples()]}
-    return _RunOutput(checked=res.checks, witness=res.witness, details=details)
+    return _RunOutput(checked=res.checks, witness=res.witness, details=details,
+                      variation=res.glue.variation)
 
 
 def _run_separated(inputs, params):
@@ -235,7 +239,8 @@ def _run_separated(inputs, params):
                                    tail_radii=params.get("tail_radii"))
     details = {"k": res.k, "L": res.L}
     return _RunOutput(checked=res.checks, info=res.info, witness=res.witness,
-                      details=details, partition_json=partition_to_json(res.partition))
+                      details=details, partition_json=partition_to_json(res.partition),
+                      variation=res.glue.variation)
 
 
 def _run_group(inputs, params):
@@ -261,7 +266,7 @@ def _run_group(inputs, params):
     }
     return _RunOutput(checked=list(res.checks) + list(action.checks), info=res.info,
                       witness=res.witness, details=details,
-                      truncation_flags=res.truncation_flags,
+                      truncation_flags=res.truncation_flags, variation=res.glue.variation,
                       partition_json=partition_to_json(res.partition))
 
 
@@ -301,7 +306,9 @@ def execute_scenario(scenario, base_dir):
         radii = _radii(w.space, params.get("radii"), cap=12)
         tails = _radii(w.space, params.get("tail_radii"), cap=12)
         # R and S0 ride along in the grid sweeps; the profiles list the grids only
-        var = dict(variation_profile(w, radii + ([float(R)] if R is not None else [])))
+        swept = radii + ([float(R)] if R is not None else [])
+        var = dict(variation_profile(w, swept)) if out.variation is None else \
+            {r: v for r, v, _ in out.variation.profile(swept)}
         tail = dict(tail_profile(w, tails + ([float(S0)] if S0 is not None else [])))
         profiles["variation"] = [[r, var[r]] for r in radii]
         profiles["tail"] = [[s, tail[s]] for s in tails]

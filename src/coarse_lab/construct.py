@@ -26,7 +26,7 @@ from .errors import BoundViolationError, PreconditionError, ValidationError
 from .partition import (PartitionOfUnity, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .report import check_le
-from .space import CoarseMapCert, FiniteMetricSpace, _pair_chunks, _worst_pair
+from .space import CoarseMapCert, FiniteMetricSpace, _DistanceMax, _pair_chunks, _worst_pair
 from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, dirac_witness,
                       tail_profile, variation_profile)
 
@@ -60,6 +60,7 @@ class SubspaceWitnessResult:
     nearest: np.ndarray   # per ambient point, the subspace index of its nearest member
     checks: tuple         # exact identities, asserted
     tail_checks: tuple    # empirical S/3 control, recorded only
+    variation: _DistanceMax   # eta's variation sweep, fed by the identity checks
 
 
 def subspace_construction(witness: Witness, idx, tail_radii=None) -> SubspaceWitnessResult:
@@ -91,10 +92,12 @@ def subspace_construction(witness: Witness, idx, tail_radii=None) -> SubspaceWit
     norm_dev = float(np.abs(_row_norms(len(sub), tagged.row, tagged.coef) - 1.0).max())
     match_dev = 0.0
     contraction = 0.0
+    variation = _DistanceMax(sub, sub.realized_distances())
     for a, b in _pair_chunks(len(sub)):
         dxi = np.sqrt(tagged.kernel.sq_dist(a, b))
         dbeta = np.sqrt(witness.kernel.sq_dist(idx[a], idx[b]))
         deta = np.sqrt(eta.kernel.sq_dist(a, b))
+        variation.add(a, b, deta)
         match_dev = max(match_dev, float(np.abs(dxi - dbeta).max()))
         contraction = max(contraction, float((deta - dxi).max()))
     checks = (
@@ -113,7 +116,8 @@ def subspace_construction(witness: Witness, idx, tail_radii=None) -> SubspaceWit
         rhs = beta_tail_all.value_at(math.floor(s / 3.0)) + beta_tail_all.value_at(s)
         tail_checks.append(check_le("subspace_tail_S=%g" % s, lhs, rhs, tol=1e-12,
                                     note="empirical check, not an assumed theorem"))
-    return SubspaceWitnessResult(sub, tagged, eta, nearest, checks, tuple(tail_checks))
+    return SubspaceWitnessResult(sub, tagged, eta, nearest, checks, tuple(tail_checks),
+                                 variation)
 
 
 # --------------------------------------------------------------------- net
@@ -207,6 +211,7 @@ class GlueResult:
     checks: tuple
     glued_tail: DecayProfile
     equi_tail: DecayProfile
+    variation: _DistanceMax   # the glued witness's variation sweep, fed by the glue
 
 
 def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
@@ -258,15 +263,13 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
             common[pos] = np.maximum(common[pos], w.kernel.sq_dist(rows[j], rows[k]))
         lhs = glued.kernel.sq_dist(a, b)
         # every pair passes here once: the glued witness's variation sweep too
-        # (finite unit vectors, so no NaN for the sweep's running max to skip)
-        np.maximum.at(sq_by_distance, space._distance_ranks(a, b), lhs)
+        variation.add(a, b, np.sqrt(lhs))
         return lhs, 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common
 
-    sq_by_distance = np.zeros(len(space.realized_distances()))
+    variation = _DistanceMax(space, space.realized_distances())
     variation_rec = _worst_pair("glue_variation_bound", space, sides, _ID_TOL) or \
         check_le("glue_variation_bound", 0.0, 0.0, tol=_ID_TOL,
                  note="single-point space, no pairs")
-    glued._sq_by_distance = sq_by_distance
 
     tail_radii = _radii(space, tail_radii) or [0.0]
     glued_tail = tail_profile(glued, tail_radii)
@@ -279,7 +282,7 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
                         witness=tail_radii[j])
     checks = (variation_rec, tail_rec)
     _require(checks)
-    return GlueResult(glued, partition, checks, glued_tail, equi_tail)
+    return GlueResult(glued, partition, checks, glued_tail, equi_tail, variation)
 
 
 def dirac_piece_family(cover: Cover):

@@ -20,7 +20,7 @@ from .partition import (PartitionOfUnity, bell_partition, partition_variation_pr
 from .report import check_le
 from .space import (_SLOT_BUDGET, FiniteMetricSpace, StepModulus, _bfs, _hop_space,
                     _index_array, _pair_sweep, check_coarse_map)
-from .witness import Witness, dirac_witness, transport, variation_profile
+from .witness import Witness, dirac_witness, transport
 
 
 class GroupModel:
@@ -488,9 +488,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
 
     var, pair = partition_variation_profile(psi, [R])[0][1:]
     chain = check_le("group_epsilon_chain", var, epsilon, witness=pair)
-    piece_var = 0.0
-    for res in sub_results:
-        piece_var = max(piece_var, variation_profile(res.collapsed, [R])[0][1])
+    piece_var = max(res.variation.profile([R])[0][1] for res in sub_results)
     info = (check_le("info_piece_variation_le_eps_over_4", piece_var, epsilon / 4.0,
                      note="informational"),)
 

@@ -147,8 +147,6 @@ class FiniteMetricSpace:
         self.D = D
         self._ix = {p: i for i, p in enumerate(ids)}
         self._realized = None
-        self._rank_of = None
-        self._pairs = None
 
     def __len__(self):
         return len(self.point_ids)
@@ -192,47 +190,13 @@ class FiniteMetricSpace:
             if narrow is None or np.signbit(np.diagonal(self.D)).any():
                 self._realized = np.unique(self.D)
             else:
-                # integral distances below 2^16: the values present, and the rank
-                # of each in the narrowest type holding it
-                present = np.bincount(narrow.ravel()) > 0
-                self._realized = np.flatnonzero(present).astype(np.float64)
-                rank = np.cumsum(present) - 1
-                self._rank_of = rank.astype(np.min_scalar_type(rank[-1]))
+                # integral distances below 2^16: the values present
+                self._realized = np.flatnonzero(np.bincount(narrow.ravel())).astype(np.float64)
         return self._realized.tolist()
-
-    def _distance_ranks(self, a, b):
-        """Per pair of int64 index arrays a, b: the exact rank of d(a, b) among
-        the realized distances, by table lookup when they are narrow integers.
-        One index array is reused throughout, to keep the temporaries few."""
-        if self._realized is None:
-            self.realized_distances()
-        at = a * len(self)
-        at += b
-        d = self.D.take(at)
-        if self._rank_of is None:
-            return np.searchsorted(self._realized, d)
-        at[:] = d       # integers below 2^16: exact
-        return self._rank_of.take(at)
 
     def bounded_geometry(self, radius) -> int:
         """N_R = max over x of |B(x, R)|."""
         return int((self.D <= float(radius)).sum(axis=1).max())
-
-    def _sorted_pairs(self, r):
-        """(a, b, d) of the pairs a < b with d <= r + 1e-12 in stable distance
-        order, ties row-major: a prefix of the pairs kept for the largest r yet.
-        a and b are the narrowest unsigned index arrays, to keep the list small."""
-        if self._pairs is None or r > self._pairs[0]:
-            a, b = np.nonzero(np.triu(self.D <= r + 1e-12, 1))
-            d = self.D[a, b]
-            # integral distances below 2^16 sort by radix as uint16, in the same order
-            key = _narrow(d)
-            order = np.argsort(d if key is None else key, kind="stable")
-            kind = np.min_scalar_type(len(self) - 1)
-            self._pairs = (r, a.astype(kind)[order], b.astype(kind)[order], d[order])
-        _, a, b, d = self._pairs
-        k = int(np.searchsorted(d, r + 1e-12, side="right"))
-        return a[:k], b[:k], d[:k]
 
     def restrict(self, members) -> "FiniteMetricSpace":
         """Subspace with the restricted metric, in stored point order."""
@@ -608,36 +572,73 @@ def _sweep_radii(radii):
     return radii
 
 
+class _DistanceMax:
+    """Per distance, the largest pair value and the first pair attaining it.
+
+    ``dists`` holds the distances of every pair to be added; ``add`` takes the
+    pairs (a < b) in row-major order, a block at a time. The maximum starts at
+    0.0 and skips NaN. Where it beats every smaller distance's, ``first`` holds
+    the linear index a * n + b of the first pair attaining it: an equal value
+    in a later block does not replace it. Integral distances below 2^16 index
+    the tables directly, others by rank.
+    """
+
+    def __init__(self, space: FiniteMetricSpace, dists):
+        self.space = space
+        key = _narrow(np.asarray(dists, dtype=np.float64))
+        self.integral = key is not None
+        self.grid = np.arange(key.max(initial=0) + 1.0) if self.integral \
+            else np.unique(np.r_[0.0, dists])
+        self.best = np.zeros(len(self.grid))
+        self.first = np.full(len(self.grid), -1)
+
+    def add(self, a, b, values):
+        at = np.asarray(a, dtype=np.int64) * len(self.space)
+        at += b
+        d = self.space.D.take(at)
+        slot = d.astype(np.intp) if self.integral else np.searchsorted(self.grid, d)
+        values = np.fmax(values, 0.0)      # NaN skipped, as the maximum starts at 0.0
+        was = self.best.copy()
+        np.maximum.at(self.best, slot, values)
+        # a distance whose maximum does not beat the smaller ones' now never
+        # will without rising again, and the profile reads no pair there
+        lead = self.best > was
+        lead[1:] &= self.best[1:] > np.maximum.accumulate(self.best)[:-1]
+        if lead.any():
+            hit = np.flatnonzero(lead[slot] & (values == self.best[slot]))
+            slots, k = np.unique(slot[hit], return_index=True)
+            self.first[slots] = at[hit[k]]
+
+    def profile(self, radii):
+        """For each radius r, ascending: (r, max over the pairs with d <= r + 1e-12,
+        the first pair of the first distance that holds it, or None for 0.0)."""
+        radii = _sweep_radii(radii)
+        top = np.maximum.accumulate(self.best)
+        # lead[k]: the first distance up to k whose maximum is top[k]
+        lead = np.maximum.accumulate(np.where(top > np.r_[0.0, top[:-1]],
+                                              np.arange(len(top)), 0))
+        k = np.searchsorted(self.grid, np.add(radii, 1e-12), side="right") - 1
+        n, ids = len(self.space), self.space.point_ids
+        return [(r, v, (ids[at // n], ids[at % n]) if at >= 0 else None)
+                for r, v, at in zip(radii, top[k].tolist(), self.first[lead[k]].tolist())]
+
+
 def _pair_sweep(space: FiniteMetricSpace, radii, value):
     """For each radius r, ascending: (r, max of value over pairs with d <= r, pair).
 
-    ``value(a, b)`` maps index arrays of pairs to the array of their values;
-    a and b come in the narrowest unsigned type holding a point index, so
-    arithmetic on them can wrap: convert before computing anything but indices.
-    Only pairs (a < b) with d <= max radius + 1e-12 are evaluated, in stable
-    distance order (equal distances keep row-major (a, b) order). The running
-    max starts at 0.0 and skips NaN; ``pair`` is the first point-id pair that
-    attains it, or None when no pair value exceeds 0.0.
+    ``value(a, b)`` maps int64 index arrays of pairs to the array of their
+    values. Only pairs (a < b) with d <= max radius + 1e-12 are evaluated, in
+    row-major order; the sweep is ``_DistanceMax.profile``.
     """
     radii = _sweep_radii(radii)
     if not radii:
         return []
-    a, b, dists = space._sorted_pairs(radii[-1])
-    vals = np.asarray(value(a, b), dtype=np.float64)
-    # prefix[k] is the max over the first k pairs; best_at[k] the first of
-    # those k pairs that attains it, or -1
-    prefix = np.fmax.accumulate(np.concatenate(([0.0], vals)))
-    rises = np.flatnonzero(vals > prefix[:-1])
-    best_at = np.full(len(vals) + 1, -1)
-    best_at[rises + 1] = rises
-    best_at = np.maximum.accumulate(best_at)
-    ids = space.point_ids
-    out = []
-    for r in radii:
-        k = int(np.searchsorted(dists, r + 1e-12, side="right"))
-        at = int(best_at[k])
-        out.append((r, float(prefix[k]), (ids[a[at]], ids[b[at]]) if at >= 0 else None))
-    return out
+    cols = np.arange(len(space))
+    at = np.flatnonzero((space.D <= radii[-1] + 1e-12) & (cols > cols[:, None]))
+    a, b = np.divmod(at, len(space))
+    sweep = _DistanceMax(space, space.D.take(at))
+    sweep.add(a, b, value(a, b))
+    return sweep.profile(radii)
 
 
 def _index_array(values, shape, n, what):

@@ -15,7 +15,6 @@ keeps its insertion order, which is the order the pair kernel sums in.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -23,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .space import FiniteMetricSpace, _pair_sweep, _SparseRows, _sweep_radii
+from .space import FiniteMetricSpace, _pair_sweep, _SparseRows
 
 _NORM_TOL = 1e-9
 
@@ -51,8 +50,6 @@ class Witness:
     Vectors are either all bare (every tag None) or all tagged; mixing is
     rejected so collapse and gluing stay unambiguous. Zero coefficients are
     dropped. ``vectors`` and the pair ``kernel`` are built on first use and kept.
-    A glued witness also keeps the glue's per-distance table of squared pair
-    distances, and its variation profile is read from that table.
     """
 
     def __init__(self, space: FiniteMetricSpace, vectors):
@@ -113,9 +110,6 @@ class Witness:
         self.row, self.at, self.tag, self.tags, self.coef = row, at, tag, tuple(tags), coef
         self.tagged = bare == {False}
         self._ptr = np.searchsorted(row, np.arange(len(space) + 1))
-        # per realized distance, the largest ||xi_x - xi_y||^2 over pairs at that
-        # distance, when a construction has swept every pair anyway (the glue)
-        self._sq_by_distance = None
 
     @cached_property
     def vectors(self):
@@ -176,21 +170,9 @@ def uniform_ball_witness(space: FiniteMetricSpace, radius) -> Witness:
 
 
 def variation_profile(witness: Witness, radii):
-    """For each R, max of ||xi_x - xi_y|| over pairs with d(x, y) <= R.
-
-    A witness that keeps its per-distance table answers from it: sqrt is
-    monotone and correctly rounded, so the root of the largest square is the
-    largest root, bit for bit.
-    """
-    table = witness._sq_by_distance
-    if table is None:
-        return [(r, v) for r, v, _ in _pair_sweep(
-            witness.space, radii, lambda a, b: np.sqrt(witness.kernel.sq_dist(a, b)))]
-    radii = _sweep_radii(radii)
-    grid = witness.space.realized_distances()
-    top = np.sqrt(np.maximum.accumulate(table)).tolist()
-    # 0 is realized and every radius is >= 0, so each radius reaches rank 0
-    return [(r, top[bisect_right(grid, r + 1e-12) - 1]) for r in radii]
+    """For each R, max of ||xi_x - xi_y|| over pairs with d(x, y) <= R."""
+    return [(r, v) for r, v, _ in _pair_sweep(
+        witness.space, radii, lambda a, b: np.sqrt(witness.kernel.sq_dist(a, b)))]
 
 
 def tail_profile(witness: Witness, radii) -> DecayProfile:

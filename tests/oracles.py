@@ -149,6 +149,24 @@ def dense_variation(witness, R) -> float:
     return worst
 
 
+def dense_pair_sweep(space, radii, V):
+    """For each radius r, ascending: (r, the max of V[a][b] over the pairs a < b
+    with d <= r + 1e-12, from 0.0 and skipping NaN, and the attaining pair that
+    comes first by (distance, a, b), or None when the max is 0.0)."""
+    out = []
+    n = len(space)
+    for r in sorted(radii):
+        inside = [(space.D[a, b], a, b) for a in range(n) for b in range(a + 1, n)
+                  if space.D[a, b] <= r + 1e-12]
+        best = max([0.0] + [V[a][b] for _, a, b in inside if not math.isnan(V[a][b])])
+        pair = None
+        if best > 0.0:
+            _, a, b = min(t for t in inside if V[t[1]][t[2]] == best)
+            pair = (space.point_ids[a], space.point_ids[b])
+        out.append((float(r), best, pair))
+    return out
+
+
 def dense_tail(witness, S) -> float:
     worst = 0.0
     for x in witness.space.point_ids:

@@ -1,6 +1,7 @@
 """The public surface: what ``coarse_lab`` exports, the traced layers the
-benchmark's per-layer metrics name, no export that nothing reads, and no
-import that a module never uses."""
+benchmark's per-layer metrics name, no export that nothing reads, no
+import that a module never uses, and no write to another object's private
+attribute."""
 
 import ast
 import inspect
@@ -77,3 +78,27 @@ def test_every_module_uses_its_imports():
                 unused += ["%s:%d %s" % (fname, node.lineno, alias.name) for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_no_module_writes_another_objects_private_attribute():
+    # an object's private state is set by its own methods only, so a witness,
+    # a space or a kernel cannot change after construction
+    writes = []
+    for fname, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            while targets:
+                t = targets.pop()
+                if isinstance(t, (ast.Tuple, ast.List)):
+                    targets += t.elts
+                elif isinstance(t, ast.Starred):
+                    targets.append(t.value)
+                elif isinstance(t, ast.Attribute) and t.attr.startswith("_") and \
+                        not (isinstance(t.value, ast.Name) and t.value.id in ("self", "cls")):
+                    writes.append("%s:%d %s" % (fname, node.lineno, ast.unparse(t)))
+    assert writes == []

@@ -1321,6 +1321,52 @@ class TestKernelBuilds:
                      for pair in zip(a, b))
         assert got == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
+    def test_subspace_run_evaluates_each_eta_pair_once(self, monkeypatch):
+        # the construction's identity pass is eta's variation sweep: the
+        # certificate's profile evaluates no pair again
+        calls = []
+        sq_dist = coarse_lab.space._SparseRows.sq_dist
+
+        def spy(kernel, a, b):
+            calls.append((kernel, [int(v) for v in a], [int(v) for v in b]))
+            return sq_dist(kernel, a, b)
+
+        monkeypatch.setattr(coarse_lab.space._SparseRows, "sq_dist", spy)
+        with open(os.path.join(SCENARIO_DIR, "subspace_interval.json")) as fh:
+            cert, out = cli.execute_scenario(json.load(fh), SCENARIO_DIR)
+        n = len(out.witness.space)
+        assert [r for r, _ in cert["profiles"]["variation"]] == [1.0, 2.0, 4.0]
+        got = sorted(pair for kernel, a, b in calls if kernel is out.witness.kernel
+                     for pair in zip(a, b))
+        assert got == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_group_run_sweeps_no_collapsed_piece_again(self, monkeypatch):
+        # each collapsed piece's pairs are evaluated by its subspace
+        # construction, whose pass is also its variation sweep, and by the
+        # glue's piece term: no sweep at R evaluates them a third time
+        calls, results = [], []
+        sq_dist = coarse_lab.space._SparseRows.sq_dist
+        construct = coarse_lab.group.subspace_construction
+
+        def spy(kernel, a, b):
+            calls.append((kernel, [int(v) for v in a], [int(v) for v in b]))
+            return sq_dist(kernel, a, b)
+
+        def keep(*args, **kwargs):
+            results.append(construct(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(coarse_lab.space._SparseRows, "sq_dist", spy)
+        monkeypatch.setattr(coarse_lab.group, "subspace_construction", keep)
+        with open(os.path.join(SCENARIO_DIR, "group_z60_c12.json")) as fh:
+            cli.execute_scenario(json.load(fh), SCENARIO_DIR)
+        assert len(results) == 3
+        for res in results:
+            n = len(res.subspace)
+            got = sorted(pair for kernel, a, b in calls if kernel is res.collapsed.kernel
+                         for pair in zip(a, b))
+            assert got == sorted(2 * [(p, q) for p in range(n) for q in range(p + 1, n)])
+
 
 class TestProfiles:
     def run_and_read(self, tmp_path, scen, name):

@@ -538,12 +538,12 @@ class TestPairRecordsAgainstDoubleLoops:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_glued_profile_from_the_table_is_the_pair_sweep(self, data):
+        # the glue's per-distance table is its result's variation sweep:
         # integral narrow, integral past 2^16 and non-integral metrics
         scale = data.draw(st.sampled_from([1.0, 70000.0, 0.3]))
         gi = data.draw(_glue_inputs(scale))
         res = glue_with_report(gi)
         w = res.witness
-        assert w._sq_by_distance is not None
         grid = w.space.realized_distances()
         # radii at, just inside and just outside the 1e-12 tolerance of a
         # realized distance, below the smallest distance, past the diameter
@@ -554,18 +554,17 @@ class TestPairRecordsAgainstDoubleLoops:
                                    max_size=10))
         radii += radii[:2]          # repeated radii
         plain = Witness._of(w.space, w.row, w.at, w.tag, w.tags, w.coef)
-        assert plain._sq_by_distance is None
-        want = [(r, v) for r, v, _ in _pair_sweep(
-            w.space, radii, lambda a, b: np.sqrt(plain.kernel.sq_dist(a, b)))]
-        assert variation_profile(w, radii) == want
-        assert variation_profile(plain, radii) == want
+        want = _pair_sweep(w.space, radii, lambda a, b: np.sqrt(plain.kernel.sq_dist(a, b)))
+        assert res.variation.profile(radii) == want
+        assert variation_profile(w, radii) == [(r, v) for r, v, _ in want]
 
     def test_one_point_glued_profile(self):
         s = z_interval(0, 0)
         cover = Cover(s, [[0]])
         res = glue_with_report(GlueInput(bell_partition(cover, require_lebesgue=False),
                                          dirac_piece_family(cover)))
-        assert res.witness._sq_by_distance.tolist() == [0.0]
+        assert res.variation.profile([0.0, 3.0, 3.0]) == [
+            (0.0, 0.0, None), (3.0, 0.0, None), (3.0, 0.0, None)]
         assert variation_profile(res.witness, [0.0, 3.0, 3.0]) == [
             (0.0, 0.0), (3.0, 0.0), (3.0, 0.0)]
 
@@ -575,9 +574,8 @@ class TestPairRecordsAgainstDoubleLoops:
         cover = Cover(s, [range(0, 6), [5, 6, 7, 8, 0]])
         res = glue_with_report(GlueInput(bell_partition(cover, require_lebesgue=False),
                                          dirac_piece_family(cover)))
-        assert res.witness._sq_by_distance is not None
         with pytest.raises(ValidationError, match="radii must be >= 0 and not NaN"):
-            variation_profile(res.witness, [1.0, bad])
+            res.variation.profile([1.0, bad])
 
     @settings(max_examples=40, deadline=None)
     @given(_covers(), st.floats(0.0, 4.0), st.booleans())
@@ -605,6 +603,10 @@ class TestPairRecordsAgainstDoubleLoops:
             res = subspace_construction(witness, cover.indices[0])
         assert tuple(r.lhs for r in res.checks) == dense_subspace_records(
             witness, res.tagged, res.collapsed)
+        # the identity checks' pass is also eta's variation sweep
+        grid = res.subspace.realized_distances()
+        assert res.variation.profile(grid) == _pair_sweep(
+            res.subspace, grid, lambda a, b: np.sqrt(res.collapsed.kernel.sq_dist(a, b)))
         assert [res.subspace.point_ids[t] for t in res.nearest] == \
             [nearest_point(ambient, s, members) for s in ambient.point_ids]
 

@@ -26,8 +26,9 @@ from coarse_lab import (
     z_interval,
 )
 from coarse_lab import space as space_module
-from coarse_lab.space import _bfs, _pair_chunks, _pair_sweep, _SparseRows
+from coarse_lab.space import _bfs, _DistanceMax, _pair_chunks, _pair_sweep, _SparseRows
 from oracles import (
+    dense_pair_sweep,
     dense_triangle_violation,
     ball,
     first_axiom_violation,
@@ -492,23 +493,6 @@ class TestTriangleCheck:
                 D, _seed_zero_triples(len(ids))))
 
 
-def _brute_sweep(space, radii, V):
-    """Double loop over (a, b): the max of V over pairs within r (floor 0.0)
-    and the attaining pair that comes first by (distance, a, b)."""
-    out = []
-    n = len(space)
-    for r in sorted(radii):
-        inside = [(space.D[a, b], a, b) for a in range(n) for b in range(a + 1, n)
-                  if space.D[a, b] <= r + 1e-12]
-        best = max([0.0] + [V[a][b] for _, a, b in inside])
-        pair = None
-        if best > 0.0:
-            _, a, b = min(t for t in inside if V[t[1]][t[2]] == best)
-            pair = (space.point_ids[a], space.point_ids[b])
-        out.append((float(r), best, pair))
-    return out
-
-
 @st.composite
 def _swept_spaces(draw):
     # distances in {1, 2} always satisfy the triangle inequality; small
@@ -547,23 +531,66 @@ def _sweep_sequences(draw):
     return space_from_matrix(["p%d" % i for i in range(n)], D), V, sweeps
 
 
+@st.composite
+def _sweep_feeds(draw):
+    """A space with pair values (ties, NaN), radii at and within 2e-12 of its
+    distances, and a block size."""
+    dists = draw(st.sampled_from(_DISTANCE_SETS + [(0.3, 0.45, 0.6)]))
+    n = draw(st.integers(min_value=1, max_value=7))
+    D = np.zeros((n, n))
+    V = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            D[a, b] = D[b, a] = draw(st.sampled_from(dists))
+            V[a, b] = V[b, a] = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, float("nan")]))
+    near = st.tuples(st.sampled_from((0.0,) + dists),
+                     st.sampled_from([0.0, 5e-13, -5e-13, -2e-12]))
+    radii = draw(st.lists(near.map(lambda t: max(0.0, t[0] + t[1])), max_size=6))
+    size = draw(st.sampled_from([1, 7, space_module._PAIR_CHUNK]))
+    return space_from_matrix(["p%d" % i for i in range(n)], D), V, radii, size
+
+
 class TestPairSweep:
     @settings(max_examples=150, deadline=None)
     @given(_swept_spaces())
     def test_matches_brute_force(self, case):
         space, V, radii = case
-        want = _brute_sweep(space, radii, V)
+        want = dense_pair_sweep(space, radii, V)
         assert _pair_sweep(space, radii, lambda a, b: V[a, b]) == want
 
     @settings(max_examples=150, deadline=None)
     @given(_sweep_sequences())
     def test_sweep_sequence_on_one_space(self, case):
-        # the space keeps its sorted pairs between sweeps, extending and
-        # slicing them as the largest radius moves
+        # sweeps of one space that reach past or stop short of the last one
         space, V, sweeps = case
         for radii in sweeps:
-            assert _pair_sweep(space, radii, lambda a, b: V[a, b]) == _brute_sweep(
+            assert _pair_sweep(space, radii, lambda a, b: V[a, b]) == dense_pair_sweep(
                 space, radii, V)
+
+    @pytest.mark.parametrize("D", [
+        pytest.param(cycle(40).D, id="integral-with-ties"),
+        pytest.param(1024.0 * z_interval(0, 70).D, id="integral-past-2^16"),
+        pytest.param(0.7 * cycle(40).D + 0.25 * (1.0 - np.eye(40)), id="not-integral"),
+    ])
+    def test_fixed_matrices(self, D):
+        space = FiniteMetricSpace(range(len(D)), D)
+        # values tied within a distance and across distances
+        V = np.add.outer(np.arange(len(D)), np.arange(len(D))) % 5 * 1.0
+        for r in (D.max() / 2, 2**16 - 1, D.max()):
+            radii = [0.0, r / 3, r]
+            assert _pair_sweep(space, radii, lambda a, b: V[a, b]) == \
+                dense_pair_sweep(space, radii, V)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sweep_feeds())
+    def test_blocks_match_brute_force(self, case):
+        # the same row-major pairs fed in blocks of 1, 7 or _PAIR_CHUNK pairs
+        space, V, radii, size = case
+        a, b = np.nonzero(np.triu(np.ones((len(space),) * 2, dtype=bool), 1))
+        sweep = _DistanceMax(space, space.realized_distances())
+        for lo in range(0, len(a), size):
+            sweep.add(a[lo:lo + size], b[lo:lo + size], V[a[lo:lo + size], b[lo:lo + size]])
+        assert sweep.profile(radii) == dense_pair_sweep(space, radii, V)
 
     def test_one_point_space(self):
         s = space_from_matrix(["a"], [[0.0]])
@@ -726,30 +753,8 @@ class TestSparseRows:
                                                  for i, j in pairs]
 
 
-def _float_sorted_pairs(D, r):
-    a, b = np.nonzero(np.triu(D <= r + 1e-12, 1))
-    order = np.argsort(D[a, b], kind="stable")
-    return a[order].tolist(), b[order].tolist(), D[a, b][order].tolist()
-
-
-class TestSortedPairs:
-    """The pair list is the float-key stable argsort, whatever the sort key."""
-
-    @pytest.mark.parametrize("D", [
-        pytest.param(cycle(40).D, id="integral-with-ties"),
-        pytest.param(1024.0 * z_interval(0, 70).D, id="integral-past-2^16"),
-        pytest.param(0.7 * cycle(40).D + 0.25 * (1.0 - np.eye(40)), id="not-integral"),
-    ])
-    def test_matches_float_key_argsort(self, D):
-        space = FiniteMetricSpace(range(len(D)), D)
-        # a larger radius rebuilds the list; a smaller one reads a prefix of it
-        for r in (D.max() / 2, 2**16 - 1, D.max()):
-            got = space._sorted_pairs(r)
-            assert [v.tolist() for v in got] == list(_float_sorted_pairs(D, r))
-
-
 class TestRealizedDistances:
-    """The realized grid, and each pair's rank in it, are exact on every path."""
+    """The realized grid, and the sweep slot of each pair, are exact on every path."""
 
     @pytest.mark.parametrize("D", [
         pytest.param(np.zeros((1, 1)), id="one-point"),
@@ -768,5 +773,12 @@ class TestRealizedDistances:
         assert grid == want
         assert np.signbit(grid).tolist() == np.signbit(want).tolist()
         assert all(type(v) is float for v in grid)
-        a, b = (v.ravel() for v in np.indices(D.shape))
-        assert space._distance_ranks(a, b).tolist() == [grid.index(v) for v in D.ravel()]
+        # each pair lands on its distance: fed the distances themselves, the
+        # sweep reads v at a realized distance v, at the first pair there
+        a, b = np.nonzero(np.triu(np.ones(D.shape, dtype=bool), 1))
+        sweep = _DistanceMax(space, grid)
+        sweep.add(a, b, D[a, b])
+        first = {}
+        for p, q in zip(a.tolist(), b.tolist()):
+            first.setdefault(float(D[p, q]), (p, q))
+        assert sweep.profile(grid) == [(v, v, first.get(v)) for v in grid]
