@@ -26,7 +26,8 @@ from .errors import BoundViolationError, PreconditionError, ValidationError
 from .partition import (PartitionOfUnity, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .report import check_le
-from .space import CoarseMapCert, FiniteMetricSpace, _DistanceMax, _pair_chunks, _worst_pair
+from .space import (CoarseMapCert, FiniteMetricSpace, _DistanceMax, _pair_blocks, _row_pairs,
+                    _worst_pair)
 from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, dirac_witness,
                       tail_profile, variation_profile)
 
@@ -92,8 +93,8 @@ def subspace_construction(witness: Witness, idx, tail_radii=None) -> SubspaceWit
     norm_dev = float(np.abs(_row_norms(len(sub), tagged.row, tagged.coef) - 1.0).max())
     match_dev = 0.0
     contraction = 0.0
-    variation = _DistanceMax(sub, sub.realized_distances())
-    for a, b in _pair_chunks(len(sub)):
+    variation = _DistanceMax(sub)
+    for a, b in _pair_blocks(sub):
         dxi = np.sqrt(tagged.kernel.sq_dist(a, b))
         dbeta = np.sqrt(witness.kernel.sq_dist(idx[a], idx[b]))
         deta = np.sqrt(eta.kernel.sq_dist(a, b))
@@ -241,32 +242,22 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     glued = Witness._of(space, row[order], at[order], tag[order], tuple(tags), coef[order])
 
     def sides(a, b):
-        # the block holds every pair (p, q > p) of the rows [a0, a1), row-major:
-        # pair (p, q) sits at off[p - a0] + q - p - 1
+        # common[p - a0, q]: the piece term of the pair (p, q) of the rows [a0, a1)
         a0, a1 = int(a[0]), int(a[-1]) + 1
-        off = np.cumsum(np.r_[0, n - 1 - np.arange(a0, a1 - 1)])
-        common = np.zeros(len(a))
+        common = np.zeros((a1 - a0, n))
         for w, (on, rows) in zip(glue_input.pieces, members):
             # the pairs (p, q) of piece points with p in the block: p = on[j],
             # q = on[k] for j < k, listed from the piece's own index array
-            lo, hi = np.searchsorted(on, [a0, a1])
-            if lo == hi:
-                continue
-            lens = len(on) - 1 - np.arange(lo, hi)
-            j = np.repeat(np.arange(lo, hi), lens)
-            if not j.size:      # the block holds only the piece's last point
-                continue
-            k = np.arange(len(j)) - np.repeat(np.cumsum(lens) - lens, lens) + j + 1
-            p, q = on[j], on[k]
-            pos = off[p - a0] + q - p - 1
+            j, k = _row_pairs(*np.searchsorted(on, [a0, a1]), len(on))
+            p, q = on[j] - a0, on[k]
             # one kernel per piece: lookup tables grow with the piece, not the cover
-            common[pos] = np.maximum(common[pos], w.kernel.sq_dist(rows[j], rows[k]))
+            common[p, q] = np.maximum(common[p, q], w.kernel.sq_dist(rows[j], rows[k]))
         lhs = glued.kernel.sq_dist(a, b)
         # every pair passes here once: the glued witness's variation sweep too
         variation.add(a, b, np.sqrt(lhs))
-        return lhs, 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common
+        return lhs, 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common[a - a0, b]
 
-    variation = _DistanceMax(space, space.realized_distances())
+    variation = _DistanceMax(space)
     variation_rec = _worst_pair("glue_variation_bound", space, sides, _ID_TOL) or \
         check_le("glue_variation_bound", 0.0, 0.0, tol=_ID_TOL,
                  note="single-point space, no pairs")

@@ -146,7 +146,6 @@ class FiniteMetricSpace:
         self.point_ids = ids
         self.D = D
         self._ix = {p: i for i, p in enumerate(ids)}
-        self._realized = None
 
     def __len__(self):
         return len(self.point_ids)
@@ -182,16 +181,17 @@ class FiniteMetricSpace:
         n = len(self)
         return float((self.D + np.eye(n) * self.D.max() + np.eye(n)).min())
 
+    @cached_property
+    def _realized(self):
+        narrow = _narrow(self.D)
+        # only the diagonal holds zeros, and np.unique lists a -0.0 there as -0.0
+        if narrow is None or np.signbit(np.diagonal(self.D)).any():
+            return np.unique(self.D)
+        # integral distances below 2^16: the values present
+        return np.flatnonzero(np.bincount(narrow.ravel())).astype(np.float64)
+
     def realized_distances(self):
         """Sorted list of all realized distance values, always including 0."""
-        if self._realized is None:
-            narrow = _narrow(self.D)
-            # only the diagonal holds zeros, and np.unique lists a -0.0 there as -0.0
-            if narrow is None or np.signbit(np.diagonal(self.D)).any():
-                self._realized = np.unique(self.D)
-            else:
-                # integral distances below 2^16: the values present
-                self._realized = np.flatnonzero(np.bincount(narrow.ravel())).astype(np.float64)
         return self._realized.tolist()
 
     def bounded_geometry(self, radius) -> int:
@@ -416,22 +416,38 @@ _PAIR_CHUNK = 1 << 15        # pairs per block of a row-major pair enumeration
 _SLOT_BUDGET = 1 << 16       # slots (pairs, edges or rows x row width) per kernel step
 
 
-def _pair_chunks(n):
-    """All pairs (a < b) of range(n) in row-major order, as (a, b) index arrays
-    of at most max(_PAIR_CHUNK, n) pairs each."""
+def _row_pairs(lo, hi, n, near=True):
+    """The pairs (a, b) with lo <= a < hi, a < b < n and ``near[a - lo, b]``
+    (an (hi - lo, n) mask, or True for every pair) as row-major index arrays."""
+    at = np.flatnonzero((np.arange(n) > np.arange(lo, hi)[:, None]) & near) + lo * n
+    a = at // n
+    return a, at - a * n
+
+
+def _pair_blocks(space: FiniteMetricSpace, radius=math.inf):
+    """The pairs (a < b) with d(a, b) <= radius + 1e-12, row-major, as (a, b)
+    index arrays of at most max(_PAIR_CHUNK, n) pairs, one block of rows at a
+    time; with no radius nothing is tested and a block holds all its pairs."""
+    n = len(space)
     step = max(1, _PAIR_CHUNK // max(n, 1))
-    cols = np.arange(n)
-    for a0 in range(0, n - 1, step):
-        a, b = np.nonzero(cols[None, :] > np.arange(a0, min(a0 + step, n - 1))[:, None])
-        yield a + a0, b
+    if radius < math.inf:
+        # a row holds fewer pairs than the largest ball within the radius has
+        # points, and a block's mask takes no more bytes than its index arrays
+        cap = max(1, 8 * _PAIR_CHUNK // max(n, 1))
+        ball = max(((space.D[lo:lo + cap] <= radius + 1e-12).sum(axis=1, dtype=np.int32).max()
+                    for lo in range(0, n, cap)), default=0)
+        step = max(1, min(_PAIR_CHUNK // max(ball - 1, 1), cap))
+    for lo in range(0, n - 1, step):
+        near = True if radius == math.inf else space.D[lo:lo + step] <= radius + 1e-12
+        yield _row_pairs(lo, min(lo + step, n), n, near)
 
 
 def _worst_pair(name, space: FiniteMetricSpace, sides, tol):
     """The record of lhs <= rhs at the first row-major pair with the largest
-    lhs - rhs, ``sides(a, b)`` giving both sides on a block of ``_pair_chunks``;
-    None when the space has no pairs."""
+    lhs - rhs, ``sides(a, b)`` giving both sides on a block of ``_pair_blocks``
+    (every pair of its rows); None when the space has no pairs."""
     worst = None
-    for a, b in _pair_chunks(len(space)):
+    for a, b in _pair_blocks(space):
         lhs, rhs = sides(a, b)
         excess = lhs - rhs
         k = int(np.argmax(excess))
@@ -564,37 +580,29 @@ class _SparseRows:
         return self._pairs(a, b, shared, disjoint)
 
 
-def _sweep_radii(radii):
-    """The radii as ascending floats; a negative or NaN radius is rejected."""
-    radii = sorted(float(r) for r in radii)
-    if not all(r >= 0.0 for r in radii):
-        raise ValidationError("radii must be >= 0 and not NaN")
-    return radii
-
-
 class _DistanceMax:
     """Per distance, the largest pair value and the first pair attaining it.
 
-    ``dists`` holds the distances of every pair to be added; ``add`` takes the
-    pairs (a < b) in row-major order, a block at a time. The maximum starts at
-    0.0 and skips NaN. Where it beats every smaller distance's, ``first`` holds
+    Its grid is the space's realized distances up to ``radius`` + 1e-12, the
+    pairs ``_pair_blocks(space, radius)`` lists; ``add`` takes those pairs
+    (a < b) in row-major order, a block at a time. The maximum starts at 0.0
+    and skips NaN. Where it beats every smaller distance's, ``first`` holds
     the linear index a * n + b of the first pair attaining it: an equal value
     in a later block does not replace it. Integral distances below 2^16 index
     the tables directly, others by rank.
     """
 
-    def __init__(self, space: FiniteMetricSpace, dists):
+    def __init__(self, space: FiniteMetricSpace, radius=math.inf):
         self.space = space
-        key = _narrow(np.asarray(dists, dtype=np.float64))
+        grid = space._realized[space._realized <= radius + 1e-12]
+        key = _narrow(grid)
         self.integral = key is not None
-        self.grid = np.arange(key.max(initial=0) + 1.0) if self.integral \
-            else np.unique(np.r_[0.0, dists])
+        self.grid = np.arange(key.max(initial=0) + 1.0) if self.integral else grid
         self.best = np.zeros(len(self.grid))
         self.first = np.full(len(self.grid), -1)
 
     def add(self, a, b, values):
-        at = np.asarray(a, dtype=np.int64) * len(self.space)
-        at += b
+        at = a * len(self.space) + b
         d = self.space.D.take(at)
         slot = d.astype(np.intp) if self.integral else np.searchsorted(self.grid, d)
         values = np.fmax(values, 0.0)      # NaN skipped, as the maximum starts at 0.0
@@ -612,7 +620,9 @@ class _DistanceMax:
     def profile(self, radii):
         """For each radius r, ascending: (r, max over the pairs with d <= r + 1e-12,
         the first pair of the first distance that holds it, or None for 0.0)."""
-        radii = _sweep_radii(radii)
+        radii = sorted(float(r) for r in radii)
+        if not all(r >= 0.0 for r in radii):
+            raise ValidationError("radii must be >= 0 and not NaN")
         top = np.maximum.accumulate(self.best)
         # lead[k]: the first distance up to k whose maximum is top[k]
         lead = np.maximum.accumulate(np.where(top > np.r_[0.0, top[:-1]],
@@ -627,17 +637,14 @@ def _pair_sweep(space: FiniteMetricSpace, radii, value):
     """For each radius r, ascending: (r, max of value over pairs with d <= r, pair).
 
     ``value(a, b)`` maps int64 index arrays of pairs to the array of their
-    values. Only pairs (a < b) with d <= max radius + 1e-12 are evaluated, in
-    row-major order; the sweep is ``_DistanceMax.profile``.
+    values. Only the pairs within the largest radius are evaluated, one block
+    of ``_pair_blocks`` at a time, into one ``_DistanceMax``; its profile
+    rejects a negative or NaN radius.
     """
-    radii = _sweep_radii(radii)
-    if not radii:
-        return []
-    cols = np.arange(len(space))
-    at = np.flatnonzero((space.D <= radii[-1] + 1e-12) & (cols > cols[:, None]))
-    a, b = np.divmod(at, len(space))
-    sweep = _DistanceMax(space, space.D.take(at))
-    sweep.add(a, b, value(a, b))
+    radii = [float(r) for r in radii]
+    sweep = _DistanceMax(space, max(radii, default=0.0))
+    for a, b in _pair_blocks(space, max(radii, default=0.0)):
+        sweep.add(a, b, value(a, b))
     return sweep.profile(radii)
 
 

@@ -1,7 +1,7 @@
 """The public surface: what ``coarse_lab`` exports, the traced layers the
 benchmark's per-layer metrics name, no export that nothing reads, no
-import that a module never uses, and no write to another object's private
-attribute."""
+private module-level name that no module reads, no import that a module
+never uses, and no write to another object's private attribute."""
 
 import ast
 import inspect
@@ -102,3 +102,25 @@ def test_no_module_writes_another_objects_private_attribute():
                         not (isinstance(t.value, ast.Name) and t.value.id in ("self", "cls")):
                     writes.append("%s:%d %s" % (fname, node.lineno, ast.unparse(t)))
     assert writes == []
+
+
+def test_every_private_module_name_is_read():
+    # a private helper, class or constant that no module reads is dead code,
+    # even when a test still imports it
+    trees = list(_module_trees())
+    read = {node.id for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for fname, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += ["%s:%d %s" % (fname, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []

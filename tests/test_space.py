@@ -12,21 +12,24 @@ from hypothesis import strategies as st
 
 from coarse_lab import (
     CoarseMapCert,
+    Cover,
     DisconnectedGraphError,
     FiniteMetricSpace,
     MetricAxiomError,
     ValidationError,
+    bell_partition,
     check_coarse_map,
     cycle,
     grid,
     load_map_assignment,
+    partition_variation_profile,
     space_from_graph,
     space_from_matrix,
     z2_ball,
     z_interval,
 )
 from coarse_lab import space as space_module
-from coarse_lab.space import _bfs, _DistanceMax, _pair_chunks, _pair_sweep, _SparseRows
+from coarse_lab.space import _bfs, _DistanceMax, _pair_blocks, _pair_sweep, _SparseRows
 from oracles import (
     dense_pair_sweep,
     dense_triangle_violation,
@@ -359,6 +362,24 @@ class TestMatrixHandover:
         assert not sub.D.flags.writeable
         assert sub.d(0, 1498) == 2.0
 
+    def test_full_radius_sweep_holds_one_block(self):
+        # a profile evaluates its pairs a block of rows at a time: no n x n
+        # mask and no list of every pair within the radius
+        space = z_interval(0, 1499)
+        cover = Cover(space, [range(max(0, 100 * i - 20), min(1500, 100 * i + 120))
+                              for i in range(15)])
+        partition = bell_partition(cover, require_lebesgue=False)
+        # built once and kept: the kernel's sharing mask and the realized grid
+        assert partition.kernel is not None and space.realized_distances()
+        tracemalloc.start()
+        try:
+            (_, v, _), = partition_variation_profile(partition, [space.diameter])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < space.D.nbytes / 4
+        assert v > 0.0
+
     def test_constructor_copies_and_validates(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         space = FiniteMetricSpace(["a", "b"], D)
@@ -587,9 +608,25 @@ class TestPairSweep:
         # the same row-major pairs fed in blocks of 1, 7 or _PAIR_CHUNK pairs
         space, V, radii, size = case
         a, b = np.nonzero(np.triu(np.ones((len(space),) * 2, dtype=bool), 1))
-        sweep = _DistanceMax(space, space.realized_distances())
+        sweep = _DistanceMax(space)
         for lo in range(0, len(a), size):
             sweep.add(a[lo:lo + size], b[lo:lo + size], V[a[lo:lo + size], b[lo:lo + size]])
+        assert sweep.profile(radii) == dense_pair_sweep(space, radii, V)
+
+    @pytest.mark.parametrize("D, radius, top", [
+        pytest.param(cycle(40).D, 7.5, 7.0, id="integral"),
+        pytest.param(0.7 * cycle(40).D + 0.25 * (1.0 - np.eye(40)), 3.0, 0.7 * 3 + 0.25,
+                     id="not-integral"),
+    ])
+    def test_grid_ends_at_radius(self, D, radius, top):
+        # a radius strictly between two realized distances
+        space = FiniteMetricSpace(range(len(D)), D)
+        sweep = _DistanceMax(space, radius)
+        assert sweep.grid[-1] == max(v for v in space.realized_distances() if v <= radius) == top
+        V = np.add.outer(np.arange(len(D)), 2 * np.arange(len(D))) % 7 * 1.0
+        for a, b in _pair_blocks(space, radius):
+            sweep.add(a, b, V[a, b])
+        radii = [0.0, 1.0, top - 0.1, radius]
         assert sweep.profile(radii) == dense_pair_sweep(space, radii, V)
 
     def test_one_point_space(self):
@@ -720,9 +757,19 @@ class TestSparseRows:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 37])
     @pytest.mark.parametrize("size", [1, 4, 1 << 15])
     def test_pair_chunks_are_row_major(self, n, size, monkeypatch):
+        # the walker's blocks, within each radius of a line metric
         monkeypatch.setattr(space_module, "_PAIR_CHUNK", size)
-        got = [(int(a), int(b)) for ca, cb in _pair_chunks(n) for a, b in zip(ca, cb)]
-        assert got == [(a, b) for a in range(n) for b in range(a + 1, n)]
+        if n:
+            space = z_interval(0, n - 1)
+        else:   # no builder makes an empty space; the walker reads only its length
+            space = FiniteMetricSpace.__new__(FiniteMetricSpace)
+            space._store((), np.zeros((0, 0)))
+        for radius in (0.0, 1.5, 36.0, math.inf):
+            blocks = list(_pair_blocks(space, radius))
+            got = [(int(a), int(b)) for ca, cb in blocks for a, b in zip(ca, cb)]
+            assert got == [(a, b) for a in range(n) for b in range(a + 1, n)
+                           if b - a <= radius + 1e-12]
+            assert all(len(a) == len(b) <= max(size, n) for a, b in blocks)
 
     @pytest.mark.parametrize("slot_budget", [3, 1 << 16])
     def test_chunk_paths(self, slot_budget, monkeypatch):
@@ -776,7 +823,7 @@ class TestRealizedDistances:
         # each pair lands on its distance: fed the distances themselves, the
         # sweep reads v at a realized distance v, at the first pair there
         a, b = np.nonzero(np.triu(np.ones(D.shape, dtype=bool), 1))
-        sweep = _DistanceMax(space, grid)
+        sweep = _DistanceMax(space)
         sweep.add(a, b, D[a, b])
         first = {}
         for p, q in zip(a.tolist(), b.tolist()):
