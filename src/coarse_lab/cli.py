@@ -234,7 +234,7 @@ def _run_fibering(inputs, params):
 def _run_separated(inputs, params):
     space = load_space(inputs["space"])
     cov = load_cover(inputs["cover"], space)
-    res = separated_cover_pipeline(space, cov, params["L"], params["sigma"], params["R"],
+    res = separated_cover_pipeline(cov, params["L"], params["sigma"], params["R"],
                                    params["epsilon"], _piece_family(inputs),
                                    tail_radii=params.get("tail_radii"))
     details = {"k": res.k, "L": res.L}
@@ -398,7 +398,7 @@ def run_scenario(path, out_dir=".", profiles_fmt=None, quiet=False, written=None
     return 0 if certificate["pass"] else 1
 
 
-def run_suite(directory, out_dir=".", quiet=False):
+def run_suite(directory, out_dir="."):
     try:
         files = sorted(f for f in os.listdir(directory) if f.endswith(".json"))
     except OSError as exc:

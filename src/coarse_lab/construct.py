@@ -325,8 +325,7 @@ class SeparatedResult:
     glue: GlueResult
 
 
-def separated_cover_pipeline(space: FiniteMetricSpace, cover: Cover, L, sigma, R,
-                             epsilon, pieces=dirac_piece_family,
+def separated_cover_pipeline(cover: Cover, L, sigma, R, epsilon, pieces=dirac_piece_family,
                              tail_radii=None) -> SeparatedResult:
     """Separated-cover route: enlarge a (k,2L)-separated cover, Bell, glue the
     witnesses ``pieces(enlarged)``.

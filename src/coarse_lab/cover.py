@@ -32,9 +32,9 @@ class Cover:
     """Finitely many nonempty pieces whose union is the whole space.
 
     ``indices`` holds one sorted index array per piece and ``mask`` the
-    (pieces, points) membership, both read-only; ``pieces``, the frozensets of
-    point ids, is derived on first read. ``coloring`` optionally assigns each
-    piece a family index 0..k, used by the separation checks.
+    (pieces, points) membership, both read-only; ``pieces`` (point ids) and the
+    ``distance`` and ``complement`` tables are derived on first read and kept.
+    ``coloring`` optionally gives each piece a family index 0..k for separation.
     """
 
     def __init__(self, space: FiniteMetricSpace, pieces, coloring=None):
@@ -80,6 +80,13 @@ class Cover:
         return tuple(frozenset(ids[a] for a in idx.tolist()) for idx in self.indices)
 
     @cached_property
+    def distance(self):
+        """(pieces, points) array: d(x, piece i) at row i, column x. Read-only."""
+        out = np.array([self.space.D[idx].min(axis=0) for idx in self.indices])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def complement(self):
         """(pieces, points) array: d(x, complement of piece i) at row i, column x.
 
@@ -105,12 +112,7 @@ def r_multiplicity(cover: Cover, radius) -> int:
     """Max number of pieces meeting a closed ball of the given radius."""
     if not radius >= 0:
         raise ValidationError("radius must be >= 0")
-    return int(sum(_near(cover.space, idx, radius) for idx in cover.indices).max())
-
-
-def _near(space: FiniteMetricSpace, idx, radius):
-    """Mask of the points within closed distance ``radius`` of the points ``idx``."""
-    return space.D[:, idx].min(axis=1) <= float(radius)
+    return int((cover.distance <= float(radius)).sum(axis=0).max())
 
 
 def _fit_radii(cover: Cover):
@@ -151,8 +153,7 @@ def set_distance(space: FiniteMetricSpace, U, V) -> float:
 
 def _piece_distances(cover: Cover):
     """(pieces, pieces) array of the set distances between the pieces."""
-    near = np.array([cover.space.D[idx].min(axis=0) for idx in cover.indices])
-    return np.stack([near[:, idx].min(axis=1) for idx in cover.indices], axis=1)
+    return np.stack([cover.distance[:, idx].min(axis=1) for idx in cover.indices], axis=1)
 
 
 def check_kl_separated(cover: Cover, k, L) -> bool:
@@ -179,8 +180,8 @@ def enlarge(cover: Cover, L) -> Cover:
     """Replace each piece U by its closed L-neighborhood. Coloring carries over."""
     if not L >= 0:
         raise ValidationError("enlargement radius must be >= 0")
-    return Cover._of(cover.space, [np.flatnonzero(_near(cover.space, idx, L))
-                                   for idx in cover.indices], cover.coloring)
+    return Cover._of(cover.space, [np.flatnonzero(row <= float(L)) for row in cover.distance],
+                     cover.coloring)
 
 
 class ChainOfSubspaces:
@@ -244,9 +245,9 @@ def direct_limit_cover(chain: ChainOfSubspaces, L) -> DirectLimitResult:
     while subseq[-1] < chain.count - 1:
         need = run[:, ends[subseq[-1]] - 1] <= 3.0 * float(L)
         subseq.append(max(subseq[-1] + 1, int(rank[need].max())))
-    # the first selected stage, then each nonempty difference of the next ones
-    parts = np.split(order, np.unique(ends[subseq])[:-1])
-    cover = Cover._of(space, [np.flatnonzero(_near(space, part, L)) for part in parts])
+    # the first selected stage, then each nonempty later difference, ascending for _of
+    parts = [np.sort(p) for p in np.split(order, np.unique(ends[subseq])[:-1])]
+    cover = enlarge(Cover._of(space, parts), L)
     if multiplicity(cover) > 2:
         raise BoundViolationError("chain-limit cover exceeded multiplicity 2")
     if not has_lebesgue_at_least(cover, L):

@@ -193,6 +193,13 @@ def nearest_point(space, x, members):
     return best
 
 
+def dense_piece_distances(cover):
+    """Per piece, per stored point: the distance to the nearest point of the piece."""
+    space = cover.space
+    return [[min(space.d(x, y) for y in piece) for x in space.point_ids]
+            for piece in cover.pieces]
+
+
 def dense_complement_distances(cover):
     """Per piece, per stored point: the distance to the nearest point outside
     the piece, +inf when the piece is the whole space."""

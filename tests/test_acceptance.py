@@ -296,8 +296,8 @@ def separated_run():
     sp = z_interval(0, 99)
     cover = Cover(sp, (frozenset(range(0, 50)), frozenset(range(50, 100))),
                   coloring=(0, 1))
-    return separated_cover_pipeline(sp, cover, L=20, sigma=0.1, R=1.0,
-                                    epsilon=0.6, tail_radii=[0.0, 1.0])
+    return separated_cover_pipeline(cover, L=20, sigma=0.1, R=1.0, epsilon=0.6,
+                                    tail_radii=[0.0, 1.0])
 
 
 def oracle_check_glue(partition, piece_vectors, glue_result, tol=1e-9):

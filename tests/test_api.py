@@ -1,7 +1,8 @@
 """The public surface: what ``coarse_lab`` exports, the traced layers the
 benchmark's per-layer metrics name, no export that nothing reads, no
 private module-level name that no module reads, no import that a module
-never uses, and no write to another object's private attribute."""
+never uses, no parameter that its function never reads, and no write to
+another object's private attribute."""
 
 import ast
 import inspect
@@ -123,4 +124,21 @@ def test_every_private_module_name_is_read():
             unread += ["%s:%d %s" % (fname, node.lineno, name) for name in names
                        if name.startswith("_") and not name.startswith("__")
                        and name not in read]
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is dead API; lambdas are left
+    # out, since a predicate may ignore its argument
+    unread = []
+    for fname, tree in _module_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += ["%s:%d %s(%s)" % (fname, node.lineno, node.name, p.arg) for p in params
+                       if p.arg not in ("self", "cls") and p.arg not in read]
     assert unread == []

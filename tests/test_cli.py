@@ -890,7 +890,7 @@ class TestPipelinesMatchApi:
 
         space = load_space(scen["inputs"]["space"])
         cover = load_cover(scen["inputs"]["cover"], space)
-        res = separated_cover_pipeline(space, cover, 20, 0.1, 1, 0.6,
+        res = separated_cover_pipeline(cover, 20, 0.1, 1, 0.6,
                                        lambda c: uniform_ball_piece_family(c, 1),
                                        tail_radii=[0, 1])
         assert_matches_api(code, cert, res.checks, res.witness, [1.0, 3.0])

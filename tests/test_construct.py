@@ -381,7 +381,7 @@ class TestSeparated:
     def test_single_piece_trivial(self):
         s = z_interval(0, 9)
         cover = Cover(s, (frozenset(s.point_ids),), coloring=(0,))
-        res = separated_cover_pipeline(s, cover, L=1, sigma=1.0, R=1.0, epsilon=0.5)
+        res = separated_cover_pipeline(cover, L=1, sigma=1.0, R=1.0, epsilon=0.5)
         assert res.k == 0
         assert all(c.passed for c in res.checks)
 
@@ -389,7 +389,7 @@ class TestSeparated:
         s = z_interval(0, 99)
         cover = Cover(s, (frozenset(range(0, 50)), frozenset(range(50, 100))),
                       coloring=(0, 1))
-        res = separated_cover_pipeline(s, cover, L=20, sigma=0.1, R=1.0, epsilon=0.6)
+        res = separated_cover_pipeline(cover, L=20, sigma=0.1, R=1.0, epsilon=0.6)
         end = res.checks[0]
         assert end.passed
         assert end.lhs == pytest.approx(2.0 / 41.0)
@@ -400,7 +400,7 @@ class TestSeparated:
         s = z_interval(0, 9)
         cover = Cover(s, (frozenset(s.point_ids),))
         with pytest.raises(PreconditionError):
-            separated_cover_pipeline(s, cover, L=1, sigma=1.0, R=1.0, epsilon=0.5)
+            separated_cover_pipeline(cover, L=1, sigma=1.0, R=1.0, epsilon=0.5)
 
     def test_hypothesis_violation_raises(self):
         s = z_interval(0, 99)
@@ -408,14 +408,14 @@ class TestSeparated:
                       coloring=(0, 1))
         # k=1 gives k^2+1 = 2 > L*sigma = 0.5
         with pytest.raises(PreconditionError):
-            separated_cover_pipeline(s, cover, L=1, sigma=0.5, R=1.0, epsilon=0.5)
+            separated_cover_pipeline(cover, L=1, sigma=0.5, R=1.0, epsilon=0.5)
 
     def test_separation_violation_raises(self):
         s = z_interval(0, 9)
         cover = Cover(s, (frozenset(range(0, 5)), frozenset(range(4, 10))),
                       coloring=(0, 0))
         with pytest.raises(PreconditionError):
-            separated_cover_pipeline(s, cover, L=1, sigma=2.0, R=1.0, epsilon=0.5)
+            separated_cover_pipeline(cover, L=1, sigma=2.0, R=1.0, epsilon=0.5)
 
 
 # ------------------------------------------- pair records against double loops

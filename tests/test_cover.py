@@ -32,8 +32,8 @@ from coarse_lab import (
 from coarse_lab import cli
 from coarse_lab.cover import family_separation
 from coarse_lab.report import json_number
-from oracles import (dense_complement_distances, dict_pullback, frozenset_direct_limit,
-                     set_separation)
+from oracles import (dense_complement_distances, dense_piece_distances, dict_pullback,
+                     frozenset_direct_limit, set_separation)
 
 
 def path_graph(n):
@@ -143,9 +143,22 @@ def _covers(draw):
 
 class TestComplementDistances:
     @settings(max_examples=150, deadline=None)
+    @given(_covers(), st.sampled_from([("complement", dense_complement_distances),
+                                       ("distance", dense_piece_distances)]))
+    def test_matches_double_loop(self, cover, table):
+        name, oracle = table
+        assert getattr(cover, name).tolist() == oracle(cover)
+
+    @settings(max_examples=100, deadline=None)
     @given(_covers())
-    def test_matches_double_loop(self, cover):
-        assert cover.complement.tolist() == dense_complement_distances(cover)
+    def test_enlarge_and_r_multiplicity_agree_with_double_loop(self, cover):
+        ids = cover.space.point_ids
+        near = dense_piece_distances(cover)
+        for r in cover.space.realized_distances():
+            enlarged = enlarge(cover, r)
+            assert r_multiplicity(cover, r) == multiplicity(enlarged)
+            assert enlarged.pieces == tuple(frozenset(x for x, d in zip(ids, row) if d <= r)
+                                            for row in near)
 
     def test_whole_space_piece_is_infinite(self):
         s = path_graph(4)
