@@ -20,9 +20,9 @@ from .partition import (PartitionOfUnity, bell_lipschitz_constant, bell_partitio
 from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profile,
                       transport, uniform_ball_witness, variation_profile)
 from .construct import (FiberingResult, GlueInput, GlueResult, NetWitnessResult,
-                        SeparatedResult, SubspaceWitnessResult, dirac_piece_family,
-                        fibering_pipeline, glue_with_report, net_construction,
-                        separated_cover_pipeline, subspace_construction)
+                        SeparatedResult, SubspaceWitnessResult, fibering_pipeline,
+                        glue_with_report, net_construction, separated_cover_pipeline,
+                        subspace_construction)
 from .group import (CoarseQuasiAction, GroupModel, GroupPipelineResult,
                     OrbitMapResult, QuasiStabilizer, certify_quasi_action,
                     cyclic_group, free_group_ball,

@@ -16,9 +16,8 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .construct import (GlueInput, _radii, dirac_piece_family, fibering_pipeline,
-                        glue_with_report, separated_cover_pipeline,
-                        subspace_construction, net_construction)
+from .construct import (GlueInput, _radii, fibering_pipeline, glue_with_report,
+                        separated_cover_pipeline, subspace_construction, net_construction)
 from .cover import (_piece_distances, direct_limit_cover, enlarge, family_separation,
                     lebesgue_report, multiplicity, r_multiplicity)
 from .errors import BoundViolationError, CoarseLabError, ValidationError
@@ -65,11 +64,12 @@ def _read_inputs(inputs, base_dir, what):
 
 def _piece_family(inputs):
     """The scenario's piece witnesses as a function of the cover they are glued
-    over: one witness spec for every piece, or a "list" of one document each."""
+    over: one witness spec for every piece, or a "list" of one document each;
+    None, the glue's Dirac family, when absent or the Dirac builtin."""
     spec = inputs.get("pieces")
-    if spec is None:
-        return dirac_piece_family
     if not (isinstance(spec, dict) and "list" in spec):
+        if spec is None or _read(spec, "witness")[0] == "dirac witness":
+            return None
         return lambda cover: tuple(load_witness(spec, cover.space._sub(idx))
                                    for idx in cover.indices)
     docs = _read(spec, "pieces list")[1]["list"]
@@ -157,8 +157,9 @@ def _run_glue(inputs, params):
     space = load_space(inputs["space"])
     cov = load_cover(inputs["cover"], space)
     part = bell_partition(cov, require_lebesgue=params.get("require_lebesgue", True))
-    pieces = _piece_family(inputs)(cov)
-    res = glue_with_report(GlueInput(part, pieces), tail_radii=params.get("tail_radii"))
+    pieces = _piece_family(inputs)
+    res = glue_with_report(GlueInput(part, None if pieces is None else pieces(cov)),
+                           tail_radii=params.get("tail_radii"))
     return _RunOutput(checked=res.checks, witness=res.witness, variation=res.variation,
                       partition_json=partition_to_json(part))
 
@@ -205,8 +206,7 @@ def _run_direct_limit(inputs, params):
         check_le("nonadjacent_piece_overlap", float(overlap), 0.0),
     ]
     part = bell_partition(cov)
-    glue_res = glue_with_report(GlueInput(part, dirac_piece_family(cov)),
-                                tail_radii=params.get("tail_radii"))
+    glue_res = glue_with_report(GlueInput(part), tail_radii=params.get("tail_radii"))
     details = {"selected_stages": list(res.indices),
                "piece_count": len(cov.indices),
                "nonadjacent_min_gap": json_number(min_gap)}

@@ -28,8 +28,8 @@ from .partition import (PartitionOfUnity, bell_partition,
 from .report import check_le
 from .space import (CoarseMapCert, FiniteMetricSpace, _DistanceMax, _pair_blocks, _row_pairs,
                     _worst_pair)
-from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, dirac_witness,
-                      tail_profile, variation_profile)
+from .witness import (DecayProfile, Witness, _gather, _row_norms, collapse, tail_profile,
+                      variation_profile)
 
 _ID_TOL = 1e-9
 
@@ -171,16 +171,19 @@ def net_construction(ambient: FiniteMetricSpace, witness: Witness,
 
 @dataclass(frozen=True)
 class GlueInput:
-    """A partition of unity plus one piece witness per cover piece.
+    """A partition of unity plus one piece witness per cover piece, or None
+    for the Dirac witness of every piece.
 
     Piece witness i must live on exactly U_i with the restricted metric;
     this keeps the variation check's two-sided/one-sided case split honest.
     """
 
     partition: PartitionOfUnity
-    pieces: tuple
+    pieces: tuple = None
 
     def __post_init__(self):
+        if self.pieces is None:
+            return
         cover = self.partition.cover
         if len(self.pieces) != len(cover.indices):
             raise ValidationError("need one piece witness per cover piece")
@@ -225,37 +228,55 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     """
     partition = glue_input.partition
     space = partition.space
-    n = len(space)
     # xi_x: sqrt(phi_i(x)) times piece i's vector at x, with tags (i, tag), over
-    # x's pieces in order (a zero phi drops the entry); members[i] is piece i's
-    # points ascending, with the rows of piece i's vectors at them
-    members, parts, tags = [], [], []
-    for i, w in enumerate(glue_input.pieces):
-        on = np.array(space.indices(w.space.point_ids))
-        rows = np.argsort(on)
-        members.append((on[rows], rows))
-        parts.append((on[w.row], on[w.at], w.tag + len(tags),
-                      np.sqrt(partition.phi[i, on[w.row]]) * w.coef))
-        tags.extend((i, t) for t in w.tags)
+    # x's pieces in order (a zero phi drops the entry)
+    if glue_input.pieces is None:
+        # Dirac pieces: distinct points' Dirac vectors have disjoint supports, so
+        # a piece kernel's closed form is exactly 1.0 + 1.0 on every pair of the
+        # piece, and every entry sits at its own point, so the equi-tail is zero.
+        # Piece i gives the entries (row x, at x, tag (i, None), sqrt(phi_i(x))).
+        piece, on = np.nonzero(partition.cover.mask)
+        parts = [(on, on, piece, np.sqrt(partition.phi[piece, on]))]
+        tags = [(i, None) for i in range(len(partition.cover.indices))]
+        # per point, its pieces as bits in whole 64-bit words: one gather per word
+        bits = np.packbits(partition.cover.mask, axis=0)
+        member = np.ascontiguousarray(np.pad(bits, ((0, -len(bits) % 8), (0, 0))).T).view(np.uint64)
+
+        def common(a, b):
+            shared = (member.take(a, axis=0) & member.take(b, axis=0)).any(axis=1)
+            return np.where(shared, 2.0, 0.0)
+    else:
+        # members[i] is piece i's points ascending, with the rows of piece i's vectors at them
+        members, parts, tags = [], [], []
+        for i, w in enumerate(glue_input.pieces):
+            on = np.array(space.indices(w.space.point_ids))
+            rows = np.argsort(on)
+            members.append((on[rows], rows))
+            parts.append((on[w.row], on[w.at], w.tag + len(tags),
+                          np.sqrt(partition.phi[i, on[w.row]]) * w.coef))
+            tags.extend((i, t) for t in w.tags)
+
+        def common(a, b):
+            # out[p - a0, q]: the piece term of the pair (p, q) of the rows [a0, a1)
+            a0, a1 = int(a[0]), int(a[-1]) + 1
+            out = np.zeros((a1 - a0, len(space)))
+            for w, (on, rows) in zip(glue_input.pieces, members):
+                # the pairs (p, q) of piece points with p in the block: p = on[j],
+                # q = on[k] for j < k, listed from the piece's own index array
+                j, k = _row_pairs(*np.searchsorted(on, [a0, a1]), len(on))
+                p, q = on[j] - a0, on[k]
+                # one kernel per piece: lookup tables grow with the piece, not the cover
+                out[p, q] = np.maximum(out[p, q], w.kernel.sq_dist(rows[j], rows[k]))
+            return out[a - a0, b]
     row, at, tag, coef = (np.concatenate(v) for v in zip(*parts))
     order = np.argsort(row, kind="stable")
     glued = Witness._of(space, row[order], at[order], tag[order], tuple(tags), coef[order])
 
     def sides(a, b):
-        # common[p - a0, q]: the piece term of the pair (p, q) of the rows [a0, a1)
-        a0, a1 = int(a[0]), int(a[-1]) + 1
-        common = np.zeros((a1 - a0, n))
-        for w, (on, rows) in zip(glue_input.pieces, members):
-            # the pairs (p, q) of piece points with p in the block: p = on[j],
-            # q = on[k] for j < k, listed from the piece's own index array
-            j, k = _row_pairs(*np.searchsorted(on, [a0, a1]), len(on))
-            p, q = on[j] - a0, on[k]
-            # one kernel per piece: lookup tables grow with the piece, not the cover
-            common[p, q] = np.maximum(common[p, q], w.kernel.sq_dist(rows[j], rows[k]))
         lhs = glued.kernel.sq_dist(a, b)
         # every pair passes here once: the glued witness's variation sweep too
         variation.add(a, b, np.sqrt(lhs))
-        return lhs, 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common[a - a0, b]
+        return lhs, 2.0 * partition.kernel.l1_dist(a, b) + 2.0 * common(a, b)
 
     variation = _DistanceMax(space)
     variation_rec = _worst_pair("glue_variation_bound", space, sides, _ID_TOL) or \
@@ -264,8 +285,8 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
 
     tail_radii = _radii(space, tail_radii) or [0.0]
     glued_tail = tail_profile(glued, tail_radii)
-    equi = np.max([[v for _, v in tail_profile(w, tail_radii)] for w in glue_input.pieces],
-                  axis=0)
+    equi = np.zeros(len(tail_radii)) if glue_input.pieces is None else np.max(
+        [[v for _, v in tail_profile(w, tail_radii)] for w in glue_input.pieces], axis=0)
     equi_tail = DecayProfile(tuple(zip(tail_radii, equi.tolist())))
     lhs = [v for _, v in glued_tail]
     j = int(np.argmax(lhs - equi))     # the first radius with the largest excess
@@ -274,10 +295,6 @@ def glue_with_report(glue_input: GlueInput, tail_radii=None) -> GlueResult:
     checks = (variation_rec, tail_rec)
     _require(checks)
     return GlueResult(glued, partition, checks, glued_tail, equi_tail, variation)
-
-
-def dirac_piece_family(cover: Cover):
-    return tuple(dirac_witness(cover.space._sub(idx)) for idx in cover.indices)
 
 
 # ---------------------------------------------------------------- fibering
@@ -292,15 +309,16 @@ class FiberingResult:
 
 
 def fibering_pipeline(cert: CoarseMapCert, partition: PartitionOfUnity,
-                      pieces=dirac_piece_family, radii=None, tail_radii=None) -> FiberingResult:
+                      pieces=None, radii=None, tail_radii=None) -> FiberingResult:
     """Pull a target partition back along a certified map, then glue the
-    witnesses ``pieces(cover)`` over the preimage cover.
+    witnesses ``pieces(cover)`` over the preimage cover (Dirac ones for None).
 
     The pullback's variation at R is bounded by the target partition's
     variation at modulus(R); asserted on the sampled radii.
     """
     pulled, kept = pullback_partition(cert, partition)
-    glued = glue_with_report(GlueInput(pulled, pieces(pulled.cover)), tail_radii=tail_radii)
+    glued = glue_with_report(GlueInput(pulled, None if pieces is None else pieces(pulled.cover)),
+                             tail_radii=tail_radii)
 
     radii = _radii(cert.source, radii)
     src_var = partition_variation_profile(pulled, radii)
@@ -325,10 +343,10 @@ class SeparatedResult:
     glue: GlueResult
 
 
-def separated_cover_pipeline(cover: Cover, L, sigma, R, epsilon, pieces=dirac_piece_family,
+def separated_cover_pipeline(cover: Cover, L, sigma, R, epsilon, pieces=None,
                              tail_radii=None) -> SeparatedResult:
     """Separated-cover route: enlarge a (k,2L)-separated cover, Bell, glue the
-    witnesses ``pieces(enlarged)``.
+    witnesses ``pieces(enlarged)`` (Dirac ones for None).
 
     k is the coloring's family count minus one. Preconditions (separation and
     k^2+1 <= L*sigma) raise; the end inequality (partition variation at R is
@@ -338,10 +356,7 @@ def separated_cover_pipeline(cover: Cover, L, sigma, R, epsilon, pieces=dirac_pi
     if cover.coloring is None:
         raise PreconditionError("separated pipeline needs a colored cover")
     k = len(set(cover.coloring)) - 1
-    L = float(L)
-    sigma = float(sigma)
-    R = float(R)
-    epsilon = float(epsilon)
+    L, sigma, R, epsilon = float(L), float(sigma), float(R), float(epsilon)
     if L <= 0 or sigma <= 0:
         raise PreconditionError("need L > 0 and sigma > 0")
     if not check_kl_separated(cover, k, 2.0 * L):
@@ -354,7 +369,8 @@ def separated_cover_pipeline(cover: Cover, L, sigma, R, epsilon, pieces=dirac_pi
     if multiplicity(enlarged) > k + 1:
         raise BoundViolationError("enlarged cover multiplicity exceeded k+1")
     partition = bell_partition(enlarged)
-    glued = glue_with_report(GlueInput(partition, pieces(enlarged)), tail_radii=tail_radii)
+    glued = glue_with_report(GlueInput(partition, None if pieces is None else pieces(enlarged)),
+                             tail_radii=tail_radii)
 
     var, pair = partition_variation_profile(partition, [R])[0][1:]
     end_rec = check_le("separated_variation_at_R", var, epsilon, witness=pair)

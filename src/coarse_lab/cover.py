@@ -167,10 +167,8 @@ def family_separation(cover: Cover, k) -> float:
     if cover.coloring is None:
         raise ValidationError("cover carries no coloring")
     if max(cover.coloring) > int(k):
-        raise ValidationError(
-            "coloring uses %d families, more than k+1=%d"
-            % (max(cover.coloring) + 1, int(k) + 1)
-        )
+        raise ValidationError("coloring uses %d families, more than k+1=%d"
+                              % (max(cover.coloring) + 1, int(k) + 1))
     colors = np.array(cover.coloring)
     same = np.triu(colors[:, None] == colors, 1)
     return float(_piece_distances(cover)[same].min(initial=math.inf))

@@ -483,8 +483,13 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
         res = subspace_construction(transport(base_witness, np.searchsorted(support, moved)[at],
                                               translated), within)
         sub_results.append(res)
-    glue_res = glue_with_report(GlueInput(psi, tuple(res.collapsed for res in sub_results)),
-                                tail_radii=tail_radii)
+    # pieces Dirac by content (one entry per row, at its own point, coefficient
+    # 1.0, bare tag) glue as the Dirac family; a truncated model keeps them
+    pieces = tuple(res.collapsed for res in sub_results)
+    dirac = G.truncation_radius is None and all(not w.tagged and (w.coef == 1.0).all() and
+                                                np.array_equal(w.at, np.arange(len(w.space)))
+                                                for w in pieces)
+    glue_res = glue_with_report(GlueInput(psi, None if dirac else pieces), tail_radii=tail_radii)
 
     var, pair = partition_variation_profile(psi, [R])[0][1:]
     chain = check_le("group_epsilon_chain", var, epsilon, witness=pair)

@@ -81,9 +81,7 @@ def bell_partition(cover: Cover, require_lebesgue=True) -> PartitionOfUnity:
     mat = cover.complement
     L = lebesgue_report(cover)[0]
     if require_lebesgue and L <= 0.0:
-        raise PreconditionError(
-            "cover has Lebesgue number 0; the variation bound is vacuous"
-        )
+        raise PreconditionError("cover has Lebesgue number 0; the variation bound is vacuous")
     mat = np.where(np.isinf(mat), space.diameter + 1.0, mat)
     denom = mat.sum(axis=0)
     floor = L if require_lebesgue else 0.0

@@ -17,11 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraphError,
-    MetricAxiomError,
-    ValidationError,
-)
+from .errors import DisconnectedGraphError, MetricAxiomError, ValidationError
 from .report import check_le
 
 _TRI_TOL = 1e-12
@@ -37,26 +33,20 @@ def _validate_metric_axioms(ids, D):
     bad = np.flatnonzero(diag != 0.0)
     if bad.size:
         i = int(bad[0])
-        raise MetricAxiomError(
-            "d(x,x) must be 0, got %r at point %r" % (diag[i], ids[i]), (ids[i],)
-        )
+        raise MetricAxiomError("d(x,x) must be 0, got %r at point %r" % (diag[i], ids[i]),
+                               (ids[i],))
     if (D != D.T).any():
         i, j = (int(v) for v in np.argwhere(D != D.T)[0])
-        raise MetricAxiomError(
-            "asymmetry: d(%r,%r)=%r but d(%r,%r)=%r"
-            % (ids[i], ids[j], D[i, j], ids[j], ids[i], D[j, i]),
-            (ids[i], ids[j]),
-        )
+        raise MetricAxiomError("asymmetry: d(%r,%r)=%r but d(%r,%r)=%r"
+                               % (ids[i], ids[j], D[i, j], ids[j], ids[i], D[j, i]),
+                               (ids[i], ids[j]))
     # the zero diagonal accounts for exactly n of the entries <= 0
     if np.count_nonzero(D <= 0.0) > n:
         nonpos = D <= 0.0
         np.fill_diagonal(nonpos, False)
         i, j = (int(v) for v in np.argwhere(nonpos)[0])
-        raise MetricAxiomError(
-            "distinct points need positive distance: d(%r,%r)=%r"
-            % (ids[i], ids[j], D[i, j]),
-            (ids[i], ids[j]),
-        )
+        raise MetricAxiomError("distinct points need positive distance: d(%r,%r)=%r"
+                               % (ids[i], ids[j], D[i, j]), (ids[i], ids[j]))
     # Integer distances below 2^31 compare exactly in the narrowest unsigned
     # type holding d(i,k) + d(k,j): for integer sums s < 2^52 the float test
     # d > s + 1e-12 holds exactly when d > s, so the verdicts do not change.
@@ -79,9 +69,7 @@ def _validate_metric_axioms(ids, D):
                 raise MetricAxiomError(
                     "triangle inequality fails: d(%r,%r)=%r > d(%r,%r)+d(%r,%r)=%r"
                     % (ids[i], ids[j], D[i, j], ids[i], ids[k], ids[k], ids[j],
-                       D[i, k] + D[k, j]),
-                    (ids[i], ids[k], ids[j]),
-                )
+                       D[i, k] + D[k, j]), (ids[i], ids[k], ids[j]))
     else:
         # too large for the cubic check; sample triples deterministically
         rng = np.random.default_rng(0)
@@ -90,11 +78,8 @@ def _validate_metric_axioms(ids, D):
         viol = np.flatnonzero(M[i, j] > M[i, k] + M[k, j] + tol)
         if viol.size:
             a, b, c = (int(v) for v in tri[viol[0]])
-            raise MetricAxiomError(
-                "triangle inequality fails on sampled triple (%r,%r,%r)"
-                % (ids[a], ids[b], ids[c]),
-                (ids[a], ids[b], ids[c]),
-            )
+            raise MetricAxiomError("triangle inequality fails on sampled triple (%r,%r,%r)"
+                                   % (ids[a], ids[b], ids[c]), (ids[a], ids[b], ids[c]))
 
 
 def _narrow(values):
@@ -124,9 +109,8 @@ class FiniteMetricSpace:
             raise ValidationError("a distance matrix must be a rectangular array of numbers")
         D = np.array(D, dtype=np.float64)
         if D.shape != (len(ids), len(ids)):
-            raise ValidationError(
-                "distance matrix shape %r does not match %d points" % (D.shape, len(ids))
-            )
+            raise ValidationError("distance matrix shape %r does not match %d points"
+                                  % (D.shape, len(ids)))
         _validate_metric_axioms(ids, D)
         self._store(ids, D)
 
@@ -303,9 +287,8 @@ def _hop_space(ids, adj) -> FiniteMetricSpace:
     D = _hop_counts(adj)
     if D.min(initial=0.0) < 0:  # no n^2 mask next to D and the copy the space makes
         s, t = (int(v) for v in np.argwhere(D < 0)[0])
-        raise DisconnectedGraphError(
-            "graph metric undefined: no path between %r and %r" % (ids[s], ids[t])
-        )
+        raise DisconnectedGraphError("graph metric undefined: no path between %r and %r"
+                                     % (ids[s], ids[t]))
     return FiniteMetricSpace._of(ids, D)
 
 

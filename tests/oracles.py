@@ -11,7 +11,7 @@ match the library bit for bit.
 
 import math
 
-from coarse_lab import ValidationError, uniform_ball_witness
+from coarse_lab import ValidationError, dirac_witness, uniform_ball_witness
 
 
 def sorted_ids(space, points):
@@ -38,6 +38,12 @@ def masses(partition):
     return {x: {i: v for i in range(len(partition.cover.pieces))
                 if (v := partition.value(i, x)) > 0.0}
             for x in partition.space.point_ids}
+
+
+def dirac_piece_family(cover):
+    """The explicit Dirac witness on every piece of the cover: the reference for
+    the glue's Dirac family (``GlueInput.pieces`` None)."""
+    return tuple(dirac_witness(cover.space._sub(idx)) for idx in cover.indices)
 
 
 def uniform_ball_piece_family(cover, radius):

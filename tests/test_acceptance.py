@@ -23,7 +23,6 @@ from coarse_lab import (
     cycle,
     cyclic_group,
     direct_limit_cover,
-    dirac_piece_family,
     dirac_witness,
     enlarge,
     free_group_ball,
@@ -53,6 +52,7 @@ from oracles import (
     dense_tail,
     dense_variation,
     dense_vector_distance,
+    dirac_piece_family,
     masses,
     uniform_ball_piece_family,
 )

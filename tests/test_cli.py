@@ -826,6 +826,12 @@ class TestRunCommand:
         pytest.param({"pieces": {"list": [{"builtin": "dirac"}]}}, {},
                      "piece 0: witness document is missing field 'vectors'",
                      id="inputs15-params15-piece 0: explicit piece witnesses need vectors"),
+        # the Dirac builtin takes the glue's Dirac family only once it reads as one
+        pytest.param({"pieces": {"builtin": "dirac", "radius": 1}}, {},
+                     "dirac witness has unknown field 'radius'; it reads builtin",
+                     id="dirac pieces spec reads no radius"),
+        pytest.param({"pieces": {"builtin": "diracc"}}, {}, "unknown builtin witness 'diracc'",
+                     id="misspelled builtin pieces spec"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, inputs, params,
                                                  message):
@@ -1277,12 +1283,15 @@ class TestDeterminism:
 
 class TestKernelBuilds:
     # each witness and partition builds its pair kernel once, on first use:
-    # bell builds the partition's; a glue over p pieces the pieces', the
-    # partition's and the glued witness's (p + 2); a group run over p kept
-    # pieces the transported, tagged and collapsed witness of each piece, the
+    # bell builds the partition's; a glue over Dirac pieces (glue, direct-limit,
+    # separated) the partition's and the glued witness's only (2), as its piece
+    # term is read from the cover's membership; a group run over p kept pieces
+    # the transported, tagged and collapsed witness of each piece, the
     # partition's and the glued witness's (3p + 2)
-    @pytest.mark.parametrize("name, builds", [("bell_interval_blocks", 1),
-                                              ("glue_cycle", 5), ("group_z60_c12", 11)])
+    @pytest.mark.parametrize("name, builds", [("bell_interval_blocks", 1), ("glue_cycle", 2),
+                                              ("direct_limit_interval", 2),
+                                              ("separated_interval_100", 2),
+                                              ("group_z60_c12", 11)])
     def test_each_kernel_is_built_once_per_run(self, monkeypatch, name, builds):
         count = []
         init = coarse_lab.space._SparseRows.__init__
@@ -1341,9 +1350,10 @@ class TestKernelBuilds:
         assert got == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
     def test_group_run_sweeps_no_collapsed_piece_again(self, monkeypatch):
-        # each collapsed piece's pairs are evaluated by its subspace
-        # construction, whose pass is also its variation sweep, and by the
-        # glue's piece term: no sweep at R evaluates them a third time
+        # each collapsed piece's pairs are evaluated once, by its subspace
+        # construction, whose pass is also its variation sweep: the pieces are
+        # Dirac by content, so the glue's piece term reads the cover's
+        # membership, and no sweep at R evaluates them again
         calls, results = [], []
         sq_dist = coarse_lab.space._SparseRows.sq_dist
         construct = coarse_lab.group.subspace_construction
@@ -1365,7 +1375,7 @@ class TestKernelBuilds:
             n = len(res.subspace)
             got = sorted(pair for kernel, a, b in calls if kernel is res.collapsed.kernel
                          for pair in zip(a, b))
-            assert got == sorted(2 * [(p, q) for p in range(n) for q in range(p + 1, n)])
+            assert got == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 class TestProfiles:

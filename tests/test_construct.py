@@ -19,7 +19,6 @@ from coarse_lab import (
     bell_partition,
     check_coarse_map,
     cycle,
-    dirac_piece_family,
     dirac_witness,
     fibering_pipeline,
     glue_with_report,
@@ -40,8 +39,8 @@ from coarse_lab import space as space_module
 from coarse_lab.partition import _bell_lipschitz_check
 from coarse_lab.space import _pair_sweep
 from oracles import (dense_bell_lipschitz, dense_glue_bound, dense_subspace_records,
-                     dense_variation, dense_vector_distance, nearest_point,
-                     uniform_ball_piece_family)
+                     dense_variation, dense_vector_distance, dirac_piece_family,
+                     nearest_point, uniform_ball_piece_family)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -618,3 +617,62 @@ class TestPairRecordsAgainstDoubleLoops:
         res = net_construction(ambient, dirac_witness(ambient.restrict(net)))
         assert res.witness.vectors == {x: {(None, nearest_point(ambient, x, net)): 1.0}
                                        for x in ambient.point_ids}
+
+
+@st.composite
+def _dirac_partitions(draw):
+    """A partition of unity on 1-12 points over 1-8, 9-20 or 65-70 pieces (one
+    byte of packed membership, several bytes of one 64-bit word, or two words),
+    copies of the first drawn piece filling the lower indices so that the
+    drawn ones take the highest; either Bell values or seeded weights with one
+    member's value 0."""
+    space = _SPACES[draw(st.sampled_from(sorted(_SPACES)))](draw(st.integers(1, 12)))
+    ids = space.point_ids
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 20), st.integers(65, 70)))
+    pieces = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), min_size=1,
+                           max_size=min(k, 12)))
+    pieces = [pieces[0]] * (k - len(pieces)) + pieces
+    pieces[-1] = pieces[-1] | (set(ids) - set().union(*pieces))
+    cover = Cover(space, pieces)
+    if draw(st.booleans()):
+        return bell_partition(cover, require_lebesgue=False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = cover.mask * rng.uniform(0.1, 1.0, cover.mask.shape)
+    # a member of two pieces gets the value 0 in the first of them
+    shared = np.flatnonzero(cover.mask.sum(axis=0) > 1)
+    if shared.size:
+        a = int(shared[draw(st.integers(0, len(shared) - 1))])
+        phi[np.argmax(cover.mask[:, a]), a] = 0.0
+    return PartitionOfUnity(space, cover, phi / phi.sum(axis=0))
+
+
+class TestDiracFamily:
+    """The glue's Dirac family (``pieces`` None) is the explicit glue of the
+    Dirac witness on every piece, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_dirac_partitions(), st.sampled_from([None, [0.0], [0.0, 1.0, 2.5]]),
+           st.booleans())
+    def test_matches_the_explicit_per_piece_glue(self, part, tail_radii, small_steps):
+        with pytest.MonkeyPatch.context() as mp:
+            if small_steps:
+                _small_steps(mp)
+            got = glue_with_report(GlueInput(part), tail_radii=tail_radii)
+            want = glue_with_report(GlueInput(part, dirac_piece_family(part.cover)),
+                                    tail_radii=tail_radii)
+        assert_same_glue(got, want)
+
+
+def assert_same_glue(got, want):
+    """Two GlueResults agree bit for bit: records, glued entry arrays and tags,
+    the variation profile with its pairs on every realized distance, and
+    both tails (repr tells -0.0 from 0.0)."""
+    assert repr(got.checks) == repr(want.checks)
+    g, w = got.witness, want.witness
+    for field in ("row", "at", "tag", "coef"):
+        assert getattr(g, field).dtype == getattr(w, field).dtype
+        assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+    assert g.tags == w.tags
+    grid = g.space.realized_distances()
+    assert repr(got.variation.profile(grid)) == repr(want.variation.profile(grid))
+    assert repr((got.glued_tail, got.equi_tail)) == repr((want.glued_tail, want.equi_tail))

@@ -21,7 +21,6 @@ from coarse_lab import (
     bell_partition,
     collapse,
     cycle,
-    dirac_piece_family,
     dirac_witness,
     glue_with_report,
     net_construction,
@@ -32,7 +31,8 @@ from coarse_lab import (
     z2_ball,
     z_interval,
 )
-from oracles import ball, masses, nearest_point, sorted_ids, uniform_ball_piece_family
+from oracles import (ball, dirac_piece_family, masses, nearest_point, sorted_ids,
+                     uniform_ball_piece_family)
 
 
 # ------------------------------------------------------ scalar references

@@ -14,6 +14,7 @@ from coarse_lab import (
     Cover,
     DisconnectedGraphError,
     FiniteMetricSpace,
+    GlueInput,
     PreconditionError,
     ValidationError,
     certify_quasi_action,
@@ -22,6 +23,7 @@ from coarse_lab import (
     cyclic_group,
     dirac_witness,
     free_group_ball,
+    glue_with_report,
     group_pipeline,
     GroupModel,
     left_translation,
@@ -37,6 +39,7 @@ from coarse_lab import (
 )
 from coarse_lab import group as group_module
 from coarse_lab.cli import execute_scenario
+from test_construct import assert_same_glue
 from oracles import (dense_product_table, dense_quasi_action, dense_word_metric, free_reduce,
                      masses)
 
@@ -463,11 +466,57 @@ class TestGroupPipeline:
         assert cert["truncation_flags"] == [
             "group model truncated at radius 3; word distances are upper bounds"]
 
+    @pytest.mark.parametrize("maps", [rotation_maps(60, 12),
+                                      perturbed_maps(60, 12, 5, 1, 3, 1)])
+    def test_dirac_pieces_glue_as_the_dirac_family(self, monkeypatch, maps):
+        # a Dirac provider's collapsed pieces are Dirac by content, so the glue
+        # takes the Dirac family, and its result is the explicit glue's bit for bit
+        glued = record_glue_inputs(monkeypatch)
+        act = certify_quasi_action(cyclic_group(60), cycle(12), maps)
+        res = group_pipeline(act, 0, three_arc_cover(act.space, 12, 6, 4), R=1.0)
+        assert glued[0].pieces is None
+        assert_same_glue(res.glue, glue_with_report(
+            GlueInput(res.partition, tuple(r.collapsed for r in res.subspace_results))))
+
+    def test_other_pieces_keep_the_explicit_glue(self, monkeypatch, tmp_path):
+        # a uniform-ball provider's pieces, and a truncated model's, are glued as given
+        glued = record_glue_inputs(monkeypatch)
+        act = certify_quasi_action(cyclic_group(60), cycle(12), rotation_maps(60, 12))
+        group_pipeline(act, 0, three_arc_cover(act.space, 12, 6, 4), R=1.0,
+                       provider=lambda sp: uniform_ball_witness(sp, 1))
+        execute_scenario({
+            "name": "z_ball_on_cycle",
+            "pipeline": "group-pipeline",
+            "inputs": {"group": {"type": "ball", "radius": 3},
+                       "space": {"metric": {"type": "cycle", "n": 48}},
+                       "action": {"type": "isometric_hom", "rule": "cyclic_mod"},
+                       "cover": {"pieces": [[(12 * i + j) % 48 for j in range(-1, 13)]
+                                            for i in range(4)]}},
+            "parameters": {"x0": 5, "R": 1},
+        }, str(tmp_path))
+        assert len(glued) == 2
+        for gi in glued:
+            assert isinstance(gi.pieces, tuple)
+            assert len(gi.pieces) == len(gi.partition.cover.indices)
+
     def test_cover_must_live_on_space(self):
         act = certify_quasi_action(cyclic_group(12), cycle(4), rotation_maps(12, 4))
         other = cycle(4)
         with pytest.raises(ValidationError):
             group_pipeline(act, 0, Cover(other, (frozenset(other.point_ids),)), R=1.0)
+
+
+def record_glue_inputs(monkeypatch):
+    """The GlueInput of every glue the group pipeline runs, in a list filled as it runs."""
+    glued = []
+    glue = group_module.glue_with_report
+
+    def keep(gi, **kwargs):
+        glued.append(gi)
+        return glue(gi, **kwargs)
+
+    monkeypatch.setattr(group_module, "glue_with_report", keep)
+    return glued
 
 
 def _with_op(case):
