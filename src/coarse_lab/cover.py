@@ -4,7 +4,6 @@ number, separation, enlargement, and the chain-limit cover of a rank-array chain
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,6 +102,12 @@ class Cover:
         out.setflags(write=False)
         return out
 
+    @property
+    def fit_radius(self) -> float:
+        """Sup of the radii r whose every closed r-ball fits inside some piece:
+        B(x, r) lies in piece U exactly when r < d(x, complement of U)."""
+        return float(self.complement.max(axis=0).min())
+
 
 def multiplicity(cover: Cover) -> int:
     return int(cover.mask.sum(axis=0).max())
@@ -115,32 +120,13 @@ def r_multiplicity(cover: Cover, radius) -> int:
     return int((cover.distance <= float(radius)).sum(axis=0).max())
 
 
-def _fit_radii(cover: Cover):
-    """Per point, the sup of radii whose closed ball fits inside some piece.
-
-    A ball B(x, r) sits inside piece U exactly when r < d(x, complement of U).
-    """
-    return cover.complement.max(axis=0)
-
-
 def lebesgue_report(cover: Cover):
-    """(Lebesgue number on the realized grid, smallest failing radius or None)."""
-    t = float(_fit_radii(cover).min())
-    realized = cover.space.realized_distances()
-    i = bisect_left(realized, t)
-    L = realized[i - 1] if i > 0 else 0.0
-    failing = realized[i] if i < len(realized) else None
-    return float(L), failing
-
-
-def lebesgue_number(cover: Cover) -> float:
-    """Largest realized L such that every closed L-ball fits in some piece."""
-    return lebesgue_report(cover)[0]
-
-
-def has_lebesgue_at_least(cover: Cover, L) -> bool:
-    """Every closed L-ball fits inside some piece (L need not be realized)."""
-    return bool(_fit_radii(cover).min() > float(L))
+    """(Lebesgue number on the realized grid, smallest failing radius or None):
+    the realized distances just below and at or above ``cover.fit_radius``."""
+    realized = cover.space._realized
+    i = int(np.searchsorted(realized, cover.fit_radius))
+    return (float(realized[i - 1]) if i > 0 else 0.0,
+            float(realized[i]) if i < len(realized) else None)
 
 
 def set_distance(space: FiniteMetricSpace, U, V) -> float:
@@ -248,7 +234,7 @@ def direct_limit_cover(chain: ChainOfSubspaces, L) -> DirectLimitResult:
     cover = enlarge(Cover._of(space, parts), L)
     if multiplicity(cover) > 2:
         raise BoundViolationError("chain-limit cover exceeded multiplicity 2")
-    if not has_lebesgue_at_least(cover, L):
+    if not cover.fit_radius > L:
         raise BoundViolationError("chain-limit cover lost Lebesgue number L")
     flags = ("piece %d is built from the final truncation stage" % (len(parts) - 1),)
     return DirectLimitResult(tuple(i + 1 for i in subseq), cover, flags)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import GlueInput, glue_with_report, subspace_construction
-from .cover import Cover, enlarge, lebesgue_number, multiplicity
+from .cover import Cover, enlarge, lebesgue_report, multiplicity
 from .errors import (BoundViolationError, DisconnectedGraphError, PreconditionError,
                      ValidationError)
 from .partition import (PartitionOfUnity, bell_partition, partition_variation_profile,
@@ -408,7 +408,7 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
     orbit = orbit_map(action, x0)
 
     k = multiplicity(cover) - 1
-    L = lebesgue_number(cover)
+    L = lebesgue_report(cover)[0]
     if L <= 0:
         raise PreconditionError("Lebesgue number 0 < required positive")
     needed = 2.0 * action.ell(orbit.lam) * R * (2 * k + 2) * (2 * k + 3)
@@ -484,11 +484,10 @@ def group_pipeline(action: CoarseQuasiAction, x0, cover: Cover, R,
                                               translated), within)
         sub_results.append(res)
     # pieces Dirac by content (one entry per row, at its own point, coefficient
-    # 1.0, bare tag) glue as the Dirac family; a truncated model keeps them
+    # 1.0, bare tag) glue as the Dirac family
     pieces = tuple(res.collapsed for res in sub_results)
-    dirac = G.truncation_radius is None and all(not w.tagged and (w.coef == 1.0).all() and
-                                                np.array_equal(w.at, np.arange(len(w.space)))
-                                                for w in pieces)
+    dirac = all(not w.tagged and (w.coef == 1.0).all() and
+                np.array_equal(w.at, np.arange(len(w.space))) for w in pieces)
     glue_res = glue_with_report(GlueInput(psi, None if dirac else pieces), tail_radii=tail_radii)
 
     var, pair = partition_variation_profile(psi, [R])[0][1:]

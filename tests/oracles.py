@@ -216,6 +216,22 @@ def dense_complement_distances(cover):
             for piece in cover.pieces]
 
 
+def every_ball_fits(cover, r) -> bool:
+    """Every closed r-ball lies inside some piece."""
+    return all(any(ball(cover.space, x, r) <= piece for piece in cover.pieces)
+               for x in cover.space.point_ids)
+
+
+def dense_lebesgue(cover):
+    """(largest realized r whose closed r-balls all fit in pieces, smallest
+    realized r with a ball that fits in no piece, or None), ball by ball."""
+    space = cover.space
+    realized = sorted({space.d(x, y) for x in space.point_ids for y in space.point_ids})
+    fits = [every_ball_fits(cover, r) for r in realized]
+    return (max(r for r, ok in zip(realized, fits) if ok),
+            min((r for r, ok in zip(realized, fits) if not ok), default=None))
+
+
 def set_separation(space, pieces) -> float:
     """Smallest set distance between two of the pieces, pair by pair (+inf for
     fewer than two)."""
@@ -298,14 +314,6 @@ def dense_partition_variation(partition, R) -> float:
                 s = sum(abs(partition.value(i, x) - partition.value(i, y))
                         for i in range(n_pieces))
                 worst = max(worst, s)
-    return worst
-
-
-def dense_unit_norm_defect(witness) -> float:
-    worst = 0.0
-    for x in witness.space.point_ids:
-        n = math.sqrt(sum(c * c for c in witness.vectors[x].values()))
-        worst = max(worst, abs(n - 1.0))
     return worst
 
 

@@ -29,7 +29,7 @@ from coarse_lab import (
     glue_with_report,
     grid,
     group_pipeline,
-    lebesgue_number,
+    lebesgue_report,
     multiplicity,
     r_multiplicity,
     separated_cover_pipeline,
@@ -177,7 +177,7 @@ def generated_bell_covers():
         covers.append(brick_cover(dims, w, s))
     # keep only covers inside the contracted parameter box
     kept = [c for c in covers
-            if 1 <= multiplicity(c) <= 4 and 1.0 <= lebesgue_number(c) <= 20.0]
+            if 1 <= multiplicity(c) <= 4 and 1.0 <= lebesgue_report(c)[0] <= 20.0]
     return kept
 
 
@@ -262,7 +262,7 @@ def test_criterion_3_cover_facts_exhaustive():
             if r_multiplicity(cov, L) <= k + 1:
                 big = enlarge(cov, L)
                 assert multiplicity(big) <= k + 1
-                assert lebesgue_number(big) >= L
+                assert lebesgue_report(big)[0] >= L
                 checked += 1
         assert checked >= 10
 
@@ -422,7 +422,7 @@ def test_criterion_6_direct_limit_chain():
         for L in (1, 2, 3):
             res = direct_limit_cover(chain, L)
             assert multiplicity(res.cover) <= 2
-            assert lebesgue_number(res.cover) >= float(L)
+            assert lebesgue_report(res.cover)[0] >= float(L)
             pieces = res.cover.pieces
             for i in range(len(pieces)):
                 for j in range(i + 2, len(pieces)):

@@ -2,7 +2,8 @@
 benchmark's per-layer metrics name, no export that nothing reads, no
 private module-level name that no module reads, no import that a module
 never uses, no parameter that its function never reads, and no write to
-another object's private attribute."""
+another object's private attribute; and no reference oracle in
+``tests/oracles.py`` that no test or benchmark module reads."""
 
 import ast
 import inspect
@@ -13,7 +14,8 @@ import types
 import coarse_lab
 from coarse_lab import cli
 
-BENCHMARK = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
+TESTS = os.path.dirname(__file__)
+BENCHMARK = os.path.join(TESTS, os.pardir, "BENCHMARK.json")
 
 
 def test_every_export_is_bound_and_not_a_module():
@@ -141,4 +143,26 @@ def test_every_parameter_is_read():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += ["%s:%d %s(%s)" % (fname, node.lineno, node.name, p.arg) for p in params
                        if p.arg not in ("self", "cls") and p.arg not in read]
+    assert unread == []
+
+
+def test_every_oracle_is_read():
+    # a reference that nothing checks against is dead; a helper read by another
+    # oracle counts as read
+    read = set()
+    for folder in (TESTS, os.path.join(TESTS, os.pardir, "bench")):
+        for fname in sorted(os.listdir(folder)):
+            if fname.endswith(".py"):
+                with open(os.path.join(folder, fname), encoding="utf-8") as fh:
+                    for node in ast.walk(ast.parse(fh.read(), fname)):
+                        if isinstance(node, ast.Name):
+                            read.add(node.id)
+                        elif isinstance(node, ast.Attribute):
+                            read.add(node.attr)
+                        elif isinstance(node, ast.alias):
+                            read.add(node.name)
+    with open(os.path.join(TESTS, "oracles.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    unread = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_") and node.name not in read]
     assert unread == []

@@ -18,7 +18,6 @@ from coarse_lab import (
     cycle,
     direct_limit_cover,
     enlarge,
-    lebesgue_number,
     lebesgue_report,
     load_space,
     multiplicity,
@@ -32,8 +31,8 @@ from coarse_lab import (
 from coarse_lab import cli
 from coarse_lab.cover import family_separation
 from coarse_lab.report import json_number
-from oracles import (dense_complement_distances, dense_piece_distances, dict_pullback,
-                     frozenset_direct_limit, set_separation)
+from oracles import (dense_complement_distances, dense_lebesgue, dense_piece_distances,
+                     dict_pullback, every_ball_fits, frozenset_direct_limit, set_separation)
 
 
 def path_graph(n):
@@ -106,15 +105,15 @@ class TestRMultiplicity:
 class TestLebesgue:
     def test_whole_space_piece(self):
         s = path_graph(5)
-        assert lebesgue_number(Cover(s, [list(s.point_ids)])) == s.diameter
+        assert lebesgue_report(Cover(s, [list(s.point_ids)]))[0] == s.diameter
 
     def test_tight_overlap_gives_zero(self):
         cov = Cover(path_graph(5), [[0, 1, 2], [2, 3, 4]])
-        assert lebesgue_number(cov) == 0.0
+        assert lebesgue_report(cov)[0] == 0.0
 
     def test_wider_overlap_gives_one(self):
         cov = Cover(path_graph(5), [[0, 1, 2, 3], [2, 3, 4]])
-        assert lebesgue_number(cov) == 1.0
+        assert lebesgue_report(cov)[0] == 1.0
 
     def test_report_names_smallest_failing_radius(self):
         cov = Cover(path_graph(5), [[0, 1, 2], [2, 3, 4]])
@@ -271,7 +270,7 @@ class TestCoverFacts:
             kp1 = r_multiplicity(cov, L)
             enl = enlarge(cov, L)
             assert multiplicity(enl) <= kp1
-            assert lebesgue_number(enl) >= L
+            assert lebesgue_report(enl)[0] >= L
 
 
 def interval_chain(radius):
@@ -287,7 +286,7 @@ class TestDirectLimit:
         res = direct_limit_cover(chain, 1)
         assert res.indices == (1, 4, 7, 10, 13, 16, 19, 20)
         assert multiplicity(res.cover) <= 2
-        assert lebesgue_number(res.cover) >= 1.0
+        assert lebesgue_report(res.cover)[0] >= 1.0
 
     def test_final_piece_flagged_as_truncated(self):
         _, chain = interval_chain(20)
@@ -449,3 +448,15 @@ class TestIndexBuiltCovers:
         res = direct_limit_cover(ChainOfSubspaces(space, stages), L)
         _, pieces, _, _ = frozenset_direct_limit(space, stages, L)
         _assert_same_cover(res.cover, Cover(space, pieces))
+
+
+class TestLebesgueOracle:
+    """The fit radius and its rounding onto the realized distances, ball by ball,
+    on float distances (``_covers``) and on integral ones (``_line_covers``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_covers(), _line_covers()))
+    def test_report_and_fit_radius_match_the_balls(self, cover):
+        assert lebesgue_report(cover) == dense_lebesgue(cover)
+        for r in cover.space.realized_distances():
+            assert (r < cover.fit_radius) == every_ball_fits(cover, r)

@@ -478,26 +478,27 @@ class TestGroupPipeline:
         assert_same_glue(res.glue, glue_with_report(
             GlueInput(res.partition, tuple(r.collapsed for r in res.subspace_results))))
 
-    def test_other_pieces_keep_the_explicit_glue(self, monkeypatch, tmp_path):
-        # a uniform-ball provider's pieces, and a truncated model's, are glued as given
+    def test_uniform_ball_pieces_keep_the_explicit_glue(self, monkeypatch):
         glued = record_glue_inputs(monkeypatch)
         act = certify_quasi_action(cyclic_group(60), cycle(12), rotation_maps(60, 12))
         group_pipeline(act, 0, three_arc_cover(act.space, 12, 6, 4), R=1.0,
                        provider=lambda sp: uniform_ball_witness(sp, 1))
-        execute_scenario({
-            "name": "z_ball_on_cycle",
-            "pipeline": "group-pipeline",
-            "inputs": {"group": {"type": "ball", "radius": 3},
-                       "space": {"metric": {"type": "cycle", "n": 48}},
-                       "action": {"type": "isometric_hom", "rule": "cyclic_mod"},
-                       "cover": {"pieces": [[(12 * i + j) % 48 for j in range(-1, 13)]
-                                            for i in range(4)]}},
-            "parameters": {"x0": 5, "R": 1},
-        }, str(tmp_path))
-        assert len(glued) == 2
-        for gi in glued:
-            assert isinstance(gi.pieces, tuple)
-            assert len(gi.pieces) == len(gi.partition.cover.indices)
+        assert len(glued) == 1
+        assert isinstance(glued[0].pieces, tuple)
+        assert len(glued[0].pieces) == len(glued[0].partition.cover.indices)
+
+    def test_truncated_dirac_pieces_glue_as_the_dirac_family(self, monkeypatch):
+        # Dirac by content on a truncated model too, and bit for bit the explicit glue
+        glued = record_glue_inputs(monkeypatch)
+        g, sp = z_ball(3), cycle(48)
+        maps = np.array([[(x + a) % 48 for x in sp.point_ids] for a in g.elements])
+        act = certify_quasi_action(g, sp, maps)
+        arcs = [[(12 * i + j) % 48 for j in range(-1, 13)] for i in range(4)]
+        res = group_pipeline(act, 5, Cover(sp, arcs), R=1.0)
+        assert res.truncation_flags
+        assert len(glued) == 1 and glued[0].pieces is None
+        assert_same_glue(res.glue, glue_with_report(
+            GlueInput(res.partition, tuple(r.collapsed for r in res.subspace_results))))
 
     def test_cover_must_live_on_space(self):
         act = certify_quasi_action(cyclic_group(12), cycle(4), rotation_maps(12, 4))
