@@ -12,9 +12,9 @@ from .errors import (BoundViolationError, CoarseLabError, DisconnectedGraphError
 from .report import InequalityRecord, all_passed, check_le
 from .space import (CoarseMapCert, FiniteMetricSpace, StepModulus, check_coarse_map,
                     cycle, grid, space_from_graph, space_from_matrix, z2_ball, z_interval)
-from .cover import (ChainOfSubspaces, Cover, DirectLimitResult, check_kl_separated,
-                    direct_limit_cover, enlarge, lebesgue_report, multiplicity,
-                    r_multiplicity, set_distance)
+from .cover import (ChainOfSubspaces, Cover, DirectLimitResult, direct_limit_cover,
+                    enlarge, lebesgue_report, multiplicity, r_multiplicity,
+                    set_distance)
 from .partition import (PartitionOfUnity, bell_lipschitz_constant, bell_partition,
                         partition_variation_profile, pullback_partition)
 from .witness import (DecayProfile, Witness, collapse, dirac_witness, tail_profile,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import Cover, check_kl_separated, enlarge, multiplicity
+from .cover import Cover, enlarge, family_separation, multiplicity
 from .errors import BoundViolationError, PreconditionError, ValidationError
 from .partition import (PartitionOfUnity, bell_partition,
                         partition_variation_profile, pullback_partition)
@@ -359,7 +359,7 @@ def separated_cover_pipeline(cover: Cover, L, sigma, R, epsilon, pieces=None,
     L, sigma, R, epsilon = float(L), float(sigma), float(R), float(epsilon)
     if L <= 0 or sigma <= 0:
         raise PreconditionError("need L > 0 and sigma > 0")
-    if not check_kl_separated(cover, k, 2.0 * L):
+    if not family_separation(cover, k) > 2.0 * L:
         raise PreconditionError("cover is not (%d, %g)-separated" % (k, 2.0 * L))
     if k * k + 1 > L * sigma + 1e-12:
         raise PreconditionError(

@@ -142,11 +142,6 @@ def _piece_distances(cover: Cover):
     return np.stack([cover.distance[:, idx].min(axis=1) for idx in cover.indices], axis=1)
 
 
-def check_kl_separated(cover: Cover, k, L) -> bool:
-    """The coloring splits the pieces into <= k+1 families, each L-separated."""
-    return family_separation(cover, k) > float(L)
-
-
 def family_separation(cover: Cover, k) -> float:
     """Smallest set distance between two pieces of one color (+inf if no color
     has two pieces); the coloring must use at most k+1 families."""

@@ -79,10 +79,6 @@ class GroupModel:
         self.truncation_radius = truncation_radius
         self._ix = ix
 
-    @property
-    def is_finite_group(self) -> bool:
-        return self.truncation_radius is None
-
     def __len__(self):
         return len(self.elements)
 
@@ -183,7 +179,7 @@ def word_metric_space(model: GroupModel) -> FiniteMetricSpace:
     """
     gen_ix = [model.index(s) for s in model.generators]
     gen_cols = model.mult[:, gen_ix]
-    if not model.is_finite_group:
+    if model.truncation_radius is not None:
         # each stored step x -> x s needs x s s^-1 = x stored, or a hop runs one way only
         back = model.mult[gen_cols, model.inverse[gen_ix]]
         if ((gen_cols >= 0) & (back != np.arange(len(model))[:, None])).any():

@@ -1,10 +1,12 @@
 """Finite metric spaces: validated axioms, subspaces by index, coarse-map certificates.
 
-Distances live in a dense float64 matrix. Graph-derived metrics are exact
-integers stored as floats. Point ids are opaque hashables (ints, strings,
-tuples); every operation that returns points follows the stored point order,
-so results are deterministic. Objects are immutable after construction and
-all operations are pure.
+Distances live in a dense float64 matrix. A space records once whether every
+distance is an integer, False being always safe: the constructor takes it
+from the axiom check, the builders that call ``_of`` are integral by
+construction, and a subspace keeps its parent's. Point ids are opaque
+hashables (ints, strings, tuples); every operation that returns points
+follows the stored point order, so results are deterministic. Objects are
+immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ _SAMPLED_TRIPLES = 200_000
 
 
 def _validate_metric_axioms(ids, D):
+    """Raise on the first failed axiom; return whether D is integral below 2^31."""
     n = len(ids)
     if not np.all(np.isfinite(D)):
         raise MetricAxiomError("distances must be finite")
@@ -80,16 +83,7 @@ def _validate_metric_axioms(ids, D):
             a, b, c = (int(v) for v in tri[viol[0]])
             raise MetricAxiomError("triangle inequality fails on sampled triple (%r,%r,%r)"
                                    % (ids[a], ids[b], ids[c]), (ids[a], ids[b], ids[c]))
-
-
-def _narrow(values):
-    """A uint16 copy of the nonnegative float ``values`` when every one of them
-    is an integer below 2^16, else None."""
-    if values.max(initial=0.0) < 2**16:
-        narrow = values.astype(np.uint16)
-        if np.array_equal(narrow, values):
-            return narrow
-    return None
+    return tol == 0
 
 
 class FiniteMetricSpace:
@@ -107,28 +101,35 @@ class FiniteMetricSpace:
             D = None
         if D is None or D.dtype.kind not in "iuf":
             raise ValidationError("a distance matrix must be a rectangular array of numbers")
-        D = np.array(D, dtype=np.float64)
         if D.shape != (len(ids), len(ids)):
             raise ValidationError("distance matrix shape %r does not match %d points"
                                   % (D.shape, len(ids)))
-        _validate_metric_axioms(ids, D)
-        self._store(ids, D)
+        # rows of ints and floats read as floats, so their ints are looked up;
+        # a float array given as such holds none
+        if D.max() > 2**53 and (D.dtype.kind in "iu" or D is not dist_matrix and any(
+                isinstance(v, (int, np.integer)) and v > 2**53
+                for row in dist_matrix for v in row)):
+            raise ValidationError("integer distances past 2^53 do not survive float64")
+        D = np.array(D, dtype=np.float64)
+        self._store(ids, D, _validate_metric_axioms(ids, D))
 
     @classmethod
-    def _of(cls, ids, D):
+    def _of(cls, ids, D, integral=True):
         """A space that takes over the fresh float64 matrix ``D`` of a builder:
-        frozen in place, neither copied nor validated."""
+        frozen in place, neither copied nor validated. Every builder that
+        calls it has integer distances; ``_sub`` passes its parent's fact."""
         ids = tuple(ids)
         if not ids:
             raise ValidationError("a metric space needs at least one point")
         space = cls.__new__(cls)
-        space._store(ids, D)
+        space._store(ids, D, integral)
         return space
 
-    def _store(self, ids, D):
+    def _store(self, ids, D, integral):
         D.setflags(write=False)
         self.point_ids = ids
         self.D = D
+        self._integral = integral     # every distance is an integer; False is safe
         self._ix = {p: i for i, p in enumerate(ids)}
 
     def __len__(self):
@@ -153,7 +154,7 @@ class FiniteMetricSpace:
     def d(self, x, y) -> float:
         return float(self.D[self.index(x), self.index(y)])
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return float(self.D.max())
 
@@ -163,16 +164,15 @@ class FiniteMetricSpace:
         if len(self) == 1:
             return math.inf
         n = len(self)
-        return float((self.D + np.eye(n) * self.D.max() + np.eye(n)).min())
+        return float((self.D + np.eye(n) * self.diameter + np.eye(n)).min())
 
     @cached_property
     def _realized(self):
-        narrow = _narrow(self.D)
         # only the diagonal holds zeros, and np.unique lists a -0.0 there as -0.0
-        if narrow is None or np.signbit(np.diagonal(self.D)).any():
+        if not self._integral or self.diameter >= 2**16 or np.signbit(np.diagonal(self.D)).any():
             return np.unique(self.D)
         # integral distances below 2^16: the values present
-        return np.flatnonzero(np.bincount(narrow.ravel())).astype(np.float64)
+        return np.flatnonzero(np.bincount(self.D.astype(np.uint16).ravel())).astype(np.float64)
 
     def realized_distances(self):
         """Sorted list of all realized distance values, always including 0."""
@@ -189,7 +189,8 @@ class FiniteMetricSpace:
     def _sub(self, idx) -> "FiniteMetricSpace":
         """Subspace on the ascending point indices ``idx``, in stored point order."""
         ids = self.point_ids
-        return FiniteMetricSpace._of([ids[i] for i in idx], self.D[np.ix_(idx, idx)])
+        return FiniteMetricSpace._of([ids[i] for i in idx], self.D[np.ix_(idx, idx)],
+                                     self._integral)
 
 
 class StepModulus:
@@ -566,21 +567,25 @@ class _SparseRows:
 class _DistanceMax:
     """Per distance, the largest pair value and the first pair attaining it.
 
-    Its grid is the space's realized distances up to ``radius`` + 1e-12, the
-    pairs ``_pair_blocks(space, radius)`` lists; ``add`` takes those pairs
-    (a < b) in row-major order, a block at a time. The maximum starts at 0.0
-    and skips NaN. Where it beats every smaller distance's, ``first`` holds
-    the linear index a * n + b of the first pair attaining it: an equal value
-    in a later block does not replace it. Integral distances below 2^16 index
-    the tables directly, others by rank.
+    Its grid covers the distances up to ``radius`` + 1e-12, the pairs
+    ``_pair_blocks(space, radius)`` lists; ``add`` takes those pairs (a < b)
+    in row-major order, a block at a time. The maximum starts at 0.0 and skips
+    NaN. Where it beats every smaller distance's, ``first`` holds the linear
+    index a * n + b of the first pair attaining it: an equal value in a later
+    block does not replace it. On an integral space of diameter below 2^16 the
+    grid is 0, 1, ..., floor(min(diameter, radius + 1e-12)), indexed by the
+    distance itself: an integer that no pair has keeps 0.0 and never leads.
+    Other spaces take their realized distances, indexed by rank.
     """
 
     def __init__(self, space: FiniteMetricSpace, radius=math.inf):
         self.space = space
-        grid = space._realized[space._realized <= radius + 1e-12]
-        key = _narrow(grid)
-        self.integral = key is not None
-        self.grid = np.arange(key.max(initial=0) + 1.0) if self.integral else grid
+        self.integral = space._integral and space.diameter < 2**16
+        if self.integral:  # min keeps a NaN radius to the diameter, max a negative one to 0
+            top = max(0.0, min(space.diameter, radius + 1e-12))
+            self.grid = np.arange(math.floor(top) + 1.0)
+        else:
+            self.grid = space._realized[space._realized <= radius + 1e-12]
         self.best = np.zeros(len(self.grid))
         self.first = np.full(len(self.grid), -1)
 

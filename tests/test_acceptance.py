@@ -19,7 +19,6 @@ from coarse_lab import (
     bell_lipschitz_constant,
     bell_partition,
     certify_quasi_action,
-    check_kl_separated,
     cycle,
     cyclic_group,
     direct_limit_cover,
@@ -46,6 +45,7 @@ from coarse_lab import (
     Witness,
 )
 from coarse_lab.cli import run_scenario
+from coarse_lab.cover import family_separation
 from conftest import SCENARIO_DIR, record_criterion
 from oracles import (
     dense_partition_variation,
@@ -251,7 +251,7 @@ def test_criterion_3_cover_facts_exhaustive():
         assert any(len(c.space) == 100 for c, _, _ in instances)
         for cov, k, L in instances:
             assert len(cov.space) <= 100
-            assert check_kl_separated(cov, k, 2.0 * L)
+            assert family_separation(cov, k) > 2.0 * L
             assert r_multiplicity(cov, L) <= k + 1
         # second fact applies to any cover with L-multiplicity <= k+1,
         # separated or not

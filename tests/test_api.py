@@ -2,8 +2,10 @@
 benchmark's per-layer metrics name, no export that nothing reads, no
 private module-level name that no module reads, no import that a module
 never uses, no parameter that its function never reads, and no write to
-another object's private attribute; and no reference oracle in
-``tests/oracles.py`` that no test or benchmark module reads."""
+another object's private attribute; no reference oracle in
+``tests/oracles.py`` that no test or benchmark module reads; and no builder
+handing its matrix to ``FiniteMetricSpace._of`` that the integral-fact test
+does not build."""
 
 import ast
 import inspect
@@ -13,6 +15,7 @@ import types
 
 import coarse_lab
 from coarse_lab import cli
+from test_space import OF_CALLERS
 
 TESTS = os.path.dirname(__file__)
 BENCHMARK = os.path.join(TESTS, os.pardir, "BENCHMARK.json")
@@ -166,3 +169,13 @@ def test_every_oracle_is_read():
     unread = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
               and not node.name.startswith("_") and node.name not in read]
     assert unread == []
+
+
+def test_every_of_caller_is_checked_for_its_integral_fact():
+    # FiniteMetricSpace._of records every distance as an integer, so each
+    # function that calls it must be one whose spaces test_space checks
+    callers = {func.name for _, tree in _module_trees() for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "FiniteMetricSpace._of"}
+    assert callers == set(OF_CALLERS)

@@ -1567,6 +1567,23 @@ class TestCheckSpace:
         })
         assert main(["check-space", path]) == 2
 
+    @pytest.mark.parametrize("command", ["check-space", "run"])
+    def test_integer_past_2_53_rejected(self, tmp_path, capsys, command):
+        # float64 rounds 2^54 + 2 to 2^54, which would hide the failed triangle
+        a = 2**53
+        space = {"metric": {"type": "matrix",
+                            "d": [[0, a, 2 * a + 2], [a, 0, a], [2 * a + 2, a, 0]]},
+                 "points": [0, 1, 2]}
+        if command == "check-space":
+            args = [write_json(tmp_path / "big.json", space)]
+        else:
+            args = [write_json(tmp_path / "big.json", {
+                "name": "big", "pipeline": "subspace",
+                "inputs": {"space": space, "witness": {"builtin": "dirac"}},
+                "parameters": {"subspace": [0, 1]}}), "--out", str(tmp_path)]
+        assert main([command] + args) == 2
+        assert "2^53" in capsys.readouterr().err
+
 
 class TestJsonRoundTrips:
     def test_witness_round_trip(self):

@@ -14,7 +14,6 @@ from coarse_lab import (
     ValidationError,
     bell_partition,
     check_coarse_map,
-    check_kl_separated,
     cycle,
     direct_limit_cover,
     enlarge,
@@ -174,17 +173,17 @@ class TestSeparation:
 
     def test_separated_blocks(self):
         cov = Cover(path_graph(5), [[0, 1], [2], [3, 4]], coloring=[0, 1, 0])
-        assert check_kl_separated(cov, 1, 1)
-        assert not check_kl_separated(cov, 1, 2)  # d = 2, strict comparison
+        assert family_separation(cov, 1) > 1
+        assert not family_separation(cov, 1) > 2  # d = 2, strict comparison
 
     def test_kl_separated_whole_space(self):
         s = path_graph(5)
         cov = Cover(s, [list(s.point_ids)], coloring=[0])
-        assert check_kl_separated(cov, 0, 100)
+        assert family_separation(cov, 0) > 100
 
     def test_overlap_in_one_family_fails(self):
         cov = Cover(path_graph(5), [[0, 1, 2], [2, 3, 4]], coloring=[0, 0])
-        assert not check_kl_separated(cov, 1, 1)
+        assert not family_separation(cov, 1) > 1
 
     def test_two_color_blocks_on_interval(self):
         s = z_interval(0, 23)
@@ -194,8 +193,8 @@ class TestSeparation:
                     coloring=[0] * len(pieces) + [1] * len(extra))
         # same-color 4-blocks sit distance 3 apart (d(3,6) = 3): strictly
         # separated up to L=2, not at L=3
-        assert check_kl_separated(cov, 1, 2)
-        assert not check_kl_separated(cov, 1, 3)
+        assert family_separation(cov, 1) > 2
+        assert not family_separation(cov, 1) > 3
 
     @settings(max_examples=150, deadline=None)
     @given(_covers(), st.data())
@@ -211,7 +210,7 @@ class TestSeparation:
     def test_missing_coloring_rejected(self):
         cov = Cover(path_graph(3), [[0, 1], [1, 2]])
         with pytest.raises(ValidationError):
-            check_kl_separated(cov, 1, 1)
+            family_separation(cov, 1) > 1
 
 
 class TestEnlarge:
@@ -260,7 +259,7 @@ class TestCoverFacts:
     def test_separation_controls_r_multiplicity(self):
         checked = 0
         for cov, k, L in self.separated_instances():
-            if check_kl_separated(cov, k, 2 * L):
+            if family_separation(cov, k) > 2 * L:
                 assert r_multiplicity(cov, L) <= k + 1
                 checked += 1
         assert checked == 3

@@ -72,7 +72,7 @@ class TestGroupModels:
         assert len(g) == 6
         assert g.identity == 0
         assert g.generators == (1, 5)
-        assert g.is_finite_group
+        assert g.truncation_radius is None
 
     def test_generators_must_be_symmetric(self):
         with pytest.raises(ValidationError):
@@ -97,7 +97,7 @@ class TestGroupModels:
 
     def test_z_ball_is_truncated(self):
         g = z_ball(5)
-        assert not g.is_finite_group
+        assert g.truncation_radius is not None
         assert g.truncation_radius == 5
         assert product(g, 3, 4) is None
         assert product(g, 2, 3) == 5

@@ -20,12 +20,18 @@ from coarse_lab import (
     bell_partition,
     check_coarse_map,
     cycle,
+    cyclic_group,
+    dirac_witness,
     grid,
     load_map_assignment,
+    net_construction,
     partition_variation_profile,
     space_from_graph,
     space_from_matrix,
+    variation_profile,
+    word_metric_space,
     z2_ball,
+    z_ball,
     z_interval,
 )
 from coarse_lab import space as space_module
@@ -386,6 +392,132 @@ class TestMatrixHandover:
         assert space.D is not D and D.flags.writeable
         with pytest.raises(MetricAxiomError):
             FiniteMetricSpace(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("dtype", [None, float, np.int64, np.uint64])
+    def test_integers_past_2_53_rejected(self, dtype):
+        # d(0, 2) = 2a + 2 > 2a = d(0, 1) + d(1, 2), but float64 rounds 2a + 2
+        # to 2a, where the triangle holds: lists of Python ints, lists of ints
+        # and a float (which numpy reads as floats), or an integer array
+        a = 2**53
+        rows = [[0, a, 2 * a + 2], [a, 0, a], [2 * a + 2, a, 0]]
+        if dtype is float:
+            rows[2][2] = 0.0
+        matrix = (lambda r: r) if dtype in (None, float) else (lambda r: np.array(r, dtype=dtype))
+        with pytest.raises(ValidationError, match=r"past 2\^53"):
+            FiniteMetricSpace(range(3), matrix(rows))
+        # 2^53 itself survives the cast, and so does a float past it
+        rows = [[0, a], [a, 0]] if dtype is not float else [[0, 2.0**60], [2.0**60, 0]]
+        assert FiniteMetricSpace(range(2), matrix(rows)).d(0, 1) == rows[0][1]
+
+
+# Every function of the package that calls FiniteMetricSpace._of, with spaces
+# built through it: TestIntegralFact checks the fact each one records, and
+# tests/test_api.py fails on a caller missing here.
+OF_CALLERS = {
+    "z_interval": [lambda: z_interval(-3, 9), lambda: z_interval(5, 5)],
+    "cycle": [lambda: cycle(1), lambda: cycle(11)],
+    "grid": [lambda: grid([3, 4]), lambda: grid([2, 3, 2], norm="linf")],
+    "z2_ball": [lambda: z2_ball(3), lambda: z2_ball(2, norm="linf")],
+    "_hop_space": [lambda: path_graph(6), lambda: word_metric_space(z_ball(4))],
+    "word_metric_space": [lambda: word_metric_space(cyclic_group(9))],
+    "_sub": [lambda: z_interval(0, 30).restrict([0, 7, 8, 30]),
+             lambda: cycle(12)._sub(np.array([1, 4, 5]))],
+}
+
+# matrices for the constructor, and the fact its axiom check records
+_MATRICES = [
+    pytest.param([[0, 2, 3], [2, 0, 1], [3, 1, 0]], True, id="integers"),
+    pytest.param(cycle(9).D, True, id="integral-floats"),
+    pytest.param(0.5 * cycle(9).D, False, id="half-integers"),
+    pytest.param(0.7 * cycle(40).D + 0.25 * (1.0 - np.eye(40)), False, id="not-integral"),
+    pytest.param(2.0**31 * z_interval(0, 2).D, False, id="integral-from-2^31"),
+]
+
+
+def _assert_truthful(space, integral):
+    """``space`` records ``integral``; when true, D equals its floor."""
+    assert space._integral is integral
+    if space._integral:
+        assert np.array_equal(space.D, np.floor(space.D))
+
+
+@st.composite
+def _grid_sweeps(draw):
+    """A space, pair values, profile radii and a sweep radius that holds them.
+    The spaces: sparse subspaces of an interval (integers below the radius
+    that no pair has), integer and float matrices, and their subspaces. The
+    radii: at, between and near the distances, and past the diameter."""
+    kind = draw(st.sampled_from(["interval", "integers", "floats"]))
+    if kind == "interval":
+        top = draw(st.integers(0, 60))
+        members = draw(st.lists(st.integers(0, top), min_size=1, max_size=8, unique=True))
+        space = z_interval(0, top).restrict(members)
+    else:
+        # distances within [t, 2t], so every matrix over them is a metric
+        dists = (3.0, 4.0, 6.0) if kind == "integers" else (1.0, 1.25, 1.7, 2.0)
+        n = draw(st.integers(1, 8))
+        D = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                D[a, b] = D[b, a] = draw(st.sampled_from(dists))
+        space = FiniteMetricSpace(range(n), D)
+        if draw(st.booleans()):
+            space = space.restrict(draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+    n = len(space)
+    value = st.sampled_from([0.0, 0.5, 1.0, 3.0, math.nan]) | st.floats(0.0, 10.0)
+    V = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+    near = st.tuples(st.sampled_from(np.unique(space.D).tolist() + [space.diameter + 1.5]),
+                     st.sampled_from([0.0, 0.25, 0.5, -0.5, 5e-13, -5e-13, -2e-12]))
+    radii = draw(st.lists(near.map(lambda t: max(0.0, t[0] + t[1])), min_size=1, max_size=5))
+    radius = draw(st.sampled_from([math.inf, max(radii), max(radii) + 0.5]))
+    return space, V, radii, radius
+
+
+class TestIntegralFact:
+    """A space records whether every distance is an integer: truthfully, as
+    the sweeps' integer grid relies on it, and once, so sweeps on an integral
+    space never build its realized distances."""
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id="%s-%d" % (name, i))
+                                       for name, builds in OF_CALLERS.items()
+                                       for i, b in enumerate(builds)])
+    def test_builders_are_integral(self, build):
+        space = build()
+        _assert_truthful(space, True)
+        _assert_truthful(space.restrict(space.point_ids[::2]), True)
+        _assert_truthful(space._sub(np.array([len(space) - 1])), True)
+
+    @pytest.mark.parametrize("D, integral", _MATRICES)
+    def test_matrices_record_the_axiom_check(self, D, integral):
+        space = FiniteMetricSpace(range(len(D)), D)
+        _assert_truthful(space, integral)
+        _assert_truthful(space.restrict(range(0, len(D), 2)), integral)
+        _assert_truthful(space._sub(np.array([0])), integral)
+
+    def test_a_float_subspace_stays_non_integral(self):
+        sub = FiniteMetricSpace(range(9), 0.5 * cycle(9).D).restrict([0, 2, 4])
+        assert sub.realized_distances() == [0.0, 1.0, 2.0]
+        assert sub._integral is False
+
+    def test_explicit_radii_leave_the_realized_set_unbuilt(self):
+        space = z_interval(0, 40)
+        net = space.restrict(range(0, 41, 4))
+        assert variation_profile(dirac_witness(space), [0.0, 2.5, 7.0])[-1][1] > 0.0
+        net_construction(space, dirac_witness(net), radii=[1.0, 6.0], tail_radii=[3.0])
+        assert "_realized" not in vars(space) and "_realized" not in vars(net)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_grid_sweeps())
+    def test_profile_matches_the_dense_sweep_bit_for_bit(self, case):
+        space, V, radii, radius = case
+        sweep = _DistanceMax(space, radius)
+        for a, b in _pair_blocks(space, radius):
+            sweep.add(a, b, V[a, b])
+        got = sweep.profile(radii)
+        want = dense_pair_sweep(space, radii, V)
+        assert [(r, v.hex(), p) for r, v, p in got] == [(r, v.hex(), p) for r, v, p in want]
+        # only a space that is not integral builds its realized distances
+        assert ("_realized" in vars(space)) is not space._integral
 
 
 class TestRestrict:
@@ -763,7 +895,7 @@ class TestSparseRows:
             space = z_interval(0, n - 1)
         else:   # no builder makes an empty space; the walker reads only its length
             space = FiniteMetricSpace.__new__(FiniteMetricSpace)
-            space._store((), np.zeros((0, 0)))
+            space._store((), np.zeros((0, 0)), True)
         for radius in (0.0, 1.5, 36.0, math.inf):
             blocks = list(_pair_blocks(space, radius))
             got = [(int(a), int(b)) for ca, cb in blocks for a, b in zip(ca, cb)]
